@@ -217,6 +217,8 @@ def _dispatch(args, stdout, stderr) -> int:
             doc = {
                 "verdict": verdict.kind,
                 "bound_too_small": verdict.bound_too_small,
+                "skeletons": verdict.skeletons,
+                "tables": verdict.tables,
             }
             if verdict.model is not None:
                 doc["model"] = print_model(verdict.model)

@@ -33,7 +33,6 @@ class FuelExhausted(Exception):
 @dataclass(frozen=True)
 class SearchConfig:
     fuel: int = 100000
-    set_mode: bool = True
     loop_check: bool = True
     oracle_hint: bool = True  # consult the oracle on NotProved results
 
@@ -134,7 +133,7 @@ def _glseq_replay(sk, seq: GentzenSequent, calculus: str = "glseq") -> Proof:
 
 def decide_glseq(s: GentzenSequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Backward decision procedure for the Gentzen calculus."""
-    fa = frozenset(s.ante) if cfg.set_mode else frozenset(s.ante)
+    fa = frozenset(s.ante)
     fc = frozenset(s.cons)
     fuel = [cfg.fuel]
     dead_end = [None]

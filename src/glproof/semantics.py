@@ -2,11 +2,16 @@
 
 The oracle enumerates rooted tree skeletons (transitive-irreflexive models
 with the strict-descendant relation) in order of world count, smallest first.
-Within a skeleton it computes, bottom-up and exactly, the set of reachable
-truth profiles over the formula's subformula closure, so a falsifying
-valuation is found (or ruled out) without scanning all valuations one by one.
-Any countermodel it reports is re-verified with the plain recursive
-evaluator before being returned.
+Within a skeleton it computes, bottom-up and exactly, the set of states each
+world can reach.  A world's state is its contribution vector: which boxed
+subformulas hold there together with their bodies, the only thing a parent
+reads of a child.  A parent's box combination is the AND of one vector per
+child.  For each box combination met, every subformula is evaluated once, as
+one int whose bits range over all atom valuations, giving a table of the
+vectors that combination reaches and whether it falsifies the formula; every
+world of every skeleton with that combination reuses it.  Any countermodel
+the oracle reports is re-verified with the plain recursive evaluator before
+being returned.
 """
 
 from __future__ import annotations
@@ -111,8 +116,7 @@ class ModelBound:
 def default_bound(f: Formula) -> ModelBound:
     """One fresh successor per refuted boxed subformula per world gives the
     usual GL tree-model shape; the world budget keeps exhaustion tractable."""
-    k = len(closure(f).boxed)
-    return ModelBound(max_worlds=k + 2, max_depth=k + 1, max_branching=k + 1)
+    return _Tables(f).default_bound()
 
 
 @lru_cache(maxsize=None)
@@ -182,104 +186,162 @@ class OracleVerdict:
     model: Optional[Model] = None
     world: Optional[str] = None
     bound_too_small: bool = False
+    skeletons: int = 0  # tree shapes tried, the verdict's own included
+    tables: int = 0  # distinct box combinations evaluated
 
     @property
     def kind(self) -> str:
         return "Valid" if self.valid else "Countermodel"
 
 
-class _Profiler:
-    """Bit-level truth profiles over the subformula closure of one formula."""
+_ATOM, _NOT, _OR, _BOX = range(4)
+
+
+class _Tables:
+    """The state of one oracle call.
+
+    One post-order walk of the formula gives the evaluation ops (operands
+    are earlier ops; the target is the last op), the atoms and the boxes.
+    A valuation row `v` sets atom `atoms[i]` iff bit i of `v` is set.  A box
+    combination `r` says which boxes hold at a world (bit j for box j).  A
+    world's contribution vector says which boxes' (body and box) hold there:
+    box j holds at a parent iff bit j is set in the contribution vector of
+    every child, by transitivity, so the vector is all a parent reads of a
+    child, and a world's achievable states are its achievable vectors."""
 
     def __init__(self, f: Formula):
-        subs = sorted(closure(f).subformulas, key=lambda g: (g.weight, g.key))
-        self.index = {g: i for i, g in enumerate(subs)}
-        self.atoms = sorted({g.name for g in subs if isinstance(g, Atom)})
-        self.atom_pos = {a: i for i, a in enumerate(self.atoms)}
-        self.boxes = [g for g in subs if isinstance(g, Box)]
-        self.box_pos = {g: i for i, g in enumerate(self.boxes)}
-        self.target_bit = self.index[f]
-        ops = []
-        for g in subs:
-            if isinstance(g, Atom):
-                ops.append((0, self.atom_pos[g.name], 0))
-            elif isinstance(g, Not):
-                ops.append((1, self.index[g.sub], 0))
-            elif isinstance(g, Or):
-                ops.append((2, self.index[g.left], self.index[g.right]))
+        index: dict[int, int] = {}  # id of a subformula -> its op; f keeps them alive
+        ops: list[tuple] = []
+        atoms: list[str] = []
+        box_subs: list[int] = []  # op of each box's body, by box position
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if id(g) in index:
+                stack.pop()
+                continue
+            kind = type(g)
+            if kind is Atom:
+                ops.append((_ATOM, g.name, 0))
+                atoms.append(g.name)
+            elif kind is Or:
+                a, b = index.get(id(g.left)), index.get(id(g.right))
+                if a is None or b is None:
+                    stack.append(g.right)
+                    stack.append(g.left)
+                    continue
+                ops.append((_OR, a, b))
             else:
-                ops.append((3, self.box_pos[g], 0))
+                a = index.get(id(g.sub))
+                if a is None:
+                    stack.append(g.sub)
+                    continue
+                if kind is Not:
+                    ops.append((_NOT, a, 0))
+                else:
+                    ops.append((_BOX, len(box_subs), 0))
+                    box_subs.append(a)
+            index[id(g)] = len(ops) - 1
+            stack.pop()
+        atoms.sort()
+        self.atoms = atoms
         self.ops = ops
-        # box i holds at a parent iff (sub and box) hold at every child
-        self.contrib_masks = [
-            (self.index[b.sub], self.index[b]) for b in self.boxes
-        ]
-        self._contrib_memo: dict[int, int] = {}
+        self.box_subs = box_subs
+        self.full = full = (1 << (1 << len(atoms))) - 1
+        # rows where bit i is set: blocks of 2^i clear rows then 2^i set rows
+        self.atom_masks = {
+            a: full // ((1 << (1 << i)) + 1) << (1 << i) for i, a in enumerate(atoms)
+        }
+        self.all_boxes = (1 << len(box_subs)) - 1
+        # box combination -> ({contribution vector: first row}, first falsifying row or -1)
+        self.tables: dict[int, tuple[dict[int, int], int]] = {}
+        self._combos: dict[tuple, dict[int, tuple]] = {}
+        self._states: dict[tuple, dict[int, tuple]] = {}
 
-    def profile(self, atom_bits: int, box_bits: int) -> int:
-        p = 0
-        for i, (kind, a, b) in enumerate(self.ops):
-            if kind == 0:
-                bit = (atom_bits >> a) & 1
-            elif kind == 1:
-                bit = 1 - ((p >> a) & 1)
-            elif kind == 2:
-                bit = ((p >> a) | (p >> b)) & 1
-            else:
-                bit = (box_bits >> a) & 1
-            p |= bit << i
-        return p
+    def default_bound(self) -> ModelBound:
+        k = len(self.box_subs)
+        return ModelBound(max_worlds=k + 2, max_depth=k + 1, max_branching=k + 1)
 
-    def contrib(self, profile: int) -> int:
-        got = self._contrib_memo.get(profile)
+    def table(self, r: int) -> tuple[dict[int, int], int]:
+        """Evaluate every subformula once, as one int over all rows, with the
+        boxes fixed by `r`."""
+        got = self.tables.get(r)
         if got is not None:
             return got
-        r = 0
-        for i, (sub_i, box_i) in enumerate(self.contrib_masks):
-            if (profile >> sub_i) & 1 and (profile >> box_i) & 1:
-                r |= 1 << i
-        self._contrib_memo[profile] = r
-        return r
+        full, masks = self.full, self.atom_masks
+        vals: list[int] = []
+        for kind, a, b in self.ops:
+            if kind == _ATOM:
+                vals.append(masks[a])
+            elif kind == _NOT:
+                vals.append(full ^ vals[a])
+            elif kind == _OR:
+                vals.append(vals[a] | vals[b])
+            else:
+                vals.append(full if (r >> a) & 1 else 0)
+        # split the rows by the contribution vector they reach
+        groups = {0: full}
+        for j, sub in enumerate(self.box_subs):
+            if not (r >> j) & 1:
+                continue
+            m, bit, nxt = vals[sub], 1 << j, {}
+            for c, g in groups.items():
+                hi = g & m
+                if hi:
+                    nxt[c | bit] = hi
+                if hi != g:
+                    nxt[c] = g ^ hi
+            groups = nxt
+        falsified = full ^ vals[-1]
+        got = ({c: _low_bit(g) for c, g in groups.items()},
+               _low_bit(falsified) if falsified else -1)
+        self.tables[r] = got
+        return got
+
+    def combos(self, shape) -> dict[int, tuple]:
+        """Achievable box combinations at a world with this subtree shape, each
+        with one vector per child that reaches it."""
+        got = self._combos.get(shape)
+        if got is not None:
+            return got
+        if not shape:
+            got = {self.all_boxes: ()}
+        else:
+            got = {c: (c,) for c in self.states(shape[0])}
+            for child in shape[1:]:
+                cs = self.states(child)
+                nxt: dict[int, tuple] = {}
+                for r, vecs in got.items():
+                    for c in cs:
+                        r2 = r & c
+                        if r2 not in nxt:
+                            nxt[r2] = vecs + (c,)
+                got = nxt
+        self._combos[shape] = got
+        return got
+
+    def states(self, shape) -> dict[int, tuple]:
+        """Achievable contribution vectors at a world with this subtree shape,
+        each with the row and child vectors that reach it."""
+        got = self._states.get(shape)
+        if got is not None:
+            return got
+        got = {}
+        for r, vecs in self.combos(shape).items():
+            for c, row in self.table(r)[0].items():
+                if c not in got:
+                    got[c] = (row, vecs)
+        self._states[shape] = got
+        return got
+
+    def assignment(self, shape, row: int, vecs: tuple) -> tuple:
+        """Per-node atom rows (row, children) for one witnessed choice."""
+        return (row, tuple(self.assignment(cs, *self.states(cs)[c])
+                           for cs, c in zip(shape, vecs)))
 
 
-def _rebuild_bits(prof: _Profiler, shape, achmaps, chosen_profile):
-    """Recover (atom_bits, children assignments) for one achieved profile."""
-    ab, child_profiles = achmaps[0][chosen_profile]
-    kids = [
-        _rebuild_bits(prof, cshape, cach, cp)
-        for cshape, cach, cp in zip(shape, achmaps[1], child_profiles)
-    ]
-    return (ab, tuple(kids))
-
-
-def _achievable_tree(prof: _Profiler, shape):
-    child_data = [_achievable_tree(prof, c) for c in shape]
-    n_atoms = len(prof.atoms)
-    all_boxes = (1 << len(prof.boxes)) - 1
-    if not child_data:
-        combos: dict[int, tuple] = {all_boxes: ()}
-    else:
-        combos = {}
-        for p in sorted(child_data[0][0]):
-            r = prof.contrib(p)
-            if r not in combos:
-                combos[r] = (p,)
-        for cs, _ in child_data[1:]:
-            nxt: dict[int, tuple] = {}
-            for r in sorted(combos):
-                ws = combos[r]
-                for p in sorted(cs):
-                    r2 = r & prof.contrib(p)
-                    if r2 not in nxt:
-                        nxt[r2] = ws + (p,)
-            combos = nxt
-    out: dict[int, tuple] = {}
-    for ab in range(1 << n_atoms):
-        for r in sorted(combos):
-            p = prof.profile(ab, r)
-            if p not in out:
-                out[p] = (ab, combos[r])
-    return out, child_data
+def _low_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
 
 
 def oracle_validity(f: Formula, bound: Optional[ModelBound] = None) -> OracleVerdict:
@@ -289,22 +351,27 @@ def oracle_validity(f: Formula, bound: Optional[ModelBound] = None) -> OracleVer
     eval_formula).  Completeness holds when the bound covers the default
     bound for f, which is validated empirically against proof search.
     """
-    dflt = default_bound(f)
+    tabs = _Tables(f)
+    dflt = tabs.default_bound()
     if bound is None:
         bound = dflt
-    prof = _Profiler(f)
+    tried = 0
     for n in range(1, bound.max_worlds + 1):
         for shape in _skeletons(n, bound.max_depth, bound.max_branching):
-            ach, child_data = _achievable_tree(prof, shape)
-            falsifying = [p for p in sorted(ach) if not (p >> prof.target_bit) & 1]
-            if falsifying:
-                chosen = falsifying[0]
-                bits = _rebuild_bits(prof, shape, (ach, child_data), chosen)
-                model, root = _skeleton_model(shape, prof.atoms, bits, prof.atom_pos)
+            tried += 1
+            for r, vecs in tabs.combos(shape).items():
+                row = tabs.table(r)[1]
+                if row < 0:
+                    continue
+                bits = tabs.assignment(shape, row, vecs)
+                atom_pos = {a: i for i, a in enumerate(tabs.atoms)}
+                model, root = _skeleton_model(shape, tabs.atoms, bits, atom_pos)
                 if eval_formula(model, root, f):
                     raise AssertionError("oracle self-check failed: model does not refute")
-                return OracleVerdict(False, model, root)
-    return OracleVerdict(True, bound_too_small=not (bound >= dflt))
+                return OracleVerdict(False, model, root, skeletons=tried,
+                                     tables=len(tabs.tables))
+    return OracleVerdict(True, bound_too_small=not (bound >= dflt), skeletons=tried,
+                         tables=len(tabs.tables))
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +478,22 @@ def big_or(formulas) -> Formula:
     return out
 
 
+def _conditional(ante, succedent: Formula) -> Formula:
+    # an empty antecedent adds no implication, so no atom of a tautology
+    return implies(big_and(ante), succedent) if ante else succedent
+
+
 def gentzen_interpretation(s: GentzenSequent) -> Formula:
-    return implies(big_and(s.ante), big_or(s.cons))
+    return _conditional(s.ante, big_or(s.cons))
 
 
 def lns_interpretation(g: LinearNestedSequent) -> Formula:
     """f(Gamma |- Delta // G) = /\\Gamma -> (\\/Delta or []f(G))."""
     comp = g.components[0]
     if len(g) == 1:
-        return implies(big_and(comp.ante), big_or(comp.cons))
-    rest = lns_interpretation(LinearNestedSequent(g.components[1:]))
-    return implies(big_and(comp.ante), Or(big_or(comp.cons), Box(rest)))
+        return _conditional(comp.ante, big_or(comp.cons))
+    rest = Box(lns_interpretation(LinearNestedSequent(g.components[1:])))
+    return _conditional(comp.ante, Or(big_or(comp.cons), rest) if comp.cons else rest)
 
 
 # ---------------------------------------------------------------------------

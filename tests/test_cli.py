@@ -87,6 +87,13 @@ def test_oracle_valid_and_countermodel():
     assert code == 1 and "Countermodel" in out and "worlds:" in out
 
 
+def test_oracle_json_counters():
+    code, out, _ = invoke("oracle", "--format", "json", "[]p -> p")
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] == "Countermodel"
+    assert doc["skeletons"] == 1 and doc["tables"] == 1
+
+
 def test_oracle_bound_flag():
     code, out, _ = invoke("oracle", "--bound", "1", "[][]p")
     assert code == 0 and "bound too small" in out

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glproof.formula import Atom, Box, parse_formula
+from glproof.formula import Atom, Box, atoms_of, parse_formula, random_formula
 from glproof.proofio import parse_labeled_sequent, parse_lns
+from glproof.search import SearchConfig, decide_glseq
 from glproof.semantics import (
     BadModel,
     Model,
@@ -18,6 +21,7 @@ from glproof.semantics import (
     parse_model,
     print_model,
 )
+from glproof.sequents import GentzenSequent
 
 LOB = parse_formula("[]([]p -> p) -> []p")
 CHAIN = Model(["w", "u"], [("w", "u")], {"p": ["u"]})
@@ -76,6 +80,15 @@ def test_oracle_box_chain_needs_deep_model():
     assert len(v.model.worlds) == 4  # a 4-chain refutes 3 nested boxes
 
 
+def test_oracle_branching_countermodel():
+    # a p-successor and a ~p-successor, both dead ends: no chain refutes it
+    f = parse_formula("[]~p | []p | ~[][](p & ~p)")
+    v = oracle_validity(f)
+    assert not v.valid
+    assert len(v.model.worlds) == 3 and len(v.model.successors(v.world)) == 2
+    assert not eval_formula(v.model, v.world, f)
+
+
 def test_oracle_countermodel_self_check():
     v = oracle_validity(parse_formula("[]p | []~p"))
     assert not v.valid
@@ -97,6 +110,39 @@ def test_bound_too_small_flag():
     assert v.valid and v.bound_too_small
     v2 = oracle_validity(f)
     assert not v2.valid
+
+
+def test_oracle_work_counters():
+    for text in ("[]p -> p", "[]([]p -> p) -> []p"):
+        v = oracle_validity(parse_formula(text))
+        assert v.skeletons > 0 and v.tables > 0, text
+
+
+# Seeded 3-atom formulas with 8-10 connectives: larger than the agreement
+# sweep's, so nested boxes share and split box combinations across worlds.
+_RNG = random.Random(2410)
+MIXED = [random_formula(_RNG, ("p", "q", "r"), _RNG.randint(8, 10)) for _ in range(150)]
+
+
+def test_oracle_agrees_with_glseq_on_three_atoms():
+    cfg = SearchConfig(oracle_hint=False)
+    for f in MIXED:
+        proved = decide_glseq(GentzenSequent((), (f,)), cfg).proved
+        assert oracle_validity(f).valid == proved, f
+
+
+def test_oracle_countermodels_refute_and_are_minimal():
+    invalid = 0
+    for f in MIXED:
+        v = oracle_validity(f)
+        if v.valid:
+            continue
+        invalid += 1
+        assert not eval_formula(v.model, v.world, f), f
+        d = default_bound(f)
+        smaller = ModelBound(len(v.model.worlds) - 1, d.max_depth, d.max_branching)
+        assert oracle_validity(f, smaller).valid, f
+    assert invalid > 100
 
 
 def test_default_bound_shape():
@@ -145,6 +191,14 @@ def test_lns_interpretation_two_components():
 def test_lns_interpretation_lob():
     g = parse_lns("|- []([]p->p)->[]p")
     assert oracle_validity(lns_interpretation(g)).valid
+
+
+def test_interpretations_add_no_atom_for_empty_antecedent():
+    f = parse_formula("[](q -> p) | ~r")
+    assert atoms_of(gentzen_interpretation(GentzenSequent((), (f,)))) == atoms_of(f)
+    g = parse_lns(" |- p, q // |- []r")
+    assert atoms_of(lns_interpretation(g)) == {"p", "q", "r"}
+    assert atoms_of(lns_interpretation(parse_lns(" |- // |- p"))) == {"p"}
 
 
 def test_gentzen_interpretation_empty_sides():
