@@ -199,6 +199,11 @@ def _dispatch(args, stdout, stderr) -> int:
     if args.command == "transform":
         with open(args.file) as fh:
             proof = parse_proof(fh.read())
+        checked = check_glcirc(proof) if isinstance(proof, CyclicDerivation) else check_proof(proof)
+        if not checked.accepted:
+            print("rejected", file=stdout)
+            _report_lines(checked, stdout)
+            return 1
         out, report = run_pass(args.pass_name, proof)
         print(report.line(), file=stderr)
         text = print_proof(out)

@@ -9,7 +9,7 @@ the premise-to-conclusion direction.
 
 from __future__ import annotations
 
-from .formula import Atom, Box, Formula, Not, Or
+from .formula import Atom, Box, Not, Or
 from .sequents import (
     GentzenSequent,
     LabeledSequent,
@@ -58,23 +58,12 @@ RULES_OF = {
 EXTENDED_EXTRA = ("4L", "w", "cL", "cR", "sub", "cut")
 RULES_OF["g3glext"] = RULES_OF["g3gl"] + EXTENDED_EXTRA
 
-ARITY = {
-    "id": 0, "id1": 0, "id2": 0, "ir": 0,
-    "negL": 1, "negR": 1, "orR": 1, "orL": 2,
-    "boxL": 1, "boxR": 1, "4L": 1, "tr": 1,
-    "boxGL": 1, "box4": 1,
-    "w": 1, "cL": 1, "cR": 1, "sub": 1, "cut": 2,
-}
-
-
 def is_initial(rule: str) -> bool:
     return rule in INITIAL_RULES
 
 
-def _need(meta: dict, key: str, rule: str):
-    if key not in meta:
-        raise RuleError(SCHEMA_MISMATCH, f"{rule} requires meta key '{key}'")
-    return meta[key]
+def _missing_key(rule: str, e: KeyError) -> RuleError:
+    return RuleError(SCHEMA_MISMATCH, f"{rule} requires meta key '{e.args[0]}'")
 
 
 # ---------------------------------------------------------------------------
@@ -90,17 +79,17 @@ def _gentzen_premises(rule: str, meta: dict, c: GentzenSequent) -> list[GentzenS
             raise RuleError(SCHEMA_MISMATCH, "id needs a shared formula")
         return []
     if rule == "negL":
-        phi = _need(meta, "principal", rule)
+        phi = meta["principal"]
         if not isinstance(phi, Not) or phi not in c.ante:
             raise RuleError(SCHEMA_MISMATCH, f"negL principal {phi} not a negation in antecedent")
         return [GentzenSequent(mset_remove(c.ante, phi), c.cons + (phi.sub,))]
     if rule == "negR":
-        phi = _need(meta, "principal", rule)
+        phi = meta["principal"]
         if not isinstance(phi, Not) or phi not in c.cons:
             raise RuleError(SCHEMA_MISMATCH, f"negR principal {phi} not a negation in consequent")
         return [GentzenSequent(c.ante + (phi.sub,), mset_remove(c.cons, phi))]
     if rule == "orL":
-        phi = _need(meta, "principal", rule)
+        phi = meta["principal"]
         if not isinstance(phi, Or) or phi not in c.ante:
             raise RuleError(SCHEMA_MISMATCH, f"orL principal {phi} not a disjunction in antecedent")
         rest = mset_remove(c.ante, phi)
@@ -109,13 +98,13 @@ def _gentzen_premises(rule: str, meta: dict, c: GentzenSequent) -> list[GentzenS
             GentzenSequent(rest + (phi.right,), c.cons),
         ]
     if rule == "orR":
-        phi = _need(meta, "principal", rule)
+        phi = meta["principal"]
         if not isinstance(phi, Or) or phi not in c.cons:
             raise RuleError(SCHEMA_MISMATCH, f"orR principal {phi} not a disjunction in consequent")
         return [GentzenSequent(c.ante, mset_remove(c.cons, phi) + (phi.left, phi.right))]
     if rule in ("boxGL", "box4"):
-        gamma = tuple(_need(meta, "gamma", rule))
-        phi = _need(meta, "phi", rule)
+        gamma = tuple(meta["gamma"])
+        phi = meta["phi"]
         boxes = tuple(Box(g) for g in gamma)
         if not mset_contains(c.ante, boxes):
             raise RuleError(BAD_PARTITION, f"{rule} partition boxes not in antecedent")
@@ -123,28 +112,6 @@ def _gentzen_premises(rule: str, meta: dict, c: GentzenSequent) -> list[GentzenS
             raise RuleError(BAD_PARTITION, f"{rule} box of {phi} not in consequent")
         ante = boxes + gamma + ((Box(phi),) if rule == "boxGL" else ())
         return [GentzenSequent(ante, (phi,))]
-    if rule in ("w", "cL", "cR", "cut"):
-        if rule == "w":
-            add_a = tuple(meta.get("ante", ()))
-            add_c = tuple(meta.get("cons", ()))
-            if not mset_contains(c.ante, add_a) or not mset_contains(c.cons, add_c):
-                raise RuleError(SCHEMA_MISMATCH, "w additions not present in conclusion")
-            return [GentzenSequent(mset_diff(c.ante, add_a), mset_diff(c.cons, add_c))]
-        if rule == "cL":
-            phi = _need(meta, "principal", rule)
-            if phi not in c.ante:
-                raise RuleError(SCHEMA_MISMATCH, "cL principal not in antecedent")
-            return [GentzenSequent(c.ante + (phi,), c.cons)]
-        if rule == "cR":
-            phi = _need(meta, "principal", rule)
-            if phi not in c.cons:
-                raise RuleError(SCHEMA_MISMATCH, "cR principal not in consequent")
-            return [GentzenSequent(c.ante, c.cons + (phi,))]
-        phi = _need(meta, "principal", rule)
-        return [
-            GentzenSequent(c.ante, c.cons + (phi,)),
-            GentzenSequent(c.ante + (phi,), c.cons),
-        ]
     raise RuleError(UNKNOWN_RULE, f"unknown Gentzen rule {rule}")
 
 
@@ -153,8 +120,8 @@ def _gentzen_premises(rule: str, meta: dict, c: GentzenSequent) -> list[GentzenS
 
 def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledSequent]:
     if rule in ("id1", "id2"):
-        x = _need(meta, "label", rule)
-        phi = _need(meta, "principal", rule)
+        x = meta["label"]
+        phi = meta["principal"]
         want = Atom if rule == "id1" else Box
         if not isinstance(phi, want):
             raise RuleError(SCHEMA_MISMATCH, f"{rule} witness must be {'an atom' if want is Atom else 'a boxed formula'}")
@@ -162,18 +129,18 @@ def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledS
             raise RuleError(SCHEMA_MISMATCH, f"{rule} witness {x}:{phi} not on both sides")
         return []
     if rule == "ir":
-        x = _need(meta, "label", rule)
+        x = meta["label"]
         if (x, x) not in c.rel:
             raise RuleError(SCHEMA_MISMATCH, f"ir needs {x}R{x} in the sequent")
         return []
     if rule == "tr":
-        x, y, z = _need(meta, "x", rule), _need(meta, "y", rule), _need(meta, "z", rule)
+        x, y, z = meta["x"], meta["y"], meta["z"]
         if (x, y) not in c.rel or (y, z) not in c.rel:
             raise RuleError(SCHEMA_MISMATCH, f"tr needs {x}R{y} and {y}R{z}")
         return [c.with_rel((x, z))]
     if rule in ("negL", "negR", "orL", "orR"):
-        x = _need(meta, "label", rule)
-        phi = _need(meta, "principal", rule)
+        x = meta["label"]
+        phi = meta["principal"]
         if rule == "negL":
             if not isinstance(phi, Not) or (x, phi) not in c.ante:
                 raise RuleError(SCHEMA_MISMATCH, f"negL principal {x}:{phi} not in antecedent")
@@ -198,8 +165,8 @@ def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledS
             )
         ]
     if rule in ("boxL", "4L"):
-        x, y = _need(meta, "label", rule), _need(meta, "aux", rule)
-        phi = _need(meta, "phi", rule)
+        x, y = meta["label"], meta["aux"]
+        phi = meta["phi"]
         if (x, y) not in c.rel:
             raise RuleError(SCHEMA_MISMATCH, f"{rule} needs {x}R{y}")
         if (x, Box(phi)) not in c.ante:
@@ -207,8 +174,8 @@ def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledS
         added = phi if rule == "boxL" else Box(phi)
         return [c.with_ante((y, added))]
     if rule == "boxR":
-        x, y = _need(meta, "label", rule), _need(meta, "fresh", rule)
-        phi = _need(meta, "phi", rule)
+        x, y = meta["label"], meta["fresh"]
+        phi = meta["phi"]
         if (x, Box(phi)) not in c.cons:
             raise RuleError(SCHEMA_MISMATCH, f"boxR principal {x}:[]{phi} not in consequent")
         if y in c.labels():
@@ -221,7 +188,7 @@ def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledS
             )
         ]
     if rule == "w":
-        added = _need(meta, "added", rule)
+        added = meta["added"]
         if not added.rel <= c.rel:
             raise RuleError(SCHEMA_MISMATCH, "w added relational atoms not in conclusion")
         if not mset_contains(c.ante, added.ante) or not mset_contains(c.cons, added.cons):
@@ -232,8 +199,8 @@ def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledS
             )
         ]
     if rule in ("cL", "cR"):
-        x = _need(meta, "label", rule)
-        phi = _need(meta, "principal", rule)
+        x = meta["label"]
+        phi = meta["principal"]
         side = c.ante if rule == "cL" else c.cons
         if (x, phi) not in side:
             raise RuleError(SCHEMA_MISMATCH, f"{rule} principal not present")
@@ -241,8 +208,8 @@ def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledS
             return [c.with_ante((x, phi))]
         return [c.with_cons((x, phi))]
     if rule == "cut":
-        x = _need(meta, "label", rule)
-        phi = _need(meta, "principal", rule)
+        x = meta["label"]
+        phi = meta["principal"]
         return [c.with_cons((x, phi)), c.with_ante((x, phi))]
     if rule == "sub":
         raise RuleError(SCHEMA_MISMATCH, "sub premises cannot be reconstructed; verify instead")
@@ -251,7 +218,10 @@ def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledS
 
 def verify_sub(meta: dict, premise: LabeledSequent, conclusion: LabeledSequent) -> None:
     """(x/y): the conclusion is the premise with label y replaced by x."""
-    x, y = _need(meta, "x", "sub"), _need(meta, "y", "sub")
+    try:
+        x, y = meta["x"], meta["y"]
+    except KeyError as e:
+        raise _missing_key("sub", e) from None
     if premise.substitute(y, x) != conclusion:
         raise RuleError(SCHEMA_MISMATCH, f"substitution ({x}/{y}) does not yield the conclusion")
 
@@ -262,7 +232,7 @@ def verify_sub(meta: dict, premise: LabeledSequent, conclusion: LabeledSequent) 
 def _lns_premises(rule: str, meta: dict, c: LinearNestedSequent) -> list[LinearNestedSequent]:
     end = c.end
     if rule in ("id1", "id2"):
-        phi = _need(meta, "principal", rule)
+        phi = meta["principal"]
         want = Atom if rule == "id1" else Box
         if not isinstance(phi, want):
             raise RuleError(SCHEMA_MISMATCH, f"{rule} witness has the wrong shape")
@@ -270,7 +240,7 @@ def _lns_premises(rule: str, meta: dict, c: LinearNestedSequent) -> list[LinearN
             raise RuleError(SCHEMA_MISMATCH, f"{rule} witness {phi} not on both sides of the end component")
         return []
     if rule in ("negL", "negR", "orL", "orR"):
-        phi = _need(meta, "principal", rule)
+        phi = meta["principal"]
         if rule == "negL":
             if not isinstance(phi, Not) or phi not in end.ante:
                 raise RuleError(SCHEMA_MISMATCH, "negL principal not in end antecedent")
@@ -295,7 +265,7 @@ def _lns_premises(rule: str, meta: dict, c: LinearNestedSequent) -> list[LinearN
             )
         ]
     if rule in ("4L", "boxL"):
-        phi = _need(meta, "phi", rule)
+        phi = meta["phi"]
         if len(c) < 2:
             raise RuleError(SCHEMA_MISMATCH, f"{rule} needs at least two components")
         if Box(phi) not in c.components[-2].ante:
@@ -303,7 +273,7 @@ def _lns_premises(rule: str, meta: dict, c: LinearNestedSequent) -> list[LinearN
         added = Box(phi) if rule == "4L" else phi
         return [c.replace_end(GentzenSequent(end.ante + (added,), end.cons))]
     if rule == "boxR":
-        phi = _need(meta, "phi", rule)
+        phi = meta["phi"]
         if Box(phi) not in end.cons:
             raise RuleError(SCHEMA_MISMATCH, f"boxR principal []{phi} not in end consequent")
         return [
@@ -312,16 +282,6 @@ def _lns_premises(rule: str, meta: dict, c: LinearNestedSequent) -> list[LinearN
                 GentzenSequent((Box(phi),), (phi,)),
             )
         ]
-    if rule == "w":
-        i = _need(meta, "component", rule)
-        add_a = tuple(meta.get("ante", ()))
-        add_c = tuple(meta.get("cons", ()))
-        if not (0 <= i < len(c)):
-            raise RuleError(SCHEMA_MISMATCH, "w component index out of range")
-        comp = c.components[i]
-        if not mset_contains(comp.ante, add_a) or not mset_contains(comp.cons, add_c):
-            raise RuleError(SCHEMA_MISMATCH, "w additions not present in conclusion")
-        return [c.replace_at(i, GentzenSequent(mset_diff(comp.ante, add_a), mset_diff(comp.cons, add_c)))]
     raise RuleError(UNKNOWN_RULE, f"unknown linear nested rule {rule}")
 
 
@@ -331,18 +291,15 @@ def _lns_premises(rule: str, meta: dict, c: LinearNestedSequent) -> list[LinearN
 def premises_of(calculus: str, rule: str, meta: dict, conclusion: Sequent) -> list[Sequent]:
     """Reconstruct the premises a rule instance must have; validates the
     conclusion-side conditions (principal present, freshness, partition)."""
-    if calculus in ("glseq", "k4seq"):
-        if rule in ("boxGL", "box4") and rule != ("boxGL" if calculus == "glseq" else "box4"):
-            raise RuleError(UNKNOWN_RULE, f"{rule} is not a {calculus} rule")
-        return _gentzen_premises(rule, meta, conclusion)
-    if calculus in ("g3gl", "g3glext", "csgl"):
-        return _labeled_premises(rule, meta, conclusion)
-    if calculus == "lngl":
-        return _lns_premises(rule, meta, conclusion)
+    try:
+        if calculus in ("glseq", "k4seq"):
+            if rule in ("boxGL", "box4") and rule != ("boxGL" if calculus == "glseq" else "box4"):
+                raise RuleError(UNKNOWN_RULE, f"{rule} is not a {calculus} rule")
+            return _gentzen_premises(rule, meta, conclusion)
+        if calculus in ("g3gl", "g3glext", "csgl"):
+            return _labeled_premises(rule, meta, conclusion)
+        if calculus == "lngl":
+            return _lns_premises(rule, meta, conclusion)
+    except KeyError as e:
+        raise _missing_key(rule, e) from None
     raise RuleError(UNKNOWN_RULE, f"unknown calculus {calculus}")
-
-
-def rule_allowed(calculus: str, rule: str, extended: bool = False) -> bool:
-    if calculus == "g3gl" and extended:
-        calculus = "g3glext"
-    return rule in RULES_OF.get(calculus, ())

@@ -10,7 +10,7 @@ are arbitrary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .formula import Box, Formula, Not, Or
@@ -19,10 +19,9 @@ from .sequents import (
     LabeledSequent,
     Proof,
     Sequent,
-    fresh_label,
-    mset_remove,
     tree_root,
 )
+from .rules import premises_of
 from .semantics import OracleVerdict, gentzen_interpretation, oracle_validity
 
 
@@ -50,6 +49,34 @@ def _key(f: Formula):
 
 
 # ---------------------------------------------------------------------------
+# Replay: every premise comes from the rule schema
+#
+# A skeleton is a flat tuple (rule, meta keys, *meta values, *subskeletons).
+# A search that runs out of fuel can hold ~100k successful subskeletons at
+# once; a meta dict per skeleton would add ~20 MB there, so dicts are built
+# only on replay.
+
+_P, _GP = ("principal",), ("gamma", "phi")
+_LP, _LAP, _LFP = ("label", "principal"), ("label", "aux", "phi"), ("label", "fresh", "phi")
+_LABEL_KEYS = ("label", "aux", "fresh")
+
+
+def _replay(sk, seq: Sequent, calculus: str, names: Optional[dict] = None) -> Proof:
+    """Re-derive a search skeleton over the original multisets; `names` maps
+    CSGL's integer state labels to label names."""
+    rule, keys = sk[0], sk[1]
+    n = 2 + len(keys)
+    meta = dict(zip(keys, sk[2:n]))
+    if names is not None:
+        for k in _LABEL_KEYS:
+            if k in meta:
+                meta[k] = names[meta[k]]
+    prems = premises_of(calculus, rule, meta, seq)
+    subs = [_replay(sub, q, calculus, names) for sub, q in zip(sk[n:], prems)]
+    return Proof(calculus, rule, seq, tuple(subs), meta)
+
+
+# ---------------------------------------------------------------------------
 # GLseq
 
 def _glseq_search(fa, fc, ancestors, fuel, dead_end, loop_check):
@@ -59,25 +86,25 @@ def _glseq_search(fa, fc, ancestors, fuel, dead_end, loop_check):
         raise FuelExhausted()
     shared = fa & fc
     if shared:
-        return ("id", min(shared, key=_key))
+        return ("id", _P, min(shared, key=_key))
     for f in sorted((g for g in fa if type(g) is Not), key=_key):
         sub = _glseq_search(fa.difference({f}), fc | {f.sub},
                             ancestors, fuel, dead_end, loop_check)
-        return ("negL", f, sub) if sub is not None else _fail(dead_end, fa, fc)
+        return ("negL", _P, f, sub) if sub is not None else _fail(dead_end, fa, fc)
     for f in sorted((g for g in fc if type(g) is Not), key=_key):
         sub = _glseq_search(fa | {f.sub}, fc.difference({f}), ancestors, fuel, dead_end, loop_check)
-        return ("negR", f, sub) if sub is not None else _fail(dead_end, fa, fc)
+        return ("negR", _P, f, sub) if sub is not None else _fail(dead_end, fa, fc)
     for f in sorted((g for g in fc if type(g) is Or), key=_key):
         sub = _glseq_search(fa, fc.difference({f}) | {f.left, f.right},
                             ancestors, fuel, dead_end, loop_check)
-        return ("orR", f, sub) if sub is not None else _fail(dead_end, fa, fc)
+        return ("orR", _P, f, sub) if sub is not None else _fail(dead_end, fa, fc)
     for f in sorted((g for g in fa if type(g) is Or), key=_key):
         rest = fa.difference({f})
         left = _glseq_search(rest | {f.left}, fc, ancestors, fuel, dead_end, loop_check)
         if left is None:
             return _fail(dead_end, fa, fc)
         right = _glseq_search(rest | {f.right}, fc, ancestors, fuel, dead_end, loop_check)
-        return ("orL", f, left, right) if right is not None else _fail(dead_end, fa, fc)
+        return ("orL", _P, f, left, right) if right is not None else _fail(dead_end, fa, fc)
     # modal choices, left to right over the consequent order
     gamma = tuple(sorted((g.sub for g in fa if type(g) is Box), key=_key))
     here = (fa, fc)
@@ -88,7 +115,7 @@ def _glseq_search(fa, fc, ancestors, fuel, dead_end, loop_check):
             continue
         sub = _glseq_search(fa2, fc2, ancestors | {here}, fuel, dead_end, loop_check)
         if sub is not None:
-            return ("boxGL", gamma, f.sub, sub)
+            return ("boxGL", _GP, gamma, f.sub, sub)
     return _fail(dead_end, fa, fc)
 
 
@@ -96,39 +123,6 @@ def _fail(dead_end, fa, fc):
     if dead_end[0] is None:
         dead_end[0] = GentzenSequent(sorted(fa, key=_key), sorted(fc, key=_key))
     return None
-
-
-def _glseq_replay(sk, seq: GentzenSequent, calculus: str = "glseq") -> Proof:
-    rule = sk[0]
-    if rule == "id":
-        return Proof(calculus, "id", seq, (), {"principal": sk[1]})
-    if rule == "negL":
-        _, f, sub = sk
-        prem = GentzenSequent(mset_remove(seq.ante, f), seq.cons + (f.sub,))
-        return Proof(calculus, "negL", seq, (_glseq_replay(sub, prem, calculus),), {"principal": f})
-    if rule == "negR":
-        _, f, sub = sk
-        prem = GentzenSequent(seq.ante + (f.sub,), mset_remove(seq.cons, f))
-        return Proof(calculus, "negR", seq, (_glseq_replay(sub, prem, calculus),), {"principal": f})
-    if rule == "orR":
-        _, f, sub = sk
-        prem = GentzenSequent(seq.ante, mset_remove(seq.cons, f) + (f.left, f.right))
-        return Proof(calculus, "orR", seq, (_glseq_replay(sub, prem, calculus),), {"principal": f})
-    if rule == "orL":
-        _, f, left, right = sk
-        rest = mset_remove(seq.ante, f)
-        pl = GentzenSequent(rest + (f.left,), seq.cons)
-        pr = GentzenSequent(rest + (f.right,), seq.cons)
-        return Proof(
-            calculus, "orL", seq,
-            (_glseq_replay(left, pl, calculus), _glseq_replay(right, pr, calculus)),
-            {"principal": f},
-        )
-    _, gamma, phi, sub = sk
-    boxes = tuple(Box(g) for g in gamma)
-    prem = GentzenSequent(boxes + gamma + (Box(phi),), (phi,))
-    return Proof(calculus, "boxGL", seq, (_glseq_replay(sub, prem, calculus),),
-                 {"gamma": gamma, "phi": phi})
 
 
 def decide_glseq(s: GentzenSequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -139,7 +133,7 @@ def decide_glseq(s: GentzenSequent, cfg: SearchConfig = SearchConfig()) -> Searc
     dead_end = [None]
     sk = _glseq_search(fa, fc, frozenset(), fuel, dead_end, cfg.loop_check)
     if sk is not None:
-        return SearchResult(True, proof=_glseq_replay(sk, s))
+        return SearchResult(True, proof=_replay(sk, s, "glseq"))
     hint = None
     if cfg.oracle_hint:
         hint = oracle_validity(_query_formula(s))
@@ -171,21 +165,21 @@ def _csgl_search(rel, fa, fc, counter, fired, ancestors, fuel, dead_end, loop_ch
     )
     if ids:
         x, g = ids[0]
-        return ("id1" if type(g) is not Box else "id2", x, g)
+        return ("id1" if type(g) is not Box else "id2", _LP, x, g)
 
     pkey = lambda p: (p[0], p[1].key)
     for x, f in sorted((p for p in fa if type(p[1]) is Not), key=pkey):
         sub = _csgl_search(rel, fa.difference({(x, f)}), fc | {(x, f.sub)},
                            counter, fired, ancestors, fuel, dead_end, loop_check)
-        return ("negL", x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
+        return ("negL", _LP, x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
     for x, f in sorted((p for p in fc if type(p[1]) is Not), key=pkey):
         sub = _csgl_search(rel, fa | {(x, f.sub)}, fc.difference({(x, f)}),
                            counter, fired, ancestors, fuel, dead_end, loop_check)
-        return ("negR", x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
+        return ("negR", _LP, x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
     for x, f in sorted((p for p in fc if type(p[1]) is Or), key=pkey):
         sub = _csgl_search(rel, fa, fc.difference({(x, f)}) | {(x, f.left), (x, f.right)},
                            counter, fired, ancestors, fuel, dead_end, loop_check)
-        return ("orR", x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
+        return ("orR", _LP, x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
     for x, f in sorted((p for p in fa if type(p[1]) is Or), key=pkey):
         rest = fa.difference({(x, f)})
         left = _csgl_search(rel, rest | {(x, f.left)}, fc, counter, fired, ancestors,
@@ -194,7 +188,7 @@ def _csgl_search(rel, fa, fc, counter, fired, ancestors, fuel, dead_end, loop_ch
             return _cfail(dead_end, rel, fa, fc)
         right = _csgl_search(rel, rest | {(x, f.right)}, fc, counter, fired, ancestors,
                              fuel, dead_end, loop_check)
-        return ("orL", x, f, left, right) if right is not None else _cfail(dead_end, rel, fa, fc)
+        return ("orL", _LP, x, f, left, right) if right is not None else _cfail(dead_end, rel, fa, fc)
 
     # propagation to a fixpoint: 4L then boxL, first not-yet-fired candidate
     props = []
@@ -213,7 +207,7 @@ def _csgl_search(rel, fa, fc, counter, fired, ancestors, fuel, dead_end, loop_ch
                            fired | {(kind, x, y, f)}, ancestors, fuel,
                            dead_end, loop_check)
         name = "4L" if kind == 0 else "boxL"
-        return (name, x, y, f.sub, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
+        return (name, _LAP, x, y, f.sub, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
 
     # boxR expansion with the blocking condition; eager and sequential
     for x, f in sorted((p for p in fc if type(p[1]) is Box), key=pkey):
@@ -235,7 +229,7 @@ def _csgl_search(rel, fa, fc, counter, fired, ancestors, fuel, dead_end, loop_ch
                            ancestors | {(rel, fa, fc)}, fuel, dead_end, loop_check)
         if sub is None:
             return _cfail(dead_end, rel, fa, fc)
-        return ("boxR", x, y, f.sub, sub)
+        return ("boxR", _LFP, x, y, f.sub, sub)
     return _cfail(dead_end, rel, fa, fc)
 
 
@@ -243,53 +237,6 @@ def _cfail(dead_end, rel, fa, fc):
     if dead_end[0] is None:
         dead_end[0] = (rel, fa, fc)
     return None
-
-
-def _csgl_replay(sk, seq: LabeledSequent, names: dict, calculus: str = "csgl") -> Proof:
-    rule = sk[0]
-    if rule in ("id1", "id2"):
-        _, x, g = sk
-        return Proof(calculus, rule, seq, (), {"label": names[x], "principal": g})
-    if rule in ("negL", "negR", "orR"):
-        _, x, f, sub = sk
-        lx = names[x]
-        if rule == "negL":
-            prem = LabeledSequent(seq.rel, mset_remove(seq.ante, (lx, f)), seq.cons + ((lx, f.sub),))
-        elif rule == "negR":
-            prem = LabeledSequent(seq.rel, seq.ante + ((lx, f.sub),), mset_remove(seq.cons, (lx, f)))
-        else:
-            prem = LabeledSequent(
-                seq.rel, seq.ante,
-                mset_remove(seq.cons, (lx, f)) + ((lx, f.left), (lx, f.right)),
-            )
-        return Proof(calculus, rule, seq, (_csgl_replay(sub, prem, names, calculus),),
-                     {"label": lx, "principal": f})
-    if rule == "orL":
-        _, x, f, left, right = sk
-        lx = names[x]
-        rest = mset_remove(seq.ante, (lx, f))
-        pl = LabeledSequent(seq.rel, rest + ((lx, f.left),), seq.cons)
-        pr = LabeledSequent(seq.rel, rest + ((lx, f.right),), seq.cons)
-        return Proof(calculus, "orL", seq,
-                     (_csgl_replay(left, pl, names, calculus),
-                      _csgl_replay(right, pr, names, calculus)),
-                     {"label": lx, "principal": f})
-    if rule in ("4L", "boxL"):
-        _, x, y, phi, sub = sk
-        lx, ly = names[x], names[y]
-        added = Box(phi) if rule == "4L" else phi
-        prem = seq.with_ante((ly, added))
-        return Proof(calculus, rule, seq, (_csgl_replay(sub, prem, names, calculus),),
-                     {"label": lx, "aux": ly, "phi": phi})
-    _, x, y, phi, sub = sk
-    lx, ly = names[x], names[y]
-    prem = LabeledSequent(
-        seq.rel | {(lx, ly)},
-        seq.ante + ((ly, Box(phi)),),
-        mset_remove(seq.cons, (lx, Box(phi))) + ((ly, phi),),
-    )
-    return Proof(calculus, "boxR", seq, (_csgl_replay(sub, prem, names, calculus),),
-                 {"label": lx, "fresh": ly, "phi": phi})
 
 
 def decide_csgl(s: LabeledSequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -315,7 +262,7 @@ def decide_csgl(s: LabeledSequent, cfg: SearchConfig = SearchConfig()) -> Search
                 if cand not in to_int:
                     break
             names[j] = cand
-        return SearchResult(True, proof=_csgl_replay(sk, s, names))
+        return SearchResult(True, proof=_replay(sk, s, "csgl", names))
     hint = None
     if cfg.oracle_hint:
         hint = _flat_hint(s)

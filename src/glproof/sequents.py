@@ -9,7 +9,7 @@ doubles as the tree validator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .formula import Formula, print_formula
 
@@ -207,8 +207,6 @@ class LinearNestedSequent:
         comps[i] = comp
         return LinearNestedSequent(comps)
 
-
-LNS = LinearNestedSequent
 
 Sequent = Union[GentzenSequent, LabeledSequent, LinearNestedSequent]
 

@@ -22,11 +22,9 @@ from .sequents import (
     CyclicDerivation,
     GentzenSequent,
     LabeledSequent,
-    LinearNestedSequent,
     NotATree,
     Proof,
     fresh_label,
-    is_leaf,
     mset_diff,
     mset_remove,
     project_chain,
@@ -71,8 +69,39 @@ LABELED = ("g3gl", "g3glext", "csgl")
 GENTZEN = ("glseq", "k4seq")
 
 
-def _node(p: Proof, rule: str, conclusion, premises=(), **meta) -> Proof:
-    return Proof(p.calculus, rule, conclusion, tuple(premises), meta)
+# ---------------------------------------------------------------------------
+# Re-derivation: every transform below takes its premises from the schemas
+
+def _schema(calculus: str, rule: str, meta: dict, conclusion) -> list:
+    try:
+        return premises_of(calculus, rule, meta, conclusion)
+    except RuleError as e:
+        raise NotApplicable(f"{rule} does not apply: {e}") from e
+
+
+def _rederive(p: Proof, target, step) -> Proof:
+    """p's rule instance applied at the conclusion `target`: a premise whose
+    conclusion does not change is kept, every other one is rebuilt by
+    `step(premise, new_conclusion)`."""
+    goals = _schema(p.calculus, p.rule, p.meta, target)
+    subs = []
+    for q, goal in zip(p.premises, goals):
+        sub = q if q.conclusion == goal else step(q, goal)
+        if sub.conclusion != goal:
+            raise NotApplicable(f"{p.rule} misaligned a premise")
+        subs.append(sub)
+    return Proof(p.calculus, p.rule, target, tuple(subs), dict(p.meta))
+
+
+def _drop(s, side: str, item):
+    """s with one occurrence of `item` removed from `side`."""
+    if item not in getattr(s, side):
+        raise NotApplicable(f"{item} is not in the {side} of {s}")
+    ante = mset_remove(s.ante, item) if side == "ante" else s.ante
+    cons = mset_remove(s.cons, item) if side == "cons" else s.cons
+    if isinstance(s, LabeledSequent):
+        return LabeledSequent(s.rel, ante, cons)
+    return GentzenSequent(ante, cons)
 
 
 # ---------------------------------------------------------------------------
@@ -80,63 +109,23 @@ def _node(p: Proof, rule: str, conclusion, premises=(), **meta) -> Proof:
 
 def prove_general_id(calculus: str, goal, principal) -> Proof:
     """A proof of a sequent carrying `principal` on both sides, built by
-    structural induction; id1/id2 (or Gentzen id) close the base cases."""
-    if calculus in GENTZEN:
-        f = principal
-        if f not in goal.ante or f not in goal.cons:
-            raise NotApplicable(f"{f} is not on both sides of {goal}")
-        return Proof(calculus, "id", goal, (), {"principal": f})
-    if calculus in LABELED:
-        x, f = principal
-        return _gen_id_labeled(calculus, goal, x, f)
-    if calculus == "lngl":
-        return _gen_id_lns(goal, principal)
-    raise NotApplicable(f"unknown calculus {calculus}")
-
-
-def _gen_id_labeled(calculus: str, goal: LabeledSequent, x: str, f: Formula) -> Proof:
-    if (x, f) not in goal.ante or (x, f) not in goal.cons:
-        raise NotApplicable(f"{x}:{f} is not on both sides of {goal}")
-    meta = {"label": x, "principal": f}
-    if isinstance(f, Atom):
-        return Proof(calculus, "id1", goal, (), meta)
-    if isinstance(f, Box):
-        return Proof(calculus, "id2", goal, (), meta)
-    if isinstance(f, Not):
-        p1 = premises_of(calculus, "negR", meta, goal)[0]
-        p2 = premises_of(calculus, "negL", meta, p1)[0]
-        sub = _gen_id_labeled(calculus, p2, x, f.sub)
-        inner = Proof(calculus, "negL", p1, (sub,), dict(meta))
-        return Proof(calculus, "negR", goal, (inner,), dict(meta))
-    p1 = premises_of(calculus, "orR", meta, goal)[0]
-    pl, pr = premises_of(calculus, "orL", meta, p1)
-    subl = _gen_id_labeled(calculus, pl, x, f.left)
-    subr = _gen_id_labeled(calculus, pr, x, f.right)
-    inner = Proof(calculus, "orL", p1, (subl, subr), dict(meta))
-    return Proof(calculus, "orR", goal, (inner,), dict(meta))
-
-
-def _gen_id_lns(goal: LinearNestedSequent, f: Formula) -> Proof:
-    end = goal.end
-    if f not in end.ante or f not in end.cons:
-        raise NotApplicable(f"{f} is not on both sides of the end component")
-    meta = {"principal": f}
-    if isinstance(f, Atom):
-        return Proof("lngl", "id1", goal, (), meta)
-    if isinstance(f, Box):
-        return Proof("lngl", "id2", goal, (), meta)
-    if isinstance(f, Not):
-        p1 = premises_of("lngl", "negR", meta, goal)[0]
-        p2 = premises_of("lngl", "negL", meta, p1)[0]
-        sub = _gen_id_lns(p2, f.sub)
-        inner = Proof("lngl", "negL", p1, (sub,), dict(meta))
-        return Proof("lngl", "negR", goal, (inner,), dict(meta))
-    p1 = premises_of("lngl", "orR", meta, goal)[0]
-    pl, pr = premises_of("lngl", "orL", meta, p1)
-    inner = Proof(
-        "lngl", "orL", p1, (_gen_id_lns(pl, f.left), _gen_id_lns(pr, f.right)), dict(meta)
+    structural induction; id1/id2 (or Gentzen id) close the base cases.
+    Labeled calculi take principal=(label, formula)."""
+    labeled = calculus in LABELED
+    label, f = principal if labeled else (None, principal)
+    meta = {"label": label, "principal": f} if labeled else {"principal": f}
+    if calculus in GENTZEN or isinstance(f, (Atom, Box)):
+        rule = "id" if calculus in GENTZEN else "id1" if isinstance(f, Atom) else "id2"
+        _schema(calculus, rule, meta, goal)
+        return Proof(calculus, rule, goal, (), meta)
+    lower, upper = ("negR", "negL") if isinstance(f, Not) else ("orR", "orL")
+    parts = (f.sub,) if isinstance(f, Not) else (f.left, f.right)
+    (mid,) = _schema(calculus, lower, meta, goal)
+    subs = tuple(
+        prove_general_id(calculus, top, (label, g) if labeled else g)
+        for top, g in zip(_schema(calculus, upper, meta, mid), parts)
     )
-    return Proof("lngl", "orR", goal, (inner,), dict(meta))
+    return Proof(calculus, lower, goal, (Proof(calculus, upper, mid, subs, dict(meta)),), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -148,77 +137,50 @@ def weaken(p: Proof, **adds) -> Proof:
     Labeled calculi:  weaken(p, added=LabeledSequent(rel', ante', cons')).
     LNGL:             weaken(p, component=i, ante=(...), cons=(...)).
     Gentzen calculi:  weaken(p, ante=(...), cons=(...)).
+    Every node is re-derived at its weakened conclusion; a premise that does
+    not change (the boxGL/box4 premise) is kept.
     """
+    c = p.conclusion
+    add_a, add_c = tuple(adds.get("ante", ())), tuple(adds.get("cons", ()))
     if p.calculus in LABELED:
-        return _weaken_labeled(p, adds["added"])
-    if p.calculus == "lngl":
-        return _weaken_lns(p, adds.get("component", len(p.conclusion) - 1),
-                           tuple(adds.get("ante", ())), tuple(adds.get("cons", ())))
-    if p.calculus in GENTZEN:
-        return _weaken_gentzen(p, tuple(adds.get("ante", ())), tuple(adds.get("cons", ())))
-    raise NotApplicable(f"no weakening for {p.calculus}")
+        p = _avoid_fresh(p, adds["added"].labels())
+        target = _merge_labeled(c, adds["added"])
+    elif p.calculus == "lngl":
+        i = adds.get("component", len(c) - 1)
+        comp = c.components[i]
+        target = c.replace_at(i, GentzenSequent(comp.ante + add_a, comp.cons + add_c))
+    elif p.calculus in GENTZEN:
+        target = GentzenSequent(c.ante + add_a, c.cons + add_c)
+    else:
+        raise NotApplicable(f"no weakening for {p.calculus}")
+    check_tree = p.calculus == "csgl"
+
+    def step(q: Proof, goal) -> Proof:
+        if check_tree:
+            try:
+                tree_root(goal)
+            except NotATree as e:
+                raise ShapeViolation(f"weakening breaks the tree shape: {e}") from e
+        return _rederive(q, goal, step)
+
+    return step(p, target)
 
 
 def _merge_labeled(s: LabeledSequent, added: LabeledSequent) -> LabeledSequent:
     return LabeledSequent(s.rel | added.rel, s.ante + added.ante, s.cons + added.cons)
 
 
-def _weaken_labeled(p: Proof, added: LabeledSequent) -> Proof:
-    add_labels = added.labels()
-    check_tree = p.calculus == "csgl"
-
-    def go(node: Proof) -> Proof:
-        if node.rule == "boxR" and node.meta["fresh"] in add_labels:
-            used = proof_labels(node) | add_labels
-            z = fresh_label(used)
-            meta = dict(node.meta)
-            y = meta["fresh"]
-            meta["fresh"] = z
-            node = Proof(
-                node.calculus, node.rule, node.conclusion,
-                (relabel_proof(node.premises[0], {y: z}),), meta,
-            )
-        new_concl = _merge_labeled(node.conclusion, added)
-        if check_tree:
-            try:
-                tree_root(new_concl)
-            except NotATree as e:
-                raise ShapeViolation(f"weakening breaks the tree shape: {e}") from e
-        return Proof(
-            node.calculus, node.rule, new_concl,
-            tuple(go(q) for q in node.premises), dict(node.meta),
-        )
-
-    return go(p)
-
-
-def _weaken_lns(p: Proof, i: int, add_a, add_c) -> Proof:
-    if not add_a and not add_c:
+def _avoid_fresh(p: Proof, labels) -> Proof:
+    """p with every boxR fresh label that lies in `labels` renamed."""
+    y = p.meta.get("fresh") if p.rule == "boxR" else None
+    if y in labels:
+        z = fresh_label(proof_labels(p) | set(labels))
+        p = Proof(p.calculus, p.rule, p.conclusion,
+                  (relabel_proof(p.premises[0], {y: z}),), dict(p.meta, fresh=z))
+    prems = tuple(_avoid_fresh(q, labels) for q in p.premises)
+    if all(a is b for a, b in zip(prems, p.premises)):
         return p
-
-    def go(node: Proof) -> Proof:
-        c = node.conclusion
-        comp = c.components[i]
-        new_concl = c.replace_at(i, GentzenSequent(comp.ante + add_a, comp.cons + add_c))
-        return Proof(
-            node.calculus, node.rule, new_concl,
-            tuple(go(q) for q in node.premises), dict(node.meta),
-        )
-
-    return go(p)
-
-
-def _weaken_gentzen(p: Proof, add_a, add_c) -> Proof:
-    if not add_a and not add_c:
-        return p
-    new_concl = GentzenSequent(p.conclusion.ante + add_a, p.conclusion.cons + add_c)
-    if p.rule in ("id", "boxGL", "box4"):
-        # contexts absorb the additions; the subtree is untouched
-        return Proof(p.calculus, p.rule, new_concl, p.premises, dict(p.meta))
-    return Proof(
-        p.calculus, p.rule, new_concl,
-        tuple(_weaken_gentzen(q, add_a, add_c) for q in p.premises), dict(p.meta),
-    )
+    return Proof(p.calculus, p.rule, p.conclusion, prems, dict(p.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +191,7 @@ def substitute_labels(p: Proof, x: str, y: str) -> Proof:
         return p
     if p.calculus not in LABELED:
         raise NotApplicable("label substitution needs a labeled calculus")
-
-    def clear_fresh(node: Proof) -> Proof:
-        new_prems = tuple(clear_fresh(q) for q in node.premises)
-        if node.rule == "boxR" and node.meta["fresh"] in (x, y):
-            used = proof_labels(node) | {x, y}
-            z = fresh_label(used)
-            meta = dict(node.meta)
-            old = meta["fresh"]
-            meta["fresh"] = z
-            return Proof(
-                node.calculus, node.rule, node.conclusion,
-                (relabel_proof(new_prems[0], {old: z}),), meta,
-            )
-        return Proof(node.calculus, node.rule, node.conclusion, new_prems, dict(node.meta))
-
-    renamed = relabel_proof(clear_fresh(p), {y: x})
+    renamed = relabel_proof(_avoid_fresh(p, {x, y}), {y: x})
     if p.calculus == "csgl":
         for _, node in renamed.nodes():
             try:
@@ -257,99 +204,60 @@ def substitute_labels(p: Proof, x: str, y: str) -> Proof:
 # ---------------------------------------------------------------------------
 # Hp-admissible contraction
 
+# per premise of a local rule with principal f: the (side, part) pairs it
+# adds, in the order they are contracted
+_PARTS = {
+    "negL": lambda f: [[("cons", f.sub)]],
+    "negR": lambda f: [[("ante", f.sub)]],
+    "orL": lambda f: [[("ante", f.left)], [("ante", f.right)]],
+    "orR": lambda f: [[("cons", f.left), ("cons", f.right)]],
+}
+
+
 def _contract(p: Proof, side: str, item) -> Proof:
     """Proof of p's conclusion with one occurrence of `item` removed from
     `side`; standard induction using inversion on the remaining copy."""
-    c = p.conclusion
     calculus = p.calculus
     labeled = calculus in LABELED
-    f = item[1] if labeled else item
+    target = _drop(p.conclusion, side, item)
+    label = p.meta.get("label")
+    at = (lambda g: (label, g)) if labeled else (lambda g: g)
 
-    def remove(seq, which):
-        if labeled:
-            if which == "ante":
-                return LabeledSequent(seq.rel, mset_remove(seq.ante, item), seq.cons)
-            return LabeledSequent(seq.rel, seq.ante, mset_remove(seq.cons, item))
-        if which == "ante":
-            return GentzenSequent(mset_remove(seq.ante, item), seq.cons)
-        return GentzenSequent(seq.ante, mset_remove(seq.cons, item))
+    if p.rule in LOCAL_RULES and at(p.meta["principal"]) == item and side == (
+        "ante" if p.rule.endswith("L") else "cons"
+    ):
+        # one copy is decomposed here: invert the other, contract the parts
+        subs = []
+        for i, parts in enumerate(_PARTS[p.rule](p.meta["principal"])):
+            sub = apply_inverse(p.rule, i, p.premises[i], dict(p.meta))
+            for part_side, g in parts:
+                sub = _contract(sub, part_side, at(g))
+            subs.append(sub)
+        return Proof(calculus, p.rule, target, tuple(subs), dict(p.meta))
 
-    target = remove(c, side)
-
-    if not p.premises:
-        return Proof(calculus, p.rule, target, (), dict(p.meta))
-
-    principal = p.meta.get("principal")
-    plabel = p.meta.get("label")
-    same = principal is not None and (
-        (labeled and (plabel, principal) == item) or (not labeled and principal == item)
-    )
-    consuming = {
-        "negL": "ante", "orL": "ante", "negR": "cons", "orR": "cons",
-    }
-    if same and p.rule in consuming and consuming[p.rule] == side:
-        meta = {"label": plabel, "principal": f} if labeled else {"principal": f}
-        if p.rule == "negL":
-            inv = apply_inverse("negL", 0, p.premises[0], meta)
-            sub = _contract(inv, "cons", (plabel, f.sub) if labeled else f.sub)
-            return Proof(calculus, "negL", target, (sub,), dict(p.meta))
-        if p.rule == "negR":
-            inv = apply_inverse("negR", 0, p.premises[0], meta)
-            sub = _contract(inv, "ante", (plabel, f.sub) if labeled else f.sub)
-            return Proof(calculus, "negR", target, (sub,), dict(p.meta))
-        if p.rule == "orL":
-            invl = apply_inverse("orL", 0, p.premises[0], meta)
-            subl = _contract(invl, "ante", (plabel, f.left) if labeled else f.left)
-            invr = apply_inverse("orL", 1, p.premises[1], meta)
-            subr = _contract(invr, "ante", (plabel, f.right) if labeled else f.right)
-            return Proof(calculus, "orL", target, (subl, subr), dict(p.meta))
-        inv = apply_inverse("orR", 0, p.premises[0], meta)
-        sub = _contract(inv, "cons", (plabel, f.left) if labeled else f.left)
-        sub = _contract(sub, "cons", (plabel, f.right) if labeled else f.right)
-        return Proof(calculus, "orR", target, (sub,), dict(p.meta))
-
-    if labeled and p.rule == "boxR" and side == "cons" and same:
+    if labeled and p.rule == "boxR" and side == "cons" and item == (label, Box(p.meta["phi"])):
         # remaining copy of x:[]f in the premise; invert it at a new label,
         # merge the two fresh labels, contract, then reapply boxR
-        x = plabel
-        phi = p.meta["phi"]
-        y = p.meta["fresh"]
-        pi1 = p.premises[0]
-        z = fresh_label(proof_labels(p) | {x, y})
-        pi2 = apply_inverse("boxR", 0, pi1, {"label": x, "fresh": z, "phi": phi})
-        pi3 = substitute_labels(pi2, y, z)
-        pi4 = _contract(pi3, "ante", (y, Box(phi)))
-        pi5 = _contract(pi4, "cons", (y, phi))
-        return Proof(calculus, "boxR", target, (pi5,), dict(p.meta))
+        phi, y = p.meta["phi"], p.meta["fresh"]
+        z = fresh_label(proof_labels(p) | {label, y})
+        inv = apply_inverse("boxR", 0, p.premises[0], {"label": label, "fresh": z, "phi": phi})
+        sub = _contract(substitute_labels(inv, y, z), "ante", (y, Box(phi)))
+        sub = _contract(sub, "cons", (y, phi))
+        return Proof(calculus, "boxR", target, (sub,), dict(p.meta))
 
-    if calculus in GENTZEN and p.rule in ("boxGL", "box4"):
+    if p.rule in ("boxGL", "box4") and side == "ante" and isinstance(item, Box):
         gamma = tuple(p.meta["gamma"])
-        if side == "ante" and isinstance(f, Box) and f.sub in gamma:
-            boxes = Counter(Box(g) for g in gamma)
-            if boxes[f] > Counter(target.ante)[f]:
-                # both copies sat inside the box partition: contract the premise
-                sub = _contract(p.premises[0], "ante", f)
-                sub = _contract(sub, "ante", f.sub)
-                gamma2 = mset_remove(gamma, f.sub)
-                prem = premises_of(calculus, p.rule, {"gamma": gamma2, "phi": p.meta["phi"]}, target)[0]
-                if sub.conclusion != prem:
-                    raise NotApplicable("contraction failed to align the modal premise")
-                return Proof(calculus, p.rule, target, (sub,), {"gamma": gamma2, "phi": p.meta["phi"]})
-        # the copy lives in the absorbed context
-        return Proof(calculus, p.rule, target, p.premises, dict(p.meta))
+        if gamma.count(item.sub) > target.ante.count(item):
+            # both copies sat inside the box partition: drop one from it
+            # and contract the premise
+            p = Proof(calculus, p.rule, p.conclusion, p.premises,
+                      {"gamma": mset_remove(gamma, item.sub), "phi": p.meta["phi"]})
+            return _rederive(p, target, lambda q, goal: _contract(
+                _contract(q, "ante", item), "ante", item.sub))
 
-    # context case: the contracted pair rides through every premise
-    try:
-        new_targets = premises_of(calculus, p.rule, p.meta, target)
-    except RuleError as e:
-        raise NotApplicable(f"contraction stuck at {p.rule}: {e}") from e
-    subs = []
-    for q, tgt in zip(p.premises, new_targets):
-        sub = _contract(q, side, item)
-        if sub.conclusion != tgt:
-            raise NotApplicable("contraction misaligned a premise")
-        subs.append(sub)
-    return Proof(calculus, p.rule, target, tuple(subs), dict(p.meta))
+    # context case (also a copy in an absorbed context): the pair rides
+    # through every premise that reads it
+    return _rederive(p, target, lambda q, goal: _contract(q, side, item))
 
 
 def admit(rule: str, p: Proof, **instance) -> Proof:
@@ -391,10 +299,7 @@ def apply_inverse(rule: str, i: int, p: Proof, meta: dict) -> Proof:
         raise NotApplicable(f"{rule} is not invertible")
     if calculus == "lngl" and rule == "boxR":
         raise NotApplicable("boxR is not invertible in LNGL")
-    try:
-        target = premises_of(calculus, rule, meta, p.conclusion)[i]
-    except RuleError as e:
-        raise NotApplicable(str(e)) from e
+    target = _schema(calculus, rule, meta, p.conclusion)[i]
 
     if rule in _W_BACKED:
         if calculus == "lngl":
@@ -406,50 +311,37 @@ def apply_inverse(rule: str, i: int, p: Proof, meta: dict) -> Proof:
             mset_diff(target.cons, p.conclusion.cons),
         )
         return weaken(p, added=added)
-
-    if rule in LOCAL_RULES:
-        return _invert_local(rule, i, p, meta, target)
-    if rule == "boxR" and calculus in LABELED:
-        return _invert_boxr(p, meta, target)
+    if rule in LOCAL_RULES or (rule == "boxR" and calculus in LABELED):
+        return _invert(rule, i, p, meta, target)
     raise NotApplicable(f"no inversion for {rule} in {calculus}")
 
 
-def _same_instance(p: Proof, rule: str, meta: dict) -> bool:
-    if p.rule != rule:
-        return False
-    keys = ("principal", "label") if "label" in meta else ("principal",)
-    return all(p.meta.get(k) == meta.get(k) for k in keys)
-
-
-def _invert_local(rule: str, i: int, p: Proof, meta: dict, target) -> Proof:
-    calculus = p.calculus
-    if not p.premises:
-        # initial rules survive unless the witness was the inverted principal
-        witness_meta = dict(p.meta)
-        try:
-            premises_of(calculus, p.rule, witness_meta, target)
-            return Proof(calculus, p.rule, target, (), witness_meta)
-        except RuleError:
-            pass
-        if calculus in GENTZEN and p.rule == "id":
-            # general id destroyed: rebuild around the decomposed witness
-            w = p.meta.get("principal") or next(iter(set(p.conclusion.ante) & set(p.conclusion.cons)))
-            return _rebuild_gentzen_id(calculus, target, w)
-        raise NotApplicable("inversion destroyed an initial sequent")
-    if _same_instance(p, rule, meta):
+def _invert(rule: str, i: int, p: Proof, meta: dict, target) -> Proof:
+    """p re-derived at `target`; an application of the inverted instance
+    itself gives way to its i-th premise (renamed to the new fresh label)."""
+    if p.rule == rule and all(p.meta.get(k) == v for k, v in meta.items() if k != "fresh"):
+        if rule == "boxR" and p.meta["fresh"] != meta["fresh"]:
+            return relabel_proof(p.premises[i], {p.meta["fresh"]: meta["fresh"]})
         return p.premises[i]
+    if p.premises:
+        return _rederive(p, target, lambda q, goal: _invert(rule, i, q, meta, goal))
+    # initial rules survive unless the witness was the inverted principal
     try:
-        new_targets = premises_of(calculus, p.rule, p.meta, target)
-    except RuleError as e:
-        raise NotApplicable(f"inversion stuck below {p.rule}: {e}") from e
-    subs = []
-    for q, tgt in zip(p.premises, new_targets):
-        sub = _invert_local(rule, i, q, meta,
-                            premises_of(q.calculus, rule, meta, q.conclusion)[i])
-        if sub.conclusion != tgt:
-            raise NotApplicable("inversion misaligned a premise")
-        subs.append(sub)
-    return Proof(calculus, p.rule, target, tuple(subs), dict(p.meta))
+        return _rederive(p, target, None)
+    except NotApplicable:
+        pass
+    calculus = p.calculus
+    if rule == "boxR":
+        # id2 on x:[]phi: the consequent copy is gone; use boxL + general id
+        m = {"label": meta["label"], "aux": meta["fresh"], "phi": meta["phi"]}
+        (prem,) = _schema(calculus, "boxL", m, target)
+        sub = prove_general_id(calculus, prem, (meta["fresh"], meta["phi"]))
+        return Proof(calculus, "boxL", target, (sub,), m)
+    if calculus in GENTZEN and p.rule == "id":
+        # general id destroyed: rebuild around the decomposed witness
+        w = p.meta.get("principal") or next(iter(set(p.conclusion.ante) & set(p.conclusion.cons)))
+        return _rebuild_gentzen_id(calculus, target, w)
+    raise NotApplicable("inversion destroyed an initial sequent")
 
 
 def _rebuild_gentzen_id(calculus: str, target: GentzenSequent, w: Formula) -> Proof:
@@ -476,38 +368,6 @@ def _rebuild_gentzen_id(calculus: str, target: GentzenSequent, w: Formula) -> Pr
                      (prove_general_id(calculus, pl, w.left),
                       prove_general_id(calculus, pr, w.right)), {"principal": w})
     raise NotApplicable("cannot rebuild the initial sequent after inversion")
-
-
-def _invert_boxr(p: Proof, meta: dict, target: LabeledSequent) -> Proof:
-    calculus = p.calculus
-    x, y, phi = meta["label"], meta["fresh"], meta["phi"]
-    if not p.premises:
-        try:
-            premises_of(calculus, p.rule, p.meta, target)
-            return Proof(calculus, p.rule, target, (), dict(p.meta))
-        except RuleError:
-            pass
-        # id2 on x:[]phi: the consequent copy is gone; use boxL + general id
-        prem = target.with_ante((y, phi))
-        sub = _gen_id_labeled(calculus, prem, y, phi)
-        return Proof(calculus, "boxL", target, (sub,),
-                     {"label": x, "aux": y, "phi": phi})
-    if p.rule == "boxR" and p.meta.get("label") == x and p.meta.get("phi") == phi:
-        old = p.meta["fresh"]
-        if old == y:
-            return p.premises[0]
-        return relabel_proof(p.premises[0], {old: y})
-    try:
-        new_targets = premises_of(calculus, p.rule, p.meta, target)
-    except RuleError as e:
-        raise NotApplicable(f"boxR inversion stuck below {p.rule}: {e}") from e
-    subs = []
-    for q, tgt in zip(p.premises, new_targets):
-        sub = _invert_boxr(q, meta, premises_of(calculus, "boxR", meta, q.conclusion)[0])
-        if sub.conclusion != tgt:
-            raise NotApplicable("boxR inversion misaligned a premise")
-        subs.append(sub)
-    return Proof(calculus, p.rule, target, tuple(subs), dict(p.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -572,36 +432,15 @@ def permute_down(p: Proof, addr: Address) -> Proof:
 # ---------------------------------------------------------------------------
 # End-activation
 
-def _strengthen(p: Proof, item) -> Optional[Proof]:
+def _strengthen(p: Proof, item) -> Proof:
     """Drop an antecedent labeled formula nowhere used in the subproof;
-    returns None when the formula is a witness or principal somewhere."""
-    c = p.conclusion
-    if item not in c.ante:
-        return None
-    target = LabeledSequent(c.rel, mset_remove(c.ante, item), c.cons)
-    used = (p.meta.get("label"), p.meta.get("principal")) == item or (
-        p.rule in PROPAGATION_RULES
-        and (p.meta.get("label"), Box(p.meta.get("phi"))) == item
-    )
-    if used:
-        return None
-    if not p.premises:
-        try:
-            premises_of(p.calculus, p.rule, p.meta, target)
-        except RuleError:
-            return None
-        return Proof(p.calculus, p.rule, target, (), dict(p.meta))
-    try:
-        new_targets = premises_of(p.calculus, p.rule, p.meta, target)
-    except RuleError:
-        return None
-    subs = []
-    for q, tgt in zip(p.premises, new_targets):
-        sub = _strengthen(q, item)
-        if sub is None or sub.conclusion != tgt:
-            return None
-        subs.append(sub)
-    return Proof(p.calculus, p.rule, target, tuple(subs), dict(p.meta))
+    NotApplicable when the formula is a witness or principal somewhere."""
+    m = p.meta
+    if (m.get("label"), m.get("principal")) == item or (
+        p.rule in PROPAGATION_RULES and (m["label"], Box(m["phi"])) == item
+    ):
+        raise NotApplicable(f"{p.rule} uses {item}")
+    return _rederive(p, _drop(p.conclusion, "ante", item), lambda q, goal: _strengthen(q, item))
 
 
 def to_end_active(p: Proof, stats: Optional[dict] = None) -> Proof:
@@ -647,11 +486,12 @@ def to_end_active(p: Proof, stats: Optional[dict] = None) -> Proof:
             if node.rule in PROPAGATION_RULES:
                 phi = node.meta["phi"]
                 added = (node.meta["aux"], Box(phi) if node.rule == "4L" else phi)
-                slim = _strengthen(node.premises[0], added)
-                if slim is not None:
-                    proof = proof.replace_at(addr, slim)
+                try:
+                    proof = proof.replace_at(addr, _strengthen(node.premises[0], added))
                     permutations += 1
                     continue
+                except NotApplicable:
+                    pass
             raise InternalNonTermination(
                 f"no permutation available for {node.rule} at {addr}"
             )
@@ -996,22 +836,25 @@ class PassReport:
         )
 
 
+# each pass: its input calculus and its function
+_PASSES = {
+    "end-active": ("csgl", to_end_active),
+    "linearize": ("csgl", linearize),
+    "normalize": ("lngl", normalize_lngl),
+    "to-glseq": ("lngl", lambda p, stats: lngl_to_glseq(p)),
+    "to-g3gl": ("glseq", lambda p, stats: glseq_to_g3gl(p)),
+    "embed-g3gl": ("csgl", lambda p, stats: csgl_to_g3gl_embed(p)),
+}
+
+
 def run_pass(name: str, proof: Proof) -> tuple[Proof, PassReport]:
-    stats: dict = {}
-    if name == "end-active":
-        out = to_end_active(proof, stats)
-    elif name == "linearize":
-        out = linearize(proof, stats)
-    elif name == "normalize":
-        out = normalize_lngl(proof, stats)
-    elif name == "to-glseq":
-        out = lngl_to_glseq(proof)
-    elif name == "to-g3gl":
-        out = glseq_to_g3gl(proof)
-    elif name == "embed-g3gl":
-        out = csgl_to_g3gl_embed(proof)
-    else:
+    if name not in _PASSES:
         raise NotApplicable(f"unknown pass {name}")
+    calculus, fn = _PASSES[name]
+    if getattr(proof, "calculus", None) != calculus:
+        raise NotApplicable(f"{name} takes a {calculus} proof")
+    stats: dict = {}
+    out = fn(proof, stats)
     report = PassReport(
         name, str(proof.conclusion), str(out.conclusion),
         proof.node_count(), out.node_count(), proof.height(), out.height(),

@@ -167,3 +167,27 @@ def test_formula_from_file(tmp_path):
     f.write_text(LOB + "\n")
     code, _, _ = invoke("oracle", f"@{f}")
     assert code == 0
+
+
+def test_transform_rejects_wrong_calculus(tmp_path):
+    code, out, _ = invoke("decide", "--calculus", "csgl", "[]p -> [][]p")
+    src = tmp_path / "four.glp"
+    src.write_text(out)
+    for pass_name, wants in (("to-glseq", "lngl"), ("to-g3gl", "glseq")):
+        code, out2, _ = invoke("transform", "--pass", pass_name, str(src))
+        assert code == 1
+        assert out2 == f"NotApplicable\t.\t{pass_name} takes a {wants} proof\n"
+
+
+def test_transform_rejects_unchecked_proof(tmp_path):
+    code, out, _ = invoke("decide", "--calculus", "csgl", "[]p -> [][]p")
+    bad = out.replace('(rule 4L (concl "xRy0; x: []p, y0: [][]p |- y0: []p") (meta aux=y0 label=x phi="p")',
+                      '(rule 4L (concl "xRy0; x: []p, y0: [][]p |- y0: []p") (meta aux=y0 label=x phi="q")')
+    assert bad != out
+    src = tmp_path / "bad.glp"
+    src.write_text(bad)
+    code, out2, _ = invoke("transform", "--pass", "end-active", str(src))
+    assert code == 1
+    lines = out2.splitlines()
+    assert lines[0] == "rejected"
+    assert lines[1].startswith("SchemaMismatch\t0/0/0\t")

@@ -1,0 +1,100 @@
+"""Pipeline totality and output stability.
+
+Every theorem search proves must pass all six stages with every stage's
+checker accepting, and the pipeline's stdout on the acceptance corpus must
+not drift (golden sha256 digests in tests/data/pipeline_golden.json).
+"""
+
+import hashlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from glproof.checkers import (
+    check_csgl,
+    check_g3gl,
+    check_glseq,
+    check_lngl,
+    end_active_report,
+    normal_form_report,
+)
+from glproof.cli import run
+from glproof.formula import print_formula, random_formula
+from glproof.search import SearchConfig, prove_formula
+from glproof.transform import run_pass
+
+CFG = SearchConfig(oracle_hint=False)
+GOLDEN = Path(__file__).parent / "data" / "pipeline_golden.json"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _pipeline_digest(formula: str) -> str:
+    out = io.StringIO()
+    assert run(["pipeline", formula], stdout=out, stderr=io.StringIO()) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_pipeline_golden_output():
+    golden = json.loads(GOLDEN.read_text())
+    drifted = [f for f, digest in golden.items() if _pipeline_digest(f) != digest]
+    assert not drifted, f"pipeline stdout changed for {drifted}"
+
+
+@pytest.mark.parametrize("hashseed", ["0", "12345"])
+def test_pipeline_golden_output_any_hash_seed(hashseed):
+    script = (
+        "import hashlib, io, json, sys\n"
+        "from glproof.cli import run\n"
+        "for f in json.load(open(sys.argv[1])):\n"
+        "    out = io.StringIO()\n"
+        "    run(['pipeline', f], stdout=out, stderr=io.StringIO())\n"
+        "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=SRC)
+    res = subprocess.run([sys.executable, "-c", script, str(GOLDEN)], env=env,
+                         capture_output=True, text=True, check=True)
+    golden = json.loads(GOLDEN.read_text())
+    assert res.stdout.split() == list(golden.values())
+
+
+@pytest.mark.parametrize("formula", [
+    "[](~[](q | q) | [][]q)",
+    "[]([]([]q | [][](q | (r | p | ~r))) | ~[][](~(r | q) | q))",
+])
+def test_pipeline_regressions(formula):
+    # inversion used to recurse into a boxGL premise that does not depend on
+    # the inverted formula; the second case leaked a RuleError traceback
+    out = io.StringIO()
+    assert run(["pipeline", formula], stdout=out, stderr=io.StringIO()) == 0
+    assert out.getvalue().splitlines()[5].startswith("stage 6 g3gl:")
+
+
+STAGES = (
+    ("end-active", lambda p: check_csgl(p).accepted and end_active_report(p).accepted),
+    ("linearize", lambda p: check_lngl(p).accepted),
+    ("normalize", lambda p: check_lngl(p).accepted and normal_form_report(p).accepted),
+    ("to-glseq", lambda p: check_glseq(p).accepted),
+    ("to-g3gl", lambda p: check_g3gl(p, "extended").accepted),
+)
+
+
+def test_pipeline_totality_seeded_theorems():
+    rng = random.Random(7)
+    theorems = []
+    while len(theorems) < 300:
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(6, 14))
+        if prove_formula(f, "glseq", CFG).proved:
+            theorems.append(f)
+    for f in theorems:
+        proof = prove_formula(f, "csgl", CFG).proof
+        assert check_csgl(proof).accepted, print_formula(f)
+        for name, accepts in STAGES:
+            proof, _ = run_pass(name, proof)
+            assert accepts(proof), (name, print_formula(f))
+        assert str(proof.conclusion) == f"|- x: {print_formula(f)}"

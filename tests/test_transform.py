@@ -673,3 +673,68 @@ def test_unfold_internal_nodes_valid():
             continue
         expected = premises_of("k4seq", node.rule, node.meta, node.conclusion)
         assert [q.conclusion for q in node.premises] == expected
+
+
+def _boxl_into_fresh_label(phi_s):
+    # boxL at x into the fresh y of the boxR right below it; x also has the
+    # grandchild v, so the boxL is not end-active and cannot cross that boxR
+    f = pf(f"~[]q | ([]q | ([][]t | []{phi_s}))")
+    steps = [
+        ("orR", {"label": "x", "principal": f}),
+        ("orR", {"label": "x", "principal": pf(f"[]q | ([][]t | []{phi_s})")}),
+        ("orR", {"label": "x", "principal": pf(f"[][]t | []{phi_s}")}),
+        ("negR", {"label": "x", "principal": pf("~[]q")}),
+        ("boxR", {"label": "x", "fresh": "u", "phi": pf("[]t")}),
+        ("boxR", {"label": "u", "fresh": "v", "phi": pf("t")}),
+        ("boxR", {"label": "x", "fresh": "y", "phi": pf(phi_s)}),
+        ("boxL", {"label": "x", "aux": "y", "phi": Q}),
+    ]
+    concls = [pls(f" |- x: {f}")]
+    for rule, meta in steps:
+        (c,) = premises_of("csgl", rule, meta, concls[-1])
+        concls.append(c)
+    return steps, concls
+
+
+def _build(steps, concls, leaf):
+    node = leaf
+    for (rule, meta), c in reversed(list(zip(steps, concls))):
+        node = Proof("csgl", rule, c, (node,), meta)
+    return node
+
+
+def test_end_active_drops_unused_propagation():
+    steps, concls = _boxl_into_fresh_label("s")
+    leaf = Proof("csgl", "id2", concls[-1], (), {"label": "x", "principal": pf("[]q")})
+    base = _build(steps, concls, leaf)
+    assert check_csgl(base).accepted and not end_active_report(base).accepted
+    out = to_end_active(base)
+    assert out.conclusion == base.conclusion
+    assert check_csgl(out).accepted and end_active_report(out).accepted
+    assert "boxL" not in out.rules_used()
+
+
+def test_end_active_keeps_used_propagation():
+    steps, concls = _boxl_into_fresh_label("q")
+    leaf = Proof("csgl", "id1", concls[-1], (), {"label": "y", "principal": Q})
+    base = _build(steps, concls, leaf)
+    assert check_csgl(base).accepted and not end_active_report(base).accepted
+    with pytest.raises(InternalNonTermination):
+        to_end_active(base)
+
+
+def test_invert_boxr_rebuilds_destroyed_id2():
+    # the id2 witness x:[]p is the inverted boxR principal
+    base = Proof("csgl", "id2", pls("x: []p |- x: []p"), (), {"label": "x", "principal": pf("[]p")})
+    out = apply_inverse("boxR", 0, base, {"label": "x", "fresh": "y", "phi": P})
+    assert out.conclusion == pls("xRy; x: []p, y: []p |- y: p")
+    assert [n.rule for _, n in out.nodes()] == ["boxL", "id1"]
+    assert check_csgl(out).accepted
+
+
+def test_invert_negl_rebuilds_destroyed_gentzen_id():
+    base = Proof("glseq", "id", pgs("~p |- ~p"), (), {"principal": pf("~p")})
+    out = apply_inverse("negL", 0, base, {"principal": pf("~p")})
+    assert out.conclusion == pgs(" |- ~p, p")
+    assert [n.rule for _, n in out.nodes()] == ["negR", "id"]
+    assert check_glseq(out).accepted
