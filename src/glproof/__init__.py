@@ -28,7 +28,6 @@ from .sequents import (
     NotATree,
     BadPath,
     Proof,
-    TreeSequent,
     path_projection,
     tree_root,
     tree_view,

@@ -24,7 +24,7 @@ from .rules import (
     UNKNOWN_RULE,
     UNKNOWN_RULE_STRICT,
     WRONG_PREMISE_COUNT,
-    is_initial,
+    INITIAL_RULES,
     premises_of,
     verify_sub,
     LOCAL_RULES,
@@ -337,7 +337,7 @@ def normal_form_report(p: Proof) -> CheckReport:
     failures: list[Failure] = []
 
     def walk_segment(node: Proof, addr: Address, phase: int):
-        if node.rule == "boxR" or is_initial(node.rule) or node.rule == OPEN:
+        if node.rule == "boxR" or node.rule in INITIAL_RULES or node.rule == OPEN:
             return
         if node.rule == "4L":
             if phase > 0:
@@ -389,7 +389,7 @@ def modal_blocks(p: Proof, boxr_addr: Address) -> tuple[Block, Block, Block]:
 
     def walk(a: Address):
         node = p.at(a)
-        if node.rule == "boxR" or is_initial(node.rule) or node.rule == OPEN:
+        if node.rule == "boxR" or node.rule in INITIAL_RULES or node.rule == OPEN:
             return
         local.append(a)
         for i in range(len(node.premises)):

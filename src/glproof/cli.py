@@ -36,7 +36,7 @@ from .render import (
     render_tree_sequent_text,
 )
 from .search import FuelExhausted, SearchConfig, prove_formula
-from .semantics import ModelBound, oracle_validity, parse_model, print_model
+from .semantics import BadModel, ModelBound, oracle_validity, parse_model, print_model
 from .sequents import CyclicDerivation, format_address
 from .transform import TransformError, run_pass
 
@@ -132,7 +132,7 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
 
     try:
         return _dispatch(args, stdout, stderr)
-    except (ParseError, SequentSyntaxError) as e:
+    except (ParseError, SequentSyntaxError, BadModel) as e:
         print(f"parse error: {e}", file=stderr)
         return 2
     except FileNotFoundError as e:

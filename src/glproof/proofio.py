@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .formula import Formula, ParseError, parse_formula, print_formula
+from .formula import Formula, parse_formula, print_formula
 from .sequents import (
     OPEN,
     Address,
@@ -91,10 +91,6 @@ def parse_sequent(calculus: str, text: str) -> Sequent:
     raise SequentSyntaxError(f"unknown calculus {calculus}")
 
 
-def print_sequent(s: Sequent) -> str:
-    return str(s)
-
-
 # ---------------------------------------------------------------------------
 # Proof term tokenizer / parser
 
@@ -124,19 +120,25 @@ def _tokenize_proof(text: str) -> list[str]:
 
 def _parse_terms(tokens: list[str], i: int):
     """Parse one parenthesized term into (head, items); items are terms/strings."""
+    n = len(tokens)
+    if i >= n:
+        raise SequentSyntaxError("the proof term is empty or truncated")
     if tokens[i] != "(":
         raise SequentSyntaxError(f"expected '(' at token {i}: {tokens[i]!r}")
-    i += 1
-    head = tokens[i]
-    i += 1
+    if i + 1 >= n or tokens[i + 1] in ("(", ")"):
+        raise SequentSyntaxError(f"term at token {i} has no head")
+    head = tokens[i + 1]
+    i += 2
     items = []
-    while tokens[i] != ")":
+    while i < n and tokens[i] != ")":
         if tokens[i] == "(":
             sub, i = _parse_terms(tokens, i)
             items.append(sub)
         else:
             items.append(tokens[i])
             i += 1
+    if i >= n:
+        raise SequentSyntaxError(f"term {head!r} is not closed")
     return (head, items), i + 1
 
 
@@ -157,30 +159,24 @@ _FLIST_KEYS = ("gamma",)
 _INT_KEYS = ("component",)
 
 
-def _encode_meta(calculus: str, meta: dict) -> str:
+def _encode_meta(meta: dict) -> str:
     parts = []
     for key in sorted(meta):
         value = meta[key]
         if key in _FORMULA_KEYS:
             parts.append(f"{key}={_quote(print_formula(value))}")
-        elif key in _LABEL_KEYS:
+        elif key in _LABEL_KEYS or key in _INT_KEYS:
             parts.append(f"{key}={value}")
         elif key in _FLIST_KEYS or key in ("ante", "cons"):
             parts.append(f"{key}={_quote(', '.join(print_formula(g) for g in value))}")
-        elif key in _INT_KEYS:
-            parts.append(f"{key}={value}")
-        elif key == "added":
-            parts.append(f"{key}={_quote(str(value))}")
         elif key == "backlink":
             parts.append(f"{key}={format_address(value)}")
-        elif key == "target":
-            parts.append(f"{key}={_quote(str(value))}")
         else:
             parts.append(f"{key}={_quote(str(value))}")
     return " ".join(parts)
 
 
-def _decode_meta(calculus: str, pairs: list[str]) -> dict:
+def _decode_meta(pairs: list[str]) -> dict:
     # `key=value` arrives as one token for bare values, as `key=` followed by
     # a quoted token otherwise
     merged: list[str] = []
@@ -206,16 +202,26 @@ def _decode_meta(calculus: str, pairs: list[str]) -> dict:
         elif key in _FLIST_KEYS or key in ("ante", "cons"):
             meta[key] = tuple(parse_formula(p) for p in _split_formulas(value))
         elif key in _INT_KEYS:
-            meta[key] = int(value)
+            try:
+                meta[key] = int(value)
+            except ValueError:
+                raise SequentSyntaxError(f"{key} must be an integer, got {value!r}") from None
         elif key == "added":
             meta[key] = parse_labeled_sequent(value)
         elif key == "backlink":
-            meta[key] = parse_address(value)
+            meta[key] = _address(value)
         elif key == "target":
             meta[key] = parse_sequent("k4seq", value)
         else:
             meta[key] = value
     return meta
+
+
+def _address(text: str) -> Address:
+    try:
+        return parse_address(text)
+    except ValueError:
+        raise SequentSyntaxError(f"bad node address {text!r}") from None
 
 
 def print_proof(obj) -> str:
@@ -244,7 +250,7 @@ def print_proof(obj) -> str:
                     extra = f" (meta target={_quote(str(node.meta['target']))})"
                 lines.append(f"{pad}(open (concl {concl}){extra})")
             return
-        meta = _encode_meta(node.calculus, node.meta)
+        meta = _encode_meta(node.meta)
         meta_part = f" (meta {meta})" if meta else ""
         if node.premises:
             lines.append(f"{pad}(rule {node.rule} (concl {concl}){meta_part} (prems")
@@ -274,23 +280,32 @@ def parse_proof(text: str):
 
     backlinks: dict[Address, Address] = {}
 
+    def value(item) -> str:
+        if len(item[1]) != 1 or not isinstance(item[1][0], str):
+            raise SequentSyntaxError(f"({item[0]} ...) takes one value")
+        return _unquote(item[1][0])
+
     def build(t, addr: Address) -> Proof:
+        if not isinstance(t, tuple):
+            raise SequentSyntaxError(f"expected a proof term, got {t!r}")
         head, items = t
         if head == "open":
             concl = None
             meta: dict = {}
             for item in items:
                 if isinstance(item, tuple) and item[0] == "concl":
-                    concl = parse_sequent(node_calculus, _unquote(item[1][0]))
+                    concl = parse_sequent(node_calculus, value(item))
                 elif isinstance(item, tuple) and item[0] == "backlink":
-                    backlinks[addr] = parse_address(item[1][0])
+                    backlinks[addr] = _address(value(item))
                 elif isinstance(item, tuple) and item[0] == "meta":
-                    meta = _decode_meta(node_calculus, item[1])
+                    meta = _decode_meta(item[1])
             if concl is None:
                 raise SequentSyntaxError("open leaf without conclusion")
             return Proof(node_calculus, OPEN, concl, (), meta)
         if head != "rule":
             raise SequentSyntaxError(f"expected rule term, got {head!r}")
+        if not items or not isinstance(items[0], str):
+            raise SequentSyntaxError("rule term without a rule name")
         name = items[0]
         concl = None
         meta = {}
@@ -299,9 +314,9 @@ def parse_proof(text: str):
             if not isinstance(item, tuple):
                 raise SequentSyntaxError(f"unexpected token {item!r} in rule term")
             if item[0] == "concl":
-                concl = parse_sequent(node_calculus, _unquote(item[1][0]))
+                concl = parse_sequent(node_calculus, value(item))
             elif item[0] == "meta":
-                meta = _decode_meta(node_calculus, item[1])
+                meta = _decode_meta(item[1])
             elif item[0] == "prems":
                 for i, sub in enumerate(item[1]):
                     prems.append(build(sub, addr + (i,)))

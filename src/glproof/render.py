@@ -27,11 +27,15 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def render_proof_text(obj) -> str:
+def _unwrap(obj) -> tuple[Proof, dict]:
+    """The root proof and the back-link map of a proof or cyclic derivation."""
     if isinstance(obj, CyclicDerivation):
-        root, backlinks = obj.derivation, obj.backlinks
-    else:
-        root, backlinks = obj, {}
+        return obj.derivation, obj.backlinks
+    return obj, {}
+
+
+def render_proof_text(obj) -> str:
+    root, backlinks = _unwrap(obj)
     lines = []
 
     def walk(node: Proof, addr, depth):
@@ -47,10 +51,7 @@ def render_proof_text(obj) -> str:
 
 
 def render_proof_dot(obj) -> str:
-    if isinstance(obj, CyclicDerivation):
-        root, backlinks = obj.derivation, obj.backlinks
-    else:
-        root, backlinks = obj, {}
+    root, backlinks = _unwrap(obj)
     lines = ["digraph proof {", '  node [shape=box, fontname="monospace"];']
     ids = {}
 
@@ -71,10 +72,7 @@ def render_proof_dot(obj) -> str:
 
 
 def render_proof_latex(obj) -> str:
-    if isinstance(obj, CyclicDerivation):
-        root, backlinks = obj.derivation, obj.backlinks
-    else:
-        root, backlinks = obj, {}
+    root, backlinks = _unwrap(obj)
     lines = [r"\begin{prooftree}"]
 
     def tex_seq(s) -> str:

@@ -58,12 +58,58 @@ RULES_OF = {
 EXTENDED_EXTRA = ("4L", "w", "cL", "cR", "sub", "cut")
 RULES_OF["g3glext"] = RULES_OF["g3gl"] + EXTENDED_EXTRA
 
-def is_initial(rule: str) -> bool:
-    return rule in INITIAL_RULES
-
-
 def _missing_key(rule: str, e: KeyError) -> RuleError:
     return RuleError(SCHEMA_MISMATCH, f"{rule} requires meta key '{e.args[0]}'")
+
+
+# ---------------------------------------------------------------------------
+# Local and initial rules: one schema on a pair of sides
+#
+# negL/negR/orL/orR and id1/id2 read one pair of sides (ante, cons): a
+# Gentzen sequent, the end component of a linear nested sequent (items are
+# formulas, x is None), or a labeled sequent at label x (items are (x, g)).
+
+# the local rule that decomposes a formula of this type in the antecedent
+# (True) or the consequent (False)
+LOCAL_RULE_OF = {(Not, True): "negL", (Not, False): "negR", (Or, True): "orL", (Or, False): "orR"}
+
+
+def local_premises(rule: str, phi, x, ante: tuple, cons: tuple, make, pre: tuple = ()) -> list:
+    """The premises of a local rule with principal phi, each built from its
+    sides by make(*pre, ante, cons)."""
+    item = phi if x is None else (x, phi)
+    if rule == "negL":
+        if type(phi) is Not and item in ante:
+            sub = phi.sub if x is None else (x, phi.sub)
+            return [make(*pre, mset_remove(ante, item), cons + (sub,))]
+    elif rule == "negR":
+        if type(phi) is Not and item in cons:
+            sub = phi.sub if x is None else (x, phi.sub)
+            return [make(*pre, ante + (sub,), mset_remove(cons, item))]
+    elif rule == "orL":
+        if type(phi) is Or and item in ante:
+            rest = mset_remove(ante, item)
+            a, b = (phi.left, phi.right) if x is None else ((x, phi.left), (x, phi.right))
+            return [make(*pre, rest + (a,), cons), make(*pre, rest + (b,), cons)]
+    elif type(phi) is Or and item in cons:
+        parts = (phi.left, phi.right) if x is None else ((x, phi.left), (x, phi.right))
+        return [make(*pre, ante, mset_remove(cons, item) + parts)]
+    what = "negation" if rule[0] == "n" else "disjunction"
+    side = "antecedent" if rule[-1] == "L" else "consequent"
+    at = "" if x is None else f"{x}:"
+    raise RuleError(SCHEMA_MISMATCH, f"{rule} principal {at}{phi} not a {what} in {side}")
+
+
+def _initial(rule: str, phi, x, ante: tuple, cons: tuple) -> list:
+    """id1 (an atom) or id2 (a boxed formula) on both sides: no premises."""
+    if not isinstance(phi, Atom if rule == "id1" else Box):
+        what = "an atom" if rule == "id1" else "a boxed formula"
+        raise RuleError(SCHEMA_MISMATCH, f"{rule} witness must be {what}")
+    item = phi if x is None else (x, phi)
+    if item not in ante or item not in cons:
+        at = "" if x is None else f"{x}:"
+        raise RuleError(SCHEMA_MISMATCH, f"{rule} witness {at}{phi} not on both sides")
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -78,30 +124,8 @@ def _gentzen_premises(rule: str, meta: dict, c: GentzenSequent) -> list[GentzenS
         elif not set(c.ante) & set(c.cons):
             raise RuleError(SCHEMA_MISMATCH, "id needs a shared formula")
         return []
-    if rule == "negL":
-        phi = meta["principal"]
-        if not isinstance(phi, Not) or phi not in c.ante:
-            raise RuleError(SCHEMA_MISMATCH, f"negL principal {phi} not a negation in antecedent")
-        return [GentzenSequent(mset_remove(c.ante, phi), c.cons + (phi.sub,))]
-    if rule == "negR":
-        phi = meta["principal"]
-        if not isinstance(phi, Not) or phi not in c.cons:
-            raise RuleError(SCHEMA_MISMATCH, f"negR principal {phi} not a negation in consequent")
-        return [GentzenSequent(c.ante + (phi.sub,), mset_remove(c.cons, phi))]
-    if rule == "orL":
-        phi = meta["principal"]
-        if not isinstance(phi, Or) or phi not in c.ante:
-            raise RuleError(SCHEMA_MISMATCH, f"orL principal {phi} not a disjunction in antecedent")
-        rest = mset_remove(c.ante, phi)
-        return [
-            GentzenSequent(rest + (phi.left,), c.cons),
-            GentzenSequent(rest + (phi.right,), c.cons),
-        ]
-    if rule == "orR":
-        phi = meta["principal"]
-        if not isinstance(phi, Or) or phi not in c.cons:
-            raise RuleError(SCHEMA_MISMATCH, f"orR principal {phi} not a disjunction in consequent")
-        return [GentzenSequent(c.ante, mset_remove(c.cons, phi) + (phi.left, phi.right))]
+    if rule in LOCAL_RULES:
+        return local_premises(rule, meta["principal"], None, c.ante, c.cons, GentzenSequent)
     if rule in ("boxGL", "box4"):
         gamma = tuple(meta["gamma"])
         phi = meta["phi"]
@@ -119,15 +143,11 @@ def _gentzen_premises(rule: str, meta: dict, c: GentzenSequent) -> list[GentzenS
 # Labeled sequents (G3GL / G3GLext / CSGL)
 
 def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledSequent]:
+    if rule in LOCAL_RULES:
+        return local_premises(rule, meta["principal"], meta["label"], c.ante, c.cons,
+                              LabeledSequent, (c.rel,))
     if rule in ("id1", "id2"):
-        x = meta["label"]
-        phi = meta["principal"]
-        want = Atom if rule == "id1" else Box
-        if not isinstance(phi, want):
-            raise RuleError(SCHEMA_MISMATCH, f"{rule} witness must be {'an atom' if want is Atom else 'a boxed formula'}")
-        if (x, phi) not in c.ante or (x, phi) not in c.cons:
-            raise RuleError(SCHEMA_MISMATCH, f"{rule} witness {x}:{phi} not on both sides")
-        return []
+        return _initial(rule, meta["principal"], meta["label"], c.ante, c.cons)
     if rule == "ir":
         x = meta["label"]
         if (x, x) not in c.rel:
@@ -138,32 +158,6 @@ def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledS
         if (x, y) not in c.rel or (y, z) not in c.rel:
             raise RuleError(SCHEMA_MISMATCH, f"tr needs {x}R{y} and {y}R{z}")
         return [c.with_rel((x, z))]
-    if rule in ("negL", "negR", "orL", "orR"):
-        x = meta["label"]
-        phi = meta["principal"]
-        if rule == "negL":
-            if not isinstance(phi, Not) or (x, phi) not in c.ante:
-                raise RuleError(SCHEMA_MISMATCH, f"negL principal {x}:{phi} not in antecedent")
-            return [LabeledSequent(c.rel, mset_remove(c.ante, (x, phi)), c.cons + ((x, phi.sub),))]
-        if rule == "negR":
-            if not isinstance(phi, Not) or (x, phi) not in c.cons:
-                raise RuleError(SCHEMA_MISMATCH, f"negR principal {x}:{phi} not in consequent")
-            return [LabeledSequent(c.rel, c.ante + ((x, phi.sub),), mset_remove(c.cons, (x, phi)))]
-        if rule == "orL":
-            if not isinstance(phi, Or) or (x, phi) not in c.ante:
-                raise RuleError(SCHEMA_MISMATCH, f"orL principal {x}:{phi} not in antecedent")
-            rest = mset_remove(c.ante, (x, phi))
-            return [
-                LabeledSequent(c.rel, rest + ((x, phi.left),), c.cons),
-                LabeledSequent(c.rel, rest + ((x, phi.right),), c.cons),
-            ]
-        if not isinstance(phi, Or) or (x, phi) not in c.cons:
-            raise RuleError(SCHEMA_MISMATCH, f"orR principal {x}:{phi} not in consequent")
-        return [
-            LabeledSequent(
-                c.rel, c.ante, mset_remove(c.cons, (x, phi)) + ((x, phi.left), (x, phi.right))
-            )
-        ]
     if rule in ("boxL", "4L"):
         x, y = meta["label"], meta["aux"]
         phi = meta["phi"]
@@ -231,39 +225,11 @@ def verify_sub(meta: dict, premise: LabeledSequent, conclusion: LabeledSequent) 
 
 def _lns_premises(rule: str, meta: dict, c: LinearNestedSequent) -> list[LinearNestedSequent]:
     end = c.end
+    if rule in LOCAL_RULES:
+        return [c.replace_end(g) for g in
+                local_premises(rule, meta["principal"], None, end.ante, end.cons, GentzenSequent)]
     if rule in ("id1", "id2"):
-        phi = meta["principal"]
-        want = Atom if rule == "id1" else Box
-        if not isinstance(phi, want):
-            raise RuleError(SCHEMA_MISMATCH, f"{rule} witness has the wrong shape")
-        if phi not in end.ante or phi not in end.cons:
-            raise RuleError(SCHEMA_MISMATCH, f"{rule} witness {phi} not on both sides of the end component")
-        return []
-    if rule in ("negL", "negR", "orL", "orR"):
-        phi = meta["principal"]
-        if rule == "negL":
-            if not isinstance(phi, Not) or phi not in end.ante:
-                raise RuleError(SCHEMA_MISMATCH, "negL principal not in end antecedent")
-            return [c.replace_end(GentzenSequent(mset_remove(end.ante, phi), end.cons + (phi.sub,)))]
-        if rule == "negR":
-            if not isinstance(phi, Not) or phi not in end.cons:
-                raise RuleError(SCHEMA_MISMATCH, "negR principal not in end consequent")
-            return [c.replace_end(GentzenSequent(end.ante + (phi.sub,), mset_remove(end.cons, phi)))]
-        if rule == "orL":
-            if not isinstance(phi, Or) or phi not in end.ante:
-                raise RuleError(SCHEMA_MISMATCH, "orL principal not in end antecedent")
-            rest = mset_remove(end.ante, phi)
-            return [
-                c.replace_end(GentzenSequent(rest + (phi.left,), end.cons)),
-                c.replace_end(GentzenSequent(rest + (phi.right,), end.cons)),
-            ]
-        if not isinstance(phi, Or) or phi not in end.cons:
-            raise RuleError(SCHEMA_MISMATCH, "orR principal not in end consequent")
-        return [
-            c.replace_end(
-                GentzenSequent(end.ante, mset_remove(end.cons, phi) + (phi.left, phi.right))
-            )
-        ]
+        return _initial(rule, meta["principal"], None, end.ante, end.cons)
     if rule in ("4L", "boxL"):
         phi = meta["phi"]
         if len(c) < 2:

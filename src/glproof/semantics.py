@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional
 
-from .formula import Atom, Box, Formula, Not, Or, atoms_of, closure, conj, implies
+from .formula import Atom, Box, Formula, Not, Or, closure, conj, implies
 from .sequents import GentzenSequent, LabeledSequent, LinearNestedSequent
 
 
@@ -43,19 +43,21 @@ class Model:
         self.rel = frozenset(rel)
         self.valuation = {a: frozenset(ws) for a, ws in valuation.items()}
         wset = set(self.worlds)
+        succ = {w: set() for w in self.worlds}
         for x, y in self.rel:
             if x not in wset or y not in wset:
                 raise BadModel(f"relation mentions unknown world {x if x not in wset else y}")
             if x == y:
                 raise BadModel(f"relation is not irreflexive at {x}")
+            succ[x].add(y)
         for x, y in self.rel:
-            for y2, z in self.rel:
-                if y2 == y and (x, z) not in self.rel:
-                    raise BadModel(f"relation is not transitive: {x}<{y}<{z}")
+            if not succ[y] <= succ[x]:
+                z = min(succ[y] - succ[x])
+                raise BadModel(f"relation is not transitive: {x}<{y}<{z}")
         for a, ws in self.valuation.items():
             if not ws <= wset:
                 raise BadModel(f"valuation of {a} mentions unknown worlds")
-        self._succ = {w: tuple(sorted(y for x, y in self.rel if x == w)) for w in self.worlds}
+        self._succ = {w: tuple(sorted(ys)) for w, ys in succ.items()}
 
     def successors(self, w) -> tuple:
         return self._succ[w]
@@ -109,9 +111,6 @@ class ModelBound:
             and self.max_branching >= other.max_branching
         )
 
-    def __lt__(self, other: "ModelBound") -> bool:
-        return not self.__ge__(other)
-
 
 def default_bound(f: Formula) -> ModelBound:
     """One fresh successor per refuted boxed subformula per world gives the
@@ -153,27 +152,21 @@ def _skeleton_model(shape, atom_names, profile_assignment, atom_positions) -> tu
     edges: set[tuple[str, str]] = set()
     val: dict[str, set[str]] = {a: set() for a in atom_names}
 
-    def build(node_shape, node_bits) -> str:
+    def build(node_shape, node_bits, above: tuple) -> str:
         name = f"w{len(names)}"
         names.append(name)
         ab = node_bits[0]
         for a, pos in atom_positions.items():
             if (ab >> pos) & 1:
                 val[a].add(name)
+        # the relation is the strict descendant order: every ancestor sees it
+        edges.update((u, name) for u in above)
+        below = above + (name,)
         for child_shape, child_bits in zip(node_shape, node_bits[1]):
-            edges.add((name, build(child_shape, child_bits)))
+            build(child_shape, child_bits, below)
         return name
 
-    root = build(shape, profile_assignment)
-    # transitive closure of the child edges (strict descendant)
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(edges):
-            for y2, z in list(edges):
-                if y2 == y and (x, z) not in edges:
-                    edges.add((x, z))
-                    changed = True
+    root = build(shape, profile_assignment, ())
     return Model(names, edges, val), root
 
 

@@ -162,9 +162,6 @@ class LabeledSequent:
         )
 
 
-TreeSequent = LabeledSequent
-
-
 # ---------------------------------------------------------------------------
 # Linear nested sequents
 
@@ -418,9 +415,6 @@ class CyclicDerivation:
 
     derivation: Proof
     backlinks: dict[Address, Address]
-
-    def open_leaves(self) -> list[Address]:
-        return [addr for addr, node in self.derivation.nodes() if node.rule == OPEN]
 
 
 def format_address(addr: Address) -> str:

@@ -14,8 +14,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import Atom, Box, Formula, Not, Or
-from .rules import RuleError, premises_of, LOCAL_RULES, PROPAGATION_RULES, is_initial
+from .formula import Atom, Box, Formula, Not
+from .rules import (INITIAL_RULES, LOCAL_RULE_OF, LOCAL_RULES, PROPAGATION_RULES, RULES_OF,
+                    RuleError, local_premises, premises_of)
 from .sequents import (
     OPEN,
     Address,
@@ -114,18 +115,22 @@ def prove_general_id(calculus: str, goal, principal) -> Proof:
     labeled = calculus in LABELED
     label, f = principal if labeled else (None, principal)
     meta = {"label": label, "principal": f} if labeled else {"principal": f}
-    if calculus in GENTZEN or isinstance(f, (Atom, Box)):
+    lower = LOCAL_RULE_OF.get((type(f), False))
+    if calculus in GENTZEN or lower is None:
         rule = "id" if calculus in GENTZEN else "id1" if isinstance(f, Atom) else "id2"
         _schema(calculus, rule, meta, goal)
         return Proof(calculus, rule, goal, (), meta)
-    lower, upper = ("negR", "negL") if isinstance(f, Not) else ("orR", "orL")
-    parts = (f.sub,) if isinstance(f, Not) else (f.left, f.right)
+    upper = LOCAL_RULE_OF[type(f), True]
     (mid,) = _schema(calculus, lower, meta, goal)
     subs = tuple(
         prove_general_id(calculus, top, (label, g) if labeled else g)
-        for top, g in zip(_schema(calculus, upper, meta, mid), parts)
+        for top, g in zip(_schema(calculus, upper, meta, mid), _parts(f))
     )
     return Proof(calculus, lower, goal, (Proof(calculus, upper, mid, subs, dict(meta)),), meta)
+
+
+def _parts(f: Formula) -> tuple:
+    return (f.sub,) if isinstance(f, Not) else (f.left, f.right)
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +209,6 @@ def substitute_labels(p: Proof, x: str, y: str) -> Proof:
 # ---------------------------------------------------------------------------
 # Hp-admissible contraction
 
-# per premise of a local rule with principal f: the (side, part) pairs it
-# adds, in the order they are contracted
-_PARTS = {
-    "negL": lambda f: [[("cons", f.sub)]],
-    "negR": lambda f: [[("ante", f.sub)]],
-    "orL": lambda f: [[("ante", f.left)], [("ante", f.right)]],
-    "orR": lambda f: [[("cons", f.left), ("cons", f.right)]],
-}
-
-
 def _contract(p: Proof, side: str, item) -> Proof:
     """Proof of p's conclusion with one occurrence of `item` removed from
     `side`; standard induction using inversion on the remaining copy."""
@@ -221,17 +216,18 @@ def _contract(p: Proof, side: str, item) -> Proof:
     labeled = calculus in LABELED
     target = _drop(p.conclusion, side, item)
     label = p.meta.get("label")
-    at = (lambda g: (label, g)) if labeled else (lambda g: g)
-
-    if p.rule in LOCAL_RULES and at(p.meta["principal"]) == item and side == (
+    x, f = (label if labeled else None), p.meta.get("principal")
+    if p.rule in LOCAL_RULES and item == (f if x is None else (x, f)) and side == (
         "ante" if p.rule.endswith("L") else "cons"
     ):
         # one copy is decomposed here: invert the other, contract the parts
+        # the schema adds to each premise
+        alone = ((item,), ()) if side == "ante" else ((), (item,))
         subs = []
-        for i, parts in enumerate(_PARTS[p.rule](p.meta["principal"])):
+        for i, (ante, cons) in enumerate(local_premises(p.rule, f, x, *alone, lambda *s: s)):
             sub = apply_inverse(p.rule, i, p.premises[i], dict(p.meta))
-            for part_side, g in parts:
-                sub = _contract(sub, part_side, at(g))
+            for part_side, part in [("ante", g) for g in ante] + [("cons", g) for g in cons]:
+                sub = _contract(sub, part_side, part)
             subs.append(sub)
         return Proof(calculus, p.rule, target, tuple(subs), dict(p.meta))
 
@@ -348,26 +344,19 @@ def _rebuild_gentzen_id(calculus: str, target: GentzenSequent, w: Formula) -> Pr
     shared = set(target.ante) & set(target.cons)
     if shared:
         return Proof(calculus, "id", target, (), {"principal": min(shared, key=lambda g: g.key)})
-    # the witness was decomposed on one side; re-decompose the surviving copy
-    if isinstance(w, Not) and w in target.cons and w.sub in target.cons:
-        prem = premises_of(calculus, "negR", {"principal": w}, target)[0]
-        return Proof(calculus, "negR", target,
-                     (prove_general_id(calculus, prem, w.sub),), {"principal": w})
-    if isinstance(w, Not) and w in target.ante and w.sub in target.ante:
-        prem = premises_of(calculus, "negL", {"principal": w}, target)[0]
-        return Proof(calculus, "negL", target,
-                     (prove_general_id(calculus, prem, w.sub),), {"principal": w})
-    if isinstance(w, Or) and w in target.cons:
-        prem = premises_of(calculus, "orR", {"principal": w}, target)[0]
-        side = w.left if w.left in prem.ante else w.right
-        return Proof(calculus, "orR", target,
-                     (prove_general_id(calculus, prem, side),), {"principal": w})
-    if isinstance(w, Or) and w in target.ante:
-        pl, pr = premises_of(calculus, "orL", {"principal": w}, target)
-        return Proof(calculus, "orL", target,
-                     (prove_general_id(calculus, pl, w.left),
-                      prove_general_id(calculus, pr, w.right)), {"principal": w})
-    raise NotApplicable("cannot rebuild the initial sequent after inversion")
+    # the witness was decomposed on one side: decompose the surviving copy and
+    # close each premise on the part of the witness it shares
+    rule = LOCAL_RULE_OF.get((type(w), w in target.ante))
+    if rule is None:
+        raise NotApplicable("cannot rebuild the initial sequent after inversion")
+    meta = {"principal": w}
+    subs = []
+    for prem in _schema(calculus, rule, meta, target):
+        part = next((g for g in _parts(w) if g in prem.ante and g in prem.cons), None)
+        if part is None:
+            raise NotApplicable("cannot rebuild the initial sequent after inversion")
+        subs.append(prove_general_id(calculus, prem, part))
+    return Proof(calculus, rule, target, tuple(subs), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +411,7 @@ def permute_down(p: Proof, addr: Address) -> Proof:
     if not addr:
         raise NotPermutable("the root has nothing below it")
     parent = p.at(addr[:-1])
-    if is_initial(parent.rule):
+    if parent.rule in INITIAL_RULES:
         raise NotPermutable("the rule below is initial")
     if not node_end_active(parent):
         raise NotPermutable("the rule below is not end-active")
@@ -465,7 +454,7 @@ def to_end_active(p: Proof, stats: Optional[dict] = None) -> Proof:
         if budget < 0:
             raise InternalNonTermination("end-activation exceeded its permutation budget")
         addr, node = offender
-        if is_initial(node.rule):
+        if node.rule in INITIAL_RULES:
             # push the initial rule down over the rule below it
             parent_addr = addr[:-1]
             parent = proof.at(parent_addr)
@@ -515,33 +504,6 @@ def linearize(p: Proof, stats: Optional[dict] = None) -> Proof:
     def lin(node: Proof):
         c = node.conclusion
         rule = node.rule
-        if rule in ("id1", "id2"):
-            chain = root_path(c, node.meta["label"])
-            return chain, Proof("lngl", rule, project_chain(c, chain), (),
-                                {"principal": node.meta["principal"]})
-        if rule in ("negL", "negR", "orR"):
-            chain, lp = lin(node.premises[0])
-            if chain[-1] != node.meta["label"]:
-                return chain, lp
-            concl = project_chain(c, chain)
-            return chain, Proof("lngl", rule, concl, (lp,),
-                                {"principal": node.meta["principal"]})
-        if rule == "orL":
-            chain_l, lp_l = lin(node.premises[0])
-            if chain_l[-1] != node.meta["label"]:
-                return chain_l, lp_l
-            chain_r, lp_r = lin(node.premises[1])
-            if chain_r[-1] != node.meta["label"]:
-                return chain_r, lp_r
-            concl = project_chain(c, chain_l)
-            return chain_l, Proof("lngl", "orL", concl, (lp_l, lp_r),
-                                  {"principal": node.meta["principal"]})
-        if rule in ("4L", "boxL"):
-            chain, lp = lin(node.premises[0])
-            if chain[-1] != node.meta["aux"]:
-                return chain, lp
-            concl = project_chain(c, chain)
-            return chain, Proof("lngl", rule, concl, (lp,), {"phi": node.meta["phi"]})
         if rule == "boxR":
             x, y, phi = node.meta["label"], node.meta["fresh"], node.meta["phi"]
             chain, lp = lin(node.premises[0])
@@ -554,7 +516,21 @@ def linearize(p: Proof, stats: Optional[dict] = None) -> Proof:
                 lp2 = weaken(lp, component=i, cons=(Box(phi),))
                 return chain, lp2
             return chain, lp
-        raise NotApplicable(f"linearization does not handle rule {rule}")
+        if rule not in RULES_OF["csgl"]:
+            raise NotApplicable(f"linearization does not handle rule {rule}")
+        # every other rule acts at one label: keep it where that label ends
+        # the chain of each premise, drop it otherwise
+        x = node.meta["aux" if rule in PROPAGATION_RULES else "label"]
+        chain = root_path(c, x) if not node.premises else None
+        subs = []
+        for q in node.premises:
+            sub_chain, lq = lin(q)
+            if sub_chain[-1] != x:
+                return sub_chain, lq
+            chain = chain or sub_chain
+            subs.append(lq)
+        meta = {k: v for k, v in node.meta.items() if k not in ("label", "aux")}
+        return chain, Proof("lngl", rule, project_chain(c, chain), tuple(subs), meta)
 
     chain, out = lin(p)
     if stats is not None:
@@ -572,7 +548,7 @@ def _segment_nodes(proof: Proof, boxr_addr: Address):
 
     def walk(addr):
         node = proof.at(addr)
-        if node.rule == "boxR" or is_initial(node.rule):
+        if node.rule == "boxR" or node.rule in INITIAL_RULES:
             return
         out.append(addr)
         for i in range(len(node.premises)):
@@ -648,12 +624,10 @@ def lngl_to_glseq(p: Proof) -> Proof:
     def trans(node: Proof) -> Proof:
         rule = node.rule
         end = node.conclusion.end
-        if rule in ("id1", "id2"):
-            return Proof("glseq", "id", end, (), {"principal": node.meta["principal"]})
-        if rule in LOCAL_RULES:
-            return Proof("glseq", rule, end,
-                         tuple(trans(q) for q in node.premises),
-                         {"principal": node.meta["principal"]})
+        if rule in LOCAL_RULES or rule in ("id1", "id2"):
+            # the same rule on the end component; id1 and id2 are instances of id
+            return Proof("glseq", "id" if rule in ("id1", "id2") else rule, end,
+                         tuple(map(trans, node.premises)), {"principal": node.meta["principal"]})
         if rule == "boxR":
             phi = node.meta["phi"]
             cur = node.premises[0]

@@ -191,3 +191,38 @@ def test_transform_rejects_unchecked_proof(tmp_path):
     lines = out2.splitlines()
     assert lines[0] == "rejected"
     assert lines[1].startswith("SchemaMismatch\t0/0/0\t")
+
+
+def _malformed_file(tmp_path, name):
+    if name == "truncated.glp":
+        code, proof, _ = invoke("decide", "--calculus", "csgl", LOB)
+        assert code == 0
+        text = proof[: proof.rindex("\n", 0, len(proof) // 2)]  # whole lines, open terms
+    elif name == "component.glp":
+        text = 'calculus: lngl\n(rule id1 (concl "p |- p") (meta component=zz principal="p") (prems))\n'
+    else:
+        text = "worlds: a\nrel: a<a\n"
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("name", ["truncated.glp", "component.glp", "reflexive.glm"])
+@pytest.mark.parametrize("command", [
+    ["check"], ["transform", "--pass", "end-active"], ["render"],
+])
+def test_malformed_files_exit_two(tmp_path, command, name):
+    code, out, err = invoke(*command, str(_malformed_file(tmp_path, name)))
+    assert code == 2, (out, err)
+    assert err.startswith("parse error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("body", [
+    "", "(rule)", '(rule (concl "p |- p") (prems))', "(rule id1 (concl", "(rule id1 (concl)",
+])
+def test_empty_nameless_and_cut_terms_exit_two(tmp_path, body):
+    path = tmp_path / "bad.glp"
+    path.write_text(f"calculus: glseq\n{body}\n")
+    code, _, err = invoke("check", str(path))
+    assert code == 2 and err.startswith("parse error: ")

@@ -1,8 +1,9 @@
 """Pipeline totality and output stability.
 
 Every theorem search proves must pass all six stages with every stage's
-checker accepting, and the pipeline's stdout on the acceptance corpus must
-not drift (golden sha256 digests in tests/data/pipeline_golden.json).
+checker accepting, and neither the pipeline's stdout nor any of its six
+`--emit-trace` stage files may drift on the acceptance corpus (golden sha256
+digests in tests/data/pipeline_golden.json and tests/data/stage_golden.json).
 """
 
 import hashlib
@@ -31,6 +32,7 @@ from glproof.transform import run_pass
 
 CFG = SearchConfig(oracle_hint=False)
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden.json"
+STAGE_GOLDEN = Path(__file__).parent / "data" / "stage_golden.json"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -44,6 +46,18 @@ def test_pipeline_golden_output():
     golden = json.loads(GOLDEN.read_text())
     drifted = [f for f, digest in golden.items() if _pipeline_digest(f) != digest]
     assert not drifted, f"pipeline stdout changed for {drifted}"
+
+
+def test_stage_files_golden(tmp_path):
+    golden = json.loads(STAGE_GOLDEN.read_text())
+    assert list(golden) == list(json.loads(GOLDEN.read_text()))
+    for i, (f, digests) in enumerate(golden.items()):
+        out_dir = tmp_path / str(i)
+        assert run(["pipeline", "--emit-trace", str(out_dir), f],
+                   stdout=io.StringIO(), stderr=io.StringIO()) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out_dir.iterdir())}
+        assert got == digests, f"stage files changed for {f}"
 
 
 @pytest.mark.parametrize("hashseed", ["0", "12345"])

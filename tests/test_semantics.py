@@ -49,6 +49,14 @@ def test_model_invariants():
         Model(["w"], [("w", "w")], {})  # irreflexivity
     with pytest.raises(BadModel):
         Model(["a", "b", "c"], [("a", "b"), ("b", "c")], {})  # transitivity
+    with pytest.raises(BadModel, match=r"^relation is not irreflexive at w$"):
+        Model(["w"], [("w", "w")], {})
+    with pytest.raises(BadModel, match=r"^relation is not transitive: a<b<c$"):
+        Model(["a", "b", "c"], [("a", "b"), ("b", "c")], {})
+    with pytest.raises(BadModel, match=r"^relation mentions unknown world z$"):
+        Model(["a"], [("a", "z")], {})
+    m = Model(["a", "b", "c"], [("b", "c"), ("a", "c"), ("a", "b")], {})
+    assert [m.successors(w) for w in "abc"] == [("b", "c"), ("c",), ()]
 
 
 def test_oracle_lob_valid():
