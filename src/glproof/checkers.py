@@ -331,12 +331,13 @@ def end_active_report(p: Proof) -> CheckReport:
     return CheckReport.from_failures(failures)
 
 
-def normal_form_report(p: Proof) -> CheckReport:
-    """Accepted iff every boxR sits under a 4L block, then a boxL block, then
-    a block of local rules, with no interleaving (the complete-block shape)."""
+def block_violations(boxr: Proof, addr: Address = ()) -> list[Failure]:
+    """The block violations of the modal block of the boxR at `addr`, up to
+    the next boxR or initial rule: each 4L right above a rule other than 4L,
+    each boxL right above a local rule; in pre-order."""
     failures: list[Failure] = []
 
-    def walk_segment(node: Proof, addr: Address, phase: int):
+    def walk(node: Proof, addr: Address, phase: int):
         if node.rule == "boxR" or node.rule in INITIAL_RULES or node.rule == OPEN:
             return
         if node.rule == "4L":
@@ -354,19 +355,24 @@ def normal_form_report(p: Proof) -> CheckReport:
         else:
             nxt = 2
         for i, prem in enumerate(node.premises):
-            walk_segment(prem, addr + (i,), nxt)
+            walk(prem, addr + (i,), nxt)
 
-    for addr, node in p.nodes():
-        if node.rule == "boxR":
-            walk_segment(node.premises[0], addr + (0,), 0)
-    return CheckReport.from_failures(failures)
+    walk(boxr.premises[0], addr + (0,), 0)
+    return failures
+
+
+def normal_form_report(p: Proof) -> CheckReport:
+    """Accepted iff every boxR sits under a 4L block, then a boxL block, then
+    a block of local rules, with no interleaving (the complete-block shape)."""
+    return CheckReport.from_failures(
+        [f for addr, node in p.nodes() if node.rule == "boxR" for f in block_violations(node, addr)]
+    )
 
 
 @dataclass
 class Block:
     """A contiguous proof segment whose nodes all use rules from one set."""
 
-    rule_set: frozenset[str]
     segment: tuple[Address, ...]
 
     def __len__(self) -> int:
@@ -396,11 +402,7 @@ def modal_blocks(p: Proof, boxr_addr: Address) -> tuple[Block, Block, Block]:
             walk(a + (i,))
 
     walk(addr)
-    return (
-        Block(frozenset({"4L"}), tuple(four)),
-        Block(frozenset({"boxL"}), tuple(boxl)),
-        Block(frozenset(LOCAL_RULES), tuple(local)),
-    )
+    return Block(tuple(four)), Block(tuple(boxl)), Block(tuple(local))
 
 
 def modal_block_partition(p: Proof, boxr_addr: Address):

@@ -1,8 +1,9 @@
 """Command-line surface: decide, check, transform, oracle, render, pipeline.
 
 Exit codes: 0 success / proved / accepted / valid; 1 not proved / rejected /
-countermodel; 2 usage or parse errors.  Checker failures are emitted as
-stable machine-readable lines `CODE<TAB>address<TAB>message`.
+countermodel; 2 usage or parse errors, including input nested too deeply.
+Checker failures are emitted as stable machine-readable lines
+`CODE<TAB>address<TAB>message`.
 """
 
 from __future__ import annotations
@@ -134,6 +135,9 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
         return _dispatch(args, stdout, stderr)
     except (ParseError, SequentSyntaxError, BadModel) as e:
         print(f"parse error: {e}", file=stderr)
+        return 2
+    except RecursionError:
+        print("parse error: input nested too deeply", file=stderr)
         return 2
     except FileNotFoundError as e:
         print(f"no such file: {e.filename}", file=stderr)

@@ -520,15 +520,19 @@ def parse_model(text: str) -> Model:
             val.setdefault(head.strip(), set()).update(body.split())
         else:
             raise BadModel(f"unrecognized model line {raw!r}")
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(rel):
-            for y2, z in list(rel):
-                if y2 == y and (x, z) not in rel:
-                    rel.add((x, z))
-                    changed = True
-    return Model(worlds, rel, val)
+    # transitive closure: one reachability walk per world over successor sets
+    succ: dict[str, set[str]] = {}
+    for x, y in rel:
+        succ.setdefault(x, set()).add(y)
+    closure = set()
+    for x, ys in succ.items():
+        stack = list(ys)
+        while stack:
+            y = stack.pop()
+            if (x, y) not in closure:
+                closure.add((x, y))
+                stack.extend(succ.get(y, ()))
+    return Model(worlds, closure, val)
 
 
 def print_model(m: Model) -> str:

@@ -35,7 +35,7 @@ from .sequents import (
     root_path,
     tree_root,
 )
-from .checkers import end_active_report, node_end_active, normal_form_report
+from .checkers import block_violations, end_active_report, node_end_active, normal_form_report
 
 
 class TransformError(Exception):
@@ -443,17 +443,14 @@ def to_end_active(p: Proof, stats: Optional[dict] = None) -> Proof:
     budget = p.node_count() ** 2 * 4 + 64
     permutations = 0
     while True:
-        offender = None
-        for addr, node in sorted(proof.nodes(), key=lambda kv: (len(kv[0]), kv[0])):
-            if not node_end_active(node):
-                offender = (addr, node)
-                break
-        if offender is None:
+        failures = end_active_report(proof).failures
+        if not failures:
             break
         budget -= 1
         if budget < 0:
             raise InternalNonTermination("end-activation exceeded its permutation budget")
-        addr, node = offender
+        addr = min((f.address for f in failures), key=lambda a: (len(a), a))
+        node = proof.at(addr)
         if node.rule in INITIAL_RULES:
             # push the initial rule down over the rule below it
             parent_addr = addr[:-1]
@@ -484,9 +481,6 @@ def to_end_active(p: Proof, stats: Optional[dict] = None) -> Proof:
             raise InternalNonTermination(
                 f"no permutation available for {node.rule} at {addr}"
             )
-    report = end_active_report(proof)
-    if not report.accepted:
-        raise InternalNonTermination("end-activation missed an offender")
     if stats is not None:
         stats["permutations"] = permutations
     return proof
@@ -541,64 +535,31 @@ def linearize(p: Proof, stats: Optional[dict] = None) -> Proof:
 # ---------------------------------------------------------------------------
 # Normalization of LNGL proofs
 
-def _segment_nodes(proof: Proof, boxr_addr: Address):
-    """Addresses of the local/propagation nodes above a boxR, up to the next
-    boxR or initial rule (the length-consistent stage)."""
-    out = []
-
-    def walk(addr):
-        node = proof.at(addr)
-        if node.rule == "boxR" or node.rule in INITIAL_RULES:
-            return
-        out.append(addr)
-        for i in range(len(node.premises)):
-            walk(addr + (i,))
-
-    walk(boxr_addr + (0,))
-    return out
-
-
 def normalize_lngl(p: Proof, stats: Optional[dict] = None) -> Proof:
-    """Permute length-consistent 4L rules down into a block above each boxR,
-    then the boxL rules down above that block; the complete-block shape."""
-    proof = p
+    """Settle each modal block inside its own boxR's subproof, in pre-order:
+    permute the lowest 4L block violation down, or when there is none the
+    lowest boxL one, until the block has the complete-block shape."""
     budget = p.node_count() ** 2 * 8 + 64
     permutations = 0
-    while True:
-        move = None
-        for addr, node in proof.nodes():
-            if node.rule != "boxR":
-                continue
-            segment = _segment_nodes(proof, addr)
-            # the settled 4L block directly above the boxR, then its boxL block
-            block = addr + (0,)
-            while proof.at(block).rule == "4L":
-                block = block + (0,)
-            boxl_top = block
-            while proof.at(boxl_top).rule == "boxL":
-                boxl_top = boxl_top + (0,)
-            movers = [
-                a for a in segment
-                if proof.at(a).rule == "4L" and not (len(a) <= len(block) and a == block[: len(a)])
-            ]
+
+    def norm(node: Proof) -> Proof:
+        nonlocal budget, permutations
+        while node.rule == "boxR":
+            movers = [f.address for f in block_violations(node)]
             if not movers:
-                movers = [
-                    a for a in segment
-                    if proof.at(a).rule == "boxL"
-                    and not (len(a) <= len(boxl_top) and a == boxl_top[: len(a)])
-                ]
-            if movers:
-                move = min(movers, key=lambda a: (len(a), a))
                 break
-        if move is None:
-            break
-        budget -= 1
-        if budget < 0:
-            raise InternalNonTermination("normalization exceeded its permutation budget")
-        proof = _exchange(proof, move)
-        permutations += 1
-    report = normal_form_report(proof)
-    if not report.accepted:
+            move = min([a for a in movers if node.at(a).rule == "4L"] or movers,
+                       key=lambda a: (len(a), a))
+            budget -= 1
+            if budget < 0:
+                raise InternalNonTermination("normalization exceeded its permutation budget")
+            node = _exchange(node, move)
+            permutations += 1
+        subs = tuple(norm(q) for q in node.premises)
+        return Proof(node.calculus, node.rule, node.conclusion, subs, dict(node.meta))
+
+    proof = norm(p)
+    if not normal_form_report(proof).accepted:
         raise InternalNonTermination("normalization missed a block violation")
     if stats is not None:
         stats["permutations"] = permutations

@@ -3,6 +3,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glproof.cli import run
 
@@ -226,3 +227,72 @@ def test_empty_nameless_and_cut_terms_exit_two(tmp_path, body):
     path.write_text(f"calculus: glseq\n{body}\n")
     code, _, err = invoke("check", str(path))
     assert code == 2 and err.startswith("parse error: ")
+
+
+def test_long_chain_model_loads(tmp_path):
+    # the transitive closure of a 150-world chain has 150*149/2 pairs
+    worlds = [f"w{i}" for i in range(150)]
+    rel = "; ".join(f"{a}<{b}" for a, b in zip(worlds, worlds[1:]))
+    path = tmp_path / "chain.glm"
+    path.write_text(f"worlds: {' '.join(worlds)}\nrel: {rel}\n")
+    code, out, _ = invoke("render", str(path))
+    assert code == 0
+    assert len(out.splitlines()[1][len("rel: "):].split("; ")) == 11175
+
+
+def test_cyclic_model_exit_two(tmp_path):
+    path = tmp_path / "cycle.glm"
+    path.write_text("worlds: a b\nrel: a<b; b<a\n")
+    code, _, err = invoke("render", str(path))
+    assert code == 2 and err.startswith("parse error: relation is not irreflexive")
+
+
+DEEP = "~" * 5000 + "p"
+
+
+@pytest.mark.parametrize("command", [["decide"], ["oracle"], ["pipeline"]])
+def test_deeply_nested_formula_exit_two(command):
+    code, out, err = invoke(*command, DEEP)
+    assert code == 2 and out == ""
+    assert err == "parse error: input nested too deeply\n"
+
+
+def test_deeply_nested_proof_exit_two(tmp_path):
+    depth = 3000
+    node = '(rule negR (concl "p |- p") (meta principal="~p") (prems\n'
+    leaf = '(rule id (concl "p |- p") (meta principal="p") (prems))'
+    path = tmp_path / "deep.glp"
+    path.write_text("calculus: glseq\n" + node * depth + leaf + "))" * depth + "\n")
+    code, out, err = invoke("check", str(path))
+    assert code == 2 and out == ""
+    assert err == "parse error: input nested too deeply\n"
+
+
+# well-formed formulas, and token soup with stray characters
+FORMULA_TEXT = st.one_of(
+    st.recursive(
+        st.sampled_from(["p", "q", "r"]),
+        lambda sub: st.one_of(
+            sub.map(lambda f: "~" + f),
+            sub.map(lambda f: "[]" + f),
+            st.tuples(sub, st.sampled_from(["|", "&", "->"]), sub).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"
+            ),
+        ),
+        max_leaves=4,
+    ),
+    st.lists(
+        st.sampled_from(["p", "q", "r", "~", "[]", "|", "&", "->", "(", ")", " ", "[", "-"]),
+        max_size=12,
+    ).map("".join),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(FORMULA_TEXT)
+def test_fuzz_cli_exit_codes(text):
+    for argv in (["decide", "--no-hint", text],
+                 ["decide", "--no-hint", "--calculus", "csgl", text],
+                 ["oracle", "--bound", "3", text]):
+        code, _, _ = invoke(*argv)
+        assert code in (0, 1, 2), (argv, code)
