@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from .checkers import (
     CheckReport,
@@ -127,7 +128,8 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     p_pl.add_argument("formula")
 
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 

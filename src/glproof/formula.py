@@ -2,8 +2,10 @@
 
 Conjunction and implication are parser sugar and are expanded away, so
 everything downstream handles exactly four constructors.  Formulas are
-interned, structurally hashable, and carry a fixed total order
-(Atom < Not < Or < Box, then recursively) used to canonicalize multisets.
+interned: building a formula equal to an existing one returns that object,
+so equal formulas are the same object and compare and hash by identity.
+They carry a fixed total order (Atom < Not < Or < Box, then recursively),
+used to canonicalize multisets.
 """
 
 from __future__ import annotations
@@ -13,12 +15,27 @@ from typing import Iterator, NamedTuple
 
 
 class Formula:
-    """Base class; instances are immutable and interned."""
+    """Base class; instances are immutable and interned.  `__new__` looks
+    the constructor arguments up in the class's own table and, on a miss,
+    builds the one instance with the subclass's `_init`, which sets its
+    fields, `key` and `weight`."""
 
-    __slots__ = ("hash_", "key", "weight")
+    __slots__ = ("key", "weight")
 
-    def __hash__(self) -> int:
-        return self.hash_
+    def __init_subclass__(cls) -> None:
+        cls._table = {}
+
+    def __new__(cls, *parts):
+        self = cls._table.get(parts)
+        if self is None:
+            self = object.__new__(cls)
+            self._init(*parts)
+            cls._table[parts] = self
+        return self
+
+    def __reduce__(self):
+        # the slots of each subclass list its constructor arguments in order
+        return (type(self), tuple(getattr(self, s) for s in self.__slots__))
 
     def __repr__(self) -> str:
         return f"<{print_formula(self)}>"
@@ -30,109 +47,38 @@ class Formula:
 class Atom(Formula):
     __slots__ = ("name",)
 
-    _cache: dict[str, "Atom"] = {}
-
-    def __new__(cls, name: str) -> "Atom":
-        cached = cls._cache.get(name)
-        if cached is not None:
-            return cached
-        self = object.__new__(cls)
+    def _init(self, name: str) -> None:
         self.name = name
-        self.hash_ = hash(("atom", name))
         self.key = (0, name)
         self.weight = 1
-        cls._cache[name] = self
-        return self
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Atom) and self.name == other.name)
-
-    __hash__ = Formula.__hash__
-
-    def __reduce__(self):
-        return (Atom, (self.name,))
 
 
 class Not(Formula):
     __slots__ = ("sub",)
 
-    _cache: dict[int, "Not"] = {}
-
-    def __new__(cls, sub: Formula) -> "Not":
-        cached = cls._cache.get(id(sub))
-        if cached is not None:
-            return cached
-        self = object.__new__(cls)
+    def _init(self, sub: Formula) -> None:
         self.sub = sub
-        self.hash_ = hash(("not", sub.hash_))
         self.key = (1, sub.key)
         self.weight = sub.weight + 1
-        cls._cache[id(sub)] = self
-        return self
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Not) and self.sub == other.sub)
-
-    __hash__ = Formula.__hash__
-
-    def __reduce__(self):
-        return (Not, (self.sub,))
 
 
 class Or(Formula):
     __slots__ = ("left", "right")
 
-    _cache: dict[tuple[int, int], "Or"] = {}
-
-    def __new__(cls, left: Formula, right: Formula) -> "Or":
-        ck = (id(left), id(right))
-        cached = cls._cache.get(ck)
-        if cached is not None:
-            return cached
-        self = object.__new__(cls)
+    def _init(self, left: Formula, right: Formula) -> None:
         self.left = left
         self.right = right
-        self.hash_ = hash(("or", left.hash_, right.hash_))
         self.key = (2, left.key, right.key)
         self.weight = left.weight + right.weight + 1
-        cls._cache[ck] = self
-        return self
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, Or) and self.left == other.left and self.right == other.right
-        )
-
-    __hash__ = Formula.__hash__
-
-    def __reduce__(self):
-        return (Or, (self.left, self.right))
 
 
 class Box(Formula):
     __slots__ = ("sub",)
 
-    _cache: dict[int, "Box"] = {}
-
-    def __new__(cls, sub: Formula) -> "Box":
-        cached = cls._cache.get(id(sub))
-        if cached is not None:
-            return cached
-        self = object.__new__(cls)
+    def _init(self, sub: Formula) -> None:
         self.sub = sub
-        self.hash_ = hash(("box", sub.hash_))
         self.key = (3, sub.key)
         self.weight = sub.weight + 1
-        cls._cache[id(sub)] = self
-        return self
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Box) and self.sub == other.sub)
-
-    __hash__ = Formula.__hash__
-
-    def __reduce__(self):
-        return (Box, (self.sub,))
 
 
 def implies(a: Formula, b: Formula) -> Formula:

@@ -179,6 +179,8 @@ def _encode_meta(meta: dict) -> str:
 def _decode_meta(pairs: list[str]) -> dict:
     # `key=value` arrives as one token for bare values, as `key=` followed by
     # a quoted token otherwise
+    if not all(isinstance(tok, str) for tok in pairs):
+        raise SequentSyntaxError("meta takes key=value entries, not terms")
     merged: list[str] = []
     i = 0
     while i < len(pairs):

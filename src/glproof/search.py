@@ -87,18 +87,22 @@ def _glseq_search(fa, fc, ancestors, fuel, dead_end, loop_check):
     shared = fa & fc
     if shared:
         return ("id", _P, min(shared, key=_key))
-    for f in sorted((g for g in fa if type(g) is Not), key=_key):
+    f = min((g for g in fa if type(g) is Not), key=_key, default=None)
+    if f is not None:
         sub = _glseq_search(fa.difference({f}), fc | {f.sub},
                             ancestors, fuel, dead_end, loop_check)
         return ("negL", _P, f, sub) if sub is not None else _fail(dead_end, fa, fc)
-    for f in sorted((g for g in fc if type(g) is Not), key=_key):
+    f = min((g for g in fc if type(g) is Not), key=_key, default=None)
+    if f is not None:
         sub = _glseq_search(fa | {f.sub}, fc.difference({f}), ancestors, fuel, dead_end, loop_check)
         return ("negR", _P, f, sub) if sub is not None else _fail(dead_end, fa, fc)
-    for f in sorted((g for g in fc if type(g) is Or), key=_key):
+    f = min((g for g in fc if type(g) is Or), key=_key, default=None)
+    if f is not None:
         sub = _glseq_search(fa, fc.difference({f}) | {f.left, f.right},
                             ancestors, fuel, dead_end, loop_check)
         return ("orR", _P, f, sub) if sub is not None else _fail(dead_end, fa, fc)
-    for f in sorted((g for g in fa if type(g) is Or), key=_key):
+    f = min((g for g in fa if type(g) is Or), key=_key, default=None)
+    if f is not None:
         rest = fa.difference({f})
         left = _glseq_search(rest | {f.left}, fc, ancestors, fuel, dead_end, loop_check)
         if left is None:
@@ -121,7 +125,7 @@ def _glseq_search(fa, fc, ancestors, fuel, dead_end, loop_check):
 
 def _fail(dead_end, fa, fc):
     if dead_end[0] is None:
-        dead_end[0] = GentzenSequent(sorted(fa, key=_key), sorted(fc, key=_key))
+        dead_end[0] = GentzenSequent(fa, fc)
     return None
 
 
@@ -158,29 +162,34 @@ def _csgl_search(rel, fa, fc, counter, fired, ancestors, fuel, dead_end, loop_ch
     fuel[0] -= 1
     if fuel[0] < 0:
         raise FuelExhausted()
-    shared = fa & fc
-    ids = sorted(
-        ((x, g) for x, g in shared if type(g) is not Not and type(g) is not Or),
-        key=lambda p: (p[0], p[1].key),
-    )
-    if ids:
-        x, g = ids[0]
+    pkey = lambda p: (p[0], p[1].key)
+    hit = min((p for p in fa & fc if type(p[1]) is not Not and type(p[1]) is not Or),
+              key=pkey, default=None)
+    if hit is not None:
+        x, g = hit
         return ("id1" if type(g) is not Box else "id2", _LP, x, g)
 
-    pkey = lambda p: (p[0], p[1].key)
-    for x, f in sorted((p for p in fa if type(p[1]) is Not), key=pkey):
+    hit = min((p for p in fa if type(p[1]) is Not), key=pkey, default=None)
+    if hit is not None:
+        x, f = hit
         sub = _csgl_search(rel, fa.difference({(x, f)}), fc | {(x, f.sub)},
                            counter, fired, ancestors, fuel, dead_end, loop_check)
         return ("negL", _LP, x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
-    for x, f in sorted((p for p in fc if type(p[1]) is Not), key=pkey):
+    hit = min((p for p in fc if type(p[1]) is Not), key=pkey, default=None)
+    if hit is not None:
+        x, f = hit
         sub = _csgl_search(rel, fa | {(x, f.sub)}, fc.difference({(x, f)}),
                            counter, fired, ancestors, fuel, dead_end, loop_check)
         return ("negR", _LP, x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
-    for x, f in sorted((p for p in fc if type(p[1]) is Or), key=pkey):
+    hit = min((p for p in fc if type(p[1]) is Or), key=pkey, default=None)
+    if hit is not None:
+        x, f = hit
         sub = _csgl_search(rel, fa, fc.difference({(x, f)}) | {(x, f.left), (x, f.right)},
                            counter, fired, ancestors, fuel, dead_end, loop_check)
         return ("orR", _LP, x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
-    for x, f in sorted((p for p in fa if type(p[1]) is Or), key=pkey):
+    hit = min((p for p in fa if type(p[1]) is Or), key=pkey, default=None)
+    if hit is not None:
+        x, f = hit
         rest = fa.difference({(x, f)})
         left = _csgl_search(rel, rest | {(x, f.left)}, fc, counter, fired, ancestors,
                             fuel, dead_end, loop_check)

@@ -203,14 +203,14 @@ class _Tables:
     child, and a world's achievable states are its achievable vectors."""
 
     def __init__(self, f: Formula):
-        index: dict[int, int] = {}  # id of a subformula -> its op; f keeps them alive
+        index: dict[Formula, int] = {}  # subformula -> its op
         ops: list[tuple] = []
         atoms: list[str] = []
         box_subs: list[int] = []  # op of each box's body, by box position
         stack = [f]
         while stack:
             g = stack[-1]
-            if id(g) in index:
+            if g in index:
                 stack.pop()
                 continue
             kind = type(g)
@@ -218,14 +218,14 @@ class _Tables:
                 ops.append((_ATOM, g.name, 0))
                 atoms.append(g.name)
             elif kind is Or:
-                a, b = index.get(id(g.left)), index.get(id(g.right))
+                a, b = index.get(g.left), index.get(g.right)
                 if a is None or b is None:
                     stack.append(g.right)
                     stack.append(g.left)
                     continue
                 ops.append((_OR, a, b))
             else:
-                a = index.get(id(g.sub))
+                a = index.get(g.sub)
                 if a is None:
                     stack.append(g.sub)
                     continue
@@ -234,7 +234,7 @@ class _Tables:
                 else:
                     ops.append((_BOX, len(box_subs), 0))
                     box_subs.append(a)
-            index[id(g)] = len(ops) - 1
+            index[g] = len(ops) - 1
             stack.pop()
         atoms.sort()
         self.atoms = atoms

@@ -251,37 +251,22 @@ def tree_root(t: LabeledSequent) -> Label:
         children[x].append(y)
         indeg[y] += 1
 
-    if any(d > 1 for d in indeg.values()) or _has_directed_cycle(children):
+    if any(d > 1 for d in indeg.values()):
         raise NotATree("cycle")
+    # with in-degrees <= 1, a label that no root reaches lies on or below a
+    # cycle; once all are reached, a second root is the only way to disconnect
     roots = [x for x, d in indeg.items() if d == 0]
+    reached = len(roots)
+    stack = list(roots)
+    while stack:
+        kids = children[stack.pop()]
+        reached += len(kids)
+        stack.extend(kids)
+    if reached != len(tree_labs):
+        raise NotATree("cycle")
     if len(roots) != 1:
         raise NotATree("multi-root", ", ".join(sorted(roots)))
-    root = roots[0]
-    # in-degrees <= 1 and a single root: disconnection would show as a second root
-    seen = set()
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        seen.add(x)
-        stack.extend(children[x])
-    if seen != tree_labs:
-        raise NotATree("disconnected")
-    return root
-
-
-def _has_directed_cycle(children: dict[Label, list[Label]]) -> bool:
-    state: dict[Label, int] = {}
-
-    def visit(x: Label) -> bool:
-        state[x] = 1
-        for y in children[x]:
-            s = state.get(y, 0)
-            if s == 1 or (s == 0 and visit(y)):
-                return True
-        state[x] = 2
-        return False
-
-    return any(state.get(x, 0) == 0 and visit(x) for x in children)
+    return roots[0]
 
 
 def tree_children(t: LabeledSequent) -> dict[Label, list[Label]]:
@@ -369,12 +354,10 @@ class Proof:
     meta: dict = field(default_factory=dict)
 
     def height(self) -> int:
-        if not self.premises:
-            return 0
-        return 1 + max(p.height() for p in self.premises)
+        return max(len(addr) for addr, _ in self.nodes())
 
     def node_count(self) -> int:
-        return 1 + sum(p.node_count() for p in self.premises)
+        return sum(1 for _ in self.nodes())
 
     def at(self, addr: Address) -> "Proof":
         node = self
@@ -382,10 +365,14 @@ class Proof:
             node = node.premises[i]
         return node
 
-    def nodes(self, prefix: Address = ()) -> Iterable[tuple[Address, "Proof"]]:
-        yield prefix, self
-        for i, p in enumerate(self.premises):
-            yield from p.nodes(prefix + (i,))
+    def nodes(self) -> Iterable[tuple[Address, "Proof"]]:
+        """Every node with its address, in pre-order; no recursion."""
+        stack: list[tuple[Address, Proof]] = [((), self)]
+        while stack:
+            addr, node = stack.pop()
+            yield addr, node
+            for i in range(len(node.premises) - 1, -1, -1):
+                stack.append((addr + (i,), node.premises[i]))
 
     def replace_at(self, addr: Address, new: "Proof") -> "Proof":
         if not addr:

@@ -658,7 +658,7 @@ def glseq_to_g3gl(p: Proof, label: str = "x") -> Proof:
             phi = node.meta["phi"]
             u = fresh()
             y = fresh()
-            sub = relabel_proof(trans(node.premises[0], lab), {lab: u})
+            sub = trans(node.premises[0], u)
             added = LabeledSequent(((y, u),), tuple((y, Box(g)) for g in gamma), ())
             w1_concl = _merge_labeled(sub.conclusion, added)
             cur = Proof("g3glext", "w", w1_concl, (sub,), {"added": added})

@@ -1,11 +1,16 @@
 import io
 import json
 import os
+import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from glproof.cli import run
+from glproof.formula import ParseError
+from glproof.proofio import SequentSyntaxError, parse_proof
+from glproof.sequents import CyclicDerivation, Proof
 
 
 def invoke(*argv):
@@ -296,3 +301,79 @@ def test_fuzz_cli_exit_codes(text):
                  ["oracle", "--bound", "3", text]):
         code, _, _ = invoke(*argv)
         assert code in (0, 1, 2), (argv, code)
+
+
+def test_usage_errors_go_to_the_given_stderr(capsys):
+    code, out, err = invoke("decide", "--no-hint", "-p")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: glproof decide") and "error:" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_meta_holding_a_term_exit_two(tmp_path):
+    path = tmp_path / "bad.glp"
+    path.write_text('calculus: glseq\n(rule id (concl "p |- p") (meta principal= (p)) (prems))\n')
+    code, _, err = invoke("check", str(path))
+    assert code == 2 and err.startswith("parse error: meta takes key=value")
+
+
+CSGL_FILE = """calculus: csgl
+(rule orR (concl "|- x: ~[]p | [][]p") (meta label=x principal="~[]p | [][]p") (prems
+  (rule negR (concl "|- x: ~[]p, x: [][]p") (meta label=x principal="~[]p") (prems
+    (rule boxR (concl "x: []p |- x: [][]p") (meta fresh=y0 label=x phi="[]p") (prems
+      (rule 4L (concl "xRy0; x: []p, y0: [][]p |- y0: []p") (meta aux=y0 label=x phi="p") (prems
+        (rule id2 (concl "xRy0; x: []p, y0: []p, y0: [][]p |- y0: []p") (meta label=y0 principal="[]p") (prems))
+      ))
+    ))
+  ))
+))
+"""
+
+GLCIRC_FILE = """calculus: glcirc
+(rule box4 (concl "[](~[]p | p) |- []p") (meta gamma="~[]p | p" phi="p") (prems
+  (rule orL (concl "~[]p | p, [](~[]p | p) |- p") (meta principal="~[]p | p") (prems
+    (rule negL (concl "~[]p, [](~[]p | p) |- p") (meta principal="~[]p") (prems
+      (rule box4 (concl "[](~[]p | p) |- p, []p") (meta gamma="~[]p | p" phi="p") (prems
+        (open (concl "~[]p | p, [](~[]p | p) |- p") (backlink 0))
+      ))
+    ))
+    (rule id (concl "p, [](~[]p | p) |- p") (meta principal="p") (prems))
+  ))
+))
+"""
+
+# small tokens, so that edits land inside quoted sequents and meta values too
+_GLP_TOKEN_RE = re.compile(r"\s+|\[\]|->|\|-|[()\";=,:|~/]|[a-z0-9_]+|.")
+_GLP_TOKENS = sorted(set(_GLP_TOKEN_RE.findall(CSGL_FILE + GLCIRC_FILE)) | {"\\", "//", "-1"})
+
+
+@st.composite
+def mangled_proof_files(draw):
+    tokens = _GLP_TOKEN_RE.findall(draw(st.sampled_from([CSGL_FILE, GLCIRC_FILE])))
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["truncate", "insert", "delete"]))
+        i = draw(st.integers(0, len(tokens)))
+        if edit == "truncate":
+            tokens = tokens[:i]
+        elif edit == "insert":
+            tokens.insert(i, draw(st.sampled_from(_GLP_TOKENS)))
+        elif i < len(tokens):
+            del tokens[i]
+    return "".join(tokens)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(mangled_proof_files())
+def test_fuzz_parse_proof(text):
+    try:
+        parsed = parse_proof(text)
+    except (SequentSyntaxError, ParseError):
+        pass
+    else:
+        assert isinstance(parsed, (Proof, CyclicDerivation))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mangled.glp")
+        with open(path, "w") as fh:
+            fh.write(text)
+        code, out, err = invoke("check", path)
+    assert code in (0, 1, 2), (code, out, err)

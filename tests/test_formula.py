@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,3 +115,15 @@ def test_weight_dominates_subformulas(f):
 
 def test_atoms_of():
     assert atoms_of(parse_formula("p | ~[]q")) == frozenset({"p", "q"})
+
+
+def test_equal_formulas_are_one_object():
+    assert parse_formula("p | q") is Or(Atom("p"), Atom("q"))
+    assert parse_formula("~[]p") is Not(Box(P))
+
+
+def test_pickle_and_deepcopy_return_the_interned_formula():
+    f = parse_formula(LOB)
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.deepcopy(f) is f
+    assert copy.copy(f) is f

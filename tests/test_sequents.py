@@ -14,6 +14,7 @@ from glproof.sequents import (
     LabeledSequent,
     LinearNestedSequent,
     NotATree,
+    Proof,
     format_address,
     parse_address,
     path_projection,
@@ -132,3 +133,29 @@ def test_addresses():
     assert format_address((0, 1, 2)) == "0/1/2"
     assert parse_address(".") == ()
     assert parse_address("0/1/2") == (0, 1, 2)
+
+
+def test_tree_root_of_a_long_chain():
+    labels = [f"w{i}" for i in range(3000)]
+    chain = LabeledSequent(zip(labels, labels[1:]), (), ((labels[-1], Atom("p")),))
+    assert tree_root(chain) == "w0"
+
+
+def test_proof_walks_do_not_recurse_on_height():
+    seq = GentzenSequent((), (Atom("p"),))
+    proof = Proof("glseq", "id", seq)
+    for _ in range(4999):
+        proof = Proof("glseq", "negR", seq, (proof,))
+    assert proof.height() == 4999 and proof.node_count() == 5000
+    walk = list(proof.nodes())
+    assert [addr for addr, _ in walk[:3]] == [(), (0,), (0, 0)]
+    assert walk[-1] == ((0,) * 4999, proof.at((0,) * 4999))
+
+
+def test_nodes_is_preorder_with_addresses():
+    seq = GentzenSequent((), (Atom("p"),))
+    leaf = Proof("glseq", "id", seq)
+    tree = Proof("glseq", "orL", seq, (Proof("glseq", "negR", seq, (leaf,)), leaf))
+    assert [(addr, node.rule) for addr, node in tree.nodes()] == [
+        ((), "orL"), ((0,), "negR"), ((0, 0), "id"), ((1,), "id"),
+    ]

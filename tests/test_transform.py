@@ -36,6 +36,7 @@ from glproof.transform import (
     normalize_lngl,
     permute_down,
     prove_general_id,
+    run_pass,
     to_end_active,
     unfold_glcirc,
 )
@@ -738,3 +739,11 @@ def test_invert_negl_rebuilds_destroyed_gentzen_id():
     assert out.conclusion == pgs(" |- ~p, p")
     assert [n.rule for _, n in out.nodes()] == ["negR", "id"]
     assert check_glseq(out).accepted
+
+
+def test_to_g3gl_on_a_deep_glseq_proof():
+    # []^18 (p | ~p): the g3gl proof is 380 levels high
+    r = prove_formula(pf("[]" * 18 + "(p | ~p)"), "glseq", CFG)
+    out, report = run_pass("to-g3gl", r.proof)
+    assert report.height_out == out.height() > 300
+    assert check_g3gl(out, "extended").accepted
