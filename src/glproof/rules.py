@@ -15,6 +15,7 @@ from .sequents import (
     LabeledSequent,
     LinearNestedSequent,
     Sequent,
+    insert_sorted,
     mset_contains,
     mset_diff,
     mset_remove,
@@ -76,24 +77,25 @@ LOCAL_RULE_OF = {(Not, True): "negL", (Not, False): "negR", (Or, True): "orL", (
 
 def local_premises(rule: str, phi, x, ante: tuple, cons: tuple, make, pre: tuple = ()) -> list:
     """The premises of a local rule with principal phi, each built from its
-    sides by make(*pre, ante, cons)."""
+    canonical sides by make(*pre, ante, cons)."""
     item = phi if x is None else (x, phi)
     if rule == "negL":
         if type(phi) is Not and item in ante:
             sub = phi.sub if x is None else (x, phi.sub)
-            return [make(*pre, mset_remove(ante, item), cons + (sub,))]
+            return [make(*pre, mset_remove(ante, item), insert_sorted(cons, (sub,)))]
     elif rule == "negR":
         if type(phi) is Not and item in cons:
             sub = phi.sub if x is None else (x, phi.sub)
-            return [make(*pre, ante + (sub,), mset_remove(cons, item))]
+            return [make(*pre, insert_sorted(ante, (sub,)), mset_remove(cons, item))]
     elif rule == "orL":
         if type(phi) is Or and item in ante:
             rest = mset_remove(ante, item)
             a, b = (phi.left, phi.right) if x is None else ((x, phi.left), (x, phi.right))
-            return [make(*pre, rest + (a,), cons), make(*pre, rest + (b,), cons)]
+            return [make(*pre, insert_sorted(rest, (a,)), cons),
+                    make(*pre, insert_sorted(rest, (b,)), cons)]
     elif type(phi) is Or and item in cons:
         parts = (phi.left, phi.right) if x is None else ((x, phi.left), (x, phi.right))
-        return [make(*pre, ante, mset_remove(cons, item) + parts)]
+        return [make(*pre, ante, insert_sorted(mset_remove(cons, item), parts))]
     what = "negation" if rule[0] == "n" else "disjunction"
     side = "antecedent" if rule[-1] == "L" else "consequent"
     at = "" if x is None else f"{x}:"
@@ -125,7 +127,8 @@ def _gentzen_premises(rule: str, meta: dict, c: GentzenSequent) -> list[GentzenS
             raise RuleError(SCHEMA_MISMATCH, "id needs a shared formula")
         return []
     if rule in LOCAL_RULES:
-        return local_premises(rule, meta["principal"], None, c.ante, c.cons, GentzenSequent)
+        return local_premises(rule, meta["principal"], None, c.ante, c.cons,
+                              GentzenSequent.of_sorted)
     if rule in ("boxGL", "box4"):
         gamma = tuple(meta["gamma"])
         phi = meta["phi"]
@@ -145,7 +148,7 @@ def _gentzen_premises(rule: str, meta: dict, c: GentzenSequent) -> list[GentzenS
 def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledSequent]:
     if rule in LOCAL_RULES:
         return local_premises(rule, meta["principal"], meta["label"], c.ante, c.cons,
-                              LabeledSequent, (c.rel,))
+                              LabeledSequent.of_sorted, (c.rel,))
     if rule in ("id1", "id2"):
         return _initial(rule, meta["principal"], meta["label"], c.ante, c.cons)
     if rule == "ir":
@@ -175,10 +178,10 @@ def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledS
         if y in c.labels():
             raise RuleError(FRESHNESS_VIOLATION, f"label {y} occurs in the conclusion", detail=y)
         return [
-            LabeledSequent(
+            LabeledSequent.of_sorted(
                 c.rel | {(x, y)},
-                c.ante + ((y, Box(phi)),),
-                mset_remove(c.cons, (x, Box(phi))) + ((y, phi),),
+                insert_sorted(c.ante, ((y, Box(phi)),)),
+                insert_sorted(mset_remove(c.cons, (x, Box(phi))), ((y, phi),)),
             )
         ]
     if rule == "w":
@@ -188,7 +191,7 @@ def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledS
         if not mset_contains(c.ante, added.ante) or not mset_contains(c.cons, added.cons):
             raise RuleError(SCHEMA_MISMATCH, "w added formulas not in conclusion")
         return [
-            LabeledSequent(
+            LabeledSequent.of_sorted(
                 c.rel - added.rel, mset_diff(c.ante, added.ante), mset_diff(c.cons, added.cons)
             )
         ]
@@ -226,8 +229,8 @@ def verify_sub(meta: dict, premise: LabeledSequent, conclusion: LabeledSequent) 
 def _lns_premises(rule: str, meta: dict, c: LinearNestedSequent) -> list[LinearNestedSequent]:
     end = c.end
     if rule in LOCAL_RULES:
-        return [c.replace_end(g) for g in
-                local_premises(rule, meta["principal"], None, end.ante, end.cons, GentzenSequent)]
+        return [c.replace_end(g) for g in local_premises(
+            rule, meta["principal"], None, end.ante, end.cons, GentzenSequent.of_sorted)]
     if rule in ("id1", "id2"):
         return _initial(rule, meta["principal"], None, end.ante, end.cons)
     if rule in ("4L", "boxL"):
@@ -237,15 +240,15 @@ def _lns_premises(rule: str, meta: dict, c: LinearNestedSequent) -> list[LinearN
         if Box(phi) not in c.components[-2].ante:
             raise RuleError(SCHEMA_MISMATCH, f"{rule} principal []{phi} not in the previous component")
         added = Box(phi) if rule == "4L" else phi
-        return [c.replace_end(GentzenSequent(end.ante + (added,), end.cons))]
+        return [c.replace_end(end.with_ante(added))]
     if rule == "boxR":
         phi = meta["phi"]
         if Box(phi) not in end.cons:
             raise RuleError(SCHEMA_MISMATCH, f"boxR principal []{phi} not in end consequent")
         return [
             c.replace_end(
-                GentzenSequent(end.ante, mset_remove(end.cons, Box(phi))),
-                GentzenSequent((Box(phi),), (phi,)),
+                GentzenSequent.of_sorted(end.ante, mset_remove(end.cons, Box(phi))),
+                GentzenSequent.of_sorted((Box(phi),), (phi,)),
             )
         ]
     raise RuleError(UNKNOWN_RULE, f"unknown linear nested rule {rule}")

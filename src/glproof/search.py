@@ -19,6 +19,8 @@ from .sequents import (
     LabeledSequent,
     Proof,
     Sequent,
+    formula_key,
+    labeled_key,
     tree_root,
 )
 from .rules import premises_of
@@ -44,10 +46,6 @@ class SearchResult:
     hint: Optional[OracleVerdict] = None
 
 
-def _key(f: Formula):
-    return f.key
-
-
 # ---------------------------------------------------------------------------
 # Replay: every premise comes from the rule schema
 #
@@ -63,17 +61,26 @@ _LABEL_KEYS = ("label", "aux", "fresh")
 
 def _replay(sk, seq: Sequent, calculus: str, names: Optional[dict] = None) -> Proof:
     """Re-derive a search skeleton over the original multisets; `names` maps
-    CSGL's integer state labels to label names."""
-    rule, keys = sk[0], sk[1]
-    n = 2 + len(keys)
-    meta = dict(zip(keys, sk[2:n]))
-    if names is not None:
-        for k in _LABEL_KEYS:
-            if k in meta:
-                meta[k] = names[meta[k]]
-    prems = premises_of(calculus, rule, meta, seq)
-    subs = [_replay(sub, q, calculus, names) for sub, q in zip(sk[n:], prems)]
-    return Proof(calculus, rule, seq, tuple(subs), meta)
+    CSGL's integer state labels to label names.  A post-order on an explicit
+    stack: each node goes back on the stack, with its meta, under its
+    premises, and is built once they are."""
+    done: list[Proof] = []
+    todo: list = [(sk, seq, None, 0)]
+    while todo:
+        sk, seq, meta, k = todo.pop()
+        if meta is not None:
+            done[len(done) - k:] = [Proof(calculus, sk[0], seq, tuple(done[len(done) - k:]), meta)]
+            continue
+        n = 2 + len(sk[1])
+        meta = dict(zip(sk[1], sk[2:n]))
+        if names is not None:
+            for key in _LABEL_KEYS:
+                if key in meta:
+                    meta[key] = names[meta[key]]
+        pairs = list(zip(sk[n:], premises_of(calculus, sk[0], meta, seq)))
+        todo.append((sk, seq, meta, len(pairs)))
+        todo.extend((sub, q, None, 0) for sub, q in reversed(pairs))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -86,22 +93,22 @@ def _glseq_search(fa, fc, ancestors, fuel, dead_end, loop_check):
         raise FuelExhausted()
     shared = fa & fc
     if shared:
-        return ("id", _P, min(shared, key=_key))
-    f = min((g for g in fa if type(g) is Not), key=_key, default=None)
+        return ("id", _P, min(shared, key=formula_key))
+    f = min((g for g in fa if type(g) is Not), key=formula_key, default=None)
     if f is not None:
         sub = _glseq_search(fa.difference({f}), fc | {f.sub},
                             ancestors, fuel, dead_end, loop_check)
         return ("negL", _P, f, sub) if sub is not None else _fail(dead_end, fa, fc)
-    f = min((g for g in fc if type(g) is Not), key=_key, default=None)
+    f = min((g for g in fc if type(g) is Not), key=formula_key, default=None)
     if f is not None:
         sub = _glseq_search(fa | {f.sub}, fc.difference({f}), ancestors, fuel, dead_end, loop_check)
         return ("negR", _P, f, sub) if sub is not None else _fail(dead_end, fa, fc)
-    f = min((g for g in fc if type(g) is Or), key=_key, default=None)
+    f = min((g for g in fc if type(g) is Or), key=formula_key, default=None)
     if f is not None:
         sub = _glseq_search(fa, fc.difference({f}) | {f.left, f.right},
                             ancestors, fuel, dead_end, loop_check)
         return ("orR", _P, f, sub) if sub is not None else _fail(dead_end, fa, fc)
-    f = min((g for g in fa if type(g) is Or), key=_key, default=None)
+    f = min((g for g in fa if type(g) is Or), key=formula_key, default=None)
     if f is not None:
         rest = fa.difference({f})
         left = _glseq_search(rest | {f.left}, fc, ancestors, fuel, dead_end, loop_check)
@@ -110,9 +117,9 @@ def _glseq_search(fa, fc, ancestors, fuel, dead_end, loop_check):
         right = _glseq_search(rest | {f.right}, fc, ancestors, fuel, dead_end, loop_check)
         return ("orL", _P, f, left, right) if right is not None else _fail(dead_end, fa, fc)
     # modal choices, left to right over the consequent order
-    gamma = tuple(sorted((g.sub for g in fa if type(g) is Box), key=_key))
+    gamma = tuple(sorted((g.sub for g in fa if type(g) is Box), key=formula_key))
     here = (fa, fc)
-    for f in sorted((g for g in fc if type(g) is Box), key=_key):
+    for f in sorted((g for g in fc if type(g) is Box), key=formula_key):
         fa2 = frozenset(Box(g) for g in gamma) | frozenset(gamma) | {f}
         fc2 = frozenset((f.sub,))
         if loop_check and (fa2, fc2) in ancestors:
@@ -162,32 +169,31 @@ def _csgl_search(rel, fa, fc, counter, fired, ancestors, fuel, dead_end, loop_ch
     fuel[0] -= 1
     if fuel[0] < 0:
         raise FuelExhausted()
-    pkey = lambda p: (p[0], p[1].key)
     hit = min((p for p in fa & fc if type(p[1]) is not Not and type(p[1]) is not Or),
-              key=pkey, default=None)
+              key=labeled_key, default=None)
     if hit is not None:
         x, g = hit
         return ("id1" if type(g) is not Box else "id2", _LP, x, g)
 
-    hit = min((p for p in fa if type(p[1]) is Not), key=pkey, default=None)
+    hit = min((p for p in fa if type(p[1]) is Not), key=labeled_key, default=None)
     if hit is not None:
         x, f = hit
         sub = _csgl_search(rel, fa.difference({(x, f)}), fc | {(x, f.sub)},
                            counter, fired, ancestors, fuel, dead_end, loop_check)
         return ("negL", _LP, x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
-    hit = min((p for p in fc if type(p[1]) is Not), key=pkey, default=None)
+    hit = min((p for p in fc if type(p[1]) is Not), key=labeled_key, default=None)
     if hit is not None:
         x, f = hit
         sub = _csgl_search(rel, fa | {(x, f.sub)}, fc.difference({(x, f)}),
                            counter, fired, ancestors, fuel, dead_end, loop_check)
         return ("negR", _LP, x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
-    hit = min((p for p in fc if type(p[1]) is Or), key=pkey, default=None)
+    hit = min((p for p in fc if type(p[1]) is Or), key=labeled_key, default=None)
     if hit is not None:
         x, f = hit
         sub = _csgl_search(rel, fa, fc.difference({(x, f)}) | {(x, f.left), (x, f.right)},
                            counter, fired, ancestors, fuel, dead_end, loop_check)
         return ("orR", _LP, x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
-    hit = min((p for p in fa if type(p[1]) is Or), key=pkey, default=None)
+    hit = min((p for p in fa if type(p[1]) is Or), key=labeled_key, default=None)
     if hit is not None:
         x, f = hit
         rest = fa.difference({(x, f)})
@@ -219,7 +225,7 @@ def _csgl_search(rel, fa, fc, counter, fired, ancestors, fuel, dead_end, loop_ch
         return (name, _LAP, x, y, f.sub, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
 
     # boxR expansion with the blocking condition; eager and sequential
-    for x, f in sorted((p for p in fc if type(p[1]) is Box), key=pkey):
+    for x, f in sorted((p for p in fc if type(p[1]) is Box), key=labeled_key):
         blocked = any(
             a == x and (y, f) in fa and (y, f.sub) in fc for a, y in rel
         )

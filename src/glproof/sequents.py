@@ -1,14 +1,19 @@
 """Sequent data shapes, proof trees, cyclic derivations, and tree queries.
 
-Multiset sides are canonicalized as tuples sorted under the fixed formula
-order, so multiset equality is plain equality.  Tree sequents reuse the
-labeled-sequent representation; validity is enforced by `tree_root`, which
-doubles as the tree validator.
+Multiset sides are canonical: tuples sorted under the fixed formula order
+(labeled sides by label, then formula), so multiset equality is plain
+equality.  A side is sorted once, when a sequent is built from raw input;
+rules then insert into sides already in order (`insert_sorted`, `with_ante`,
+`with_cons`) and build with `of_sorted`, which does not sort again.  Tree
+sequents reuse the labeled-sequent representation; validity is enforced by
+`tree_root`, which doubles as the tree validator.
 """
 
 from __future__ import annotations
 
+from bisect import insort_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Union
 
 from .formula import Formula, print_formula
@@ -18,12 +23,24 @@ Label = str
 Address = tuple[int, ...]
 
 
-def _sorted_formulas(items: Iterable[Formula]) -> tuple[Formula, ...]:
-    return tuple(sorted(items, key=lambda f: f.key))
+# the canonical order of formulas, and of labeled formulas
+formula_key = attrgetter("key")
 
 
-def _sorted_labeled(items: Iterable[tuple[Label, Formula]]) -> tuple[tuple[Label, Formula], ...]:
-    return tuple(sorted(items, key=lambda p: (p[0], p[1].key)))
+def labeled_key(p: tuple[Label, Formula]):
+    return (p[0], p[1].key)
+
+
+def insert_sorted(side: tuple, items: tuple) -> tuple:
+    """A canonical side with `items` added, still canonical: equal to
+    sorting the concatenation, without sorting."""
+    if not items:
+        return side
+    key = labeled_key if type(items[0]) is tuple else formula_key
+    lst = list(side)
+    for item in items:
+        insort_right(lst, item, key=key)
+    return tuple(lst)
 
 
 def mset_remove(mset: tuple, item) -> tuple:
@@ -55,9 +72,16 @@ class GentzenSequent:
     __slots__ = ("ante", "cons", "_hash")
 
     def __init__(self, ante: Iterable[Formula] = (), cons: Iterable[Formula] = ()):
-        self.ante = _sorted_formulas(ante)
-        self.cons = _sorted_formulas(cons)
+        self.ante = tuple(sorted(ante, key=formula_key))
+        self.cons = tuple(sorted(cons, key=formula_key))
         self._hash = hash((self.ante, self.cons))
+
+    @classmethod
+    def of_sorted(cls, ante: tuple, cons: tuple) -> "GentzenSequent":
+        """A sequent from sides already canonical; they are not sorted again."""
+        s = object.__new__(cls)
+        s.ante, s.cons, s._hash = ante, cons, hash((ante, cons))
+        return s
 
     def __eq__(self, other) -> bool:
         return (
@@ -78,10 +102,10 @@ class GentzenSequent:
         return f"{left} |- {right}".strip()
 
     def with_ante(self, *add: Formula) -> "GentzenSequent":
-        return GentzenSequent(self.ante + add, self.cons)
+        return GentzenSequent.of_sorted(insert_sorted(self.ante, add), self.cons)
 
     def with_cons(self, *add: Formula) -> "GentzenSequent":
-        return GentzenSequent(self.ante, self.cons + add)
+        return GentzenSequent.of_sorted(self.ante, insert_sorted(self.cons, add))
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +121,16 @@ class LabeledSequent:
         cons: Iterable[tuple[Label, Formula]] = (),
     ):
         self.rel = frozenset(rel)
-        self.ante = _sorted_labeled(ante)
-        self.cons = _sorted_labeled(cons)
+        self.ante = tuple(sorted(ante, key=labeled_key))
+        self.cons = tuple(sorted(cons, key=labeled_key))
         self._hash = hash((self.rel, self.ante, self.cons))
+
+    @classmethod
+    def of_sorted(cls, rel: frozenset, ante: tuple, cons: tuple) -> "LabeledSequent":
+        """A sequent from a frozenset `rel` and canonical sides, not sorted again."""
+        s = object.__new__(cls)
+        s.rel, s.ante, s.cons, s._hash = rel, ante, cons, hash((rel, ante, cons))
+        return s
 
     def __eq__(self, other) -> bool:
         return (
@@ -135,16 +166,17 @@ class LabeledSequent:
         return tuple(f for lab, f in self.cons if lab == x)
 
     def flat_at(self, x: Label) -> GentzenSequent:
-        return GentzenSequent(self.ante_at(x), self.cons_at(x))
+        # the items at one label keep their order
+        return GentzenSequent.of_sorted(self.ante_at(x), self.cons_at(x))
 
     def with_rel(self, *pairs: tuple[Label, Label]) -> "LabeledSequent":
-        return LabeledSequent(self.rel | set(pairs), self.ante, self.cons)
+        return LabeledSequent.of_sorted(self.rel | set(pairs), self.ante, self.cons)
 
     def with_ante(self, *add: tuple[Label, Formula]) -> "LabeledSequent":
-        return LabeledSequent(self.rel, self.ante + add, self.cons)
+        return LabeledSequent.of_sorted(self.rel, insert_sorted(self.ante, add), self.cons)
 
     def with_cons(self, *add: tuple[Label, Formula]) -> "LabeledSequent":
-        return LabeledSequent(self.rel, self.ante, self.cons + add)
+        return LabeledSequent.of_sorted(self.rel, self.ante, insert_sorted(self.cons, add))
 
     def substitute(self, old: Label, new: Label) -> "LabeledSequent":
         """Replace every occurrence of label `old` by `new` (the (x/y) action)."""
@@ -354,10 +386,21 @@ class Proof:
     meta: dict = field(default_factory=dict)
 
     def height(self) -> int:
-        return max(len(addr) for addr, _ in self.nodes())
+        return self.size()[1]
 
     def node_count(self) -> int:
-        return sum(1 for _ in self.nodes())
+        return self.size()[0]
+
+    def size(self) -> tuple[int, int]:
+        """(node count, height), from one walk; no recursion."""
+        count = height = 0
+        stack = [(self, 0)]
+        while stack:
+            node, depth = stack.pop()
+            count += 1
+            height = max(height, depth)
+            stack.extend((q, depth + 1) for q in node.premises)
+        return count, height
 
     def at(self, addr: Address) -> "Proof":
         node = self
@@ -383,13 +426,8 @@ class Proof:
         return Proof(self.calculus, self.rule, self.conclusion, tuple(prems), dict(self.meta))
 
     def retag(self, calculus: str) -> "Proof":
-        return Proof(
-            calculus,
-            self.rule,
-            self.conclusion,
-            tuple(p.retag(calculus) for p in self.premises),
-            dict(self.meta),
-        )
+        return rebuild(self, lambda node, prems: Proof(
+            calculus, node.rule, node.conclusion, prems, dict(node.meta)))
 
     def rules_used(self) -> set[str]:
         return {r for _, node in self.nodes() for r in [node.rule]}
@@ -415,33 +453,38 @@ def parse_address(text: str) -> Address:
     return tuple(int(part) for part in text.split("/"))
 
 
+def rebuild(proof: Proof, make) -> Proof:
+    """A copy of `proof` built bottom-up: each node becomes
+    make(node, its rebuilt premises).  A post-order on an explicit stack, as
+    in `search._replay`, so proof height costs no recursion."""
+    done: list[Proof] = []
+    todo: list = [(proof, None)]
+    while todo:
+        node, k = todo.pop()
+        if k is None:
+            todo.append((node, len(node.premises)))
+            todo.extend((q, None) for q in reversed(node.premises))
+        else:
+            done[len(done) - k:] = [make(node, tuple(done[len(done) - k:]))]
+    return done[0]
+
+
 def relabel_proof(proof: Proof, mapping: dict[Label, Label]) -> Proof:
     """Apply a label renaming to every sequent and every label-valued meta entry."""
 
-    def ren_label(z):
-        return mapping.get(z, z)
-
     def ren_seq(s):
-        if isinstance(s, LabeledSequent):
-            return s.rename(mapping)
-        return s
+        return s.rename(mapping) if isinstance(s, LabeledSequent) else s
 
-    def walk(node: Proof) -> Proof:
+    def make(node: Proof, prems: tuple) -> Proof:
         meta = dict(node.meta)
         for key in ("label", "aux", "fresh", "x", "y", "z"):
             if key in meta:
-                meta[key] = ren_label(meta[key])
+                meta[key] = mapping.get(meta[key], meta[key])
         if "added" in meta and isinstance(meta["added"], LabeledSequent):
             meta["added"] = ren_seq(meta["added"])
-        return Proof(
-            node.calculus,
-            node.rule,
-            ren_seq(node.conclusion),
-            tuple(walk(p) for p in node.premises),
-            meta,
-        )
+        return Proof(node.calculus, node.rule, ren_seq(node.conclusion), prems, meta)
 
-    return walk(proof)
+    return rebuild(proof, make)
 
 
 def proof_labels(proof: Proof) -> set[Label]:

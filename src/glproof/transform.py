@@ -25,6 +25,7 @@ from .sequents import (
     LabeledSequent,
     NotATree,
     Proof,
+    formula_key,
     fresh_label,
     mset_diff,
     mset_remove,
@@ -101,8 +102,8 @@ def _drop(s, side: str, item):
     ante = mset_remove(s.ante, item) if side == "ante" else s.ante
     cons = mset_remove(s.cons, item) if side == "cons" else s.cons
     if isinstance(s, LabeledSequent):
-        return LabeledSequent(s.rel, ante, cons)
-    return GentzenSequent(ante, cons)
+        return LabeledSequent.of_sorted(s.rel, ante, cons)
+    return GentzenSequent.of_sorted(ante, cons)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +302,7 @@ def apply_inverse(rule: str, i: int, p: Proof, meta: dict) -> Proof:
         if calculus == "lngl":
             add = mset_diff(target.end.ante, p.conclusion.end.ante)
             return weaken(p, component=len(p.conclusion) - 1, ante=add)
-        added = LabeledSequent(
+        added = LabeledSequent.of_sorted(
             target.rel - p.conclusion.rel,
             mset_diff(target.ante, p.conclusion.ante),
             mset_diff(target.cons, p.conclusion.cons),
@@ -343,7 +344,7 @@ def _invert(rule: str, i: int, p: Proof, meta: dict, target) -> Proof:
 def _rebuild_gentzen_id(calculus: str, target: GentzenSequent, w: Formula) -> Proof:
     shared = set(target.ante) & set(target.cons)
     if shared:
-        return Proof(calculus, "id", target, (), {"principal": min(shared, key=lambda g: g.key)})
+        return Proof(calculus, "id", target, (), {"principal": min(shared, key=formula_key)})
     # the witness was decomposed on one side: decompose the surviving copy and
     # close each premise on the part of the witness it shares
     rule = LOCAL_RULE_OF.get((type(w), w in target.ante))
@@ -569,13 +570,6 @@ def normalize_lngl(p: Proof, stats: Optional[dict] = None) -> Proof:
 # ---------------------------------------------------------------------------
 # LNGL (normal form) to GLseq
 
-def _counter_to_sorted(c: Counter):
-    out = []
-    for g in sorted(c, key=lambda g: g.key):
-        out.extend([g] * c[g])
-    return tuple(out)
-
-
 def lngl_to_glseq(p: Proof) -> Proof:
     """Translate a normal-form LNGL proof componentwise: local steps map to
     their end components, each modal block maps to weakening then boxGL."""
@@ -605,7 +599,7 @@ def lngl_to_glseq(p: Proof) -> Proof:
             avail = Counter(g.sub for g in end.ante if isinstance(g, Box))
             # clip multiplicities to what the conclusion can supply
             sub2 = sub
-            for g in sorted(set(a) | set(b), key=lambda g: g.key):
+            for g in sorted(set(a) | set(b), key=formula_key):
                 for _ in range(a[g] - min(a[g], avail[g])):
                     sub2 = _contract(sub2, "ante", Box(g))
                 for _ in range(b[g] - min(b[g], avail[g])):
@@ -613,7 +607,7 @@ def lngl_to_glseq(p: Proof) -> Proof:
                 a[g] = min(a[g], avail[g])
                 b[g] = min(b[g], avail[g])
             gamma = Counter({g: max(a[g], b[g]) for g in set(a) | set(b)})
-            gamma_t = _counter_to_sorted(gamma)
+            gamma_t = tuple(sorted(gamma.elements(), key=formula_key))
             target = premises_of("glseq", "boxGL", {"gamma": gamma_t, "phi": phi}, end)[0]
             add_a = mset_diff(target.ante, sub2.conclusion.ante)
             add_c = mset_diff(target.cons, sub2.conclusion.cons)
@@ -638,8 +632,9 @@ def glseq_to_g3gl(p: Proof, label: str = "x") -> Proof:
         return f"u{counter[0]}"
 
     def lab_seq(s: GentzenSequent, lab: str) -> LabeledSequent:
-        return LabeledSequent((), tuple((lab, g) for g in s.ante),
-                              tuple((lab, g) for g in s.cons))
+        # one label throughout, so the sides keep their order
+        return LabeledSequent.of_sorted(frozenset(), tuple((lab, g) for g in s.ante),
+                                        tuple((lab, g) for g in s.cons))
 
     def trans(node: Proof, lab: str) -> Proof:
         goal = lab_seq(node.conclusion, lab)
@@ -647,7 +642,7 @@ def glseq_to_g3gl(p: Proof, label: str = "x") -> Proof:
             w = node.meta.get("principal")
             if w is None:
                 w = min(set(node.conclusion.ante) & set(node.conclusion.cons),
-                        key=lambda g: g.key)
+                        key=formula_key)
             return prove_general_id("g3glext", goal, (lab, w))
         if node.rule in LOCAL_RULES:
             return Proof("g3glext", node.rule, goal,
@@ -662,27 +657,19 @@ def glseq_to_g3gl(p: Proof, label: str = "x") -> Proof:
             added = LabeledSequent(((y, u),), tuple((y, Box(g)) for g in gamma), ())
             w1_concl = _merge_labeled(sub.conclusion, added)
             cur = Proof("g3glext", "w", w1_concl, (sub,), {"added": added})
-            for g in gamma:
-                concl = LabeledSequent(cur.conclusion.rel,
-                                       mset_remove(cur.conclusion.ante, (u, g)),
-                                       cur.conclusion.cons)
-                cur = Proof("g3glext", "boxL", concl, (cur,),
-                            {"label": y, "aux": u, "phi": g})
-            for g in gamma:
-                concl = LabeledSequent(cur.conclusion.rel,
-                                       mset_remove(cur.conclusion.ante, (u, Box(g))),
-                                       cur.conclusion.cons)
-                cur = Proof("g3glext", "4L", concl, (cur,),
-                            {"label": y, "aux": u, "phi": g})
+            for rule, parts in (("boxL", gamma), ("4L", [Box(g) for g in gamma])):
+                for g, part in zip(gamma, parts):
+                    concl = _drop(cur.conclusion, "ante", (u, part))
+                    cur = Proof("g3glext", rule, concl, (cur,), {"label": y, "aux": u, "phi": g})
             boxr_concl = LabeledSequent((), tuple((y, Box(g)) for g in gamma),
                                         ((y, Box(phi)),))
             cur = Proof("g3glext", "boxR", boxr_concl, (cur,),
                         {"label": y, "fresh": u, "phi": phi})
             sub_concl = boxr_concl.substitute(y, lab)
             cur = Proof("g3glext", "sub", sub_concl, (cur,), {"x": lab, "y": y})
-            added2 = LabeledSequent(
-                (), mset_diff(goal.ante, sub_concl.ante), mset_diff(goal.cons, sub_concl.cons)
-            )
+            added2 = LabeledSequent.of_sorted(
+                frozenset(), mset_diff(goal.ante, sub_concl.ante),
+                mset_diff(goal.cons, sub_concl.cons))
             return Proof("g3glext", "w", goal, (cur,), {"added": added2})
         raise NotApplicable(f"translation does not handle {node.rule}")
 
@@ -790,9 +777,9 @@ def run_pass(name: str, proof: Proof) -> tuple[Proof, PassReport]:
         raise NotApplicable(f"{name} takes a {calculus} proof")
     stats: dict = {}
     out = fn(proof, stats)
+    (nodes_in, height_in), (nodes_out, height_out) = proof.size(), out.size()
     report = PassReport(
         name, str(proof.conclusion), str(out.conclusion),
-        proof.node_count(), out.node_count(), proof.height(), out.height(),
-        stats.get("permutations", 0),
+        nodes_in, nodes_out, height_in, height_out, stats.get("permutations", 0),
     )
     return out, report

@@ -262,6 +262,14 @@ def test_deeply_nested_formula_exit_two(command):
     assert err == "parse error: input nested too deeply\n"
 
 
+@pytest.mark.parametrize("calculus", ["glseq", "csgl"])
+def test_decide_deep_theorem_exit_zero(calculus):
+    # replay rebuilds this 600-level proof without recursing once per level
+    code, out, err = invoke("decide", "--calculus", calculus, "~" * 600 + "(p | ~p)")
+    assert code == 0 and err == ""
+    assert out.startswith(f"calculus: {calculus}")
+
+
 def test_deeply_nested_proof_exit_two(tmp_path):
     depth = 3000
     node = '(rule negR (concl "p |- p") (meta principal="~p") (prems\n'

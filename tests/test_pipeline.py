@@ -1,9 +1,11 @@
 """Pipeline totality and output stability.
 
 Every theorem search proves must pass all six stages with every stage's
-checker accepting, and neither the pipeline's stdout nor any of its six
-`--emit-trace` stage files may drift on the acceptance corpus (golden sha256
-digests in tests/data/pipeline_golden.json and tests/data/stage_golden.json).
+checker accepting; every proof, and every premise the checkers re-derive,
+must have canonical (sorted) sequent sides; and neither the pipeline's stdout
+nor any of its six `--emit-trace` stage files may drift on the acceptance
+corpus (golden sha256 digests in tests/data/pipeline_golden.json and
+tests/data/stage_golden.json).
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from glproof import checkers
 from glproof.checkers import (
     check_csgl,
     check_g3gl,
@@ -28,6 +31,7 @@ from glproof.checkers import (
 from glproof.cli import run
 from glproof.formula import print_formula, random_formula
 from glproof.search import SearchConfig, prove_formula
+from glproof.sequents import LabeledSequent, LinearNestedSequent, formula_key, labeled_key
 from glproof.transform import run_pass
 
 CFG = SearchConfig(oracle_hint=False)
@@ -98,17 +102,44 @@ STAGES = (
 )
 
 
-def test_pipeline_totality_seeded_theorems():
+def _canonical(s) -> bool:
+    """Both sides of `s` (of each component, for nested sequents) are in
+    sorted order, the order rules insert into without sorting again."""
+    if isinstance(s, LinearNestedSequent):
+        return all(_canonical(c) for c in s.components)
+    key = labeled_key if isinstance(s, LabeledSequent) else formula_key
+    return all(side == tuple(sorted(side, key=key)) for side in (s.ante, s.cons))
+
+
+def _assert_canonical(proof, f):
+    bad = [addr for addr, node in proof.nodes() if not _canonical(node.conclusion)]
+    assert not bad, (proof.calculus, print_formula(f), bad[:3])
+
+
+def test_pipeline_totality_seeded_theorems(monkeypatch):
+    derived, original = [], checkers.premises_of
+
+    def recording(*args):
+        prems = original(*args)
+        derived.extend(prems)
+        return prems
+
+    monkeypatch.setattr(checkers, "premises_of", recording)
     rng = random.Random(7)
     theorems = []
     while len(theorems) < 300:
         f = random_formula(rng, ("p", "q", "r"), rng.randint(6, 14))
-        if prove_formula(f, "glseq", CFG).proved:
+        r = prove_formula(f, "glseq", CFG)
+        if r.proved:
+            _assert_canonical(r.proof, f)
             theorems.append(f)
     for f in theorems:
         proof = prove_formula(f, "csgl", CFG).proof
+        _assert_canonical(proof, f)
         assert check_csgl(proof).accepted, print_formula(f)
         for name, accepts in STAGES:
             proof, _ = run_pass(name, proof)
+            _assert_canonical(proof, f)
             assert accepts(proof), (name, print_formula(f))
         assert str(proof.conclusion) == f"|- x: {print_formula(f)}"
+    assert derived and all(_canonical(s) for s in derived)

@@ -742,8 +742,10 @@ def test_invert_negl_rebuilds_destroyed_gentzen_id():
 
 
 def test_to_g3gl_on_a_deep_glseq_proof():
-    # []^18 (p | ~p): the g3gl proof is 380 levels high
-    r = prove_formula(pf("[]" * 18 + "(p | ~p)"), "glseq", CFG)
-    out, report = run_pass("to-g3gl", r.proof)
-    assert report.height_out == out.height() > 300
-    assert check_g3gl(out, "extended").accepted
+    # []^n (p | ~p): the g3gl proof is 380 levels high at n = 18, 1,722 at
+    # n = 40; relabelling it must not recurse once per level
+    for n in (18, 25, 40):
+        r = prove_formula(pf("[]" * n + "(p | ~p)"), "glseq", CFG)
+        out, report = run_pass("to-g3gl", r.proof)
+        assert report.height_out == out.height() > 300, n
+        assert check_g3gl(out, "extended").accepted, n

@@ -1,0 +1,86 @@
+"""Totality sweep: every GL theorem of the {p, q} formula enumeration through
+CSGL search, the five passes, and every stage's checker.
+
+    python3 tests/totality_sweep.py
+
+The theorems are the formulas the oracle finds valid: 65,380 of the 259,674
+formulas with at most 6 connectives.  Each must be proved by CSGL search, and
+each pass's output must be accepted by its stage's checkers (the `STAGES`
+table of tests/test_pipeline.py) and conclude |- x: f.  Runs one process per
+core; prints one line per failure (formula, stage, reason), then the counts,
+and exits 1 when anything fails.  It takes about a minute on 2 cores, so
+pytest does not collect it (the file name has no `test_`).
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from glproof.checkers import check_csgl  # noqa: E402
+from glproof.formula import enumerate_formulas, print_formula  # noqa: E402
+from glproof.search import SearchConfig, prove_formula  # noqa: E402
+from glproof.semantics import oracle_validity  # noqa: E402
+from glproof.transform import run_pass  # noqa: E402
+from test_pipeline import STAGES  # noqa: E402
+
+CFG = SearchConfig(oracle_hint=False)
+CONNECTIVES = 6
+
+
+def failure(f) -> str | None:
+    """Why `f` fails the pipeline, or None."""
+    stage = "csgl"
+    try:
+        r = prove_formula(f, "csgl", CFG)
+        if not r.proved:
+            return "csgl\tnot proved"
+        proof = r.proof
+        if not check_csgl(proof).accepted:
+            return "csgl\trejected"
+        for stage, accepts in STAGES:
+            proof, _ = run_pass(stage, proof)
+            if not accepts(proof):
+                return f"{stage}\trejected"
+        if str(proof.conclusion) != f"|- x: {print_formula(f)}":
+            return f"{stage}\tconcludes {proof.conclusion}"
+    except Exception as e:  # every failure is reported, and the sweep goes on
+        return f"{stage}\t{type(e).__name__}: {e}"
+    return None
+
+
+def sweep_part(args: tuple[int, int]) -> tuple[int, list[str]]:
+    """Every `parts`-th formula from `part` on: the theorem count and the
+    failure lines."""
+    part, parts = args
+    theorems, lines = 0, []
+    for i, f in enumerate(enumerate_formulas(("p", "q"), CONNECTIVES)):
+        if i % parts != part or not oracle_validity(f).valid:
+            continue
+        theorems += 1
+        reason = failure(f)
+        if reason is not None:
+            lines.append(f"{print_formula(f)}\t{reason}")
+    return theorems, lines
+
+
+def main() -> int:
+    start = time.monotonic()
+    parts = max(1, multiprocessing.cpu_count())
+    with multiprocessing.get_context("spawn").Pool(parts) as pool:
+        results = pool.map(sweep_part, [(k, parts) for k in range(parts)])
+    theorems = sum(n for n, _ in results)
+    lines = sorted(line for _, part in results for line in part)
+    for line in lines:
+        print(line)
+    print(f"theorems {theorems}, failures {len(lines)}, "
+          f"{time.monotonic() - start:.1f} s on {parts} processes")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
