@@ -3,6 +3,13 @@
 Checking reconstructs every node's premises from (rule, meta, conclusion)
 and compares; it never searches.  Reports carry stable reason codes with
 node addresses so the CLI can emit machine-readable failure lines.
+
+Tree preservation: every CSGL rule maps a tree sequent to tree sequents.
+Local rules, boxL and 4L add formulas at labels already in the tree, and
+boxR (whose label the schema checks is fresh) adds a new leaf.  So
+`check_csgl` validates the tree shape of the root conclusion only, and of
+each premise whose conclusion is not the one `premises_of` derives from a
+tree conclusion; all other premises are trees without being looked at.
 """
 
 from __future__ import annotations
@@ -97,102 +104,108 @@ def _diagnose_lns_mismatch(
     return None
 
 
+def _check_node(
+    addr: Address,
+    node: Proof,
+    expected_calculus: tuple[str, ...],
+    allowed: tuple[str, ...],
+    strict_reject: tuple[str, ...],
+    failures: list[Failure],
+) -> list[bool]:
+    """Append the node's own failures; return, for each premise, whether its
+    conclusion is the one the schema derives (none when the schema did not
+    apply)."""
+    if node.rule == OPEN and OPEN in allowed:
+        return []
+    if node.calculus not in expected_calculus:
+        failures.append(Failure(addr, CALCULUS_MISMATCH, f"node is tagged {node.calculus}"))
+        return []
+    if node.rule == OPEN:
+        failures.append(Failure(addr, OPEN_LEAF, "open leaf in a closed proof"))
+        return []
+    if node.rule not in allowed:
+        code = UNKNOWN_RULE_STRICT if node.rule in strict_reject else UNKNOWN_RULE
+        failures.append(Failure(addr, code, f"rule {node.rule} not available here"))
+        return []
+    if node.rule == "sub":
+        if len(node.premises) != 1:
+            failures.append(Failure(addr, WRONG_PREMISE_COUNT, "sub takes one premise"))
+            return []
+        try:
+            verify_sub(node.meta, node.premises[0].conclusion, node.conclusion)
+        except RuleError as e:
+            failures.append(Failure(addr, e.code, str(e), e.detail))
+        return []
+    try:
+        expected = premises_of(node.calculus, node.rule, node.meta, node.conclusion)
+    except RuleError as e:
+        failures.append(Failure(addr, e.code, str(e), e.detail))
+        return []
+    if len(node.premises) != len(expected):
+        failures.append(
+            Failure(
+                addr,
+                WRONG_PREMISE_COUNT,
+                f"{node.rule} needs {len(expected)} premises, found {len(node.premises)}",
+            )
+        )
+        return []
+    matched = []
+    for i, (want, q) in enumerate(zip(expected, node.premises)):
+        got = q.conclusion
+        matched.append(want == got)
+        if matched[-1]:
+            continue
+        lns_diag = None
+        if isinstance(node.conclusion, LinearNestedSequent):
+            lns_diag = _diagnose_lns_mismatch(node.rule, node.conclusion, want, got)
+        if lns_diag is not None:
+            failures.append(Failure(addr + (i,), lns_diag.code, lns_diag.message))
+        else:
+            failures.append(Failure(addr + (i,), SCHEMA_MISMATCH,
+                                    f"premise {i} of {node.rule} should be {want}, found {got}"))
+    return matched
+
+
 def _check_nodes(
     proof: Proof,
     expected_calculus: tuple[str, ...],
     allowed: tuple[str, ...],
     strict_reject: tuple[str, ...] = (),
+    tree: bool = False,
+    fresh: bool = False,
 ) -> list[Failure]:
+    """One pre-order walk, without recursion: every node's schema failures,
+    then (with `tree`) each conclusion that is not a tree sequent, then (with
+    `fresh`) each boxR fresh label used twice.  Under `tree`, `tree_root`
+    runs on the root and on premises the schema did not derive from a tree
+    conclusion; every other premise is a tree by tree preservation."""
     failures: list[Failure] = []
-    for addr, node in proof.nodes():
-        if node.rule == OPEN and OPEN in allowed:
-            continue
-        if node.calculus not in expected_calculus:
-            failures.append(
-                Failure(addr, CALCULUS_MISMATCH, f"node is tagged {node.calculus}")
-            )
-            continue
-        if node.rule == OPEN:
-            failures.append(Failure(addr, OPEN_LEAF, "open leaf in a closed proof"))
-            continue
-        if node.rule not in allowed:
-            code = UNKNOWN_RULE_STRICT if node.rule in strict_reject else UNKNOWN_RULE
-            failures.append(Failure(addr, code, f"rule {node.rule} not available here"))
-            continue
-        if node.rule == "sub":
-            if len(node.premises) != 1:
-                failures.append(Failure(addr, WRONG_PREMISE_COUNT, "sub takes one premise"))
-                continue
-            try:
-                verify_sub(node.meta, node.premises[0].conclusion, node.conclusion)
-            except RuleError as e:
-                failures.append(Failure(addr, e.code, str(e), e.detail))
-            continue
-        try:
-            expected = premises_of(node.calculus, node.rule, node.meta, node.conclusion)
-        except RuleError as e:
-            failures.append(Failure(addr, e.code, str(e), e.detail))
-            continue
-        if len(node.premises) != len(expected):
-            failures.append(
-                Failure(
-                    addr,
-                    WRONG_PREMISE_COUNT,
-                    f"{node.rule} needs {len(expected)} premises, found {len(node.premises)}",
-                )
-            )
-            continue
-        for i, (want, got) in enumerate(zip(expected, [p.conclusion for p in node.premises])):
-            if want != got:
-                lns_diag = None
-                if isinstance(node.conclusion, LinearNestedSequent):
-                    lns_diag = _diagnose_lns_mismatch(node.rule, node.conclusion, want, got)
-                if lns_diag is not None:
-                    failures.append(
-                        Failure(addr + (i,), lns_diag.code, lns_diag.message)
-                    )
-                else:
-                    failures.append(
-                        Failure(
-                            addr + (i,),
-                            SCHEMA_MISMATCH,
-                            f"premise {i} of {node.rule} should be {want}, found {got}",
-                        )
-                    )
-    return failures
-
-
-def _freshness_lint(proof: Proof) -> list[Failure]:
-    """Globally fresh labels: one fresh label per boxR application."""
-    failures = []
+    shape: list[Failure] = []
+    reused: list[Failure] = []
     seen: dict[str, Address] = {}
-    for addr, node in proof.nodes():
-        if node.rule == "boxR" and isinstance(node.conclusion, LabeledSequent):
-            y = node.meta.get("fresh")
-            if y is None:
-                continue
+    stack: list[tuple[Address, Proof, bool]] = [((), proof, False)]
+    while stack:
+        addr, node, is_tree = stack.pop()
+        if tree and not is_tree:
+            try:
+                tree_root(node.conclusion)
+                is_tree = True
+            except NotATree as e:
+                shape.append(Failure(addr, NOT_A_TREE, str(e), e.diagnosis))
+        y = node.meta.get("fresh") if fresh and node.rule == "boxR" else None
+        if y is not None and isinstance(node.conclusion, LabeledSequent):
             if y in seen:
-                failures.append(
-                    Failure(
-                        addr,
-                        FRESHNESS_VIOLATION,
-                        f"fresh label {y} reused (also at {format_address(seen[y])})",
-                        detail=y,
-                    )
-                )
+                reused.append(Failure(
+                    addr, FRESHNESS_VIOLATION,
+                    f"fresh label {y} reused (also at {format_address(seen[y])})", detail=y))
             else:
                 seen[y] = addr
-    return failures
-
-
-def _tree_shape_failures(proof: Proof) -> list[Failure]:
-    failures = []
-    for addr, node in proof.nodes():
-        try:
-            tree_root(node.conclusion)
-        except NotATree as e:
-            failures.append(Failure(addr, NOT_A_TREE, str(e), e.diagnosis))
-    return failures
+        matched = _check_node(addr, node, expected_calculus, allowed, strict_reject, failures)
+        for i in range(len(node.premises) - 1, -1, -1):
+            vouched = is_tree and i < len(matched) and matched[i]
+            stack.append((addr + (i,), node.premises[i], vouched))
+    return failures + shape + reused
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +226,15 @@ def check_g3gl(p: Proof, mode: str = "strict") -> CheckReport:
         raise ValueError("mode must be 'strict' or 'extended'")
     if mode == "strict":
         extra = tuple(r for r in RULES_OF["g3glext"] if r not in RULES_OF["g3gl"])
-        failures = _check_nodes(p, ("g3gl",), RULES_OF["g3gl"], strict_reject=extra)
+        failures = _check_nodes(p, ("g3gl",), RULES_OF["g3gl"], strict_reject=extra, fresh=True)
     else:
-        failures = _check_nodes(p, ("g3gl", "g3glext", "csgl"), RULES_OF["g3glext"])
-    failures += _freshness_lint(p)
+        failures = _check_nodes(p, ("g3gl", "g3glext", "csgl"), RULES_OF["g3glext"], fresh=True)
     return CheckReport.from_failures(failures)
 
 
 def check_csgl(p: Proof) -> CheckReport:
-    failures = _check_nodes(p, ("csgl",), RULES_OF["csgl"])
-    failures += _tree_shape_failures(p)
-    failures += _freshness_lint(p)
-    return CheckReport.from_failures(failures)
+    return CheckReport.from_failures(
+        _check_nodes(p, ("csgl",), RULES_OF["csgl"], tree=True, fresh=True))
 
 
 def check_lngl(p: Proof) -> CheckReport:

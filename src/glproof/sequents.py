@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import insort_right
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Union
 
 from .formula import Formula, print_formula
@@ -25,6 +25,7 @@ Address = tuple[int, ...]
 
 # the canonical order of formulas, and of labeled formulas
 formula_key = attrgetter("key")
+label_of = itemgetter(0)
 
 
 def labeled_key(p: tuple[Label, Formula]):
@@ -186,12 +187,17 @@ class LabeledSequent:
 
     def rename(self, mapping: dict[Label, Label]) -> "LabeledSequent":
         """Simultaneous label renaming."""
-        ren = lambda z: mapping.get(z, z)
-        return LabeledSequent(
-            ((ren(x), ren(y)) for x, y in self.rel),
-            ((ren(x), f) for x, f in self.ante),
-            ((ren(x), f) for x, f in self.cons),
-        )
+        new = {x: mapping.get(x, x) for x in self.labels()}
+        rel = frozenset((new[x], new[y]) for x, y in self.rel)
+        ante = [(new[x], f) for x, f in self.ante]
+        cons = [(new[x], f) for x, f in self.cons]
+        if len(set(new.values())) < len(new):
+            return LabeledSequent(rel, ante, cons)
+        # injective here: each label's items are still in key order, so a
+        # stable sort by the new label alone makes the sides canonical
+        ante.sort(key=label_of)
+        cons.sort(key=label_of)
+        return LabeledSequent.of_sorted(rel, tuple(ante), tuple(cons))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ unfolder for cyclic derivations.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .formula import Atom, Box, Formula, Not
@@ -159,16 +160,14 @@ def weaken(p: Proof, **adds) -> Proof:
         target = GentzenSequent(c.ante + add_a, c.cons + add_c)
     else:
         raise NotApplicable(f"no weakening for {p.calculus}")
-    check_tree = p.calculus == "csgl"
+    if p.calculus == "csgl":
+        # every goal re-derived from a tree target is a tree (tree preservation)
+        try:
+            tree_root(target)
+        except NotATree as e:
+            raise ShapeViolation(f"weakening breaks the tree shape: {e}") from e
 
-    def step(q: Proof, goal) -> Proof:
-        if check_tree:
-            try:
-                tree_root(goal)
-            except NotATree as e:
-                raise ShapeViolation(f"weakening breaks the tree shape: {e}") from e
-        return _rederive(q, goal, step)
-
+    step = lambda q, goal: _rederive(q, goal, step)
     return step(p, target)
 
 
@@ -493,6 +492,8 @@ def to_end_active(p: Proof, stats: Optional[dict] = None) -> Proof:
 def linearize(p: Proof, stats: Optional[dict] = None) -> Proof:
     """Shed the tree structure of an end-active CSGL proof, keeping one
     root-to-leaf path per branch; output is an LNGL proof of the projection."""
+    # checked up front: `lin` drops sibling subtrees unseen, so it cannot
+    # find every rule application that is not end-active
     if not end_active_report(p).accepted:
         raise NotEndActive("linearization needs an end-active proof")
 
@@ -572,9 +573,9 @@ def normalize_lngl(p: Proof, stats: Optional[dict] = None) -> Proof:
 
 def lngl_to_glseq(p: Proof) -> Proof:
     """Translate a normal-form LNGL proof componentwise: local steps map to
-    their end components, each modal block maps to weakening then boxGL."""
-    if not normal_form_report(p).accepted:
-        raise NotNormalForm("the proof is not in normal form")
+    their end components, each modal block maps to weakening then boxGL.
+    A block violation is a 4L or boxL outside the prefix of its modal block,
+    which `trans` reaches as a rule outside a modal block: NotNormalForm."""
 
     def trans(node: Proof) -> Proof:
         rule = node.rule
@@ -741,14 +742,24 @@ def _graft_once(tree: Proof, links: dict) -> tuple[Proof, dict]:
 
 @dataclass
 class PassReport:
+    """A pass's input and output proofs.  The sizes (one walk per proof) and
+    the printed conclusions are computed when first read."""
+
     pass_name: str
-    input_conclusion: str
-    output_conclusion: str
-    nodes_in: int
-    nodes_out: int
-    height_in: int
-    height_out: int
+    proof_in: Proof = field(repr=False)
+    proof_out: Proof = field(repr=False)
     permutations: int = 0
+
+    @cached_property
+    def _sizes(self) -> tuple[int, int, int, int]:
+        return self.proof_in.size() + self.proof_out.size()
+
+    nodes_in = property(lambda self: self._sizes[0])
+    height_in = property(lambda self: self._sizes[1])
+    nodes_out = property(lambda self: self._sizes[2])
+    height_out = property(lambda self: self._sizes[3])
+    input_conclusion = cached_property(lambda self: str(self.proof_in.conclusion))
+    output_conclusion = cached_property(lambda self: str(self.proof_out.conclusion))
 
     def line(self) -> str:
         return (
@@ -777,9 +788,4 @@ def run_pass(name: str, proof: Proof) -> tuple[Proof, PassReport]:
         raise NotApplicable(f"{name} takes a {calculus} proof")
     stats: dict = {}
     out = fn(proof, stats)
-    (nodes_in, height_in), (nodes_out, height_out) = proof.size(), out.size()
-    report = PassReport(
-        name, str(proof.conclusion), str(out.conclusion),
-        nodes_in, nodes_out, height_in, height_out, stats.get("permutations", 0),
-    )
-    return out, report
+    return out, PassReport(name, proof, out, stats.get("permutations", 0))

@@ -1,15 +1,29 @@
+import random
+
 import pytest
 
-from glproof.formula import Atom, Box, Not, Or, parse_formula as pf
+from glproof import checkers
+from glproof.formula import Atom, Box, Not, Or, parse_formula as pf, random_formula
 from glproof.proofio import (
     parse_gentzen_sequent as pgs,
     parse_labeled_sequent as pls,
     parse_lns,
 )
-from glproof.rules import premises_of
+from glproof.rules import FRESHNESS_VIOLATION, NOT_A_TREE, RULES_OF, premises_of
 from glproof.search import SearchConfig, prove_formula
-from glproof.sequents import CyclicDerivation, LabeledSequent, Proof
+from glproof.sequents import (
+    CyclicDerivation,
+    LabeledSequent,
+    NotATree,
+    Proof,
+    format_address,
+    mset_remove,
+    rebuild,
+    tree_root,
+)
+from glproof.transform import to_end_active
 from glproof.checkers import (
+    Failure,
     check_csgl,
     check_g3gl,
     check_glcirc,
@@ -426,6 +440,84 @@ def test_mutation_resistance():
             )
             rep = check_csgl(mutant)
             assert (not rep.accepted) or mutant.conclusion == conclusion
+
+
+# ---------------------------------------------------------------------------
+# check_csgl's one walk against tree_root on every node
+
+def _reference_csgl_failures(p):
+    """Schema failures, then tree_root on every node, then reused fresh
+    labels, each in pre-order."""
+    failures = checkers._check_nodes(p, ("csgl",), RULES_OF["csgl"])
+    for addr, node in p.nodes():
+        try:
+            tree_root(node.conclusion)
+        except NotATree as e:
+            failures.append(Failure(addr, NOT_A_TREE, str(e), e.diagnosis))
+    seen = {}
+    for addr, node in p.nodes():
+        y = node.meta.get("fresh") if node.rule == "boxR" else None
+        if y in seen:
+            failures.append(Failure(addr, FRESHNESS_VIOLATION,
+                                    f"fresh label {y} reused (also at {format_address(seen[y])})", y))
+        elif y is not None:
+            seen[y] = addr
+    return failures
+
+
+def _mutate(node, kind, rng):
+    """The node with its conclusion (or calculus tag) changed."""
+    c = node.conclusion
+    x = rng.choice(sorted(c.labels()))
+    if kind == "retag":
+        return Proof("g3gl", node.rule, c, node.premises, dict(node.meta))
+    if kind == "cycle":
+        c = c.with_rel((x, tree_root(c)))
+    elif kind == "drop-atom":
+        items = [("ante", i) for i in c.ante] + [("cons", i) for i in c.cons]
+        side, item = rng.choice([it for it in items if isinstance(it[1][1], Atom)] or items)
+        c = LabeledSequent(c.rel, mset_remove(c.ante, item) if side == "ante" else c.ante,
+                           mset_remove(c.cons, item) if side == "cons" else c.cons)
+    elif kind == "stray-label":
+        c = c.with_ante(("zz", Atom("p")))
+    elif kind == "second-root":
+        c = c.with_rel(("zz", "zw"))
+    elif kind == "rename-label":
+        c = c.rename({x: "zz"})
+    elif kind == "cycle-subtree":
+        # the same cycle in every conclusion above: each premise matches its
+        # schema, but none is a tree
+        edge = (x, tree_root(c))
+        return rebuild(node, lambda n, prems: Proof(
+            n.calculus, n.rule, n.conclusion.with_rel(edge), prems, dict(n.meta)))
+    return Proof(node.calculus, node.rule, c, node.premises, dict(node.meta))
+
+
+def test_check_csgl_matches_tree_root_on_every_node(monkeypatch):
+    calls = []
+    monkeypatch.setattr(checkers, "tree_root", lambda t: calls.append(t) or tree_root(t))
+    rng = random.Random(8)
+    kinds = ("cycle", "drop-atom", "stray-label", "second-root", "rename-label", "retag",
+             "cycle-subtree")
+    proofs = []
+    while len(proofs) < 40:
+        r = prove_formula(random_formula(rng, ("p", "q", "r"), rng.randint(4, 12)), "csgl", CFG)
+        if r.proved:
+            proofs.append(to_end_active(r.proof) if len(proofs) % 2 else r.proof)
+    rejected = set()
+    for proof in proofs:
+        calls.clear()
+        assert check_csgl(proof).accepted
+        assert len(calls) == 1  # the root only: every premise is vouched for
+        addrs = [a for a, _ in proof.nodes()]
+        for kind in kinds:
+            addr = rng.choice(addrs)
+            mutant = proof.replace_at(addr, _mutate(proof.at(addr), kind, rng))
+            failures = check_csgl(mutant).failures
+            assert failures == _reference_csgl_failures(mutant), (kind, addr)
+            if failures:
+                rejected.add(kind)
+    assert rejected == set(kinds)
 
 
 def test_check_proof_dispatch():

@@ -132,6 +132,9 @@ def test_admit_w_csgl_shape_violation():
     bad = LabeledSequent((("a", "b"),), (), ())  # disconnected from x
     with pytest.raises(ShapeViolation):
         admit("w", base, added=bad)
+    # a cycle through the root, on a proof with a boxR above it
+    with pytest.raises(ShapeViolation, match="cycle"):
+        admit("w", csgl_proof(LOB), added=LabeledSequent((("x", "x"),), (), ()))
 
 
 def test_admit_w_fresh_collision_renames():
@@ -513,7 +516,7 @@ def test_normalize_appendix_4l_below_orl():
     assert out.premises[0].premises[0].premises[0].rule == "orL"
 
 
-def test_normalize_wrong_order_simple():
+def _fixture_4l_above_boxl():
     concl = parse_lns("[]p |- []p")
     (c1,) = premises_of("lngl", "boxR", {"phi": P}, concl)
     (c2,) = premises_of("lngl", "boxL", {"phi": P}, c1)
@@ -521,7 +524,26 @@ def test_normalize_wrong_order_simple():
     leaf = Proof("lngl", "id1", c3, (), {"principal": P})
     n4 = Proof("lngl", "4L", c2, (leaf,), {"phi": P})
     nb = Proof("lngl", "boxL", c1, (n4,), {"phi": P})
-    base = Proof("lngl", "boxR", concl, (nb,), {"phi": P})
+    return Proof("lngl", "boxR", concl, (nb,), {"phi": P})
+
+
+def _fixture_boxl_above_negr():
+    # []p |- []~~p: boxR, negR, then boxL p, negL ~p, id1 p
+    nnp, np_ = pf("~~p"), pf("~p")
+    concl = parse_lns("[]p |- []~~p")
+    (c1,) = premises_of("lngl", "boxR", {"phi": nnp}, concl)
+    (c2,) = premises_of("lngl", "negR", {"principal": nnp}, c1)
+    (c3,) = premises_of("lngl", "boxL", {"phi": P}, c2)
+    (c4,) = premises_of("lngl", "negL", {"principal": np_}, c3)
+    leaf = Proof("lngl", "id1", c4, (), {"principal": P})
+    n_negl = Proof("lngl", "negL", c3, (leaf,), {"principal": np_})
+    n_boxl = Proof("lngl", "boxL", c2, (n_negl,), {"phi": P})
+    n_negr = Proof("lngl", "negR", c1, (n_boxl,), {"principal": nnp})
+    return Proof("lngl", "boxR", concl, (n_negr,), {"phi": nnp})
+
+
+def test_normalize_wrong_order_simple():
+    base = _fixture_4l_above_boxl()
     assert check_lngl(base).accepted
     assert not normal_form_report(base).accepted
     out = normalize_lngl(base)
@@ -576,9 +598,18 @@ def test_lngl_to_glseq_modal_block_partition():
 
 
 def test_lngl_to_glseq_rejects_non_normal():
-    base = _fixture_4l_above_orl()
-    with pytest.raises(NotNormalForm):
-        lngl_to_glseq(base)
+    # each kind of block violation: 4L above boxL, 4L above a local rule,
+    # boxL above a local rule
+    for fixture, address, rule in ((_fixture_4l_above_boxl, (0, 0), "4L"),
+                                   (_fixture_4l_above_orl, (0, 0, 0), "4L"),
+                                   (_fixture_boxl_above_negr, (0, 0), "boxL")):
+        base = fixture()
+        assert check_lngl(base).accepted
+        violations = normal_form_report(base).failures
+        assert [(v.address, base.at(v.address).rule) for v in violations] == [(address, rule)]
+        with pytest.raises(NotNormalForm, match=f"unexpected {rule} outside a modal block"):
+            lngl_to_glseq(base)
+        assert check_glseq(lngl_to_glseq(normalize_lngl(base))).accepted
 
 
 def test_lngl_to_glseq_corpus():
@@ -749,3 +780,21 @@ def test_to_g3gl_on_a_deep_glseq_proof():
         out, report = run_pass("to-g3gl", r.proof)
         assert report.height_out == out.height() > 300, n
         assert check_g3gl(out, "extended").accepted, n
+
+
+def test_pass_report_is_measured_only_when_read(monkeypatch):
+    base = csgl_proof(LOB)
+    walks = []
+    size, to_str = Proof.size, LabeledSequent.__str__
+    monkeypatch.setattr(Proof, "size", lambda p: walks.append("size") or size(p))
+    monkeypatch.setattr(LabeledSequent, "__str__", lambda s: walks.append("str") or to_str(s))
+    out, report = run_pass("embed-g3gl", base)
+    assert walks == []
+    assert (report.nodes_in, report.height_in) == size(base)
+    assert (report.nodes_out, report.height_out) == size(out)
+    assert walks == ["size", "size"]
+    assert report.input_conclusion == to_str(base.conclusion)
+    assert report.line() == report.line() == (
+        f"embed-g3gl: nodes 9->9, height 7->7, permutations 0, "
+        f"concludes {to_str(out.conclusion)}")
+    assert walks == ["size", "size", "str", "str"]
