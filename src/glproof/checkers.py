@@ -45,6 +45,7 @@ from .sequents import (
     LinearNestedSequent,
     NotATree,
     Proof,
+    SEQUENT_OF,
     format_address,
     is_leaf,
     is_pre_leaf,
@@ -111,15 +112,20 @@ def _check_node(
     allowed: tuple[str, ...],
     strict_reject: tuple[str, ...],
     failures: list[Failure],
-) -> list[bool]:
+) -> list[bool] | None:
     """Append the node's own failures; return, for each premise, whether its
     conclusion is the one the schema derives (none when the schema did not
-    apply)."""
+    apply), or None when the conclusion is not a sequent of the calculus."""
     if node.rule == OPEN and OPEN in allowed:
         return []
+    shaped = isinstance(node.conclusion, SEQUENT_OF[expected_calculus[0]])
     if node.calculus not in expected_calculus:
         failures.append(Failure(addr, CALCULUS_MISMATCH, f"node is tagged {node.calculus}"))
-        return []
+        return [] if shaped else None
+    if not shaped:
+        failures.append(Failure(addr, CALCULUS_MISMATCH,
+                                f"{node.calculus} node concludes a {type(node.conclusion).__name__}"))
+        return None
     if node.rule == OPEN:
         failures.append(Failure(addr, OPEN_LEAF, "open leaf in a closed proof"))
         return []
@@ -187,7 +193,8 @@ def _check_nodes(
     stack: list[tuple[Address, Proof, bool]] = [((), proof, False)]
     while stack:
         addr, node, is_tree = stack.pop()
-        if tree and not is_tree:
+        matched = _check_node(addr, node, expected_calculus, allowed, strict_reject, failures)
+        if tree and not is_tree and matched is not None:
             try:
                 tree_root(node.conclusion)
                 is_tree = True
@@ -201,7 +208,6 @@ def _check_nodes(
                     f"fresh label {y} reused (also at {format_address(seen[y])})", detail=y))
             else:
                 seen[y] = addr
-        matched = _check_node(addr, node, expected_calculus, allowed, strict_reject, failures)
         for i in range(len(node.premises) - 1, -1, -1):
             vouched = is_tree and i < len(matched) and matched[i]
             stack.append((addr + (i,), node.premises[i], vouched))
@@ -341,33 +347,32 @@ def end_active_report(p: Proof) -> CheckReport:
     return CheckReport.from_failures(failures)
 
 
-def block_violations(boxr: Proof, addr: Address = ()) -> list[Failure]:
-    """The block violations of the modal block of the boxR at `addr`, up to
-    the next boxR or initial rule: each 4L right above a rule other than 4L,
-    each boxL right above a local rule; in pre-order."""
-    failures: list[Failure] = []
-
-    def walk(node: Proof, addr: Address, phase: int):
+def _modal_block(boxr: Proof, addr: Address):
+    """The nodes of the modal block of the boxR at `addr`, up to the next
+    boxR, initial rule or open leaf, in pre-order; each with its address and
+    the rule of the node below it."""
+    stack = [(addr + (0,), boxr.premises[0], boxr.rule)]
+    while stack:
+        a, node, below = stack.pop()
         if node.rule == "boxR" or node.rule in INITIAL_RULES or node.rule == OPEN:
-            return
-        if node.rule == "4L":
-            if phase > 0:
-                failures.append(
-                    Failure(addr, BLOCK_VIOLATION, "4L above the 4L block of this modal block")
-                )
-            nxt = 0
-        elif node.rule == "boxL":
-            if phase > 1:
-                failures.append(
-                    Failure(addr, BLOCK_VIOLATION, "boxL above the boxL block of this modal block")
-                )
-            nxt = 1
-        else:
-            nxt = 2
-        for i, prem in enumerate(node.premises):
-            walk(prem, addr + (i,), nxt)
+            continue
+        yield a, node, below
+        for i in range(len(node.premises) - 1, -1, -1):
+            stack.append((a + (i,), node.premises[i], node.rule))
 
-    walk(boxr.premises[0], addr + (0,), 0)
+
+def block_violations(boxr: Proof, addr: Address = ()) -> list[Failure]:
+    """The block violations of the modal block of the boxR at `addr`: each 4L
+    right above a rule other than 4L, each boxL right above a local rule; in
+    pre-order."""
+    failures: list[Failure] = []
+    for a, node, below in _modal_block(boxr, addr):
+        if node.rule == "4L" and below not in ("boxR", "4L"):
+            failures.append(
+                Failure(a, BLOCK_VIOLATION, "4L above the 4L block of this modal block"))
+        elif node.rule == "boxL" and below not in ("boxR", "4L", "boxL"):
+            failures.append(
+                Failure(a, BLOCK_VIOLATION, "boxL above the boxL block of this modal block"))
     return failures
 
 
@@ -391,27 +396,18 @@ class Block:
 
 def modal_blocks(p: Proof, boxr_addr: Address) -> tuple[Block, Block, Block]:
     """The 4L block, boxL block, and local block stacked above a normal-form
-    boxR (the complete-block decomposition)."""
-    addr = boxr_addr + (0,)
+    boxR (the complete-block decomposition).  4L and boxL are unary, so the
+    first two blocks are the walk's leading runs of their rules."""
     four: list[Address] = []
-    while p.at(addr).rule == "4L":
-        four.append(addr)
-        addr = addr + (0,)
     boxl: list[Address] = []
-    while p.at(addr).rule == "boxL":
-        boxl.append(addr)
-        addr = addr + (0,)
     local: list[Address] = []
-
-    def walk(a: Address):
-        node = p.at(a)
-        if node.rule == "boxR" or node.rule in INITIAL_RULES or node.rule == OPEN:
-            return
-        local.append(a)
-        for i in range(len(node.premises)):
-            walk(a + (i,))
-
-    walk(addr)
+    for a, node, _ in _modal_block(p.at(boxr_addr), boxr_addr):
+        if node.rule == "4L" and not boxl and not local:
+            four.append(a)
+        elif node.rule == "boxL" and not local:
+            boxl.append(a)
+        else:
+            local.append(a)
     return Block(tuple(four)), Block(tuple(boxl)), Block(tuple(local))
 
 

@@ -40,9 +40,8 @@ from .render import (
 from .search import FuelExhausted, SearchConfig, prove_formula
 from .semantics import BadModel, ModelBound, oracle_validity, parse_model, print_model
 from .sequents import CyclicDerivation, format_address
-from .transform import TransformError, run_pass
+from .transform import PASSES, TransformError, run_pass
 
-PASSES = ("end-active", "linearize", "normalize", "to-glseq", "to-g3gl", "embed-g3gl")
 PIPELINE = (
     ("csgl", None),
     ("end-active", "end-active"),
@@ -105,7 +104,7 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     p_check.add_argument("file")
 
     p_tr = sub.add_parser("transform", help="run a proof transformation pass")
-    p_tr.add_argument("--pass", dest="pass_name", choices=PASSES, required=True)
+    p_tr.add_argument("--pass", dest="pass_name", choices=tuple(PASSES), required=True)
     p_tr.add_argument("-o", "--output")
     p_tr.add_argument("file")
 

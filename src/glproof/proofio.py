@@ -22,6 +22,7 @@ from .sequents import (
     Sequent,
     format_address,
     parse_address,
+    trampoline,
 )
 
 _REL_ATOM_RE = re.compile(r"^\s*([a-z][a-z0-9_]*)R([a-z][a-z0-9_]*)\s*$")
@@ -125,21 +126,24 @@ def _parse_terms(tokens: list[str], i: int):
         raise SequentSyntaxError("the proof term is empty or truncated")
     if tokens[i] != "(":
         raise SequentSyntaxError(f"expected '(' at token {i}: {tokens[i]!r}")
-    if i + 1 >= n or tokens[i + 1] in ("(", ")"):
-        raise SequentSyntaxError(f"term at token {i} has no head")
-    head = tokens[i + 1]
-    i += 2
-    items = []
-    while i < n and tokens[i] != ")":
+    open_terms: list[tuple[str, list]] = []
+    while True:
         if tokens[i] == "(":
-            sub, i = _parse_terms(tokens, i)
-            items.append(sub)
-        else:
-            items.append(tokens[i])
+            if i + 1 >= n or tokens[i + 1] in ("(", ")"):
+                raise SequentSyntaxError(f"term at token {i} has no head")
+            open_terms.append((tokens[i + 1], []))
+            i += 2
+        elif tokens[i] == ")":
+            term = open_terms.pop()
             i += 1
-    if i >= n:
-        raise SequentSyntaxError(f"term {head!r} is not closed")
-    return (head, items), i + 1
+            if not open_terms:
+                return term, i
+            open_terms[-1][1].append(term)
+        else:
+            open_terms[-1][1].append(tokens[i])
+            i += 1
+        if i >= n:
+            raise SequentSyntaxError(f"term {open_terms[-1][0]!r} is not closed")
 
 
 def _unquote(tok: str) -> str:
@@ -256,13 +260,12 @@ def print_proof(obj) -> str:
         meta_part = f" (meta {meta})" if meta else ""
         if node.premises:
             lines.append(f"{pad}(rule {node.rule} (concl {concl}){meta_part} (prems")
-            for i, prem in enumerate(node.premises):
-                emit(prem, addr + (i,), indent + 1)
+            yield tuple(emit(prem, addr + (i,), indent + 1) for i, prem in enumerate(node.premises))
             lines.append(f"{pad}))")
         else:
             lines.append(f"{pad}(rule {node.rule} (concl {concl}){meta_part} (prems))")
 
-    emit(root, (), 0)
+    trampoline(emit(root, (), 0))
     return "\n".join(lines) + "\n"
 
 
@@ -287,7 +290,7 @@ def parse_proof(text: str):
             raise SequentSyntaxError(f"({item[0]} ...) takes one value")
         return _unquote(item[1][0])
 
-    def build(t, addr: Address) -> Proof:
+    def build(t, addr: Address):
         if not isinstance(t, tuple):
             raise SequentSyntaxError(f"expected a proof term, got {t!r}")
         head, items = t
@@ -320,13 +323,12 @@ def parse_proof(text: str):
             elif item[0] == "meta":
                 meta = _decode_meta(item[1])
             elif item[0] == "prems":
-                for i, sub in enumerate(item[1]):
-                    prems.append(build(sub, addr + (i,)))
+                prems.extend((yield tuple(build(sub, addr + (i,)) for i, sub in enumerate(item[1]))))
         if concl is None:
             raise SequentSyntaxError(f"rule {name} without conclusion")
         return Proof(node_calculus, name, concl, tuple(prems), meta)
 
-    root = build(term, ())
+    root = trampoline(build(term, ()))
     if cyclic:
         return CyclicDerivation(root, backlinks)
     return root

@@ -10,6 +10,7 @@ from .sequents import (
     Proof,
     TreeView,
     format_address,
+    trampoline,
     tree_view,
 )
 from .semantics import Model
@@ -37,16 +38,11 @@ def _unwrap(obj) -> tuple[Proof, dict]:
 def render_proof_text(obj) -> str:
     root, backlinks = _unwrap(obj)
     lines = []
-
-    def walk(node: Proof, addr, depth):
+    for addr, node in root.nodes():
         tag = node.rule
         if node.rule == OPEN and addr in backlinks:
             tag = f"open -> {format_address(backlinks[addr])}"
-        lines.append(f"{'  ' * depth}[{tag}] {node.conclusion}")
-        for i, q in enumerate(node.premises):
-            walk(q, addr + (i,), depth + 1)
-
-    walk(root, (), 0)
+        lines.append(f"{'  ' * len(addr)}[{tag}] {node.conclusion}")
     return "\n".join(lines) + "\n"
 
 
@@ -61,10 +57,10 @@ def render_proof_dot(obj) -> str:
         lines.append(f'  {ids[addr]} [label="{label}"];')
         for i, q in enumerate(node.premises):
             child = addr + (i,)
-            walk(q, child)
+            yield walk(q, child)
             lines.append(f"  {ids[addr]} -> {ids[child]};")
 
-    walk(root, ())
+    trampoline(walk(root, ()))
     for leaf, target in backlinks.items():
         lines.append(f"  {ids[leaf]} -> {ids[target]} [style=dashed, constraint=false];")
     lines.append("}")
@@ -79,8 +75,7 @@ def render_proof_latex(obj) -> str:
         return str(s).replace("|-", r"\vdash").replace("[]", r"\Box ").replace("~", r"\neg ")
 
     def walk(node: Proof, addr):
-        for i, q in enumerate(node.premises):
-            walk(q, addr + (i,))
+        yield tuple(walk(q, addr + (i,)) for i, q in enumerate(node.premises))
         rule = RULE_TEX.get(node.rule, node.rule)
         if node.rule == OPEN:
             note = format_address(backlinks[addr]) if addr in backlinks else "open"
@@ -97,7 +92,7 @@ def render_proof_latex(obj) -> str:
         else:
             lines.append(rf"\BinaryInfC{{${tex_seq(node.conclusion)}$}}")
 
-    walk(root, ())
+    trampoline(walk(root, ()))
     lines.append(r"\end{prooftree}")
     return "\n".join(lines) + "\n"
 
@@ -110,10 +105,10 @@ def render_tree_sequent_dot(t: LabeledSequent) -> str:
         name = f"t{path}"
         lines.append(f'  {name} [label="{v.label}: {_dot_escape(str(v.sequent))}"];')
         for i, c in enumerate(v.children):
-            walk(c, f"{path}_{i}")
+            yield walk(c, f"{path}_{i}")
             lines.append(f"  {name} -> t{path}_{i};")
 
-    walk(view, "0")
+    trampoline(walk(view, "0"))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -124,10 +119,9 @@ def render_tree_sequent_text(t: LabeledSequent) -> str:
 
     def walk(v: TreeView, depth: int):
         lines.append(f"{'  ' * depth}{v.label}: {v.sequent}")
-        for c in v.children:
-            walk(c, depth + 1)
+        yield tuple(walk(c, depth + 1) for c in v.children)
 
-    walk(view, 0)
+    trampoline(walk(view, 0))
     return "\n".join(lines) + "\n"
 
 

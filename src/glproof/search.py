@@ -21,6 +21,7 @@ from .sequents import (
     Sequent,
     formula_key,
     labeled_key,
+    trampoline,
     tree_root,
 )
 from .rules import premises_of
@@ -61,26 +62,18 @@ _LABEL_KEYS = ("label", "aux", "fresh")
 
 def _replay(sk, seq: Sequent, calculus: str, names: Optional[dict] = None) -> Proof:
     """Re-derive a search skeleton over the original multisets; `names` maps
-    CSGL's integer state labels to label names.  A post-order on an explicit
-    stack: each node goes back on the stack, with its meta, under its
-    premises, and is built once they are."""
-    done: list[Proof] = []
-    todo: list = [(sk, seq, None, 0)]
-    while todo:
-        sk, seq, meta, k = todo.pop()
-        if meta is not None:
-            done[len(done) - k:] = [Proof(calculus, sk[0], seq, tuple(done[len(done) - k:]), meta)]
-            continue
+    CSGL's integer state labels to label names."""
+    def walk(sk, seq: Sequent):
         n = 2 + len(sk[1])
         meta = dict(zip(sk[1], sk[2:n]))
         if names is not None:
             for key in _LABEL_KEYS:
                 if key in meta:
                     meta[key] = names[meta[key]]
-        pairs = list(zip(sk[n:], premises_of(calculus, sk[0], meta, seq)))
-        todo.append((sk, seq, meta, len(pairs)))
-        todo.extend((sub, q, None, 0) for sub, q in reversed(pairs))
-    return done[0]
+        prems = yield tuple(map(walk, sk[n:], premises_of(calculus, sk[0], meta, seq)))
+        return Proof(calculus, sk[0], seq, prems, meta)
+
+    return trampoline(walk(sk, seq))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ rules then insert into sides already in order (`insert_sorted`, `with_ante`,
 `with_cons`) and build with `of_sorted`, which does not sort again.  Tree
 sequents reuse the labeled-sequent representation; validity is enforced by
 `tree_root`, which doubles as the tree validator.
+
+Walkers: a walk that builds a node's result from its children's is a
+generator run by `trampoline`.  Where a recursive function would call itself,
+a walker yields the sub-walk (or a tuple of sub-walks) and is sent back its
+result (or the tuple of results).  Sub-walks run in the order yielded, on one
+explicit stack, so proof height costs no recursion.  Public functions run the
+trampoline; walkers yield each other.
 """
 
 from __future__ import annotations
@@ -358,7 +365,9 @@ class TreeView:
     children: tuple["TreeView", ...]
 
     def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
+        def count(v: TreeView):
+            return 1 + sum((yield tuple(map(count, v.children))))
+        return trampoline(count(self))
 
 
 def tree_view(t: LabeledSequent) -> TreeView:
@@ -366,16 +375,19 @@ def tree_view(t: LabeledSequent) -> TreeView:
     root = tree_root(t)
     kids = tree_children(t)
 
-    def build(x: Label) -> TreeView:
-        return TreeView(x, t.flat_at(x), tuple(build(y) for y in kids[x]))
+    def build(x: Label):
+        return TreeView(x, t.flat_at(x), (yield tuple(map(build, kids[x]))))
 
-    return build(root)
+    return trampoline(build(root))
 
 
 # ---------------------------------------------------------------------------
 # Proofs and cyclic derivations
 
 CALCULI = ("glseq", "k4seq", "g3gl", "g3glext", "csgl", "lngl")
+
+SEQUENT_OF = {"glseq": GentzenSequent, "k4seq": GentzenSequent, "g3gl": LabeledSequent,
+              "g3glext": LabeledSequent, "csgl": LabeledSequent, "lngl": LinearNestedSequent}
 
 OPEN = "open"  # pseudo-rule for open leaves of cyclic derivations / unfoldings
 
@@ -424,12 +436,14 @@ class Proof:
                 stack.append((addr + (i,), node.premises[i]))
 
     def replace_at(self, addr: Address, new: "Proof") -> "Proof":
-        if not addr:
-            return new
-        i = addr[0]
-        prems = list(self.premises)
-        prems[i] = prems[i].replace_at(addr[1:], new)
-        return Proof(self.calculus, self.rule, self.conclusion, tuple(prems), dict(self.meta))
+        path = [self]
+        for i in addr[:-1]:
+            path.append(path[-1].premises[i])
+        for node, i in zip(reversed(path), reversed(addr)):
+            prems = list(node.premises)
+            prems[i] = new
+            new = Proof(node.calculus, node.rule, node.conclusion, tuple(prems), dict(node.meta))
+        return new
 
     def retag(self, calculus: str) -> "Proof":
         return rebuild(self, lambda node, prems: Proof(
@@ -459,20 +473,40 @@ def parse_address(text: str) -> Address:
     return tuple(int(part) for part in text.split("/"))
 
 
+def trampoline(walk):
+    """Run the walker `walk` to its result (see the module docstring); an
+    empty tuple is answered at once.  Exceptions propagate out unchanged."""
+    stack: list = []  # (suspended walker, its sub-walks, their results, many)
+    gen, value = walk, None
+    while True:
+        try:
+            sub = gen.send(value)
+        except StopIteration as stop:
+            if not stack:
+                return stop.value
+            parent, subs, done, many = stack[-1]
+            done.append(stop.value)
+            if len(done) < len(subs):
+                gen, value = subs[len(done)], None
+            else:
+                stack.pop()
+                gen, value = parent, tuple(done) if many else done[0]
+            continue
+        many = type(sub) is tuple
+        if many and not sub:
+            value = ()
+        else:
+            stack.append((gen, sub if many else (sub,), [], many))
+            gen, value = stack[-1][1][0], None
+
+
 def rebuild(proof: Proof, make) -> Proof:
     """A copy of `proof` built bottom-up: each node becomes
-    make(node, its rebuilt premises).  A post-order on an explicit stack, as
-    in `search._replay`, so proof height costs no recursion."""
-    done: list[Proof] = []
-    todo: list = [(proof, None)]
-    while todo:
-        node, k = todo.pop()
-        if k is None:
-            todo.append((node, len(node.premises)))
-            todo.extend((q, None) for q in reversed(node.premises))
-        else:
-            done[len(done) - k:] = [make(node, tuple(done[len(done) - k:]))]
-    return done[0]
+    make(node, its rebuilt premises)."""
+    def walk(node: Proof):
+        return make(node, (yield tuple(map(walk, node.premises))))
+
+    return trampoline(walk(proof))
 
 
 def relabel_proof(proof: Proof, mapping: dict[Label, Label]) -> Proof:

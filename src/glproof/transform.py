@@ -32,9 +32,11 @@ from .sequents import (
     mset_remove,
     project_chain,
     proof_labels,
+    rebuild,
     reindex_labels,
     relabel_proof,
     root_path,
+    trampoline,
     tree_root,
 )
 from .checkers import block_violations, end_active_report, node_end_active, normal_form_report
@@ -82,14 +84,14 @@ def _schema(calculus: str, rule: str, meta: dict, conclusion) -> list:
         raise NotApplicable(f"{rule} does not apply: {e}") from e
 
 
-def _rederive(p: Proof, target, step) -> Proof:
-    """p's rule instance applied at the conclusion `target`: a premise whose
-    conclusion does not change is kept, every other one is rebuilt by
-    `step(premise, new_conclusion)`."""
+def _rederive(p: Proof, target, step):
+    """Walker: p's rule instance applied at the conclusion `target`.  A
+    premise whose conclusion does not change is kept, every other one is
+    rebuilt by the walker `step(premise, new_conclusion)`."""
     goals = _schema(p.calculus, p.rule, p.meta, target)
     subs = []
     for q, goal in zip(p.premises, goals):
-        sub = q if q.conclusion == goal else step(q, goal)
+        sub = q if q.conclusion == goal else (yield step(q, goal))
         if sub.conclusion != goal:
             raise NotApplicable(f"{p.rule} misaligned a premise")
         subs.append(sub)
@@ -114,6 +116,10 @@ def prove_general_id(calculus: str, goal, principal) -> Proof:
     """A proof of a sequent carrying `principal` on both sides, built by
     structural induction; id1/id2 (or Gentzen id) close the base cases.
     Labeled calculi take principal=(label, formula)."""
+    return trampoline(_general_id(calculus, goal, principal))
+
+
+def _general_id(calculus: str, goal, principal):
     labeled = calculus in LABELED
     label, f = principal if labeled else (None, principal)
     meta = {"label": label, "principal": f} if labeled else {"principal": f}
@@ -124,8 +130,8 @@ def prove_general_id(calculus: str, goal, principal) -> Proof:
         return Proof(calculus, rule, goal, (), meta)
     upper = LOCAL_RULE_OF[type(f), True]
     (mid,) = _schema(calculus, lower, meta, goal)
-    subs = tuple(
-        prove_general_id(calculus, top, (label, g) if labeled else g)
+    subs = yield tuple(
+        _general_id(calculus, top, (label, g) if labeled else g)
         for top, g in zip(_schema(calculus, upper, meta, mid), _parts(f))
     )
     return Proof(calculus, lower, goal, (Proof(calculus, upper, mid, subs, dict(meta)),), meta)
@@ -150,7 +156,7 @@ def weaken(p: Proof, **adds) -> Proof:
     c = p.conclusion
     add_a, add_c = tuple(adds.get("ante", ())), tuple(adds.get("cons", ()))
     if p.calculus in LABELED:
-        p = _avoid_fresh(p, adds["added"].labels())
+        p = trampoline(_avoid_fresh(p, adds["added"].labels()))
         target = _merge_labeled(c, adds["added"])
     elif p.calculus == "lngl":
         i = adds.get("component", len(c) - 1)
@@ -168,21 +174,21 @@ def weaken(p: Proof, **adds) -> Proof:
             raise ShapeViolation(f"weakening breaks the tree shape: {e}") from e
 
     step = lambda q, goal: _rederive(q, goal, step)
-    return step(p, target)
+    return trampoline(step(p, target))
 
 
 def _merge_labeled(s: LabeledSequent, added: LabeledSequent) -> LabeledSequent:
     return LabeledSequent(s.rel | added.rel, s.ante + added.ante, s.cons + added.cons)
 
 
-def _avoid_fresh(p: Proof, labels) -> Proof:
-    """p with every boxR fresh label that lies in `labels` renamed."""
+def _avoid_fresh(p: Proof, labels):
+    """Walker: p with every boxR fresh label that lies in `labels` renamed."""
     y = p.meta.get("fresh") if p.rule == "boxR" else None
     if y in labels:
         z = fresh_label(proof_labels(p) | set(labels))
         p = Proof(p.calculus, p.rule, p.conclusion,
                   (relabel_proof(p.premises[0], {y: z}),), dict(p.meta, fresh=z))
-    prems = tuple(_avoid_fresh(q, labels) for q in p.premises)
+    prems = yield tuple(_avoid_fresh(q, labels) for q in p.premises)
     if all(a is b for a, b in zip(prems, p.premises)):
         return p
     return Proof(p.calculus, p.rule, p.conclusion, prems, dict(p.meta))
@@ -196,7 +202,7 @@ def substitute_labels(p: Proof, x: str, y: str) -> Proof:
         return p
     if p.calculus not in LABELED:
         raise NotApplicable("label substitution needs a labeled calculus")
-    renamed = relabel_proof(_avoid_fresh(p, {x, y}), {y: x})
+    renamed = relabel_proof(trampoline(_avoid_fresh(p, {x, y})), {y: x})
     if p.calculus == "csgl":
         for _, node in renamed.nodes():
             try:
@@ -209,9 +215,9 @@ def substitute_labels(p: Proof, x: str, y: str) -> Proof:
 # ---------------------------------------------------------------------------
 # Hp-admissible contraction
 
-def _contract(p: Proof, side: str, item) -> Proof:
-    """Proof of p's conclusion with one occurrence of `item` removed from
-    `side`; standard induction using inversion on the remaining copy."""
+def _contract(p: Proof, side: str, item):
+    """Walker: a proof of p's conclusion with one occurrence of `item` removed
+    from `side`; standard induction using inversion on the remaining copy."""
     calculus = p.calculus
     labeled = calculus in LABELED
     target = _drop(p.conclusion, side, item)
@@ -227,7 +233,7 @@ def _contract(p: Proof, side: str, item) -> Proof:
         for i, (ante, cons) in enumerate(local_premises(p.rule, f, x, *alone, lambda *s: s)):
             sub = apply_inverse(p.rule, i, p.premises[i], dict(p.meta))
             for part_side, part in [("ante", g) for g in ante] + [("cons", g) for g in cons]:
-                sub = _contract(sub, part_side, part)
+                sub = yield _contract(sub, part_side, part)
             subs.append(sub)
         return Proof(calculus, p.rule, target, tuple(subs), dict(p.meta))
 
@@ -237,8 +243,8 @@ def _contract(p: Proof, side: str, item) -> Proof:
         phi, y = p.meta["phi"], p.meta["fresh"]
         z = fresh_label(proof_labels(p) | {label, y})
         inv = apply_inverse("boxR", 0, p.premises[0], {"label": label, "fresh": z, "phi": phi})
-        sub = _contract(substitute_labels(inv, y, z), "ante", (y, Box(phi)))
-        sub = _contract(sub, "cons", (y, phi))
+        sub = yield _contract(substitute_labels(inv, y, z), "ante", (y, Box(phi)))
+        sub = yield _contract(sub, "cons", (y, phi))
         return Proof(calculus, "boxR", target, (sub,), dict(p.meta))
 
     if p.rule in ("boxGL", "box4") and side == "ante" and isinstance(item, Box):
@@ -248,12 +254,13 @@ def _contract(p: Proof, side: str, item) -> Proof:
             # and contract the premise
             p = Proof(calculus, p.rule, p.conclusion, p.premises,
                       {"gamma": mset_remove(gamma, item.sub), "phi": p.meta["phi"]})
-            return _rederive(p, target, lambda q, goal: _contract(
-                _contract(q, "ante", item), "ante", item.sub))
+            def twice(q: Proof, goal):
+                return (yield _contract((yield _contract(q, "ante", item)), "ante", item.sub))
+            return (yield from _rederive(p, target, twice))
 
     # context case (also a copy in an absorbed context): the pair rides
     # through every premise that reads it
-    return _rederive(p, target, lambda q, goal: _contract(q, side, item))
+    return (yield from _rederive(p, target, lambda q, goal: _contract(q, side, item)))
 
 
 def admit(rule: str, p: Proof, **instance) -> Proof:
@@ -275,7 +282,7 @@ def admit(rule: str, p: Proof, **instance) -> Proof:
             item = (instance["label"], instance["principal"])
         else:
             item = instance["principal"]
-        return _contract(p, side, item)
+        return trampoline(_contract(p, side, item))
     if rule == "sub":
         return substitute_labels(p, instance["x"], instance["y"])
     raise NotApplicable(f"admit does not handle rule {rule}")
@@ -308,22 +315,22 @@ def apply_inverse(rule: str, i: int, p: Proof, meta: dict) -> Proof:
         )
         return weaken(p, added=added)
     if rule in LOCAL_RULES or (rule == "boxR" and calculus in LABELED):
-        return _invert(rule, i, p, meta, target)
+        return trampoline(_invert(rule, i, p, meta, target))
     raise NotApplicable(f"no inversion for {rule} in {calculus}")
 
 
-def _invert(rule: str, i: int, p: Proof, meta: dict, target) -> Proof:
-    """p re-derived at `target`; an application of the inverted instance
-    itself gives way to its i-th premise (renamed to the new fresh label)."""
+def _invert(rule: str, i: int, p: Proof, meta: dict, target):
+    """Walker: p re-derived at `target`; the inverted instance itself gives
+    way to its i-th premise (renamed to the new fresh label)."""
     if p.rule == rule and all(p.meta.get(k) == v for k, v in meta.items() if k != "fresh"):
         if rule == "boxR" and p.meta["fresh"] != meta["fresh"]:
             return relabel_proof(p.premises[i], {p.meta["fresh"]: meta["fresh"]})
         return p.premises[i]
     if p.premises:
-        return _rederive(p, target, lambda q, goal: _invert(rule, i, q, meta, goal))
+        return (yield from _rederive(p, target, lambda q, goal: _invert(rule, i, q, meta, goal)))
     # initial rules survive unless the witness was the inverted principal
     try:
-        return _rederive(p, target, None)
+        return trampoline(_rederive(p, target, None))
     except NotApplicable:
         pass
     calculus = p.calculus
@@ -331,7 +338,7 @@ def _invert(rule: str, i: int, p: Proof, meta: dict, target) -> Proof:
         # id2 on x:[]phi: the consequent copy is gone; use boxL + general id
         m = {"label": meta["label"], "aux": meta["fresh"], "phi": meta["phi"]}
         (prem,) = _schema(calculus, "boxL", m, target)
-        sub = prove_general_id(calculus, prem, (meta["fresh"], meta["phi"]))
+        sub = yield _general_id(calculus, prem, (meta["fresh"], meta["phi"]))
         return Proof(calculus, "boxL", target, (sub,), m)
     if calculus in GENTZEN and p.rule == "id":
         # general id destroyed: rebuild around the decomposed witness
@@ -421,15 +428,16 @@ def permute_down(p: Proof, addr: Address) -> Proof:
 # ---------------------------------------------------------------------------
 # End-activation
 
-def _strengthen(p: Proof, item) -> Proof:
-    """Drop an antecedent labeled formula nowhere used in the subproof;
-    NotApplicable when the formula is a witness or principal somewhere."""
+def _strengthen(p: Proof, item):
+    """Walker: drop an antecedent labeled formula nowhere used in the
+    subproof; NotApplicable when it is a witness or principal somewhere."""
     m = p.meta
     if (m.get("label"), m.get("principal")) == item or (
         p.rule in PROPAGATION_RULES and (m["label"], Box(m["phi"])) == item
     ):
         raise NotApplicable(f"{p.rule} uses {item}")
-    return _rederive(p, _drop(p.conclusion, "ante", item), lambda q, goal: _strengthen(q, item))
+    return (yield from _rederive(p, _drop(p.conclusion, "ante", item),
+                                 lambda q, goal: _strengthen(q, item)))
 
 
 def to_end_active(p: Proof, stats: Optional[dict] = None) -> Proof:
@@ -473,7 +481,7 @@ def to_end_active(p: Proof, stats: Optional[dict] = None) -> Proof:
                 phi = node.meta["phi"]
                 added = (node.meta["aux"], Box(phi) if node.rule == "4L" else phi)
                 try:
-                    proof = proof.replace_at(addr, _strengthen(node.premises[0], added))
+                    proof = proof.replace_at(addr, trampoline(_strengthen(node.premises[0], added)))
                     permutations += 1
                     continue
                 except NotApplicable:
@@ -502,7 +510,7 @@ def linearize(p: Proof, stats: Optional[dict] = None) -> Proof:
         rule = node.rule
         if rule == "boxR":
             x, y, phi = node.meta["label"], node.meta["fresh"], node.meta["phi"]
-            chain, lp = lin(node.premises[0])
+            chain, lp = yield lin(node.premises[0])
             if chain[-1] == y:
                 new_chain = chain[:-1]
                 concl = project_chain(c, new_chain)
@@ -520,7 +528,7 @@ def linearize(p: Proof, stats: Optional[dict] = None) -> Proof:
         chain = root_path(c, x) if not node.premises else None
         subs = []
         for q in node.premises:
-            sub_chain, lq = lin(q)
+            sub_chain, lq = yield lin(q)
             if sub_chain[-1] != x:
                 return sub_chain, lq
             chain = chain or sub_chain
@@ -528,7 +536,7 @@ def linearize(p: Proof, stats: Optional[dict] = None) -> Proof:
         meta = {k: v for k, v in node.meta.items() if k not in ("label", "aux")}
         return chain, Proof("lngl", rule, project_chain(c, chain), tuple(subs), meta)
 
-    chain, out = lin(p)
+    chain, out = trampoline(lin(p))
     if stats is not None:
         stats["path"] = list(chain)
     return out
@@ -544,7 +552,7 @@ def normalize_lngl(p: Proof, stats: Optional[dict] = None) -> Proof:
     budget = p.node_count() ** 2 * 8 + 64
     permutations = 0
 
-    def norm(node: Proof) -> Proof:
+    def norm(node: Proof):
         nonlocal budget, permutations
         while node.rule == "boxR":
             movers = [f.address for f in block_violations(node)]
@@ -557,10 +565,10 @@ def normalize_lngl(p: Proof, stats: Optional[dict] = None) -> Proof:
                 raise InternalNonTermination("normalization exceeded its permutation budget")
             node = _exchange(node, move)
             permutations += 1
-        subs = tuple(norm(q) for q in node.premises)
+        subs = yield tuple(map(norm, node.premises))
         return Proof(node.calculus, node.rule, node.conclusion, subs, dict(node.meta))
 
-    proof = norm(p)
+    proof = trampoline(norm(p))
     if not normal_form_report(proof).accepted:
         raise InternalNonTermination("normalization missed a block violation")
     if stats is not None:
@@ -577,13 +585,14 @@ def lngl_to_glseq(p: Proof) -> Proof:
     A block violation is a 4L or boxL outside the prefix of its modal block,
     which `trans` reaches as a rule outside a modal block: NotNormalForm."""
 
-    def trans(node: Proof) -> Proof:
+    def trans(node: Proof):
         rule = node.rule
         end = node.conclusion.end
         if rule in LOCAL_RULES or rule in ("id1", "id2"):
             # the same rule on the end component; id1 and id2 are instances of id
             return Proof("glseq", "id" if rule in ("id1", "id2") else rule, end,
-                         tuple(map(trans, node.premises)), {"principal": node.meta["principal"]})
+                         (yield tuple(map(trans, node.premises))),
+                         {"principal": node.meta["principal"]})
         if rule == "boxR":
             phi = node.meta["phi"]
             cur = node.premises[0]
@@ -595,16 +604,16 @@ def lngl_to_glseq(p: Proof) -> Proof:
             while cur.rule == "boxL":
                 from_boxl.append(cur.meta["phi"])
                 cur = cur.premises[0]
-            sub = trans(cur)
+            sub = yield trans(cur)
             a, b = Counter(from_4l), Counter(from_boxl)
             avail = Counter(g.sub for g in end.ante if isinstance(g, Box))
             # clip multiplicities to what the conclusion can supply
             sub2 = sub
             for g in sorted(set(a) | set(b), key=formula_key):
                 for _ in range(a[g] - min(a[g], avail[g])):
-                    sub2 = _contract(sub2, "ante", Box(g))
+                    sub2 = yield _contract(sub2, "ante", Box(g))
                 for _ in range(b[g] - min(b[g], avail[g])):
-                    sub2 = _contract(sub2, "ante", g)
+                    sub2 = yield _contract(sub2, "ante", g)
                 a[g] = min(a[g], avail[g])
                 b[g] = min(b[g], avail[g])
             gamma = Counter({g: max(a[g], b[g]) for g in set(a) | set(b)})
@@ -616,7 +625,7 @@ def lngl_to_glseq(p: Proof) -> Proof:
             return Proof("glseq", "boxGL", end, (sub3,), {"gamma": gamma_t, "phi": phi})
         raise NotNormalForm(f"unexpected {rule} outside a modal block")
 
-    return trans(p)
+    return trampoline(trans(p))
 
 
 # ---------------------------------------------------------------------------
@@ -637,24 +646,24 @@ def glseq_to_g3gl(p: Proof, label: str = "x") -> Proof:
         return LabeledSequent.of_sorted(frozenset(), tuple((lab, g) for g in s.ante),
                                         tuple((lab, g) for g in s.cons))
 
-    def trans(node: Proof, lab: str) -> Proof:
+    def trans(node: Proof, lab: str):
         goal = lab_seq(node.conclusion, lab)
         if node.rule == "id":
             w = node.meta.get("principal")
             if w is None:
                 w = min(set(node.conclusion.ante) & set(node.conclusion.cons),
                         key=formula_key)
-            return prove_general_id("g3glext", goal, (lab, w))
+            return (yield _general_id("g3glext", goal, (lab, w)))
         if node.rule in LOCAL_RULES:
             return Proof("g3glext", node.rule, goal,
-                         tuple(trans(q, lab) for q in node.premises),
+                         (yield tuple(trans(q, lab) for q in node.premises)),
                          {"label": lab, "principal": node.meta["principal"]})
         if node.rule == "boxGL":
             gamma = tuple(node.meta["gamma"])
             phi = node.meta["phi"]
             u = fresh()
             y = fresh()
-            sub = trans(node.premises[0], u)
+            sub = yield trans(node.premises[0], u)
             added = LabeledSequent(((y, u),), tuple((y, Box(g)) for g in gamma), ())
             w1_concl = _merge_labeled(sub.conclusion, added)
             cur = Proof("g3glext", "w", w1_concl, (sub,), {"added": added})
@@ -674,7 +683,7 @@ def glseq_to_g3gl(p: Proof, label: str = "x") -> Proof:
             return Proof("g3glext", "w", goal, (cur,), {"added": added2})
         raise NotApplicable(f"translation does not handle {node.rule}")
 
-    return reindex_labels(trans(p, label))
+    return reindex_labels(trampoline(trans(p, label)))
 
 
 def csgl_to_g3gl_embed(p: Proof) -> Proof:
@@ -693,30 +702,28 @@ def unfold_glcirc(d: CyclicDerivation, depth: int) -> Proof:
     for _ in range(depth):
         tree, links = _graft_once(tree, links)
     # stamp the targets on what is left open
-    def finish(node: Proof, addr: Address) -> Proof:
+    def finish(node: Proof, prems: tuple) -> Proof:
         if node.rule == OPEN:
             meta = dict(node.meta)
             meta.pop("backlink", None)
             meta["target"] = node.conclusion
             return Proof(node.calculus, OPEN, node.conclusion, (), meta)
-        return Proof(node.calculus, node.rule, node.conclusion,
-                     tuple(finish(q, addr + (i,)) for i, q in enumerate(node.premises)),
-                     dict(node.meta))
+        return Proof(node.calculus, node.rule, node.conclusion, prems, dict(node.meta))
 
-    return finish(tree, ())
+    return rebuild(tree, finish)
 
 
 def _graft_once(tree: Proof, links: dict) -> tuple[Proof, dict]:
     new_links: dict[Address, Address] = {}
 
-    def go(node: Proof, addr: Address) -> Proof:
+    def go(node: Proof, addr: Address):
         if node.rule == OPEN:
             target = links.get(addr)
             if target is None:
                 return node
             sub = tree.at(target)
 
-            def copy(n: Proof, rel: Address) -> Proof:
+            def copy(n: Proof, rel: Address):
                 here = addr + rel
                 if n.rule == OPEN:
                     t2 = links[target + rel]
@@ -726,15 +733,15 @@ def _graft_once(tree: Proof, links: dict) -> tuple[Proof, dict]:
                         new_links[here] = t2
                     return Proof(n.calculus, OPEN, n.conclusion, (), dict(n.meta))
                 return Proof(n.calculus, n.rule, n.conclusion,
-                             tuple(copy(q, rel + (i,)) for i, q in enumerate(n.premises)),
+                             (yield tuple(copy(q, rel + (i,)) for i, q in enumerate(n.premises))),
                              dict(n.meta))
 
-            return copy(sub, ())
+            return (yield copy(sub, ()))
         return Proof(node.calculus, node.rule, node.conclusion,
-                     tuple(go(q, addr + (i,)) for i, q in enumerate(node.premises)),
+                     (yield tuple(go(q, addr + (i,)) for i, q in enumerate(node.premises))),
                      dict(node.meta))
 
-    return go(tree, ()), new_links
+    return trampoline(go(tree, ())), new_links
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +777,7 @@ class PassReport:
 
 
 # each pass: its input calculus and its function
-_PASSES = {
+PASSES = {
     "end-active": ("csgl", to_end_active),
     "linearize": ("csgl", linearize),
     "normalize": ("lngl", normalize_lngl),
@@ -781,9 +788,9 @@ _PASSES = {
 
 
 def run_pass(name: str, proof: Proof) -> tuple[Proof, PassReport]:
-    if name not in _PASSES:
+    if name not in PASSES:
         raise NotApplicable(f"unknown pass {name}")
-    calculus, fn = _PASSES[name]
+    calculus, fn = PASSES[name]
     if getattr(proof, "calculus", None) != calculus:
         raise NotApplicable(f"{name} takes a {calculus} proof")
     stats: dict = {}

@@ -531,6 +531,26 @@ def test_calculus_mismatch():
     assert "CalculusMismatch" in codes(check_k4seq(p))
 
 
+def _mismatch(report):
+    return [(f.code, format_address(f.address)) for f in report.failures]
+
+
+def test_csgl_gentzen_premise_is_calculus_mismatch():
+    leaf = Proof("glseq", "id", pgs("p |- p"), (), {"principal": P})
+    p = Proof("csgl", "negR", pls("x: p |- x: ~p"), (leaf,), {"label": "x", "principal": Not(P)})
+    assert _mismatch(check_csgl(p)) == [("SchemaMismatch", "0"), ("CalculusMismatch", "0")]
+
+
+def test_csgl_node_with_gentzen_conclusion_is_calculus_mismatch():
+    p = Proof("csgl", "id1", pgs("p |- p"), (), {"label": "x", "principal": P})
+    assert _mismatch(check_csgl(p)) == [("CalculusMismatch", ".")]
+
+
+def test_glseq_node_with_labeled_conclusion_is_calculus_mismatch():
+    p = Proof("glseq", "id", pls("x: p |- x: p"), (), {"principal": P})
+    assert _mismatch(check_glseq(p)) == [("CalculusMismatch", ".")]
+
+
 def test_modal_blocks_decomposition():
     from glproof.checkers import modal_blocks
     from glproof.transform import linearize, normalize_lngl, to_end_active

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glproof.cli import run
-from glproof.formula import ParseError
-from glproof.proofio import SequentSyntaxError, parse_proof
-from glproof.sequents import CyclicDerivation, Proof
+from glproof.formula import Atom, ParseError
+from glproof.proofio import SequentSyntaxError, parse_labeled_sequent, parse_proof, print_proof
+from glproof.sequents import CyclicDerivation, LabeledSequent, Proof
 
 
 def invoke(*argv):
@@ -270,15 +270,35 @@ def test_decide_deep_theorem_exit_zero(calculus):
     assert out.startswith(f"calculus: {calculus}")
 
 
-def test_deeply_nested_proof_exit_two(tmp_path):
+def test_deeply_nested_proof_is_checked(tmp_path):
+    # a proof file of any depth parses; these negR nodes are not instances
     depth = 3000
     node = '(rule negR (concl "p |- p") (meta principal="~p") (prems\n'
     leaf = '(rule id (concl "p |- p") (meta principal="p") (prems))'
     path = tmp_path / "deep.glp"
     path.write_text("calculus: glseq\n" + node * depth + leaf + "))" * depth + "\n")
     code, out, err = invoke("check", str(path))
-    assert code == 2 and out == ""
-    assert err == "parse error: input nested too deeply\n"
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "rejected" and len(lines) == depth + 1
+    assert all(line.startswith("SchemaMismatch\t") for line in lines[1:])
+
+
+def test_deep_valid_proof_checks_renders_and_round_trips(tmp_path):
+    # 3,000 weakenings by the empty sequent over id1
+    c = parse_labeled_sequent("x: p |- x: p")
+    proof = Proof("g3glext", "id1", c, (), {"label": "x", "principal": Atom("p")})
+    for _ in range(3000):
+        proof = Proof("g3glext", "w", c, (proof,), {"added": LabeledSequent()})
+    text = print_proof(proof)
+    assert 'added="|-"' in text
+    assert print_proof(parse_proof(text)) == text
+    path = tmp_path / "deep.glp"
+    path.write_text(text)
+    assert invoke("check", str(path)) == (0, "accepted\n", "")
+    for fmt in ("text", "dot", "latex"):
+        code, out, err = invoke("render", "--format", fmt, str(path))
+        assert code == 0 and err == "" and out.count("\n") > 3000
 
 
 # well-formed formulas, and token soup with stray characters

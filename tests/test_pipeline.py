@@ -29,7 +29,7 @@ from glproof.checkers import (
     normal_form_report,
 )
 from glproof.cli import run
-from glproof.formula import print_formula, random_formula
+from glproof.formula import parse_formula, print_formula, random_formula
 from glproof.search import SearchConfig, prove_formula
 from glproof.sequents import LabeledSequent, LinearNestedSequent, formula_key, labeled_key
 from glproof.transform import run_pass
@@ -143,3 +143,18 @@ def test_pipeline_totality_seeded_theorems(monkeypatch):
             assert accepts(proof), (name, print_formula(f))
         assert str(proof.conclusion) == f"|- x: {print_formula(f)}"
     assert derived and all(_canonical(s) for s in derived)
+
+
+@pytest.mark.parametrize("prefix", ["~" * 900, "[]" * 40], ids=["neg900", "box40"])
+def test_pipeline_deep_theorems(prefix):
+    # proofs about 900 and 1,700 levels high go through the CLI pipeline,
+    # and every stage passes its checker
+    text = prefix + "(p | ~p)"
+    assert run(["pipeline", text], stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    f = parse_formula(text)
+    proof = prove_formula(f, "csgl", CFG).proof
+    assert check_csgl(proof).accepted
+    for name, accepts in STAGES:
+        proof, _ = run_pass(name, proof)
+        assert accepts(proof), name
+    assert str(proof.conclusion) == f"|- x: {print_formula(f)}"
