@@ -336,15 +336,20 @@ def node_end_active(node: Proof) -> bool:
     return True
 
 
+def _wrong_calculus(calculus: str, p, what: str) -> list[Failure]:
+    """One CalculusMismatch failure at the root when `p` is not a proof in
+    `calculus`, else none."""
+    got = p.calculus if isinstance(p, Proof) else "glcirc"
+    if got == calculus:
+        return []
+    return [Failure((), CALCULUS_MISMATCH, f"{what} is defined on {calculus} proofs, not {got}")]
+
+
 def end_active_report(p: Proof) -> CheckReport:
     """Accepted iff every rule application in the CSGL proof is end-active."""
-    failures = []
-    for addr, node in p.nodes():
-        if not node_end_active(node):
-            failures.append(
-                Failure(addr, NOT_END_ACTIVE, f"{node.rule} is not end-active here")
-            )
-    return CheckReport.from_failures(failures)
+    return CheckReport.from_failures(_wrong_calculus("csgl", p, "end-activity") or [
+        Failure(addr, NOT_END_ACTIVE, f"{node.rule} is not end-active here")
+        for addr, node in p.nodes() if not node_end_active(node)])
 
 
 def _modal_block(boxr: Proof, addr: Address):
@@ -379,9 +384,8 @@ def block_violations(boxr: Proof, addr: Address = ()) -> list[Failure]:
 def normal_form_report(p: Proof) -> CheckReport:
     """Accepted iff every boxR sits under a 4L block, then a boxL block, then
     a block of local rules, with no interleaving (the complete-block shape)."""
-    return CheckReport.from_failures(
-        [f for addr, node in p.nodes() if node.rule == "boxR" for f in block_violations(node, addr)]
-    )
+    return CheckReport.from_failures(_wrong_calculus("lngl", p, "the normal form") or [
+        f for addr, node in p.nodes() if node.rule == "boxR" for f in block_violations(node, addr)])
 
 
 @dataclass

@@ -89,7 +89,6 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     p_decide = sub.add_parser("decide", help="backward proof search")
     p_decide.add_argument("--calculus", choices=("glseq", "csgl"), default="glseq")
     p_decide.add_argument("--fuel", type=int, default=100000)
-    p_decide.add_argument("--no-loop-check", action="store_true")
     p_decide.add_argument("--no-hint", action="store_true")
     p_decide.add_argument("--format", choices=("text", "json"), default="text")
     p_decide.add_argument("formula")
@@ -154,11 +153,7 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
 def _dispatch(args, stdout, stderr) -> int:
     if args.command == "decide":
         f = _read_formula(args.formula)
-        cfg = SearchConfig(
-            fuel=args.fuel,
-            loop_check=not args.no_loop_check,
-            oracle_hint=not args.no_hint,
-        )
+        cfg = SearchConfig(fuel=args.fuel, oracle_hint=not args.no_hint)
         result = prove_formula(f, args.calculus, cfg)
         if args.format == "json":
             doc = {"result": "proved" if result.proved else "not-proved"}

@@ -37,27 +37,38 @@ def _split_formulas(text: str) -> list[str]:
     return [part for part in (p.strip() for p in text.split(",")) if part]
 
 
+# Each sequent parser has a private twin that takes the formula parser, so
+# that `parse_proof` can share one memo over a whole file.
+
 def parse_gentzen_sequent(text: str) -> GentzenSequent:
+    return _gentzen(text, parse_formula)
+
+
+def _gentzen(text: str, formula) -> GentzenSequent:
     if "|-" not in text:
         raise SequentSyntaxError(f"missing |- in {text!r}")
     left, right = text.split("|-", 1)
     return GentzenSequent(
-        [parse_formula(p) for p in _split_formulas(left)],
-        [parse_formula(p) for p in _split_formulas(right)],
+        [formula(p) for p in _split_formulas(left)],
+        [formula(p) for p in _split_formulas(right)],
     )
 
 
-def _parse_labeled_formula(chunk: str) -> tuple[str, Formula]:
+def _parse_labeled_formula(chunk: str, formula) -> tuple[str, Formula]:
     if ":" not in chunk:
         raise SequentSyntaxError(f"labeled formula needs a colon: {chunk!r}")
     lab, _, body = chunk.partition(":")
     lab = lab.strip()
     if not _LABEL_RE.match(lab):
         raise SequentSyntaxError(f"bad label {lab!r}")
-    return lab, parse_formula(body)
+    return lab, formula(body)
 
 
 def parse_labeled_sequent(text: str) -> LabeledSequent:
+    return _labeled(text, parse_formula)
+
+
+def _labeled(text: str, formula) -> LabeledSequent:
     chunks = text.split(";")
     rel = []
     for chunk in chunks[:-1]:
@@ -71,24 +82,26 @@ def parse_labeled_sequent(text: str) -> LabeledSequent:
     left, right = body.split("|-", 1)
     return LabeledSequent(
         rel,
-        [_parse_labeled_formula(p) for p in _split_formulas(left)],
-        [_parse_labeled_formula(p) for p in _split_formulas(right)],
+        [_parse_labeled_formula(p, formula) for p in _split_formulas(left)],
+        [_parse_labeled_formula(p, formula) for p in _split_formulas(right)],
     )
 
 
 def parse_lns(text: str) -> LinearNestedSequent:
-    return LinearNestedSequent(
-        [parse_gentzen_sequent(part) for part in text.split("//")]
-    )
+    return _sequent("lngl", text, parse_formula)
 
 
 def parse_sequent(calculus: str, text: str) -> Sequent:
+    return _sequent(calculus, text, parse_formula)
+
+
+def _sequent(calculus: str, text: str, formula) -> Sequent:
     if calculus in ("glseq", "k4seq"):
-        return parse_gentzen_sequent(text)
+        return _gentzen(text, formula)
     if calculus in ("g3gl", "g3glext", "csgl"):
-        return parse_labeled_sequent(text)
+        return _labeled(text, formula)
     if calculus == "lngl":
-        return parse_lns(text)
+        return LinearNestedSequent([_gentzen(part, formula) for part in text.split("//")])
     raise SequentSyntaxError(f"unknown calculus {calculus}")
 
 
@@ -180,7 +193,7 @@ def _encode_meta(meta: dict) -> str:
     return " ".join(parts)
 
 
-def _decode_meta(pairs: list[str]) -> dict:
+def _decode_meta(pairs: list[str], formula) -> dict:
     # `key=value` arrives as one token for bare values, as `key=` followed by
     # a quoted token otherwise
     if not all(isinstance(tok, str) for tok in pairs):
@@ -202,22 +215,22 @@ def _decode_meta(pairs: list[str]) -> dict:
         key, _, raw = pair.partition("=")
         value = _unquote(raw)
         if key in _FORMULA_KEYS:
-            meta[key] = parse_formula(value)
+            meta[key] = formula(value)
         elif key in _LABEL_KEYS:
             meta[key] = value
         elif key in _FLIST_KEYS or key in ("ante", "cons"):
-            meta[key] = tuple(parse_formula(p) for p in _split_formulas(value))
+            meta[key] = tuple(formula(p) for p in _split_formulas(value))
         elif key in _INT_KEYS:
             try:
                 meta[key] = int(value)
             except ValueError:
                 raise SequentSyntaxError(f"{key} must be an integer, got {value!r}") from None
         elif key == "added":
-            meta[key] = parse_labeled_sequent(value)
+            meta[key] = _labeled(value, formula)
         elif key == "backlink":
             meta[key] = _address(value)
         elif key == "target":
-            meta[key] = parse_sequent("k4seq", value)
+            meta[key] = _gentzen(value, formula)
         else:
             meta[key] = value
     return meta
@@ -284,6 +297,13 @@ def parse_proof(text: str):
         raise SequentSyntaxError("trailing content after proof term")
 
     backlinks: dict[Address, Address] = {}
+    memo: dict[str, Formula] = {}  # every conclusion repeats most formulas
+
+    def formula(text: str) -> Formula:
+        f = memo.get(text)
+        if f is None:
+            f = memo[text] = parse_formula(text)
+        return f
 
     def value(item) -> str:
         if len(item[1]) != 1 or not isinstance(item[1][0], str):
@@ -299,11 +319,11 @@ def parse_proof(text: str):
             meta: dict = {}
             for item in items:
                 if isinstance(item, tuple) and item[0] == "concl":
-                    concl = parse_sequent(node_calculus, value(item))
+                    concl = _sequent(node_calculus, value(item), formula)
                 elif isinstance(item, tuple) and item[0] == "backlink":
                     backlinks[addr] = _address(value(item))
                 elif isinstance(item, tuple) and item[0] == "meta":
-                    meta = _decode_meta(item[1])
+                    meta = _decode_meta(item[1], formula)
             if concl is None:
                 raise SequentSyntaxError("open leaf without conclusion")
             return Proof(node_calculus, OPEN, concl, (), meta)
@@ -319,9 +339,9 @@ def parse_proof(text: str):
             if not isinstance(item, tuple):
                 raise SequentSyntaxError(f"unexpected token {item!r} in rule term")
             if item[0] == "concl":
-                concl = parse_sequent(node_calculus, value(item))
+                concl = _sequent(node_calculus, value(item), formula)
             elif item[0] == "meta":
-                meta = _decode_meta(item[1])
+                meta = _decode_meta(item[1], formula)
             elif item[0] == "prems":
                 prems.extend((yield tuple(build(sub, addr + (i,)) for i, sub in enumerate(item[1]))))
         if concl is None:

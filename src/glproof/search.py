@@ -1,16 +1,27 @@
 """Terminating backward proof search for GLseq and CSGL.
 
-Search states are set-based sequents (finitely many over the subformula
-closure), which makes the ancestor loop check and the boxR blocking
-condition terminating.  Emitted proofs are multiset-based: the search
-skeleton is replayed over the original multisets, and any slack left by
-dropped duplicates is absorbed by id and the modal rules, whose contexts
-are arbitrary.
+Search states are set-based sequents over the subformula closure, and both
+searches terminate without a loop check:
+
+- GLseq: no rule removes a boxed formula from the antecedent.  boxGL keeps
+  every []g and adds its diagonal formula []phi, which cannot already be in
+  the antecedent: []phi is in the consequent, and id fires first on a shared
+  formula.  So the antecedent's boxes grow strictly at each boxGL, within
+  the finite closure, and no premise repeats an ancestor state.
+- CSGL: boxR relates x to a fresh label y, larger than every label in an
+  earlier state, so no boxR premise repeats an ancestor state either; the
+  blocking condition bounds how often boxR fires.
+
+Fuel (`FuelExhausted`) is the backstop.  Emitted proofs are multiset-based:
+the search skeleton is replayed over the original multisets, and any slack
+left by dropped duplicates is absorbed by id and the modal rules, whose
+contexts are arbitrary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Optional
 
 from .formula import Box, Formula, Not, Or
@@ -35,7 +46,6 @@ class FuelExhausted(Exception):
 @dataclass(frozen=True)
 class SearchConfig:
     fuel: int = 100000
-    loop_check: bool = True
     oracle_hint: bool = True  # consult the oracle on NotProved results
 
 
@@ -79,7 +89,7 @@ def _replay(sk, seq: Sequent, calculus: str, names: Optional[dict] = None) -> Pr
 # ---------------------------------------------------------------------------
 # GLseq
 
-def _glseq_search(fa, fc, ancestors, fuel, dead_end, loop_check):
+def _glseq_search(fa, fc, fuel, dead_end):
     """Search on set-sequents; returns a skeleton tuple or None."""
     fuel[0] -= 1
     if fuel[0] < 0:
@@ -89,59 +99,49 @@ def _glseq_search(fa, fc, ancestors, fuel, dead_end, loop_check):
         return ("id", _P, min(shared, key=formula_key))
     f = min((g for g in fa if type(g) is Not), key=formula_key, default=None)
     if f is not None:
-        sub = _glseq_search(fa.difference({f}), fc | {f.sub},
-                            ancestors, fuel, dead_end, loop_check)
-        return ("negL", _P, f, sub) if sub is not None else _fail(dead_end, fa, fc)
+        sub = _glseq_search(fa.difference({f}), fc | {f.sub}, fuel, dead_end)
+        return ("negL", _P, f, sub) if sub is not None else _fail(dead_end, (fa, fc))
     f = min((g for g in fc if type(g) is Not), key=formula_key, default=None)
     if f is not None:
-        sub = _glseq_search(fa | {f.sub}, fc.difference({f}), ancestors, fuel, dead_end, loop_check)
-        return ("negR", _P, f, sub) if sub is not None else _fail(dead_end, fa, fc)
+        sub = _glseq_search(fa | {f.sub}, fc.difference({f}), fuel, dead_end)
+        return ("negR", _P, f, sub) if sub is not None else _fail(dead_end, (fa, fc))
     f = min((g for g in fc if type(g) is Or), key=formula_key, default=None)
     if f is not None:
-        sub = _glseq_search(fa, fc.difference({f}) | {f.left, f.right},
-                            ancestors, fuel, dead_end, loop_check)
-        return ("orR", _P, f, sub) if sub is not None else _fail(dead_end, fa, fc)
+        sub = _glseq_search(fa, fc.difference({f}) | {f.left, f.right}, fuel, dead_end)
+        return ("orR", _P, f, sub) if sub is not None else _fail(dead_end, (fa, fc))
     f = min((g for g in fa if type(g) is Or), key=formula_key, default=None)
     if f is not None:
         rest = fa.difference({f})
-        left = _glseq_search(rest | {f.left}, fc, ancestors, fuel, dead_end, loop_check)
+        left = _glseq_search(rest | {f.left}, fc, fuel, dead_end)
         if left is None:
-            return _fail(dead_end, fa, fc)
-        right = _glseq_search(rest | {f.right}, fc, ancestors, fuel, dead_end, loop_check)
-        return ("orL", _P, f, left, right) if right is not None else _fail(dead_end, fa, fc)
+            return _fail(dead_end, (fa, fc))
+        right = _glseq_search(rest | {f.right}, fc, fuel, dead_end)
+        return ("orL", _P, f, left, right) if right is not None else _fail(dead_end, (fa, fc))
     # modal choices, left to right over the consequent order
     gamma = tuple(sorted((g.sub for g in fa if type(g) is Box), key=formula_key))
-    here = (fa, fc)
     for f in sorted((g for g in fc if type(g) is Box), key=formula_key):
         fa2 = frozenset(Box(g) for g in gamma) | frozenset(gamma) | {f}
-        fc2 = frozenset((f.sub,))
-        if loop_check and (fa2, fc2) in ancestors:
-            continue
-        sub = _glseq_search(fa2, fc2, ancestors | {here}, fuel, dead_end, loop_check)
+        sub = _glseq_search(fa2, frozenset((f.sub,)), fuel, dead_end)
         if sub is not None:
             return ("boxGL", _GP, gamma, f.sub, sub)
-    return _fail(dead_end, fa, fc)
+    return _fail(dead_end, (fa, fc))
 
 
-def _fail(dead_end, fa, fc):
+def _fail(dead_end, state):
+    """Record the first failed search state (a tuple of sets); return None."""
     if dead_end[0] is None:
-        dead_end[0] = GentzenSequent(fa, fc)
+        dead_end[0] = state
     return None
 
 
 def decide_glseq(s: GentzenSequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Backward decision procedure for the Gentzen calculus."""
-    fa = frozenset(s.ante)
-    fc = frozenset(s.cons)
-    fuel = [cfg.fuel]
     dead_end = [None]
-    sk = _glseq_search(fa, fc, frozenset(), fuel, dead_end, cfg.loop_check)
+    sk = _glseq_search(frozenset(s.ante), frozenset(s.cons), [cfg.fuel], dead_end)
     if sk is not None:
         return SearchResult(True, proof=_replay(sk, s, "glseq"))
-    hint = None
-    if cfg.oracle_hint:
-        hint = oracle_validity(_query_formula(s))
-    return SearchResult(False, saturated=dead_end[0], hint=hint)
+    hint = oracle_validity(_query_formula(s)) if cfg.oracle_hint else None
+    return SearchResult(False, saturated=GentzenSequent(*dead_end[0]), hint=hint)
 
 
 def _query_formula(s: GentzenSequent) -> Formula:
@@ -153,7 +153,7 @@ def _query_formula(s: GentzenSequent) -> Formula:
 # ---------------------------------------------------------------------------
 # CSGL
 
-def _csgl_search(rel, fa, fc, counter, fired, ancestors, fuel, dead_end, loop_check):
+def _csgl_search(rel, fa, fc, counter, fired, fuel, dead_end):
     """States use integer labels; `counter` is the proof-global fresh-label
     counter (mutable one-element list); `fired` records propagations already
     performed on this branch, so a decomposed propagation result is never
@@ -168,35 +168,34 @@ def _csgl_search(rel, fa, fc, counter, fired, ancestors, fuel, dead_end, loop_ch
         x, g = hit
         return ("id1" if type(g) is not Box else "id2", _LP, x, g)
 
+    state = (rel, fa, fc)
     hit = min((p for p in fa if type(p[1]) is Not), key=labeled_key, default=None)
     if hit is not None:
         x, f = hit
         sub = _csgl_search(rel, fa.difference({(x, f)}), fc | {(x, f.sub)},
-                           counter, fired, ancestors, fuel, dead_end, loop_check)
-        return ("negL", _LP, x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
+                           counter, fired, fuel, dead_end)
+        return ("negL", _LP, x, f, sub) if sub is not None else _fail(dead_end, state)
     hit = min((p for p in fc if type(p[1]) is Not), key=labeled_key, default=None)
     if hit is not None:
         x, f = hit
         sub = _csgl_search(rel, fa | {(x, f.sub)}, fc.difference({(x, f)}),
-                           counter, fired, ancestors, fuel, dead_end, loop_check)
-        return ("negR", _LP, x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
+                           counter, fired, fuel, dead_end)
+        return ("negR", _LP, x, f, sub) if sub is not None else _fail(dead_end, state)
     hit = min((p for p in fc if type(p[1]) is Or), key=labeled_key, default=None)
     if hit is not None:
         x, f = hit
         sub = _csgl_search(rel, fa, fc.difference({(x, f)}) | {(x, f.left), (x, f.right)},
-                           counter, fired, ancestors, fuel, dead_end, loop_check)
-        return ("orR", _LP, x, f, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
+                           counter, fired, fuel, dead_end)
+        return ("orR", _LP, x, f, sub) if sub is not None else _fail(dead_end, state)
     hit = min((p for p in fa if type(p[1]) is Or), key=labeled_key, default=None)
     if hit is not None:
         x, f = hit
         rest = fa.difference({(x, f)})
-        left = _csgl_search(rel, rest | {(x, f.left)}, fc, counter, fired, ancestors,
-                            fuel, dead_end, loop_check)
+        left = _csgl_search(rel, rest | {(x, f.left)}, fc, counter, fired, fuel, dead_end)
         if left is None:
-            return _cfail(dead_end, rel, fa, fc)
-        right = _csgl_search(rel, rest | {(x, f.right)}, fc, counter, fired, ancestors,
-                             fuel, dead_end, loop_check)
-        return ("orL", _LP, x, f, left, right) if right is not None else _cfail(dead_end, rel, fa, fc)
+            return _fail(dead_end, state)
+        right = _csgl_search(rel, rest | {(x, f.right)}, fc, counter, fired, fuel, dead_end)
+        return ("orL", _LP, x, f, left, right) if right is not None else _fail(dead_end, state)
 
     # propagation to a fixpoint: 4L then boxL, first not-yet-fired candidate
     props = []
@@ -212,39 +211,23 @@ def _csgl_search(rel, fa, fc, counter, fired, ancestors, fuel, dead_end, loop_ch
         kind, x, y, f = min(props, key=lambda q: (q[0], q[1], q[2], q[3].key))
         added = f if kind == 0 else f.sub
         sub = _csgl_search(rel, fa | {(y, added)}, fc, counter,
-                           fired | {(kind, x, y, f)}, ancestors, fuel,
-                           dead_end, loop_check)
+                           fired | {(kind, x, y, f)}, fuel, dead_end)
         name = "4L" if kind == 0 else "boxL"
-        return (name, _LAP, x, y, f.sub, sub) if sub is not None else _cfail(dead_end, rel, fa, fc)
+        return (name, _LAP, x, y, f.sub, sub) if sub is not None else _fail(dead_end, state)
 
     # boxR expansion with the blocking condition; eager and sequential
     for x, f in sorted((p for p in fc if type(p[1]) is Box), key=labeled_key):
-        blocked = any(
-            a == x and (y, f) in fa and (y, f.sub) in fc for a, y in rel
-        )
-        if blocked:
-            continue
+        if any(a == x and (y, f) in fa and (y, f.sub) in fc for a, y in rel):
+            continue  # blocked
         y = counter[0]
-        state = (
-            rel | {(x, y)},
-            fa | {(y, f)},
-            fc.difference({(x, f)}) | {(y, f.sub)},
-        )
-        if loop_check and state in ancestors:
-            continue
         counter[0] += 1
-        sub = _csgl_search(state[0], state[1], state[2], counter, fired,
-                           ancestors | {(rel, fa, fc)}, fuel, dead_end, loop_check)
+        sub = _csgl_search(rel | {(x, y)}, fa | {(y, f)},
+                           fc.difference({(x, f)}) | {(y, f.sub)},
+                           counter, fired, fuel, dead_end)
         if sub is None:
-            return _cfail(dead_end, rel, fa, fc)
+            return _fail(dead_end, state)
         return ("boxR", _LFP, x, y, f.sub, sub)
-    return _cfail(dead_end, rel, fa, fc)
-
-
-def _cfail(dead_end, rel, fa, fc):
-    if dead_end[0] is None:
-        dead_end[0] = (rel, fa, fc)
-    return None
+    return _fail(dead_end, state)
 
 
 def decide_csgl(s: LabeledSequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -255,39 +238,25 @@ def decide_csgl(s: LabeledSequent, cfg: SearchConfig = SearchConfig()) -> Search
     rel = frozenset((to_int[a], to_int[b]) for a, b in s.rel)
     fa = frozenset((to_int[x], f) for x, f in s.ante)
     fc = frozenset((to_int[x], f) for x, f in s.cons)
-    fuel = [cfg.fuel]
     dead_end = [None]
     counter = [len(labels)]
-    sk = _csgl_search(rel, fa, fc, counter, frozenset(), frozenset(), fuel, dead_end,
-                      cfg.loop_check)
+    sk = _csgl_search(rel, fa, fc, counter, frozenset(), [cfg.fuel], dead_end)
+    # fresh labels are named y0, y1, ..., skipping the input's labels
+    names = dict(enumerate(labels))
+    pool = (f"y{i}" for i in count() if f"y{i}" not in to_int)
+    names.update(zip(range(len(labels), counter[0]), pool))
     if sk is not None:
-        names = {i: lab for lab, i in to_int.items()}
-        pool_i = 0
-        for j in range(len(labels), counter[0]):
-            while True:
-                cand = f"y{pool_i}"
-                pool_i += 1
-                if cand not in to_int:
-                    break
-            names[j] = cand
         return SearchResult(True, proof=_replay(sk, s, "csgl", names))
-    hint = None
-    if cfg.oracle_hint:
-        hint = _flat_hint(s)
-    saturated = _labeled_from_state(dead_end[0], labels) if dead_end[0] else None
-    return SearchResult(False, saturated=saturated, hint=hint)
+    hint = _flat_hint(s) if cfg.oracle_hint else None
+    return SearchResult(False, saturated=_labeled_from_state(dead_end[0], names), hint=hint)
 
 
-def _labeled_from_state(state, labels) -> LabeledSequent:
+def _labeled_from_state(state, names) -> LabeledSequent:
     rel, fa, fc = state
-
-    def name(i):
-        return labels[i] if i < len(labels) else f"y{i - len(labels)}"
-
     return LabeledSequent(
-        ((name(a), name(b)) for a, b in rel),
-        ((name(x), f) for x, f in fa),
-        ((name(x), f) for x, f in fc),
+        ((names[a], names[b]) for a, b in rel),
+        ((names[x], f) for x, f in fa),
+        ((names[x], f) for x, f in fc),
     )
 
 

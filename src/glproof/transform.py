@@ -497,7 +497,7 @@ def to_end_active(p: Proof, stats: Optional[dict] = None) -> Proof:
 # ---------------------------------------------------------------------------
 # Linearization into LNGL
 
-def linearize(p: Proof, stats: Optional[dict] = None) -> Proof:
+def linearize(p: Proof) -> Proof:
     """Shed the tree structure of an end-active CSGL proof, keeping one
     root-to-leaf path per branch; output is an LNGL proof of the projection."""
     # checked up front: `lin` drops sibling subtrees unseen, so it cannot
@@ -536,10 +536,7 @@ def linearize(p: Proof, stats: Optional[dict] = None) -> Proof:
         meta = {k: v for k, v in node.meta.items() if k not in ("label", "aux")}
         return chain, Proof("lngl", rule, project_chain(c, chain), tuple(subs), meta)
 
-    chain, out = trampoline(lin(p))
-    if stats is not None:
-        stats["path"] = list(chain)
-    return out
+    return trampoline(lin(p))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +628,7 @@ def lngl_to_glseq(p: Proof) -> Proof:
 # ---------------------------------------------------------------------------
 # GLseq to G3GL (extended)
 
-def glseq_to_g3gl(p: Proof, label: str = "x") -> Proof:
+def glseq_to_g3gl(p: Proof) -> Proof:
     """Label a Gentzen proof: Gamma |- Delta becomes x:Gamma |- x:Delta.
     Each boxGL becomes the seven-step template (w; boxL block; 4L block;
     boxR; (x/y); w) over the extended labeled calculus."""
@@ -683,7 +680,7 @@ def glseq_to_g3gl(p: Proof, label: str = "x") -> Proof:
             return Proof("g3glext", "w", goal, (cur,), {"added": added2})
         raise NotApplicable(f"translation does not handle {node.rule}")
 
-    return reindex_labels(trampoline(trans(p, label)))
+    return reindex_labels(trampoline(trans(p, "x")))
 
 
 def csgl_to_g3gl_embed(p: Proof) -> Proof:
@@ -779,7 +776,7 @@ class PassReport:
 # each pass: its input calculus and its function
 PASSES = {
     "end-active": ("csgl", to_end_active),
-    "linearize": ("csgl", linearize),
+    "linearize": ("csgl", lambda p, stats: linearize(p)),
     "normalize": ("lngl", normalize_lngl),
     "to-glseq": ("lngl", lambda p, stats: lngl_to_glseq(p)),
     "to-g3gl": ("glseq", lambda p, stats: glseq_to_g3gl(p)),

@@ -120,6 +120,24 @@ def test_pipeline_emit_trace(tmp_path):
         assert code == 0, (name, out2)
 
 
+@pytest.mark.parametrize("flag, calculus, form", [
+    ("--end-active", "csgl", "end-activity"),
+    ("--normal-form", "lngl", "the normal form"),
+])
+def test_check_form_flags_reject_other_calculi(tmp_path, flag, calculus, form):
+    assert invoke("pipeline", "[]p->[][]p", "--emit-trace", str(tmp_path))[0] == 0
+    (tmp_path / "07-glcirc.glp").write_text(GLCIRC_FILE)
+    for path in sorted(tmp_path.iterdir()):
+        got = path.read_text().split("\n", 1)[0].split(": ")[1]
+        code, out, err = invoke("check", flag, str(path))
+        if got == calculus:
+            assert (code, out) == (0, "accepted\n"), path.name
+        else:
+            assert code == 1 and not err, path.name
+            assert out.splitlines() == [
+                "rejected", f"CalculusMismatch\t.\t{form} is defined on {calculus} proofs, not {got}"]
+
+
 def test_pipeline_unprovable_exit_one():
     code, out, _ = invoke("pipeline", "[]p")
     assert code == 1 and out.startswith("NotProved")
