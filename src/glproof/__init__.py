@@ -9,12 +9,10 @@ transformations connecting the formalisms.
 from .formula import (
     Atom,
     Box,
-    Closure,
     Formula,
     Not,
     Or,
     ParseError,
-    closure,
     conj,
     implies,
     parse_formula,
@@ -26,9 +24,7 @@ from .sequents import (
     LabeledSequent,
     LinearNestedSequent,
     NotATree,
-    BadPath,
     Proof,
-    path_projection,
     tree_root,
     tree_view,
 )
@@ -51,11 +47,9 @@ from .proofio import (
     parse_labeled_sequent,
     parse_lns,
     parse_proof,
-    parse_sequent,
     print_proof,
 )
 from .checkers import (
-    Block,
     CheckReport,
     Failure,
     check_csgl,
@@ -66,8 +60,6 @@ from .checkers import (
     check_lngl,
     check_proof,
     end_active_report,
-    modal_block_partition,
-    modal_blocks,
     normal_form_report,
 )
 from .search import (

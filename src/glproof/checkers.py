@@ -247,7 +247,10 @@ def check_lngl(p: Proof) -> CheckReport:
     return CheckReport.from_failures(_check_nodes(p, ("lngl",), RULES_OF["lngl"]))
 
 
-def check_proof(p: Proof) -> CheckReport:
+def check_proof(p: Proof | CyclicDerivation) -> CheckReport:
+    """Check `p` in the calculus it names; a cyclic derivation in GLcirc."""
+    if isinstance(p, CyclicDerivation):
+        return check_glcirc(p)
     calc = p.calculus
     if calc == "glseq":
         return check_glseq(p)
@@ -386,45 +389,3 @@ def normal_form_report(p: Proof) -> CheckReport:
     a block of local rules, with no interleaving (the complete-block shape)."""
     return CheckReport.from_failures(_wrong_calculus("lngl", p, "the normal form") or [
         f for addr, node in p.nodes() if node.rule == "boxR" for f in block_violations(node, addr)])
-
-
-@dataclass
-class Block:
-    """A contiguous proof segment whose nodes all use rules from one set."""
-
-    segment: tuple[Address, ...]
-
-    def __len__(self) -> int:
-        return len(self.segment)
-
-
-def modal_blocks(p: Proof, boxr_addr: Address) -> tuple[Block, Block, Block]:
-    """The 4L block, boxL block, and local block stacked above a normal-form
-    boxR (the complete-block decomposition).  4L and boxL are unary, so the
-    first two blocks are the walk's leading runs of their rules."""
-    four: list[Address] = []
-    boxl: list[Address] = []
-    local: list[Address] = []
-    for a, node, _ in _modal_block(p.at(boxr_addr), boxr_addr):
-        if node.rule == "4L" and not boxl and not local:
-            four.append(a)
-        elif node.rule == "boxL" and not local:
-            boxl.append(a)
-        else:
-            local.append(a)
-    return Block(tuple(four)), Block(tuple(boxl)), Block(tuple(local))
-
-
-def modal_block_partition(p: Proof, boxr_addr: Address):
-    """For a normal-form boxR: the multisets of box contents principal only in
-    4L, in both 4L and boxL, and only in boxL (Sigma1, Sigma2, Sigma3)."""
-    four, boxl, _ = modal_blocks(p, boxr_addr)
-    a = [p.at(addr).meta["phi"] for addr in four.segment]
-    b = [p.at(addr).meta["phi"] for addr in boxl.segment]
-    both = []
-    for g in list(a):
-        if g in b:
-            a.remove(g)
-            b.remove(g)
-            both.append(g)
-    return tuple(a), tuple(both), tuple(b)

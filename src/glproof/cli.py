@@ -1,7 +1,8 @@
 """Command-line surface: decide, check, transform, oracle, render, pipeline.
 
 Exit codes: 0 success / proved / accepted / valid; 1 not proved / rejected /
-countermodel; 2 usage or parse errors, including input nested too deeply.
+countermodel; 2 usage or parse errors, including input nested too deeply, and
+files that cannot be opened.
 Checker failures are emitted as stable machine-readable lines
 `CODE<TAB>address<TAB>message`.
 """
@@ -14,14 +15,7 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from .checkers import (
-    CheckReport,
-    check_glcirc,
-    check_proof,
-    check_g3gl,
-    end_active_report,
-    normal_form_report,
-)
+from .checkers import CheckReport, check_proof, end_active_report, normal_form_report
 from .formula import ParseError, parse_formula
 from .proofio import (
     SequentSyntaxError,
@@ -39,7 +33,7 @@ from .render import (
 )
 from .search import FuelExhausted, SearchConfig, prove_formula
 from .semantics import BadModel, ModelBound, oracle_validity, parse_model, print_model
-from .sequents import CyclicDerivation, format_address
+from .sequents import NotATree, format_address
 from .transform import PASSES, TransformError, run_pass
 
 PIPELINE = (
@@ -57,6 +51,17 @@ def _read_formula(arg: str):
         with open(arg[1:]) as fh:
             arg = fh.read().strip()
     return parse_formula(arg)
+
+
+def _bound(text: str) -> int:
+    """A `--bound` value: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return n
 
 
 def _report_lines(report: CheckReport, out) -> None:
@@ -94,7 +99,6 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     p_decide.add_argument("formula")
 
     p_check = sub.add_parser("check", help="validate a proof file")
-    p_check.add_argument("--mode", choices=("strict", "extended"), default=None)
     p_check.add_argument("--end-active", action="store_true",
                          help="also require end-activity (CSGL)")
     p_check.add_argument("--normal-form", action="store_true",
@@ -108,7 +112,7 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     p_tr.add_argument("file")
 
     p_or = sub.add_parser("oracle", help="brute-force validity oracle")
-    p_or.add_argument("--bound", type=int, default=None,
+    p_or.add_argument("--bound", type=_bound, default=None,
                       help="uniform bound on worlds/depth/branching")
     p_or.add_argument("--format", choices=("text", "json"), default="text")
     p_or.add_argument("formula")
@@ -133,14 +137,14 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
 
     try:
         return _dispatch(args, stdout, stderr)
-    except (ParseError, SequentSyntaxError, BadModel) as e:
+    except (ParseError, SequentSyntaxError, BadModel, NotATree, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=stderr)
         return 2
     except RecursionError:
         print("parse error: input nested too deeply", file=stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"no such file: {e.filename}", file=stderr)
+    except OSError as e:
+        print(f"cannot open {e.filename}: {e.strerror}", file=stderr)
         return 2
     except FuelExhausted:
         print("FuelExhausted\t.\tsearch ran out of fuel", file=stdout)
@@ -179,12 +183,7 @@ def _dispatch(args, stdout, stderr) -> int:
     if args.command == "check":
         with open(args.file) as fh:
             obj = parse_proof(fh.read())
-        if isinstance(obj, CyclicDerivation):
-            report = check_glcirc(obj)
-        elif args.mode is not None and obj.calculus in ("g3gl", "g3glext"):
-            report = check_g3gl(obj, args.mode)
-        else:
-            report = check_proof(obj)
+        report = check_proof(obj)
         if report.accepted and args.end_active:
             report = end_active_report(obj)
         if report.accepted and args.normal_form:
@@ -199,19 +198,19 @@ def _dispatch(args, stdout, stderr) -> int:
     if args.command == "transform":
         with open(args.file) as fh:
             proof = parse_proof(fh.read())
-        checked = check_glcirc(proof) if isinstance(proof, CyclicDerivation) else check_proof(proof)
+        checked = check_proof(proof)
         if not checked.accepted:
             print("rejected", file=stdout)
             _report_lines(checked, stdout)
             return 1
         out, report = run_pass(args.pass_name, proof)
-        print(report.line(), file=stderr)
         text = print_proof(out)
         if args.output:
             with open(args.output, "w") as fh:
                 fh.write(text)
         else:
             stdout.write(text)
+        print(report.line(), file=stderr)
         return 0
 
     if args.command == "oracle":

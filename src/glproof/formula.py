@@ -11,16 +11,16 @@ used to canonicalize multisets.
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 
 class Formula:
     """Base class; instances are immutable and interned.  `__new__` looks
     the constructor arguments up in the class's own table and, on a miss,
     builds the one instance with the subclass's `_init`, which sets its
-    fields, `key` and `weight`."""
+    fields and `key`."""
 
-    __slots__ = ("key", "weight")
+    __slots__ = ("key",)
 
     def __init_subclass__(cls) -> None:
         cls._table = {}
@@ -50,7 +50,6 @@ class Atom(Formula):
     def _init(self, name: str) -> None:
         self.name = name
         self.key = (0, name)
-        self.weight = 1
 
 
 class Not(Formula):
@@ -59,7 +58,6 @@ class Not(Formula):
     def _init(self, sub: Formula) -> None:
         self.sub = sub
         self.key = (1, sub.key)
-        self.weight = sub.weight + 1
 
 
 class Or(Formula):
@@ -69,7 +67,6 @@ class Or(Formula):
         self.left = left
         self.right = right
         self.key = (2, left.key, right.key)
-        self.weight = left.weight + right.weight + 1
 
 
 class Box(Formula):
@@ -78,7 +75,6 @@ class Box(Formula):
     def _init(self, sub: Formula) -> None:
         self.sub = sub
         self.key = (3, sub.key)
-        self.weight = sub.weight + 1
 
 
 def implies(a: Formula, b: Formula) -> Formula:
@@ -225,13 +221,7 @@ def _render(f: Formula, parent: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Structural measures
-
-class Closure(NamedTuple):
-    subformulas: frozenset[Formula]
-    weight: int
-    boxed: frozenset[Formula]
-
+# Subformulas
 
 def subformulas(f: Formula) -> frozenset[Formula]:
     acc: set[Formula] = set()
@@ -247,17 +237,6 @@ def subformulas(f: Formula) -> frozenset[Formula]:
             stack.append(g.left)
             stack.append(g.right)
     return frozenset(acc)
-
-
-def closure(f: Formula) -> Closure:
-    """All subterms, the connective-plus-atom count, and the boxed subterms."""
-    subs = subformulas(f)
-    boxed = frozenset(g for g in subs if isinstance(g, Box))
-    return Closure(subs, f.weight, boxed)
-
-
-def atoms_of(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import re
 
 from .formula import Formula, parse_formula, print_formula
 from .sequents import (
+    LABEL_KEYS,
     OPEN,
     Address,
     CyclicDerivation,
@@ -91,10 +92,6 @@ def parse_lns(text: str) -> LinearNestedSequent:
     return _sequent("lngl", text, parse_formula)
 
 
-def parse_sequent(calculus: str, text: str) -> Sequent:
-    return _sequent(calculus, text, parse_formula)
-
-
 def _sequent(calculus: str, text: str, formula) -> Sequent:
     if calculus in ("glseq", "k4seq"):
         return _gentzen(text, formula)
@@ -171,7 +168,6 @@ def _quote(text: str) -> str:
 
 # meta keys and how their values serialize
 _FORMULA_KEYS = ("principal", "phi")
-_LABEL_KEYS = ("label", "aux", "fresh", "x", "y", "z")
 _FLIST_KEYS = ("gamma",)
 _INT_KEYS = ("component",)
 
@@ -182,7 +178,7 @@ def _encode_meta(meta: dict) -> str:
         value = meta[key]
         if key in _FORMULA_KEYS:
             parts.append(f"{key}={_quote(print_formula(value))}")
-        elif key in _LABEL_KEYS or key in _INT_KEYS:
+        elif key in LABEL_KEYS or key in _INT_KEYS:
             parts.append(f"{key}={value}")
         elif key in _FLIST_KEYS or key in ("ante", "cons"):
             parts.append(f"{key}={_quote(', '.join(print_formula(g) for g in value))}")
@@ -216,7 +212,7 @@ def _decode_meta(pairs: list[str], formula) -> dict:
         value = _unquote(raw)
         if key in _FORMULA_KEYS:
             meta[key] = formula(value)
-        elif key in _LABEL_KEYS:
+        elif key in LABEL_KEYS:
             meta[key] = value
         elif key in _FLIST_KEYS or key in ("ante", "cons"):
             meta[key] = tuple(formula(p) for p in _split_formulas(value))

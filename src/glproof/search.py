@@ -26,6 +26,7 @@ from typing import Optional
 
 from .formula import Box, Formula, Not, Or
 from .sequents import (
+    LABEL_KEYS,
     GentzenSequent,
     LabeledSequent,
     Proof,
@@ -67,7 +68,6 @@ class SearchResult:
 
 _P, _GP = ("principal",), ("gamma", "phi")
 _LP, _LAP, _LFP = ("label", "principal"), ("label", "aux", "phi"), ("label", "fresh", "phi")
-_LABEL_KEYS = ("label", "aux", "fresh")
 
 
 def _replay(sk, seq: Sequent, calculus: str, names: Optional[dict] = None) -> Proof:
@@ -77,7 +77,7 @@ def _replay(sk, seq: Sequent, calculus: str, names: Optional[dict] = None) -> Pr
         n = 2 + len(sk[1])
         meta = dict(zip(sk[1], sk[2:n]))
         if names is not None:
-            for key in _LABEL_KEYS:
+            for key in LABEL_KEYS:
                 if key in meta:
                     meta[key] = names[meta[key]]
         prems = yield tuple(map(walk, sk[n:], premises_of(calculus, sk[0], meta, seq)))

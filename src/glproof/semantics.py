@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional
 
-from .formula import Atom, Box, Formula, Not, Or, closure, conj, implies
+from .formula import Atom, Box, Formula, Not, Or, conj, implies, subformulas
 from .sequents import GentzenSequent, LabeledSequent, LinearNestedSequent
 
 
@@ -394,9 +394,11 @@ def labeled_sequent_valid(
     boxed: set[Formula] = set()
     atom_names: set[str] = set()
     for g in formulas:
-        cl = closure(g)
-        boxed |= cl.boxed
-        atom_names |= {a.name for a in cl.subformulas if isinstance(a, Atom)}
+        for h in subformulas(g):
+            if isinstance(h, Box):
+                boxed.add(h)
+            elif isinstance(h, Atom):
+                atom_names.add(h.name)
     labels = sorted(s.labels())
     k = len(boxed)
     if bound is None:

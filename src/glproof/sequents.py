@@ -264,10 +264,6 @@ class NotATree(Exception):
         super().__init__(f"{diagnosis}{': ' + detail if detail else ''}")
 
 
-class BadPath(Exception):
-    pass
-
-
 def tree_root(t: LabeledSequent) -> Label:
     """Return the unique root; validates the tree-sequent conditions.
 
@@ -345,29 +341,11 @@ def project_chain(t: LabeledSequent, chain: list[Label]) -> LinearNestedSequent:
     return LinearNestedSequent([t.flat_at(x) for x in chain])
 
 
-def path_projection(t: LabeledSequent, path: list[Label]) -> LinearNestedSequent:
-    """Project a root-to-leaf path onto a linear nested sequent."""
-    root = tree_root(t)
-    if not path or path[0] != root:
-        raise BadPath("path must start at the root")
-    for a, b in zip(path, path[1:]):
-        if (a, b) not in t.rel:
-            raise BadPath(f"{a} -> {b} is not a relational atom")
-    if not is_leaf(t, path[-1]):
-        raise BadPath(f"{path[-1]} is not a leaf")
-    return project_chain(t, path)
-
-
 @dataclass
 class TreeView:
     label: Label
     sequent: GentzenSequent
     children: tuple["TreeView", ...]
-
-    def node_count(self) -> int:
-        def count(v: TreeView):
-            return 1 + sum((yield tuple(map(count, v.children))))
-        return trampoline(count(self))
 
 
 def tree_view(t: LabeledSequent) -> TreeView:
@@ -390,6 +368,9 @@ SEQUENT_OF = {"glseq": GentzenSequent, "k4seq": GentzenSequent, "g3gl": LabeledS
               "g3glext": LabeledSequent, "csgl": LabeledSequent, "lngl": LinearNestedSequent}
 
 OPEN = "open"  # pseudo-rule for open leaves of cyclic derivations / unfoldings
+
+# the meta keys whose values are labels
+LABEL_KEYS = ("label", "aux", "fresh", "x", "y", "z")
 
 
 @dataclass
@@ -448,9 +429,6 @@ class Proof:
     def retag(self, calculus: str) -> "Proof":
         return rebuild(self, lambda node, prems: Proof(
             calculus, node.rule, node.conclusion, prems, dict(node.meta)))
-
-    def rules_used(self) -> set[str]:
-        return {r for _, node in self.nodes() for r in [node.rule]}
 
 
 @dataclass
@@ -517,7 +495,7 @@ def relabel_proof(proof: Proof, mapping: dict[Label, Label]) -> Proof:
 
     def make(node: Proof, prems: tuple) -> Proof:
         meta = dict(node.meta)
-        for key in ("label", "aux", "fresh", "x", "y", "z"):
+        for key in LABEL_KEYS:
             if key in meta:
                 meta[key] = mapping.get(meta[key], meta[key])
         if "added" in meta and isinstance(meta["added"], LabeledSequent):

@@ -32,7 +32,6 @@ from glproof.checkers import (
     check_lngl,
     check_proof,
     end_active_report,
-    modal_block_partition,
     normal_form_report,
 )
 
@@ -336,11 +335,14 @@ def test_normal_form_block_violation():
 
 
 def test_modal_block_partition():
-    from glproof.transform import normalize_lngl
+    from glproof.transform import lngl_to_glseq, normalize_lngl
 
     fix = normalize_lngl(_lngl_wrong_order_fixture())
-    s1, s2, s3 = modal_block_partition(fix, ())
-    assert (s1, s2, s3) == ((), (P,), ())  # []p principal in both 4L and boxL
+    assert normal_form_report(fix).accepted
+    out = lngl_to_glseq(fix)
+    assert check_glseq(out).accepted
+    # []p is principal in both 4L and boxL (Sigma2), so boxGL carries p once
+    assert out.rule == "boxGL" and out.meta["gamma"] == (P,)
 
 
 # ---------------------------------------------------------------------------
@@ -552,15 +554,15 @@ def test_glseq_node_with_labeled_conclusion_is_calculus_mismatch():
 
 
 def test_modal_blocks_decomposition():
-    from glproof.checkers import modal_blocks
-    from glproof.transform import linearize, normalize_lngl, to_end_active
+    from glproof.transform import linearize, lngl_to_glseq, normalize_lngl, to_end_active
 
     base = prove_formula(pf("[]([]p -> p) -> []p"), "csgl", CFG).proof
     lp = normalize_lngl(linearize(to_end_active(base)))
-    boxr_addrs = [a for a, n in lp.nodes() if n.rule == "boxR"]
-    assert boxr_addrs
-    four, boxl, local = modal_blocks(lp, boxr_addrs[0])
-    assert all(lp.at(a).rule == "4L" for a in four.segment)
-    assert all(lp.at(a).rule == "boxL" for a in boxl.segment)
-    assert all(lp.at(a).rule in ("negL", "negR", "orL", "orR") for a in local.segment)
-    assert len(four) == 1 and len(boxl) == 1  # the Loeb proof propagates once each
+    assert normal_form_report(lp).accepted
+    (boxr,) = [a for a, n in lp.nodes() if n.rule == "boxR"]
+    # the Loeb proof propagates once each: one 4L, then one boxL, then local rules
+    assert [lp.at(boxr + (0,) * i).rule for i in (1, 2)] == ["4L", "boxL"]
+    assert lp.at(boxr + (0, 0, 0)).rule in ("negL", "negR", "orL", "orR")
+    out = lngl_to_glseq(lp)
+    assert check_glseq(out).accepted
+    assert [n.meta["gamma"] for _, n in out.nodes() if n.rule == "boxGL"] == [(pf("~[]p | p"),)]

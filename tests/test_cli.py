@@ -45,6 +45,15 @@ def test_unknown_calculus_exit_two():
     assert code == 2
 
 
+def test_check_mode_is_not_an_option(tmp_path):
+    # the calculus: header picks strict (g3gl) or extended (g3glext) checking
+    code, out, _ = invoke("decide", "--calculus", "csgl", LOB)
+    path = tmp_path / "lob.glp"
+    path.write_text(out)
+    code, out, err = invoke("check", "--mode", "strict", str(path))
+    assert (code, out) == (2, "") and "unrecognized arguments: --mode" in err
+
+
 def test_unknown_pass_exit_two(tmp_path):
     code, _, _ = invoke("transform", "--pass", "nope", "missing.glp")
     assert code == 2
@@ -103,6 +112,10 @@ def test_oracle_json_counters():
 def test_oracle_bound_flag():
     code, out, _ = invoke("oracle", "--bound", "1", "[][]p")
     assert code == 0 and "bound too small" in out
+    for bound in ("0", "-1", "x"):
+        code, out, err = invoke("oracle", "--bound", bound, "p")
+        assert (code, out) == (2, ""), bound
+        assert "argument --bound: must be an integer of at least 1" in err
 
 
 def test_pipeline_emit_trace(tmp_path):
@@ -173,6 +186,9 @@ def test_render_model_and_sequent(tmp_path):
     code, txt, _ = invoke("render", "--sequent", "--format", "text",
                           "xRy; xRz; x: p |- z: q")
     assert code == 0 and txt.splitlines()[0].startswith("x:")
+    for fmt in ("text", "dot"):
+        code, out, err = invoke("render", "--sequent", "--format", fmt, "xRy; yRx; x: p |- y: q")
+        assert (code, out, err) == (2, "", "parse error: cycle\n")
 
 
 def test_transform_pass(tmp_path):
@@ -184,6 +200,8 @@ def test_transform_pass(tmp_path):
     assert code == 0 and "end-active" in err
     code, out2, _ = invoke("check", str(dst))
     assert code == 0
+    code, out, err = invoke("transform", "--pass", "end-active", "-o", str(tmp_path), str(src))
+    assert (code, out) == (2, "") and err == f"cannot open {tmp_path}: Is a directory\n"
 
 
 def test_formula_from_file(tmp_path):
@@ -224,21 +242,33 @@ def _malformed_file(tmp_path, name):
         text = proof[: proof.rindex("\n", 0, len(proof) // 2)]  # whole lines, open terms
     elif name == "component.glp":
         text = 'calculus: lngl\n(rule id1 (concl "p |- p") (meta component=zz principal="p") (prems))\n'
+    elif name == "binary.glp":
+        text = b"\xff\xfe"
+    elif name == "directory.glp":
+        text = None
     else:
         text = "worlds: a\nrel: a<a\n"
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
     return path
 
 
-@pytest.mark.parametrize("name", ["truncated.glp", "component.glp", "reflexive.glm"])
+@pytest.mark.parametrize("name", [
+    "truncated.glp", "component.glp", "reflexive.glm", "binary.glp", "directory.glp",
+])
 @pytest.mark.parametrize("command", [
     ["check"], ["transform", "--pass", "end-active"], ["render"],
 ])
 def test_malformed_files_exit_two(tmp_path, command, name):
     code, out, err = invoke(*command, str(_malformed_file(tmp_path, name)))
     assert code == 2, (out, err)
-    assert err.startswith("parse error: ") and len(err.splitlines()) == 1
+    prefix = "cannot open " if name == "directory.glp" else "parse error: "
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
     assert "Traceback" not in out + err
 
 

@@ -10,8 +10,6 @@ from glproof.formula import (
     Not,
     Or,
     ParseError,
-    atoms_of,
-    closure,
     enumerate_formulas,
     parse_formula,
     print_formula,
@@ -57,15 +55,16 @@ def test_print_examples():
     assert print_formula(parse_formula(LOB)) == "~[](~[]p | p) | []p"
 
 
+def _boxed(f):
+    return frozenset(g for g in subformulas(f) if isinstance(g, Box))
+
+
 def test_closure_examples():
-    subs, weight, boxed = closure(P)
-    assert subs == frozenset({P}) and weight == 1 and boxed == frozenset()
-    subs, weight, boxed = closure(Box(P))
-    assert subs == frozenset({P, Box(P)}) and weight == 2 and boxed == frozenset({Box(P)})
+    assert subformulas(P) == frozenset({P}) and _boxed(P) == frozenset()
+    assert subformulas(Box(P)) == frozenset({P, Box(P)}) and _boxed(Box(P)) == frozenset({Box(P)})
     lob = parse_formula(LOB)
-    c = closure(lob)
-    assert c.weight == 10
-    assert c.boxed == frozenset({Box(P), Box(Or(Not(Box(P)), P))})
+    assert len(subformulas(lob)) == 7
+    assert _boxed(lob) == frozenset({Box(P), Box(Or(Not(Box(P)), P))})
 
 
 def test_structural_identity_and_order():
@@ -105,16 +104,12 @@ def test_print_parse_round_trip(f):
 
 @settings(max_examples=200, deadline=None)
 @given(formulas())
-def test_weight_dominates_subformulas(f):
-    assert f.weight >= 1
-    assert len(subformulas(f)) <= f.weight
-    for g in subformulas(f):
+def test_subformulas_shrink(f):
+    subs = subformulas(f)
+    assert f in subs
+    for g in subs:
         if g != f:
-            assert g.weight < f.weight
-
-
-def test_atoms_of():
-    assert atoms_of(parse_formula("p | ~[]q")) == frozenset({"p", "q"})
+            assert subformulas(g) < subs
 
 
 def test_equal_formulas_are_one_object():

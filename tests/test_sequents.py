@@ -9,7 +9,6 @@ from glproof.proofio import (
     parse_lns,
 )
 from glproof.sequents import (
-    BadPath,
     GentzenSequent,
     LabeledSequent,
     LinearNestedSequent,
@@ -17,7 +16,8 @@ from glproof.sequents import (
     Proof,
     format_address,
     parse_address,
-    path_projection,
+    project_chain,
+    root_path,
     tree_root,
     tree_view,
 )
@@ -47,35 +47,43 @@ def test_tree_root_diagnoses():
 
 
 def test_path_projection_examples():
+    def projection(t, leaf):
+        return project_chain(t, root_path(t, leaf))
+
     flat = parse_labeled_sequent("x: p |- x: q")
-    assert path_projection(flat, ["x"]) == parse_lns("p |- q")
+    assert projection(flat, "x") == parse_lns("p |- q")
 
     t = parse_labeled_sequent("xRy; x: p, y: q |- y: r")
-    assert path_projection(t, ["x", "y"]) == parse_lns("p |- // q |- r")
+    assert projection(t, "y") == parse_lns("p |- // q |- r")
 
     t3 = parse_labeled_sequent("xRy; xRz; x: p |- z: q")
-    assert path_projection(t3, ["x", "y"]) == parse_lns("p |- //  |- ")
+    assert projection(t3, "y") == parse_lns("p |- //  |- ")
 
-    with pytest.raises(BadPath):
-        path_projection(t3, ["x"])  # x is not a leaf
-    with pytest.raises(BadPath):
-        path_projection(t3, ["y"])  # must start at the root
+
+def _view_labels(v):
+    """The labels of a tree view, in pre-order."""
+    labels, stack = [], [v]
+    while stack:
+        v = stack.pop()
+        labels.append(v.label)
+        stack.extend(reversed(v.children))
+    return labels
 
 
 def test_tree_view():
     flat = parse_labeled_sequent("x: p |- x: q")
     v = tree_view(flat)
-    assert v.node_count() == 1 and not v.children
+    assert _view_labels(v) == ["x"] and not v.children
 
     edge = parse_labeled_sequent("xRy; |-")
     v2 = tree_view(edge)
-    assert v2.node_count() == 2
+    assert _view_labels(v2) == ["x", "y"]
     assert v2.sequent == GentzenSequent((), ())
 
     t3 = parse_labeled_sequent("xRy; xRz; x: p |- z: q")
     v3 = tree_view(t3)
     assert v3.label == "x" and {c.label for c in v3.children} == {"y", "z"}
-    assert v3.node_count() == len(t3.labels())
+    assert sorted(_view_labels(v3)) == sorted(t3.labels())
 
 
 def test_multiset_canonicalization():
