@@ -14,8 +14,6 @@ tree conclusion; all other premises are trees without being looked at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .rules import (
     BAD_BACKLINK,
     BLOCK_VIOLATION,
@@ -53,12 +51,25 @@ from .sequents import (
 )
 
 
-@dataclass
 class Failure:
-    address: Address
-    code: str
-    message: str
-    detail: str = ""
+    __slots__ = ("address", "code", "message", "detail")
+
+    def __init__(self, address: Address, code: str, message: str, detail: str = ""):
+        self.address = address
+        self.code = code
+        self.message = message
+        self.detail = detail
+
+    def _fields(self) -> tuple:
+        return (self.address, self.code, self.message, self.detail)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Failure:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "Failure(%r, %r, %r, %r)" % self._fields()
 
     def token(self) -> str:
         return f"{self.code}({self.detail})" if self.detail else self.code
@@ -67,10 +78,12 @@ class Failure:
         return f"{self.token()}\t{format_address(self.address)}\t{self.message}"
 
 
-@dataclass
 class CheckReport:
-    accepted: bool
-    failures: list[Failure] = field(default_factory=list)
+    __slots__ = ("accepted", "failures")
+
+    def __init__(self, accepted: bool, failures: list[Failure] | None = None):
+        self.accepted = accepted
+        self.failures = [] if failures is None else failures
 
     @classmethod
     def from_failures(cls, failures: list[Failure]) -> "CheckReport":

@@ -10,7 +10,6 @@ Checker failures are emitted as stable machine-readable lines
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -53,8 +52,8 @@ def _read_formula(arg: str):
     return parse_formula(arg)
 
 
-def _bound(text: str) -> int:
-    """A `--bound` value: an integer of at least 1."""
+def _at_least_one(text: str) -> int:
+    """An option value that must be an integer of at least 1."""
     try:
         n = int(text)
     except ValueError:
@@ -84,6 +83,12 @@ def _report_json(report: CheckReport) -> dict:
     }
 
 
+def _print_json(doc: dict, out) -> None:
+    import json  # here, not at the top: a text-format call never pays its import
+
+    print(json.dumps(doc, indent=2), file=out)
+
+
 def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
@@ -93,7 +98,7 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
 
     p_decide = sub.add_parser("decide", help="backward proof search")
     p_decide.add_argument("--calculus", choices=("glseq", "csgl"), default="glseq")
-    p_decide.add_argument("--fuel", type=int, default=100000)
+    p_decide.add_argument("--fuel", type=_at_least_one, default=100000)
     p_decide.add_argument("--no-hint", action="store_true")
     p_decide.add_argument("--format", choices=("text", "json"), default="text")
     p_decide.add_argument("formula")
@@ -112,7 +117,7 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     p_tr.add_argument("file")
 
     p_or = sub.add_parser("oracle", help="brute-force validity oracle")
-    p_or.add_argument("--bound", type=_bound, default=None,
+    p_or.add_argument("--bound", type=_at_least_one, default=None,
                       help="uniform bound on worlds/depth/branching")
     p_or.add_argument("--format", choices=("text", "json"), default="text")
     p_or.add_argument("formula")
@@ -126,7 +131,7 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
 
     p_pl = sub.add_parser("pipeline", help="decide in CSGL, then run all passes")
     p_pl.add_argument("--emit-trace", metavar="DIR")
-    p_pl.add_argument("--fuel", type=int, default=100000)
+    p_pl.add_argument("--fuel", type=_at_least_one, default=100000)
     p_pl.add_argument("formula")
 
     try:
@@ -170,7 +175,7 @@ def _dispatch(args, stdout, stderr) -> int:
                         "verdict": result.hint.kind,
                         "model": print_model(result.hint.model) if result.hint.model else None,
                     }
-            print(json.dumps(doc, indent=2), file=stdout)
+            _print_json(doc, stdout)
         elif result.proved:
             stdout.write(print_proof(result.proof))
         else:
@@ -189,7 +194,7 @@ def _dispatch(args, stdout, stderr) -> int:
         if report.accepted and args.normal_form:
             report = normal_form_report(obj)
         if args.format == "json":
-            print(json.dumps(_report_json(report), indent=2), file=stdout)
+            _print_json(_report_json(report), stdout)
         else:
             print("accepted" if report.accepted else "rejected", file=stdout)
             _report_lines(report, stdout)
@@ -227,7 +232,7 @@ def _dispatch(args, stdout, stderr) -> int:
             if verdict.model is not None:
                 doc["model"] = print_model(verdict.model)
                 doc["world"] = verdict.world
-            print(json.dumps(doc, indent=2), file=stdout)
+            _print_json(doc, stdout)
         elif verdict.valid:
             flag = " (bound too small for completeness)" if verdict.bound_too_small else ""
             print(f"Valid{flag}", file=stdout)
@@ -272,6 +277,8 @@ def _render(args) -> str:
 
 def _pipeline(args, stdout, stderr) -> int:
     f = _read_formula(args.formula)
+    if args.emit_trace:
+        os.makedirs(args.emit_trace, exist_ok=True)  # a bad path fails before any work
     cfg = SearchConfig(fuel=args.fuel, oracle_hint=False)
     result = prove_formula(f, "csgl", cfg)
     if not result.proved:
@@ -287,7 +294,6 @@ def _pipeline(args, stdout, stderr) -> int:
         report_line = report.line() if report else f"decide: concludes {proof.conclusion}"
         print(f"stage {i} {stage_name}: {report_line}", file=stdout)
     if args.emit_trace:
-        os.makedirs(args.emit_trace, exist_ok=True)
         for i, (stage_name, proof, _) in enumerate(stages, start=1):
             path = os.path.join(args.emit_trace, f"{i:02d}-{stage_name}.glp")
             with open(path, "w") as fh:

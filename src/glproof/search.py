@@ -20,7 +20,6 @@ contexts are arbitrary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import Optional
 
@@ -44,18 +43,23 @@ class FuelExhausted(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class SearchConfig:
-    fuel: int = 100000
-    oracle_hint: bool = True  # consult the oracle on NotProved results
+    __slots__ = ("fuel", "oracle_hint")
+
+    def __init__(self, fuel: int = 100000, oracle_hint: bool = True):
+        self.fuel = fuel
+        self.oracle_hint = oracle_hint  # consult the oracle on NotProved results
 
 
-@dataclass
 class SearchResult:
-    proved: bool
-    proof: Optional[Proof] = None
-    saturated: Optional[Sequent] = None
-    hint: Optional[OracleVerdict] = None
+    __slots__ = ("proved", "proof", "saturated", "hint")
+
+    def __init__(self, proved: bool, proof: Optional[Proof] = None,
+                 saturated: Optional[Sequent] = None, hint: Optional[OracleVerdict] = None):
+        self.proved = proved
+        self.proof = proof
+        self.saturated = saturated
+        self.hint = hint
 
 
 # ---------------------------------------------------------------------------

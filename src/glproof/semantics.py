@@ -16,7 +16,6 @@ being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional
@@ -94,11 +93,27 @@ def eval_formula(m: Model, w, f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Model bounds and skeleton enumeration
 
-@dataclass(frozen=True)
 class ModelBound:
-    max_worlds: int
-    max_depth: int
-    max_branching: int
+    __slots__ = ("max_worlds", "max_depth", "max_branching")
+
+    def __init__(self, max_worlds: int, max_depth: int, max_branching: int):
+        self.max_worlds = max_worlds
+        self.max_depth = max_depth
+        self.max_branching = max_branching
+
+    def _fields(self) -> tuple[int, int, int]:
+        return (self.max_worlds, self.max_depth, self.max_branching)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ModelBound:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "ModelBound(%r, %r, %r)" % self._fields()
 
     @classmethod
     def uniform(cls, n: int) -> "ModelBound":
@@ -173,14 +188,17 @@ def _skeleton_model(shape, atom_names, profile_assignment, atom_positions) -> tu
 # ---------------------------------------------------------------------------
 # The oracle
 
-@dataclass
 class OracleVerdict:
-    valid: bool
-    model: Optional[Model] = None
-    world: Optional[str] = None
-    bound_too_small: bool = False
-    skeletons: int = 0  # tree shapes tried, the verdict's own included
-    tables: int = 0  # distinct box combinations evaluated
+    __slots__ = ("valid", "model", "world", "bound_too_small", "skeletons", "tables")
+
+    def __init__(self, valid: bool, model: Optional[Model] = None, world: Optional[str] = None,
+                 bound_too_small: bool = False, skeletons: int = 0, tables: int = 0):
+        self.valid = valid
+        self.model = model
+        self.world = world
+        self.bound_too_small = bound_too_small
+        self.skeletons = skeletons  # tree shapes tried, the verdict's own included
+        self.tables = tables  # distinct box combinations evaluated
 
     @property
     def kind(self) -> str:

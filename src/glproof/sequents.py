@@ -19,7 +19,6 @@ trampoline; walkers yield each other.
 from __future__ import annotations
 
 from bisect import insort_right
-from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Iterable, Union
 
@@ -341,11 +340,13 @@ def project_chain(t: LabeledSequent, chain: list[Label]) -> LinearNestedSequent:
     return LinearNestedSequent([t.flat_at(x) for x in chain])
 
 
-@dataclass
 class TreeView:
-    label: Label
-    sequent: GentzenSequent
-    children: tuple["TreeView", ...]
+    __slots__ = ("label", "sequent", "children")
+
+    def __init__(self, label: Label, sequent: GentzenSequent, children: tuple[TreeView, ...]):
+        self.label = label
+        self.sequent = sequent
+        self.children = children
 
 
 def tree_view(t: LabeledSequent) -> TreeView:
@@ -373,16 +374,40 @@ OPEN = "open"  # pseudo-rule for open leaves of cyclic derivations / unfoldings
 LABEL_KEYS = ("label", "aux", "fresh", "x", "y", "z")
 
 
-@dataclass
 class Proof:
     """Finite rule-application tree; `meta` pins the instance data that makes
-    premise reconstruction deterministic (principals, partitions, fresh labels)."""
+    premise reconstruction deterministic (principals, partitions, fresh labels).
+    Proofs compare by value, node by node; no recursion."""
 
-    calculus: str
-    rule: str
-    conclusion: Sequent
-    premises: tuple["Proof", ...] = ()
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("calculus", "rule", "conclusion", "premises", "meta")
+
+    def __init__(self, calculus: str, rule: str, conclusion: Sequent,
+                 premises: tuple[Proof, ...] = (), meta: dict | None = None):
+        self.calculus = calculus
+        self.rule = rule
+        self.conclusion = conclusion
+        self.premises = premises
+        self.meta = {} if meta is None else meta
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Proof:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(b) is not Proof or (
+                a.calculus != b.calculus or a.rule != b.rule or a.conclusion != b.conclusion
+                or len(a.premises) != len(b.premises) or a.meta != b.meta
+            ):
+                return False
+            stack.extend(zip(a.premises, b.premises))
+        return True
+
+    def __repr__(self) -> str:
+        return (f"Proof({self.calculus!r}, {self.rule!r}, {self.conclusion!r}, "
+                f"{len(self.premises)} premises)")
 
     def height(self) -> int:
         return self.size()[1]
@@ -431,13 +456,15 @@ class Proof:
             calculus, node.rule, node.conclusion, prems, dict(node.meta)))
 
 
-@dataclass
 class CyclicDerivation:
     """Finite K4seq derivation with open leaves plus a back-link map from
     open-leaf addresses to ancestor addresses."""
 
-    derivation: Proof
-    backlinks: dict[Address, Address]
+    __slots__ = ("derivation", "backlinks")
+
+    def __init__(self, derivation: Proof, backlinks: dict[Address, Address]):
+        self.derivation = derivation
+        self.backlinks = backlinks
 
 
 def format_address(addr: Address) -> str:

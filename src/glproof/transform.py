@@ -11,7 +11,6 @@ unfolder for cyclic derivations.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -744,15 +743,15 @@ def _graft_once(tree: Proof, links: dict) -> tuple[Proof, dict]:
 # ---------------------------------------------------------------------------
 # Pipeline
 
-@dataclass
 class PassReport:
     """A pass's input and output proofs.  The sizes (one walk per proof) and
     the printed conclusions are computed when first read."""
 
-    pass_name: str
-    proof_in: Proof = field(repr=False)
-    proof_out: Proof = field(repr=False)
-    permutations: int = 0
+    def __init__(self, pass_name: str, proof_in: Proof, proof_out: Proof, permutations: int = 0):
+        self.pass_name = pass_name
+        self.proof_in = proof_in
+        self.proof_out = proof_out
+        self.permutations = permutations
 
     @cached_property
     def _sizes(self) -> tuple[int, int, int, int]:

@@ -2,6 +2,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -116,6 +118,41 @@ def test_oracle_bound_flag():
         code, out, err = invoke("oracle", "--bound", bound, "p")
         assert (code, out) == (2, ""), bound
         assert "argument --bound: must be an integer of at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("decide", "--fuel", "0"), ("decide", "--fuel", "-1"), ("decide", "--fuel", "x"),
+    ("pipeline", "--fuel", "0"),
+])
+def test_fuel_below_one_is_a_usage_error(argv):
+    code, out, err = invoke(*argv, "p | ~p")
+    assert (code, out) == (2, ""), argv
+    assert err.startswith("usage: glproof")
+    assert "argument --fuel: must be an integer of at least 1" in err
+    # 1 is a fuel; running out of it stays the documented failure, exit 1
+    code, out, _ = invoke(argv[0], "--fuel", "1", "p | ~p")
+    assert (code, out) == (1, "FuelExhausted\t.\tsearch ran out of fuel\n")
+
+
+def test_emit_trace_onto_a_file_fails_before_search(tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code, out, err = invoke("pipeline", "--emit-trace", str(target), "[]p->[][]p")
+    assert (code, out) == (2, "")
+    assert err == f"cannot open {target}: File exists\n"
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_json():
+    # the start-up cost of every call: none of these is run on a text-format call
+    probe = ("import sys; before = set(sys.modules); import glproof.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    added = set(proc.stdout.split())
+    assert "glproof.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}, added
 
 
 def test_pipeline_emit_trace(tmp_path):

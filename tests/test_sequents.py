@@ -160,6 +160,34 @@ def test_proof_walks_do_not_recurse_on_height():
     assert walk[-1] == ((0,) * 4999, proof.at((0,) * 4999))
 
 
+def _negr_chain(levels: int, leaf_rule: str = "id") -> Proof:
+    seq = GentzenSequent((), (Atom("p"),))
+    proof = Proof("glseq", leaf_rule, seq)
+    for _ in range(levels - 1):
+        proof = Proof("glseq", "negR", seq, (proof,))
+    return proof
+
+
+def test_deep_proofs_compare_and_print_without_recursion():
+    a, b = _negr_chain(5000), _negr_chain(5000)
+    assert a is not b and a == b
+    assert a != _negr_chain(5000, leaf_rule="id1")
+    assert a != _negr_chain(4999)
+    assert repr(a) == "Proof('glseq', 'negR', <|- p>, 1 premises)"
+
+
+def test_proof_equality_is_by_value():
+    seq = GentzenSequent((), (Atom("p"),))
+    leaf = Proof("glseq", "id", seq, meta={"principal": Atom("p")})
+    assert leaf == Proof("glseq", "id", seq, (), {"principal": Atom("p")})
+    assert leaf != Proof("glseq", "id", seq)
+    assert leaf != Proof("k4seq", "id", seq, meta={"principal": Atom("p")})
+    assert Proof("glseq", "orL", seq, (leaf, leaf)) != Proof("glseq", "orL", seq, (leaf,))
+    assert leaf != "id" and leaf.__eq__("id") is NotImplemented
+    # a fresh meta dict per node, as before
+    assert Proof("glseq", "id", seq).meta is not Proof("glseq", "id", seq).meta
+
+
 def test_nodes_is_preorder_with_addresses():
     seq = GentzenSequent((), (Atom("p"),))
     leaf = Proof("glseq", "id", seq)
