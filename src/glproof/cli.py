@@ -1,8 +1,8 @@
 """Command-line surface: decide, check, transform, oracle, render, pipeline.
 
 Exit codes: 0 success / proved / accepted / valid; 1 not proved / rejected /
-countermodel; 2 usage or parse errors, including input nested too deeply, and
-files that cannot be opened.
+countermodel; 2 usage or parse errors, including input nested too deeply,
+files that cannot be opened, and a stdout whose reader has gone.
 Checker failures are emitted as stable machine-readable lines
 `CODE<TAB>address<TAB>message`.
 """
@@ -141,22 +141,28 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
         return 2 if e.code not in (0, None) else 0
 
     try:
-        return _dispatch(args, stdout, stderr)
+        try:
+            code = _dispatch(args, stdout, stderr)
+        except FuelExhausted:
+            print("FuelExhausted\t.\tsearch ran out of fuel", file=stdout)
+            code = 1
+        except TransformError as e:
+            print(f"{type(e).__name__}\t.\t{e}", file=stdout)
+            code = 1
+        stdout.flush()
+        return code
     except (ParseError, SequentSyntaxError, BadModel, NotATree, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=stderr)
         return 2
     except RecursionError:
         print("parse error: input nested too deeply", file=stderr)
         return 2
+    except BrokenPipeError:
+        print("cannot write output: Broken pipe", file=stderr)
+        return 2
     except OSError as e:
         print(f"cannot open {e.filename}: {e.strerror}", file=stderr)
         return 2
-    except FuelExhausted:
-        print("FuelExhausted\t.\tsearch ran out of fuel", file=stdout)
-        return 1
-    except TransformError as e:
-        print(f"{type(e).__name__}\t.\t{e}", file=stdout)
-        return 1
 
 
 def _dispatch(args, stdout, stderr) -> int:
@@ -305,7 +311,14 @@ def _pipeline(args, stdout, stderr) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered would fail again, with
+        # an "Exception ignored" report, in the flush at shutdown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,29 @@ searches terminate without a loop check:
   earlier state, so no boxR premise repeats an ancestor state either; the
   blocking condition bounds how often boxR fires.
 
+Rules are tried in a fixed order: id, then the local rules negL, negR, orR,
+orL, then (CSGL) 4L/boxL propagation and boxR, or (GLseq) boxGL.  Beside its
+two sides, a state carries a `pending` frozenset with one entry per Not or
+Or formula on either side: `(rank, key, formula)` in GLseq and `(rank,
+label, key, formula)` in CSGL, where the rank is 0 for a Not in the
+antecedent (negL), 1 for a Not in the consequent (negR), 2 for an Or in the
+consequent (orR) and 3 for an Or in the antecedent (orL).  Tuple order is
+then rule priority first and the sides' canonical order (`formula_key`,
+`labeled_key`) second, so `min(pending)` is exactly the formula that taking
+the least Not of the antecedent, else of the consequent, else the least Or
+of the consequent, else of the antecedent, would pick.  A key names its
+formula, so no comparison reaches the formula itself.  Each rule removes the
+entry of its principal formula and adds an entry for each Not or Or it puts
+on a side; the sides stay full sets, so `fa & fc` is still the id test.
+
+Dead ends: the first state at which a failing search gives up is a leaf,
+because an interior node fails only after a premise has failed first.  So
+the saturated sequent a failed search returns is one where no rule applies:
+it has no Not or Or formula (`pending` is empty), no formula on both sides,
+and in GLseq no boxed consequent.  In CSGL every 4L and boxL propagation
+has fired or adds nothing new (a boxL product that is a Not or an Or was
+decomposed on the branch), and every boxed consequent is blocked.
+
 Fuel (`FuelExhausted`) is the backstop.  Emitted proofs are multiset-based:
 the search skeleton is replayed over the original multisets, and any slack
 left by dropped duplicates is absorbed by id and the modal rules, whose
@@ -91,57 +114,83 @@ def _replay(sk, seq: Sequent, calculus: str, names: Optional[dict] = None) -> Pr
 
 
 # ---------------------------------------------------------------------------
+# The pending set: the Not/Or formulas of both sides, ranked by side in the
+# order their rules are tried (negL, negR, orR, orL).  Atoms and boxes have
+# no local rule and no rank.
+
+_ANTE_RANK = {Not: 0, Or: 3}
+_CONS_RANK = {Not: 1, Or: 2}
+
+
+def _glseq_pending(fa, fc) -> frozenset:
+    return frozenset(
+        [(_ANTE_RANK[type(f)], f.key, f) for f in fa if type(f) in _ANTE_RANK]
+        + [(_CONS_RANK[type(f)], f.key, f) for f in fc if type(f) in _CONS_RANK])
+
+
+def _plus(pending, ranks, f):
+    """`pending` with the entry of `f` if it is a Not or an Or."""
+    r = ranks.get(type(f))
+    return pending if r is None else pending | {(r, f.key, f)}
+
+
+# ---------------------------------------------------------------------------
 # GLseq
 
-def _glseq_search(fa, fc, fuel, dead_end):
-    """Search on set-sequents; returns a skeleton tuple or None."""
+def _glseq_search(fa, fc, pending, fuel, dead_end):
+    """Search on set-sequents; `pending` holds `(rank, key, formula)` for
+    each Not/Or formula of `fa` and `fc`.  Returns a skeleton tuple or None."""
     fuel[0] -= 1
     if fuel[0] < 0:
         raise FuelExhausted()
     shared = fa & fc
     if shared:
         return ("id", _P, min(shared, key=formula_key))
-    f = min((g for g in fa if type(g) is Not), key=formula_key, default=None)
-    if f is not None:
-        sub = _glseq_search(fa.difference({f}), fc | {f.sub}, fuel, dead_end)
-        return ("negL", _P, f, sub) if sub is not None else _fail(dead_end, (fa, fc))
-    f = min((g for g in fc if type(g) is Not), key=formula_key, default=None)
-    if f is not None:
-        sub = _glseq_search(fa | {f.sub}, fc.difference({f}), fuel, dead_end)
-        return ("negR", _P, f, sub) if sub is not None else _fail(dead_end, (fa, fc))
-    f = min((g for g in fc if type(g) is Or), key=formula_key, default=None)
-    if f is not None:
-        sub = _glseq_search(fa, fc.difference({f}) | {f.left, f.right}, fuel, dead_end)
-        return ("orR", _P, f, sub) if sub is not None else _fail(dead_end, (fa, fc))
-    f = min((g for g in fa if type(g) is Or), key=formula_key, default=None)
-    if f is not None:
-        rest = fa.difference({f})
-        left = _glseq_search(rest | {f.left}, fc, fuel, dead_end)
+    if pending:
+        entry = min(pending)
+        rank, _, f = entry
+        rest = pending - {entry}
+        if rank == 0:
+            sub = _glseq_search(fa - {f}, fc | {f.sub}, _plus(rest, _CONS_RANK, f.sub),
+                                fuel, dead_end)
+            return ("negL", _P, f, sub) if sub is not None else None
+        if rank == 1:
+            sub = _glseq_search(fa | {f.sub}, fc - {f}, _plus(rest, _ANTE_RANK, f.sub),
+                                fuel, dead_end)
+            return ("negR", _P, f, sub) if sub is not None else None
+        if rank == 2:
+            more = _plus(_plus(rest, _CONS_RANK, f.left), _CONS_RANK, f.right)
+            sub = _glseq_search(fa, fc.difference({f}) | {f.left, f.right}, more,
+                                fuel, dead_end)
+            return ("orR", _P, f, sub) if sub is not None else None
+        fa = fa - {f}
+        left = _glseq_search(fa | {f.left}, fc, _plus(rest, _ANTE_RANK, f.left), fuel, dead_end)
         if left is None:
-            return _fail(dead_end, (fa, fc))
-        right = _glseq_search(rest | {f.right}, fc, fuel, dead_end)
-        return ("orL", _P, f, left, right) if right is not None else _fail(dead_end, (fa, fc))
+            return None
+        right = _glseq_search(fa | {f.right}, fc, _plus(rest, _ANTE_RANK, f.right),
+                              fuel, dead_end)
+        return ("orL", _P, f, left, right) if right is not None else None
     # modal choices, left to right over the consequent order
+    boxes = sorted((g for g in fc if type(g) is Box), key=formula_key)
+    if not boxes:  # a leaf where no rule applies; the first one is the dead end
+        if dead_end[0] is None:
+            dead_end[0] = (fa, fc)
+        return None
     gamma = tuple(sorted((g.sub for g in fa if type(g) is Box), key=formula_key))
-    for f in sorted((g for g in fc if type(g) is Box), key=formula_key):
+    for f in boxes:
         fa2 = frozenset(Box(g) for g in gamma) | frozenset(gamma) | {f}
-        sub = _glseq_search(fa2, frozenset((f.sub,)), fuel, dead_end)
+        fc2 = frozenset((f.sub,))
+        sub = _glseq_search(fa2, fc2, _glseq_pending(fa2, fc2), fuel, dead_end)
         if sub is not None:
             return ("boxGL", _GP, gamma, f.sub, sub)
-    return _fail(dead_end, (fa, fc))
-
-
-def _fail(dead_end, state):
-    """Record the first failed search state (a tuple of sets); return None."""
-    if dead_end[0] is None:
-        dead_end[0] = state
     return None
 
 
 def decide_glseq(s: GentzenSequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Backward decision procedure for the Gentzen calculus."""
+    fa, fc = frozenset(s.ante), frozenset(s.cons)
     dead_end = [None]
-    sk = _glseq_search(frozenset(s.ante), frozenset(s.cons), [cfg.fuel], dead_end)
+    sk = _glseq_search(fa, fc, _glseq_pending(fa, fc), [cfg.fuel], dead_end)
     if sk is not None:
         return SearchResult(True, proof=_replay(sk, s, "glseq"))
     hint = oracle_validity(_query_formula(s)) if cfg.oracle_hint else None
@@ -157,50 +206,64 @@ def _query_formula(s: GentzenSequent) -> Formula:
 # ---------------------------------------------------------------------------
 # CSGL
 
-def _csgl_search(rel, fa, fc, counter, fired, fuel, dead_end):
-    """States use integer labels; `counter` is the proof-global fresh-label
-    counter (mutable one-element list); `fired` records propagations already
-    performed on this branch, so a decomposed propagation result is never
-    re-derived (re-firing is redundant by admissible contraction).
-    Returns a skeleton tuple or None."""
+def _csgl_pending(fa, fc) -> frozenset:
+    return frozenset(
+        [(_ANTE_RANK[type(f)], x, f.key, f) for x, f in fa if type(f) in _ANTE_RANK]
+        + [(_CONS_RANK[type(f)], x, f.key, f) for x, f in fc if type(f) in _CONS_RANK])
+
+
+def _lplus(pending, ranks, x, f):
+    """`pending` with the entry of `f` at `x` if it is a Not or an Or."""
+    r = ranks.get(type(f))
+    return pending if r is None else pending | {(r, x, f.key, f)}
+
+
+def _csgl_search(rel, fa, fc, pending, counter, fired, fuel, dead_end):
+    """States use integer labels; `pending` holds `(rank, label, key,
+    formula)` for each Not/Or formula of `fa` and `fc`; `counter` is the
+    proof-global fresh-label counter (mutable one-element list); `fired`
+    records propagations already performed on this branch, so a decomposed
+    propagation result is never re-derived (re-firing is redundant by
+    admissible contraction).  Returns a skeleton tuple or None."""
     fuel[0] -= 1
     if fuel[0] < 0:
         raise FuelExhausted()
-    hit = min((p for p in fa & fc if type(p[1]) is not Not and type(p[1]) is not Or),
-              key=labeled_key, default=None)
-    if hit is not None:
-        x, g = hit
-        return ("id1" if type(g) is not Box else "id2", _LP, x, g)
+    shared = fa & fc
+    if shared:
+        hit = min((p for p in shared if type(p[1]) is not Not and type(p[1]) is not Or),
+                  key=labeled_key, default=None)
+        if hit is not None:
+            x, g = hit
+            return ("id1" if type(g) is not Box else "id2", _LP, x, g)
 
-    state = (rel, fa, fc)
-    hit = min((p for p in fa if type(p[1]) is Not), key=labeled_key, default=None)
-    if hit is not None:
-        x, f = hit
-        sub = _csgl_search(rel, fa.difference({(x, f)}), fc | {(x, f.sub)},
-                           counter, fired, fuel, dead_end)
-        return ("negL", _LP, x, f, sub) if sub is not None else _fail(dead_end, state)
-    hit = min((p for p in fc if type(p[1]) is Not), key=labeled_key, default=None)
-    if hit is not None:
-        x, f = hit
-        sub = _csgl_search(rel, fa | {(x, f.sub)}, fc.difference({(x, f)}),
-                           counter, fired, fuel, dead_end)
-        return ("negR", _LP, x, f, sub) if sub is not None else _fail(dead_end, state)
-    hit = min((p for p in fc if type(p[1]) is Or), key=labeled_key, default=None)
-    if hit is not None:
-        x, f = hit
-        sub = _csgl_search(rel, fa, fc.difference({(x, f)}) | {(x, f.left), (x, f.right)},
-                           counter, fired, fuel, dead_end)
-        return ("orR", _LP, x, f, sub) if sub is not None else _fail(dead_end, state)
-    hit = min((p for p in fa if type(p[1]) is Or), key=labeled_key, default=None)
-    if hit is not None:
-        x, f = hit
-        rest = fa.difference({(x, f)})
-        left = _csgl_search(rel, rest | {(x, f.left)}, fc, counter, fired, fuel, dead_end)
+    if pending:
+        entry = min(pending)
+        rank, x, _, f = entry
+        rest = pending - {entry}
+        p = (x, f)
+        if rank == 0:
+            sub = _csgl_search(rel, fa - {p}, fc | {(x, f.sub)},
+                               _lplus(rest, _CONS_RANK, x, f.sub), counter, fired, fuel, dead_end)
+            return ("negL", _LP, x, f, sub) if sub is not None else None
+        if rank == 1:
+            sub = _csgl_search(rel, fa | {(x, f.sub)}, fc - {p},
+                               _lplus(rest, _ANTE_RANK, x, f.sub), counter, fired, fuel, dead_end)
+            return ("negR", _LP, x, f, sub) if sub is not None else None
+        if rank == 2:
+            more = _lplus(_lplus(rest, _CONS_RANK, x, f.left), _CONS_RANK, x, f.right)
+            sub = _csgl_search(rel, fa, fc.difference({p}) | {(x, f.left), (x, f.right)}, more,
+                               counter, fired, fuel, dead_end)
+            return ("orR", _LP, x, f, sub) if sub is not None else None
+        fa = fa - {p}
+        left = _csgl_search(rel, fa | {(x, f.left)}, fc, _lplus(rest, _ANTE_RANK, x, f.left),
+                            counter, fired, fuel, dead_end)
         if left is None:
-            return _fail(dead_end, state)
-        right = _csgl_search(rel, rest | {(x, f.right)}, fc, counter, fired, fuel, dead_end)
-        return ("orL", _LP, x, f, left, right) if right is not None else _fail(dead_end, state)
+            return None
+        right = _csgl_search(rel, fa | {(x, f.right)}, fc, _lplus(rest, _ANTE_RANK, x, f.right),
+                             counter, fired, fuel, dead_end)
+        return ("orL", _LP, x, f, left, right) if right is not None else None
 
+    # no local rule applies, so `pending` is empty from here on
     # propagation to a fixpoint: 4L then boxL, first not-yet-fired candidate
     props = []
     for x, f in fa:
@@ -214,10 +277,10 @@ def _csgl_search(rel, fa, fc, counter, fired, fuel, dead_end):
     if props:
         kind, x, y, f = min(props, key=lambda q: (q[0], q[1], q[2], q[3].key))
         added = f if kind == 0 else f.sub
-        sub = _csgl_search(rel, fa | {(y, added)}, fc, counter,
-                           fired | {(kind, x, y, f)}, fuel, dead_end)
+        sub = _csgl_search(rel, fa | {(y, added)}, fc, _lplus(pending, _ANTE_RANK, y, added),
+                           counter, fired | {(kind, x, y, f)}, fuel, dead_end)
         name = "4L" if kind == 0 else "boxL"
-        return (name, _LAP, x, y, f.sub, sub) if sub is not None else _fail(dead_end, state)
+        return (name, _LAP, x, y, f.sub, sub) if sub is not None else None
 
     # boxR expansion with the blocking condition; eager and sequential
     for x, f in sorted((p for p in fc if type(p[1]) is Box), key=labeled_key):
@@ -227,11 +290,13 @@ def _csgl_search(rel, fa, fc, counter, fired, fuel, dead_end):
         counter[0] += 1
         sub = _csgl_search(rel | {(x, y)}, fa | {(y, f)},
                            fc.difference({(x, f)}) | {(y, f.sub)},
+                           _lplus(pending, _CONS_RANK, y, f.sub),
                            counter, fired, fuel, dead_end)
-        if sub is None:
-            return _fail(dead_end, state)
-        return ("boxR", _LFP, x, y, f.sub, sub)
-    return _fail(dead_end, state)
+        return ("boxR", _LFP, x, y, f.sub, sub) if sub is not None else None
+    # a leaf where no rule applies; a failing search reaches exactly one,
+    # since no CSGL node tries a second premise after one has failed
+    dead_end[0] = (rel, fa, fc)
+    return None
 
 
 def decide_csgl(s: LabeledSequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -244,7 +309,8 @@ def decide_csgl(s: LabeledSequent, cfg: SearchConfig = SearchConfig()) -> Search
     fc = frozenset((to_int[x], f) for x, f in s.cons)
     dead_end = [None]
     counter = [len(labels)]
-    sk = _csgl_search(rel, fa, fc, counter, frozenset(), [cfg.fuel], dead_end)
+    sk = _csgl_search(rel, fa, fc, _csgl_pending(fa, fc), counter, frozenset(),
+                      [cfg.fuel], dead_end)
     # fresh labels are named y0, y1, ..., skipping the input's labels
     names = dict(enumerate(labels))
     pool = (f"y{i}" for i in count() if f"y{i}" not in to_int)

@@ -142,6 +142,52 @@ def test_emit_trace_onto_a_file_fails_before_search(tmp_path):
     assert err == f"cannot open {target}: File exists\n"
 
 
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: writing or flushing raises."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.fail_on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--format", "json", "[]p->p"),
+    ("decide", "--calculus", "csgl", LOB),
+    ("decide", "--fuel", "1", LOB),  # the FuelExhausted line
+])
+def test_closed_stdout_is_not_a_file_error(fail_on, argv):
+    err = io.StringIO()
+    assert run(list(argv), stdout=ClosedPipe(fail_on), stderr=err) == 2
+    assert err.getvalue() == "cannot write output: Broken pipe\n"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader closes before the child writes: one line on stderr, no
+    # traceback and no "Exception ignored" report from the flush at shutdown
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from glproof.cli import main; main()",
+             "oracle", "--format", "json", "[]p->p"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "cannot write output: Broken pipe\n")
+
+
 def test_cli_import_leaves_out_dataclasses_inspect_and_json():
     # the start-up cost of every call: none of these is run on a text-format call
     probe = ("import sys; before = set(sys.modules); import glproof.cli; "

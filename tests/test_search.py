@@ -12,12 +12,18 @@ import pytest
 from glproof.cli import run
 from glproof.formula import (
     Box,
+    Not,
+    Or,
     enumerate_formulas,
     parse_formula as pf,
     print_formula,
     random_formula,
 )
-from glproof.proofio import parse_gentzen_sequent as pgs, parse_labeled_sequent as pls
+from glproof.proofio import (
+    parse_gentzen_sequent as pgs,
+    parse_labeled_sequent as pls,
+    print_proof,
+)
 from glproof.checkers import check_csgl, check_glseq
 from glproof.search import (
     FuelExhausted,
@@ -27,11 +33,12 @@ from glproof.search import (
     prove_formula,
 )
 from glproof.semantics import oracle_validity
-from glproof.sequents import NotATree, tree_root
+from glproof.sequents import GentzenSequent, LabeledSequent, NotATree, tree_root
 
 CFG = SearchConfig(oracle_hint=False)
 DATA = Path(__file__).parent / "data"
 DECIDE_GOLDEN = DATA / "decide_golden.json"
+SEQUENT_GOLDEN = DATA / "search_sequent_golden.json"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -61,6 +68,57 @@ def test_decide_golden_output():
     assert list(golden) == decide_inputs()
     drifted = [f for f, digests in golden.items() if decide_digests(f) != digests]
     assert not drifted, f"decide output changed for {drifted}"
+
+
+def _side_formula(rng):
+    return random_formula(rng, ("p", "q", "r"), rng.randint(0, 5))
+
+
+def gentzen_inputs(n=150):
+    """Seeded multi-formula Gentzen sequents, composites on both sides."""
+    rng = random.Random(21)
+    return [GentzenSequent([_side_formula(rng) for _ in range(rng.randint(1, 3))],
+                           [_side_formula(rng) for _ in range(rng.randint(1, 3))])
+            for _ in range(n)]
+
+
+def tree_inputs(n=150):
+    """Seeded tree sequents: 1-4 labels, the first one the root, relational
+    atoms along the tree's edges, labels that fresh names must skip."""
+    rng = random.Random(22)
+    out = []
+    for _ in range(n):
+        labels = rng.sample(("x", "y", "y0", "y1", "w"), rng.randint(1, 4))
+        rel = [(labels[rng.randrange(i)], labels[i]) for i in range(1, len(labels))]
+        out.append(LabeledSequent(
+            rel,
+            [(rng.choice(labels), _side_formula(rng)) for _ in range(rng.randint(1, 3))],
+            [(rng.choice(labels), _side_formula(rng)) for _ in range(rng.randint(1, 3))]))
+    return out
+
+
+def search_digest(r):
+    """`"<proved> <sha256>"` of the printed proof or the saturated sequent."""
+    text = print_proof(r.proof) if r.proved else str(r.saturated)
+    return f"{int(r.proved)} {hashlib.sha256(text.encode()).hexdigest()}"
+
+
+def sequent_digests():
+    return {
+        "glseq": {str(s): search_digest(decide_glseq(s, CFG)) for s in gentzen_inputs()},
+        "csgl": {str(s): search_digest(decide_csgl(s, CFG)) for s in tree_inputs()},
+    }
+
+
+def test_search_sequent_golden():
+    # how each search first reads an arbitrary sequent: several formulas per
+    # side in GLseq, several labels and relational atoms in CSGL
+    golden = json.loads(SEQUENT_GOLDEN.read_text())
+    got = sequent_digests()
+    for calculus in ("glseq", "csgl"):
+        assert list(got[calculus]) == list(golden[calculus])
+        drifted = [s for s, d in golden[calculus].items() if got[calculus][s] != d]
+        assert not drifted, f"{calculus} search output changed for {drifted}"
 
 
 @pytest.mark.parametrize("hashseed", ["0", "12345"])
@@ -193,3 +251,109 @@ def test_four_axiom_both():
     f = pf("[]p -> [][]p")
     assert prove_formula(f, "glseq", CFG).proved
     assert prove_formula(f, "csgl", CFG).proved
+
+
+# The least fuel with which each search ends.  Every node expanded costs one
+# unit, so these figures pin how many nodes each search expands.
+# (formula, glseq fuel, csgl fuel, theorem?)
+LEAST_FUEL = [
+    ("~[](~[]p | p) | []p", 7, 9, True),
+    ("~[](~p | q) | (~[]p | []q)", 9, 13, True),
+    ("~[]p | [][]p", 4, 5, True),
+    ("p | ~p", 3, 3, True),
+    ("[](p | ~p)", 4, 4, True),
+    ("[][](p | ~p)", 5, 5, True),
+    ("[][][](p | ~p)", 6, 7, True),
+    ("~[](~[][]p | []p) | [][]p", 7, 9, True),
+    ("~[](~[]p | []q) | (~[][]p | [][]q)", 9, 13, True),
+    ("~[][]p | [][][]p", 4, 5, True),
+    ("[](r | r | [][]~q)", 11, 16, False),
+    ("[]~(~[][][]~~(p | r) | ~[]q)", 23, 36, False),
+]
+# perfbench/workloads.py: GLseq proves it at once, CSGL search spends its
+# whole default fuel on it.
+KNOWN_FUEL_BLOWUP = "[]([](q | ([][](~(~p | r) | r) | [][]p)) | (~[](r | r) | ~(q | p)))"
+
+
+def test_least_fuel_covers_the_corpus():
+    assert [f for f, _, _, theorem in LEAST_FUEL if theorem] == decide_inputs()[:10]
+
+
+@pytest.mark.parametrize("formula, glseq, csgl, theorem", LEAST_FUEL)
+@pytest.mark.parametrize("calculus", ["glseq", "csgl"])
+def test_least_fuel_pinned(calculus, formula, glseq, csgl, theorem):
+    f = pf(formula)
+    n = glseq if calculus == "glseq" else csgl
+    assert prove_formula(f, calculus, SearchConfig(fuel=n, oracle_hint=False)).proved == theorem
+    with pytest.raises(FuelExhausted):
+        prove_formula(f, calculus, SearchConfig(fuel=n - 1, oracle_hint=False))
+
+
+def test_known_fuel_blowup():
+    f = pf(KNOWN_FUEL_BLOWUP)
+    assert prove_formula(f, "glseq", SearchConfig(fuel=1174, oracle_hint=False)).proved
+    with pytest.raises(FuelExhausted):
+        prove_formula(f, "glseq", SearchConfig(fuel=1173, oracle_hint=False))
+    with pytest.raises(FuelExhausted):
+        prove_formula(f, "csgl", CFG)
+
+
+# The dead-end invariant: a failed search records its saturated sequent at a
+# leaf where no rule applies.
+
+def _no_local_rule(sides):
+    return all(type(f) is not Not and type(f) is not Or for f in sides)
+
+
+def test_glseq_dead_end_is_saturated():
+    failed = 0
+    for s in gentzen_inputs() + [GentzenSequent((), (f,)) for f in map(pf, decide_inputs())]:
+        r = decide_glseq(s, CFG)
+        if r.proved:
+            continue
+        failed += 1
+        sat = r.saturated
+        assert _no_local_rule(sat.ante + sat.cons), str(s)
+        assert not set(sat.ante) & set(sat.cons), str(s)
+        assert not any(type(f) is Box for f in sat.cons), str(s)  # boxGL applies
+    assert failed > 200
+
+
+def test_csgl_dead_end_is_saturated():
+    failed = 0
+    for s in tree_inputs() + [pls(f"|- x: {f}") for f in decide_inputs()]:
+        r = decide_csgl(s, CFG)
+        if r.proved:
+            continue
+        failed += 1
+        sat = r.saturated
+        ante, cons = set(sat.ante), set(sat.cons)
+        succ = {}
+        for a, b in sat.rel:
+            succ.setdefault(a, []).append(b)
+
+        def holds(side, y, f):
+            """(y, f) is in `side`, or was decomposed there on this branch."""
+            if (y, f) in (ante if side else cons):
+                return True
+            if type(f) is Not:
+                return holds(not side, y, f.sub)
+            if type(f) is Or:
+                parts = (holds(side, y, f.left), holds(side, y, f.right))
+                return any(parts) if side else all(parts)
+            # a boxed consequent that boxR expanded
+            return not side and type(f) is Box and any(
+                (z, f) in ante and holds(False, z, f.sub) for z in succ.get(y, ()))
+
+        assert _no_local_rule(f for _, f in sat.ante + sat.cons), str(s)
+        assert not ante & cons, str(s)
+        for x, f in sat.ante:
+            if type(f) is Box:
+                for y in succ.get(x, ()):
+                    assert (y, f) in ante, str(s)  # 4L adds nothing new
+                    assert holds(True, y, f.sub), str(s)  # nor does boxL
+        for x, f in sat.cons:
+            if type(f) is Box:  # blocked
+                assert any((y, f) in ante and (y, f.sub) in cons
+                           for y in succ.get(x, ())), str(s)
+    assert failed > 200
