@@ -10,6 +10,7 @@ Checker failures are emitted as stable machine-readable lines
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -134,15 +135,17 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     p_pl.add_argument("--fuel", type=_at_least_one, default=100000)
     p_pl.add_argument("formula")
 
-    try:
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-
+    # argparse drops a failed write of its help text, so it writes here and
+    # the text is copied to stdout where a closed pipe is reported
+    parser_out = io.StringIO()
     try:
         try:
+            with redirect_stdout(parser_out), redirect_stderr(stderr):
+                args = parser.parse_args(argv)
             code = _dispatch(args, stdout, stderr)
+        except SystemExit as e:  # argparse, after --help or a usage error
+            stdout.write(parser_out.getvalue())
+            code = 2 if e.code not in (0, None) else 0
         except FuelExhausted:
             print("FuelExhausted\t.\tsearch ran out of fuel", file=stdout)
             code = 1

@@ -337,7 +337,16 @@ def root_path(t: LabeledSequent, x: Label) -> list[Label]:
 
 
 def project_chain(t: LabeledSequent, chain: list[Label]) -> LinearNestedSequent:
-    return LinearNestedSequent([t.flat_at(x) for x in chain])
+    """The flat sequents at the labels of `chain`, in chain order; each side
+    is grouped by label in one pass, keeping each label's items in order."""
+    ante: dict[Label, list[Formula]] = {x: [] for x in chain}
+    cons: dict[Label, list[Formula]] = {x: [] for x in chain}
+    for side, groups in ((t.ante, ante), (t.cons, cons)):
+        for x, f in side:
+            if x in groups:
+                groups[x].append(f)
+    return LinearNestedSequent([GentzenSequent.of_sorted(tuple(ante[x]), tuple(cons[x]))
+                                for x in chain])
 
 
 class TreeView:
@@ -545,39 +554,3 @@ def fresh_label(used: set[Label], stem: str = "y") -> Label:
     while f"{stem}{i}" in used:
         i += 1
     return f"{stem}{i}"
-
-
-def reindex_labels(proof: Proof) -> Proof:
-    """Canonical breadth-first renaming of labels not pinned by the root
-    conclusion; keeps conclusions byte-stable while making fresh labels
-    deterministic across passes."""
-    if not isinstance(proof.conclusion, LabeledSequent):
-        return proof
-    pinned = sorted(proof.conclusion.labels())
-    order: list[Label] = list(pinned)
-    seen = set(pinned)
-    queue = [proof]
-    while queue:
-        node = queue.pop(0)
-        if isinstance(node.conclusion, LabeledSequent):
-            for lab in sorted(node.conclusion.labels()):
-                if lab not in seen:
-                    seen.add(lab)
-                    order.append(lab)
-        queue.extend(node.premises)
-    mapping: dict[Label, Label] = {}
-    counter = 0
-    pinned_set = set(pinned)
-    for lab in order:
-        if lab in pinned_set:
-            mapping[lab] = lab
-            continue
-        while True:
-            cand = f"y{counter}"
-            counter += 1
-            if cand not in pinned_set:
-                break
-        mapping[lab] = cand
-    if all(k == v for k, v in mapping.items()):
-        return proof
-    return relabel_proof(proof, mapping)

@@ -32,7 +32,6 @@ from .sequents import (
     project_chain,
     proof_labels,
     rebuild,
-    reindex_labels,
     relabel_proof,
     root_path,
     trampoline,
@@ -627,15 +626,37 @@ def lngl_to_glseq(p: Proof) -> Proof:
 # ---------------------------------------------------------------------------
 # GLseq to G3GL (extended)
 
+def _g3gl_label_names(p: Proof):
+    """The labels `glseq_to_g3gl` creates for p, one (y, u) pair per boxGL in
+    pre-order, named y0, y1, ... in breadth-first order of first occurrence.
+    A template rooted at G3GL depth d introduces y in its boxR at d + 2 and u
+    in the boxR's premise at d + 3, and puts its premise at d + 4 + 2|gamma|;
+    every other node has its premises one level down and introduces none.
+    Two births at one depth come from templates neither above the other, so
+    their left-to-right order is the pre-order of their boxGLs."""
+    births = []  # (depth, boxGL index in pre-order, 0 for y or 1 for u)
+    stack = [(p, 0)]
+    while stack:
+        node, d = stack.pop()
+        if node.rule == "boxGL":
+            i = len(births) // 2
+            births += [(d + 2, i, 0), (d + 3, i, 1)]
+            stack.append((node.premises[0], d + 4 + 2 * len(node.meta["gamma"])))
+        else:
+            stack.extend((q, d + 1) for q in reversed(node.premises))
+    names = [""] * len(births)
+    for n, (_, i, k) in enumerate(sorted(births)):
+        names[2 * i + k] = f"y{n}"
+    return iter(zip(names[::2], names[1::2]))
+
+
 def glseq_to_g3gl(p: Proof) -> Proof:
     """Label a Gentzen proof: Gamma |- Delta becomes x:Gamma |- x:Delta.
     Each boxGL becomes the seven-step template (w; boxL block; 4L block;
-    boxR; (x/y); w) over the extended labeled calculus."""
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"u{counter[0]}"
+    boxR; (x/y); w) over the extended labeled calculus.  The root keeps the
+    label x; the labels the templates create are named y0, y1, ... in
+    breadth-first order of their first occurrence in the output."""
+    names = _g3gl_label_names(p)
 
     def lab_seq(s: GentzenSequent, lab: str) -> LabeledSequent:
         # one label throughout, so the sides keep their order
@@ -657,8 +678,7 @@ def glseq_to_g3gl(p: Proof) -> Proof:
         if node.rule == "boxGL":
             gamma = tuple(node.meta["gamma"])
             phi = node.meta["phi"]
-            u = fresh()
-            y = fresh()
+            y, u = next(names)
             sub = yield trans(node.premises[0], u)
             added = LabeledSequent(((y, u),), tuple((y, Box(g)) for g in gamma), ())
             w1_concl = _merge_labeled(sub.conclusion, added)
@@ -679,7 +699,7 @@ def glseq_to_g3gl(p: Proof) -> Proof:
             return Proof("g3glext", "w", goal, (cur,), {"added": added2})
         raise NotApplicable(f"translation does not handle {node.rule}")
 
-    return reindex_labels(trampoline(trans(p, "x")))
+    return trampoline(trans(p, "x"))
 
 
 def csgl_to_g3gl_embed(p: Proof) -> Proof:

@@ -164,6 +164,7 @@ class ClosedPipe(io.StringIO):
     ("oracle", "--format", "json", "[]p->p"),
     ("decide", "--calculus", "csgl", LOB),
     ("decide", "--fuel", "1", LOB),  # the FuelExhausted line
+    ("decide", "--help"),  # argparse's own output
 ])
 def test_closed_stdout_is_not_a_file_error(fail_on, argv):
     err = io.StringIO()
@@ -171,21 +172,34 @@ def test_closed_stdout_is_not_a_file_error(fail_on, argv):
     assert err.getvalue() == "cannot write output: Broken pipe\n"
 
 
-def test_closed_stdout_pipe_exits_quietly():
-    # the reader closes before the child writes: one line on stderr, no
-    # traceback and no "Exception ignored" report from the flush at shutdown
+def _main_into_closed_pipe(*argv):
+    """`glproof argv` in a child whose stdout pipe has no reader:
+    (exit code, stderr)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-c", "from glproof.cli import main; main()",
-             "oracle", "--format", "json", "[]p->p"],
+            [sys.executable, "-c", "from glproof.cli import main; main()", *argv],
             env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (2, "cannot write output: Broken pipe\n")
+    return proc.returncode, proc.stderr
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader closes before the child writes: one line on stderr, no
+    # traceback and no "Exception ignored" report from the flush at shutdown
+    assert _main_into_closed_pipe("oracle", "--format", "json", "[]p->p") == (
+        2, "cannot write output: Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["decide", "--help"]])
+def test_closed_stdout_pipe_after_help(argv):
+    # argparse writes its help text and exits while parsing; the text meets
+    # the closed pipe like any other command's output
+    assert _main_into_closed_pipe(*argv) == (2, "cannot write output: Broken pipe\n")
 
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_json():

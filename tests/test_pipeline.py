@@ -5,7 +5,8 @@ checker accepting; every proof, and every premise the checkers re-derive,
 must have canonical (sorted) sequent sides; and neither the pipeline's stdout
 nor any of its six `--emit-trace` stage files may drift on the acceptance
 corpus (golden sha256 digests in tests/data/pipeline_golden.json and
-tests/data/stage_golden.json).
+tests/data/stage_golden.json), nor the five passes' printed output on 300
+seeded theorems (tests/data/stage_digest_golden.json).
 """
 
 import hashlib
@@ -30,6 +31,7 @@ from glproof.checkers import (
 )
 from glproof.cli import run
 from glproof.formula import parse_formula, print_formula, random_formula
+from glproof.proofio import print_proof
 from glproof.search import SearchConfig, prove_formula
 from glproof.sequents import LabeledSequent, LinearNestedSequent, formula_key, labeled_key
 from glproof.transform import run_pass
@@ -37,6 +39,7 @@ from glproof.transform import run_pass
 CFG = SearchConfig(oracle_hint=False)
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden.json"
 STAGE_GOLDEN = Path(__file__).parent / "data" / "stage_golden.json"
+STAGE_DIGEST_GOLDEN = Path(__file__).parent / "data" / "stage_digest_golden.json"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -143,6 +146,34 @@ def test_pipeline_totality_seeded_theorems(monkeypatch):
             assert accepts(proof), (name, print_formula(f))
         assert str(proof.conclusion) == f"|- x: {print_formula(f)}"
     assert derived and all(_canonical(s) for s in derived)
+
+
+def stage_digests(n=300):
+    """`{formula: five sha256 prefixes}` for n seeded CSGL-proved theorems:
+    the printed proof after each pass, in pipeline order."""
+    rng = random.Random(29)
+    got = {}
+    while len(got) < n:
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(4, 14))
+        r = prove_formula(f, "csgl", CFG)
+        if not r.proved or print_formula(f) in got:
+            continue
+        proof, digests = r.proof, []
+        for name, _ in STAGES:
+            proof, _ = run_pass(name, proof)
+            digests.append(hashlib.sha256(print_proof(proof).encode()).hexdigest()[:16])
+        got[print_formula(f)] = " ".join(digests)
+    return got
+
+
+def test_stage_digest_golden():
+    # every pass's printed output on seeded theorems beyond the corpus; the
+    # five digests name the first pass whose output drifted
+    golden = json.loads(STAGE_DIGEST_GOLDEN.read_text())
+    got = stage_digests()
+    assert list(got) == list(golden)
+    drifted = [f for f, d in golden.items() if got[f] != d]
+    assert not drifted, f"stage output changed for {drifted}"
 
 
 @pytest.mark.parametrize("prefix", ["~" * 900, "[]" * 40], ids=["neg900", "box40"])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -58,6 +60,37 @@ def test_path_projection_examples():
 
     t3 = parse_labeled_sequent("xRy; xRz; x: p |- z: q")
     assert projection(t3, "y") == parse_lns("p |- //  |- ")
+
+
+def _seeded_tree_sequents(rng, n):
+    """n tree sequents over up to 7 labels, drawing side items from a few
+    formulas, so labels repeat formulas and many labels have empty sides."""
+    pool = [parse_formula(t) for t in ("p", "q", "~p", "[]q", "p | q")]
+    for _ in range(n):
+        labels = ["x"] + [f"y{i}" for i in range(rng.randint(0, 6))]
+        rel = [(rng.choice(labels[:i]), lab) for i, lab in enumerate(labels) if i]
+        sides = [[(rng.choice(labels), rng.choice(pool)) for _ in range(rng.randint(0, 9))]
+                 for _ in range(2)]
+        yield LabeledSequent(rel, *sides), labels
+
+
+def test_project_chain_is_the_per_label_projection():
+    rng = random.Random(5)
+    repeated = empty = skipping = 0
+    for t, labels in _seeded_tree_sequents(rng, 2000):
+        leaf = rng.choice(labels)
+        path = root_path(t, leaf)
+        # a root path, the path with labels left out, and any labels at all
+        for chain in (path, [x for x in path if rng.random() < 0.6] or [leaf],
+                      rng.sample(labels + ["z"], rng.randint(1, len(labels)))):
+            want = LinearNestedSequent([t.flat_at(x) for x in chain])
+            got = project_chain(t, chain)
+            assert got == want and str(got) == str(want), (t, chain)
+            skipping += len(chain) < len(path)
+        items = t.ante + t.cons
+        repeated += len(set(items)) < len(items)
+        empty += any(not t.flat_at(x).ante and not t.flat_at(x).cons for x in labels)
+    assert min(repeated, empty, skipping) > 100, (repeated, empty, skipping)
 
 
 def _view_labels(v):

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from glproof.formula import Atom, Box, Not, Or, parse_formula as pf
+from glproof.formula import Atom, Box, Not, Or, parse_formula as pf, print_formula, random_formula
 from glproof.proofio import (
     parse_gentzen_sequent as pgs,
     parse_labeled_sequent as pls,
@@ -9,7 +11,7 @@ from glproof.proofio import (
 )
 from glproof.rules import premises_of
 from glproof.search import SearchConfig, prove_formula
-from glproof.sequents import CyclicDerivation, LabeledSequent, Proof
+from glproof.sequents import CyclicDerivation, LabeledSequent, Proof, relabel_proof
 from glproof.checkers import (
     check_csgl,
     check_g3gl,
@@ -776,14 +778,74 @@ def test_invert_negl_rebuilds_destroyed_gentzen_id():
     assert check_glseq(out).accepted
 
 
+def _reindex_labels(proof):
+    """The naming rule of to-g3gl, as a renaming: the labels not in the root
+    conclusion become y0, y1, ... in breadth-first order of first occurrence,
+    the labels new at one node taken in sorted order."""
+    if not isinstance(proof.conclusion, LabeledSequent):
+        return proof
+    pinned = sorted(proof.conclusion.labels())
+    order = list(pinned)
+    seen = set(pinned)
+    queue = [proof]
+    while queue:
+        node = queue.pop(0)
+        if isinstance(node.conclusion, LabeledSequent):
+            for lab in sorted(node.conclusion.labels()):
+                if lab not in seen:
+                    seen.add(lab)
+                    order.append(lab)
+        queue.extend(node.premises)
+    mapping = {}
+    counter = 0
+    pinned_set = set(pinned)
+    for lab in order:
+        if lab in pinned_set:
+            mapping[lab] = lab
+            continue
+        while True:
+            cand = f"y{counter}"
+            counter += 1
+            if cand not in pinned_set:
+                break
+        mapping[lab] = cand
+    if all(k == v for k, v in mapping.items()):
+        return proof
+    return relabel_proof(proof, mapping)
+
+
+def _side_by_side_boxgl(proof):
+    """Whether two boxGL nodes of `proof` lie on different branches."""
+    addrs = [a for a, n in proof.nodes() if n.rule == "boxGL"]
+    return any(a[:len(b)] != b and b[:len(a)] != a for a in addrs for b in addrs)
+
+
+def test_to_g3gl_names_labels_breadth_first():
+    rng = random.Random(11)
+    proved = side_by_side = 0
+    while proved < 200:
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(6, 16))
+        r = prove_formula(f, "glseq", CFG)
+        if not r.proved:
+            continue
+        proved += 1
+        side_by_side += _side_by_side_boxgl(r.proof)
+        out = glseq_to_g3gl(r.proof)
+        assert _reindex_labels(out) == out, print_formula(f)
+    # births at one depth in different branches are ordered too
+    assert side_by_side >= 10
+
+
 def test_to_g3gl_on_a_deep_glseq_proof():
     # []^n (p | ~p): the g3gl proof is 380 levels high at n = 18, 1,722 at
-    # n = 40; relabelling it must not recurse once per level
+    # n = 40; translating it and naming its labels must not recurse once per
+    # level, and the names are already the breadth-first ones
     for n in (18, 25, 40):
         r = prove_formula(pf("[]" * n + "(p | ~p)"), "glseq", CFG)
         out, report = run_pass("to-g3gl", r.proof)
         assert report.height_out == out.height() > 300, n
         assert check_g3gl(out, "extended").accepted, n
+        assert _reindex_labels(out) == out, n
 
 
 def test_pass_report_is_measured_only_when_read(monkeypatch):
