@@ -382,18 +382,22 @@ def _modal_block(boxr: Proof, addr: Address):
             stack.append((a + (i,), node.premises[i], node.rule))
 
 
+# the complete-block shape: the rules a 4L or a boxL may sit right above
+BLOCK_BELOW = {"4L": ("boxR", "4L"), "boxL": ("boxR", "4L", "boxL")}
+
+
 def block_violations(boxr: Proof, addr: Address = ()) -> list[Failure]:
     """The block violations of the modal block of the boxR at `addr`: each 4L
     right above a rule other than 4L, each boxL right above a local rule; in
-    pre-order."""
+    pre-order.  Reads only each node's `rule` and `premises`, so it also
+    runs on the rule tree that `normalize_lngl` rewires."""
     failures: list[Failure] = []
     for a, node, below in _modal_block(boxr, addr):
-        if node.rule == "4L" and below not in ("boxR", "4L"):
-            failures.append(
-                Failure(a, BLOCK_VIOLATION, "4L above the 4L block of this modal block"))
-        elif node.rule == "boxL" and below not in ("boxR", "4L", "boxL"):
-            failures.append(
-                Failure(a, BLOCK_VIOLATION, "boxL above the boxL block of this modal block"))
+        rule = node.rule
+        allowed = BLOCK_BELOW.get(rule)
+        if allowed is not None and below not in allowed:
+            message = f"{rule} above the {rule} block of this modal block"
+            failures.append(Failure(a, BLOCK_VIOLATION, message))
     return failures
 
 

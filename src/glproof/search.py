@@ -58,7 +58,7 @@ from .sequents import (
     trampoline,
     tree_root,
 )
-from .rules import premises_of
+from .rules import WRONG_PREMISE_COUNT, RuleError, premises_of
 from .semantics import OracleVerdict, gentzen_interpretation, oracle_validity
 
 
@@ -107,7 +107,11 @@ def _replay(sk, seq: Sequent, calculus: str, names: Optional[dict] = None) -> Pr
             for key in LABEL_KEYS:
                 if key in meta:
                     meta[key] = names[meta[key]]
-        prems = yield tuple(map(walk, sk[n:], premises_of(calculus, sk[0], meta, seq)))
+        goals = premises_of(calculus, sk[0], meta, seq)
+        if len(goals) != len(sk) - n:
+            raise RuleError(WRONG_PREMISE_COUNT,
+                            f"{sk[0]} needs {len(goals)} premises, found {len(sk) - n}")
+        prems = yield tuple(map(walk, sk[n:], goals))
         return Proof(calculus, sk[0], seq, prems, meta)
 
     return trampoline(walk(sk, seq))

@@ -4,9 +4,11 @@ Multiset sides are canonical: tuples sorted under the fixed formula order
 (labeled sides by label, then formula), so multiset equality is plain
 equality.  A side is sorted once, when a sequent is built from raw input;
 rules then insert into sides already in order (`insert_sorted`, `with_ante`,
-`with_cons`) and build with `of_sorted`, which does not sort again.  Tree
-sequents reuse the labeled-sequent representation; validity is enforced by
-`tree_root`, which doubles as the tree validator.
+`with_cons`) and build with `of_sorted`, which does not sort again.  A
+sequent computes its hash on the first `hash()` call, since most are built
+only to be compared.  Tree sequents reuse the labeled-sequent
+representation; validity is enforced by `tree_root`, which doubles as the
+tree validator.
 
 Walkers: a walk that builds a node's result from its children's is a
 generator run by `trampoline`.  Where a recursive function would call itself,
@@ -81,13 +83,13 @@ class GentzenSequent:
     def __init__(self, ante: Iterable[Formula] = (), cons: Iterable[Formula] = ()):
         self.ante = tuple(sorted(ante, key=formula_key))
         self.cons = tuple(sorted(cons, key=formula_key))
-        self._hash = hash((self.ante, self.cons))
+        self._hash = None
 
     @classmethod
     def of_sorted(cls, ante: tuple, cons: tuple) -> "GentzenSequent":
         """A sequent from sides already canonical; they are not sorted again."""
         s = object.__new__(cls)
-        s.ante, s.cons, s._hash = ante, cons, hash((ante, cons))
+        s.ante, s.cons, s._hash = ante, cons, None
         return s
 
     def __eq__(self, other) -> bool:
@@ -98,7 +100,10 @@ class GentzenSequent:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.ante, self.cons))
+        return h
 
     def __repr__(self) -> str:
         return f"<{self}>"
@@ -130,13 +135,13 @@ class LabeledSequent:
         self.rel = frozenset(rel)
         self.ante = tuple(sorted(ante, key=labeled_key))
         self.cons = tuple(sorted(cons, key=labeled_key))
-        self._hash = hash((self.rel, self.ante, self.cons))
+        self._hash = None
 
     @classmethod
     def of_sorted(cls, rel: frozenset, ante: tuple, cons: tuple) -> "LabeledSequent":
         """A sequent from a frozenset `rel` and canonical sides, not sorted again."""
         s = object.__new__(cls)
-        s.rel, s.ante, s.cons, s._hash = rel, ante, cons, hash((rel, ante, cons))
+        s.rel, s.ante, s.cons, s._hash = rel, ante, cons, None
         return s
 
     def __eq__(self, other) -> bool:
@@ -148,7 +153,10 @@ class LabeledSequent:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.rel, self.ante, self.cons))
+        return h
 
     def __repr__(self) -> str:
         return f"<{self}>"
@@ -216,7 +224,7 @@ class LinearNestedSequent:
         self.components = tuple(components)
         if not self.components:
             raise ValueError("a linear nested sequent has at least one component")
-        self._hash = hash(self.components)
+        self._hash = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -225,7 +233,10 @@ class LinearNestedSequent:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.components)
+        return h
 
     def __len__(self) -> int:
         return len(self.components)

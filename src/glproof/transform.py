@@ -37,7 +37,8 @@ from .sequents import (
     trampoline,
     tree_root,
 )
-from .checkers import block_violations, end_active_report, node_end_active, normal_form_report
+from .checkers import (BLOCK_BELOW, block_violations, end_active_report, node_end_active,
+                       normal_form_report)
 
 
 class TransformError(Exception):
@@ -446,12 +447,14 @@ def to_end_active(p: Proof, stats: Optional[dict] = None) -> Proof:
     if c.rel or c.ante or len(c.cons) != 1:
         raise NotEndActive("end-activation needs a conclusion of the form |- x: f")
     proof = p
-    budget = p.node_count() ** 2 * 4 + 64
+    budget = None  # counted from p when the first failure shows
     permutations = 0
     while True:
         failures = end_active_report(proof).failures
         if not failures:
             break
+        if budget is None:
+            budget = p.node_count() ** 2 * 4 + 64
         budget -= 1
         if budget < 0:
             raise InternalNonTermination("end-activation exceeded its permutation budget")
@@ -540,35 +543,104 @@ def linearize(p: Proof) -> Proof:
 # ---------------------------------------------------------------------------
 # Normalization of LNGL proofs
 
+class _RuleNode:
+    """A node of a rule tree: a proof's rules and metas without conclusions,
+    with a premise list that moves can rewire."""
+
+    __slots__ = ("rule", "meta", "premises")
+
+    def __init__(self, rule: str, meta: dict):
+        self.rule = rule
+        self.meta = meta
+        self.premises: list[_RuleNode] = []
+
+
+def _rule_tree(p: Proof) -> tuple[_RuleNode, int]:
+    """p's rule tree, and its node count."""
+    root = _RuleNode(p.rule, p.meta)
+    stack = [(p, root)]
+    count = 0
+    while stack:
+        node, copy = stack.pop()
+        count += 1
+        for q in node.premises:
+            sub = _RuleNode(q.rule, q.meta)
+            copy.premises.append(sub)
+            stack.append((q, sub))
+    return root, count
+
+
+def _derive(calculus: str, tree: _RuleNode, conclusion) -> Proof:
+    """The proof with the rules of `tree` that concludes `conclusion`: each
+    premise's conclusion derived from its parent's, once, top-down."""
+    def walk(node: _RuleNode, seq):
+        goals = _schema(calculus, node.rule, node.meta, seq)
+        if len(goals) != len(node.premises):
+            raise NotApplicable(
+                f"{node.rule} needs {len(goals)} premises, found {len(node.premises)}")
+        subs = yield tuple(map(walk, node.premises, goals))
+        return Proof(calculus, node.rule, seq, subs, dict(node.meta))
+
+    return trampoline(walk(tree, conclusion))
+
+
+def _lowest_mover(boxr: _RuleNode) -> Optional[Address]:
+    """The address in boxr's block of the lowest 4L block violation by
+    (len, addr), or when there is none of the lowest boxL one."""
+    def order(addr: Address):
+        node = boxr
+        for i in addr:
+            node = node.premises[i]
+        return node.rule != "4L", len(addr), addr
+
+    return min((f.address for f in block_violations(boxr)), key=order, default=None)
+
+
 def normalize_lngl(p: Proof, stats: Optional[dict] = None) -> Proof:
     """Settle each modal block inside its own boxR's subproof, in pre-order:
-    permute the lowest 4L block violation down, or when there is none the
-    lowest boxL one, until the block has the complete-block shape."""
-    budget = p.node_count() ** 2 * 8 + 64
+    move the lowest 4L block violation down, or when there is none the
+    lowest boxL one, until the block has the complete-block shape.  A proof
+    already in normal form is returned as it is.
+
+    Rules move on p's rule tree, which holds no conclusions: moving a 4L or
+    boxL below its parent weakens the parent's other premises, and in LNGL
+    that changes their conclusions, never their rules.  A moved rule stays
+    the lowest violation until it settles, and a move makes none lower, so
+    each picked rule goes all the way down.  Every conclusion is then
+    derived once, top-down from p's."""
     permutations = 0
-
-    def norm(node: Proof):
-        nonlocal budget, permutations
-        while node.rule == "boxR":
-            movers = [f.address for f in block_violations(node)]
-            if not movers:
-                break
-            move = min([a for a in movers if node.at(a).rule == "4L"] or movers,
-                       key=lambda a: (len(a), a))
-            budget -= 1
-            if budget < 0:
-                raise InternalNonTermination("normalization exceeded its permutation budget")
-            node = _exchange(node, move)
-            permutations += 1
-        subs = yield tuple(map(norm, node.premises))
-        return Proof(node.calculus, node.rule, node.conclusion, subs, dict(node.meta))
-
-    proof = trampoline(norm(p))
-    if not normal_form_report(proof).accepted:
-        raise InternalNonTermination("normalization missed a block violation")
+    if not normal_form_report(p).accepted:
+        tree, count = _rule_tree(p)
+        budget = count ** 2 * 8 + 64
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            while node.rule == "boxR" and (addr := _lowest_mover(node)) is not None:
+                path = [node]
+                for i in addr:
+                    path.append(path[-1].premises[i])
+                mover = path.pop()
+                allowed = BLOCK_BELOW[mover.rule]
+                while path[-1].rule not in allowed:
+                    budget -= 1
+                    if budget < 0:
+                        raise InternalNonTermination(
+                            "normalization exceeded its permutation budget")
+                    # the mover takes its parent's place, and its premise
+                    # takes the mover's place above the parent
+                    parent = path.pop()
+                    d = len(path)
+                    parent.premises[addr[d]] = mover.premises[0]
+                    mover.premises[0] = parent
+                    path[-1].premises[addr[d - 1]] = mover
+                    permutations += 1
+            stack.extend(reversed(node.premises))
+        p = _derive(p.calculus, tree, p.conclusion)
+        if not normal_form_report(p).accepted:
+            raise InternalNonTermination("normalization missed a block violation")
     if stats is not None:
         stats["permutations"] = permutations
-    return proof
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,11 @@ from glproof.proofio import (
     print_proof,
 )
 from glproof.checkers import check_csgl, check_glseq
+from glproof.rules import WRONG_PREMISE_COUNT, RuleError
 from glproof.search import (
     FuelExhausted,
     SearchConfig,
+    _replay,
     decide_csgl,
     decide_glseq,
     prove_formula,
@@ -183,6 +185,22 @@ def test_multiset_inputs_replay():
     r2 = decide_csgl(pls("x: p, x: p |- x: p, x: q"), CFG)
     assert r2.proved and check_csgl(r2.proof).accepted
     assert r2.proof.conclusion == pls("x: p, x: p |- x: p, x: q")
+
+
+def test_replay_rejects_a_skeleton_with_the_wrong_premise_count():
+    # a skeleton is (rule, meta keys, meta values..., premise skeletons...)
+    p = pf("p")
+    leaf = ("id", ("principal",), p)
+    goal = pgs("p |- p, ~p")
+    assert _replay(("negR", ("principal",), pf("~p"), leaf), goal, "glseq").rule == "negR"
+    for sk in (("negR", ("principal",), pf("~p")),
+               ("negR", ("principal",), pf("~p"), leaf, leaf)):
+        with pytest.raises(RuleError) as e:
+            _replay(sk, goal, "glseq")
+        assert e.value.code == WRONG_PREMISE_COUNT
+    with pytest.raises(RuleError) as e:
+        _replay(("id", ("principal",), p, leaf), pgs("p |- p"), "glseq")
+    assert e.value.code == WRONG_PREMISE_COUNT
 
 
 def test_determinism():

@@ -9,7 +9,10 @@ from glproof.proofio import (
     parse_gentzen_sequent,
     parse_labeled_sequent,
     parse_lns,
+    parse_proof,
+    print_proof,
 )
+from glproof.rules import premises_of
 from glproof.sequents import (
     GentzenSequent,
     LabeledSequent,
@@ -133,6 +136,41 @@ def test_multiset_union_commutative(xs, ys):
     fx = [parse_formula(s) for s in xs]
     fy = [parse_formula(s) for s in ys]
     assert GentzenSequent(fx + fy, ()) == GentzenSequent(fy + fx, ())
+
+
+def _reparsed(calculus, s, rule, meta):
+    return parse_proof(print_proof(Proof(calculus, rule, s, (), meta))).conclusion
+
+
+def test_sequents_hash_by_value_however_built():
+    # a sequent computes its hash when first asked, so every way of building
+    # one must give equal sequents equal hashes
+    p, q, bp, np_ = (parse_formula(t) for t in ("p", "q", "[]p", "~p"))
+    g = GentzenSequent([q, p], [p])
+    ls = LabeledSequent([("x", "y")], [("y", p), ("x", bp)], [("y", q)])
+    lns = LinearNestedSequent([GentzenSequent([bp], []), GentzenSequent([bp], [p])])
+    groups = [
+        [g, GentzenSequent.of_sorted((p, q), (p,)),
+         premises_of("glseq", "negR", {"principal": np_}, parse_gentzen_sequent("q |- p, ~p"))[0],
+         _reparsed("glseq", g, "id", {"principal": p})],
+        [ls, LabeledSequent.of_sorted(frozenset({("x", "y")}), (("x", bp), ("y", p)), (("y", q),)),
+         premises_of("csgl", "boxL", {"label": "x", "aux": "y", "phi": p},
+                     parse_labeled_sequent("xRy; x: []p |- y: q"))[0],
+         _reparsed("csgl", ls, "id1", {"label": "y", "principal": p})],
+        [lns, LinearNestedSequent([GentzenSequent.of_sorted((bp,), ()),
+                                   GentzenSequent.of_sorted((bp,), (p,))]),
+         premises_of("lngl", "4L", {"phi": p}, parse_lns("[]p |-  //  |- p"))[0],
+         _reparsed("lngl", lns, "id2", {"principal": bp})],
+    ]
+    for group in groups:
+        first, rest = group[0], group[1:]
+        assert all(s == first and s is not first for s in rest)
+        table = {first: "found"}
+        assert [table.get(s) for s in rest] == ["found"] * len(rest)
+        assert len(set(group)) == 1 and len({hash(s) for s in group}) == 1
+    # and unequal sequents stay apart
+    assert len(set(group[0] for group in groups)) == 3
+    assert GentzenSequent([p], [p]) not in {g}
 
 
 def test_lns_requires_component():

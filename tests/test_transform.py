@@ -11,8 +11,9 @@ from glproof.proofio import (
 )
 from glproof.rules import premises_of
 from glproof.search import SearchConfig, prove_formula
-from glproof.sequents import CyclicDerivation, LabeledSequent, Proof, relabel_proof
+from glproof.sequents import CyclicDerivation, LabeledSequent, Proof, relabel_proof, trampoline
 from glproof.checkers import (
+    block_violations,
     check_csgl,
     check_g3gl,
     check_glcirc,
@@ -29,6 +30,7 @@ from glproof.transform import (
     NotNormalForm,
     NotPermutable,
     ShapeViolation,
+    _exchange,
     admit,
     apply_inverse,
     csgl_to_g3gl_embed,
@@ -341,7 +343,7 @@ def test_end_active_fixpoint_identity():
     assert out == base
 
 
-def test_end_active_one_permutation():
+def _negr_above_boxr_csgl():
     tau = pf("p | ~p")
     # bottom-up: orR, boxR, negR(x) <- non-end-active, orR(y), negR(y), id1
     c0 = pls(" |- x: [](p | ~p) | ~~q")
@@ -359,7 +361,11 @@ def test_end_active_one_permutation():
     n3 = Proof("csgl", "orR", c3, (n4,), m_orry)
     n2 = Proof("csgl", "negR", c2, (n3,), m_negx)
     n1 = Proof("csgl", "boxR", c1, (n2,), m_boxr)
-    base = Proof("csgl", "orR", c0, (n1,), {"label": "x", "principal": pf("[](p | ~p) | ~~q")})
+    return Proof("csgl", "orR", c0, (n1,), {"label": "x", "principal": pf("[](p | ~p) | ~~q")})
+
+
+def test_end_active_one_permutation():
+    base = _negr_above_boxr_csgl()
     assert check_csgl(base).accepted
     assert not end_active_report(base).accepted
 
@@ -370,6 +376,19 @@ def test_end_active_one_permutation():
     assert end_active_report(out).accepted
     assert check_csgl(out).accepted
     assert stats["permutations"] == 1
+
+
+def test_end_active_counts_nodes_only_for_a_failure(monkeypatch):
+    # the budget walk is taken when the first failure shows, on the input
+    counted = []
+    node_count = Proof.node_count
+    monkeypatch.setattr(Proof, "node_count", lambda p: counted.append(p) or node_count(p))
+    base = csgl_proof(LOB)
+    assert to_end_active(base) is base
+    assert counted == []
+    base = _negr_above_boxr_csgl()
+    to_end_active(base)
+    assert counted == [base]
 
 
 def test_end_active_two_permutations():
@@ -563,6 +582,64 @@ def test_normalize_corpus():
         out = normalize_lngl(base)
         assert normal_form_report(out).accepted
         assert out.conclusion == base.conclusion
+
+
+def _normalize_by_exchange(p):
+    """Normalization by whole-proof exchanges, as `normalize_lngl` was first
+    written: each `_exchange` re-derives the moved rule's parent at once,
+    weakening its other premises, and the block is scanned again after every
+    swap.  Returns the proof and its permutation count."""
+    budget = p.node_count() ** 2 * 8 + 64
+    permutations = 0
+
+    def norm(node):
+        nonlocal budget, permutations
+        while node.rule == "boxR":
+            movers = [f.address for f in block_violations(node)]
+            if not movers:
+                break
+            move = min([a for a in movers if node.at(a).rule == "4L"] or movers,
+                       key=lambda a: (len(a), a))
+            budget -= 1
+            if budget < 0:
+                raise InternalNonTermination("normalization exceeded its permutation budget")
+            node = _exchange(node, move)
+            permutations += 1
+        subs = yield tuple(map(norm, node.premises))
+        return Proof(node.calculus, node.rule, node.conclusion, subs, dict(node.meta))
+
+    return trampoline(norm(p)), permutations
+
+
+# 278 permutations, 1,114 nodes: the costliest normalization seen in `pipeline`
+MANY_PERMUTATIONS = pf("[]([](q | q | q) | [](r | [][][](~p | p)))")
+
+
+def test_normalize_agrees_with_normalization_by_exchange():
+    rng = random.Random(3)
+    formulas = [MANY_PERMUTATIONS]
+    while len(formulas) < 401:
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(6, 12))
+        if prove_formula(f, "glseq", CFG).proved:
+            formulas.append(f)
+    moved = 0
+    for f in formulas:
+        base = linearize(to_end_active(csgl_proof(f)))
+        text = print_proof(base)
+        stats = {}
+        out = normalize_lngl(base, stats)
+        ref, permutations = _normalize_by_exchange(base)
+        assert print_proof(out) == print_proof(ref), print_formula(f)
+        assert stats["permutations"] == permutations, print_formula(f)
+        # the moves touch nothing of the input
+        assert print_proof(base) == text, print_formula(f)
+        # a proof already in normal form comes back as it is
+        assert normalize_lngl(out) is out
+        assert (out is base) == (permutations == 0)
+        moved += permutations > 0
+        if f is MANY_PERMUTATIONS:
+            assert permutations == 278
+    assert moved >= 50
 
 
 # ---------------------------------------------------------------------------
