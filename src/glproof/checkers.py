@@ -2,7 +2,11 @@
 
 Checking reconstructs every node's premises from (rule, meta, conclusion)
 and compares; it never searches.  Reports carry stable reason codes with
-node addresses so the CLI can emit machine-readable failure lines.
+node addresses so the CLI can emit machine-readable failure lines.  An
+accepted proof needs none of them, so each checker first takes a lean walk
+that only decides acceptance; the diagnosing walk, which lists every
+failure, runs only when the lean walk finds one.  The two shape reports do
+the same.
 
 Tree preservation: every CSGL rule maps a tree sequent to tree sequents.
 Local rules, boxL and 4L add formulas at labels already in the tree, and
@@ -194,6 +198,72 @@ def _check_nodes(
     tree: bool = False,
     fresh: bool = False,
 ) -> list[Failure]:
+    """Every failure of `proof`, as `_diagnose_nodes` lists them: none when
+    the lean walk accepts it, else the diagnosing walk's list."""
+    if _accepts(proof, frozenset(expected_calculus), frozenset(allowed),
+                SEQUENT_OF[expected_calculus[0]], tree, fresh):
+        return []
+    return _diagnose_nodes(proof, expected_calculus, allowed, strict_reject, tree, fresh)
+
+
+def _accepts(proof: Proof, calculi: frozenset, rules: frozenset, shape: type,
+             tree: bool, fresh: bool) -> bool:
+    """The lean walk: whether no node of `proof` fails, with no addresses,
+    messages or vouching.  Per node: the calculus, shape and rule guard, one
+    `premises_of` (or `verify_sub`), one `==` per premise and, with `fresh`,
+    the boxR fresh label against those already seen; under `tree`,
+    `tree_root` on the root only, since an accepted proof's premises are all
+    the ones the schema derives.  It stops at the first failing node."""
+    open_ok = OPEN in rules
+    seen: set[str] = set()
+    stack = [proof]
+    while stack:
+        node = stack.pop()
+        rule = node.rule
+        prems = node.premises
+        if rule == OPEN and open_ok:
+            stack.extend(prems)
+            continue
+        c = node.conclusion
+        if node.calculus not in calculi or not isinstance(c, shape) or rule not in rules:
+            return False
+        try:
+            if rule == "sub":
+                if len(prems) != 1:
+                    return False
+                verify_sub(node.meta, prems[0].conclusion, c)
+            else:
+                expected = premises_of(node.calculus, rule, node.meta, c)
+                if len(expected) != len(prems):
+                    return False
+                for want, q in zip(expected, prems):
+                    if want != q.conclusion:
+                        return False
+        except RuleError:
+            return False
+        if fresh and rule == "boxR" and isinstance(c, LabeledSequent):
+            y = node.meta.get("fresh")
+            if y is not None:
+                if y in seen:
+                    return False
+                seen.add(y)
+        stack.extend(prems)
+    if tree:
+        try:
+            tree_root(proof.conclusion)
+        except NotATree:
+            return False
+    return True
+
+
+def _diagnose_nodes(
+    proof: Proof,
+    expected_calculus: tuple[str, ...],
+    allowed: tuple[str, ...],
+    strict_reject: tuple[str, ...] = (),
+    tree: bool = False,
+    fresh: bool = False,
+) -> list[Failure]:
     """One pre-order walk, without recursion: every node's schema failures,
     then (with `tree`) each conclusion that is not a tree sequent, then (with
     `fresh`) each boxR fresh label used twice.  Under `tree`, `tree_root`
@@ -361,9 +431,44 @@ def _wrong_calculus(calculus: str, p, what: str) -> list[Failure]:
     return [Failure((), CALCULUS_MISMATCH, f"{what} is defined on {calculus} proofs, not {got}")]
 
 
+# the rules judged end-active at their `label` alone, by `is_leaf`
+_LEAF_RULES = frozenset(("id1", "id2") + LOCAL_RULES)
+
+
+def _all_end_active(p: Proof) -> bool:
+    """Whether `node_end_active` holds at every node, as one flat loop: each
+    relation is read once, into its set of parent labels, and shared by the
+    conclusions that carry it."""
+    parents_of: dict[frozenset, set] = {}
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        rule = node.rule
+        if rule in _LEAF_RULES or rule in PROPAGATION_RULES:
+            meta = node.meta
+            x = meta["label"]
+            rel = node.conclusion.rel
+            parents = parents_of.get(rel)
+            if parents is None:
+                parents = parents_of[rel] = {a for a, _ in rel}
+            if x in parents:
+                # a leaf rule's label must be a leaf; a propagation's must be
+                # a pre-leaf, whose children have none
+                if rule in _LEAF_RULES or any(a == x and y in parents for a, y in rel):
+                    return False
+            if rule in PROPAGATION_RULES and meta["aux"] in parents:
+                return False
+        stack.extend(node.premises)
+    return True
+
+
 def end_active_report(p: Proof) -> CheckReport:
-    """Accepted iff every rule application in the CSGL proof is end-active."""
-    return CheckReport.from_failures(_wrong_calculus("csgl", p, "end-activity") or [
+    """Accepted iff every rule application in the CSGL proof is end-active.
+    Failures, with their addresses, are listed only when there is one."""
+    wrong = _wrong_calculus("csgl", p, "end-activity")
+    if not wrong and _all_end_active(p):
+        return CheckReport(True)
+    return CheckReport.from_failures(wrong or [
         Failure(addr, NOT_END_ACTIVE, f"{node.rule} is not end-active here")
         for addr, node in p.nodes() if not node_end_active(node)])
 
@@ -401,8 +506,38 @@ def block_violations(boxr: Proof, addr: Address = ()) -> list[Failure]:
     return failures
 
 
+def _in_normal_form(p: Proof) -> bool:
+    """Whether no modal block of `p` has a block violation, as one flat loop
+    that carries, to each node inside a modal block, the rule below it (None
+    outside every block)."""
+    stack: list[tuple[Proof, str | None]] = [(p, None)]
+    while stack:
+        node, below = stack.pop()
+        rule = node.rule
+        prems = node.premises
+        if rule == "boxR":
+            # its block starts at its first premise
+            stack.append((prems[0], rule))
+            for q in prems[1:]:
+                stack.append((q, None))
+            continue
+        if below is None or rule in INITIAL_RULES or rule == OPEN:
+            rule = None
+        else:
+            allowed = BLOCK_BELOW.get(rule)
+            if allowed is not None and below not in allowed:
+                return False
+        for q in prems:
+            stack.append((q, rule))
+    return True
+
+
 def normal_form_report(p: Proof) -> CheckReport:
     """Accepted iff every boxR sits under a 4L block, then a boxL block, then
-    a block of local rules, with no interleaving (the complete-block shape)."""
-    return CheckReport.from_failures(_wrong_calculus("lngl", p, "the normal form") or [
+    a block of local rules, with no interleaving (the complete-block shape).
+    Failures, with their addresses, are listed only when there is one."""
+    wrong = _wrong_calculus("lngl", p, "the normal form")
+    if not wrong and _in_normal_form(p):
+        return CheckReport(True)
+    return CheckReport.from_failures(wrong or [
         f for addr, node in p.nodes() if node.rule == "boxR" for f in block_violations(node, addr)])

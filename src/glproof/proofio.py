@@ -209,6 +209,8 @@ def _decode_meta(pairs: list[str], formula) -> dict:
         if "=" not in pair:
             raise SequentSyntaxError(f"bad meta entry {pair!r}")
         key, _, raw = pair.partition("=")
+        if key in meta:
+            raise SequentSyntaxError(f"meta repeats the key {key!r}")
         value = _unquote(raw)
         if key in _FORMULA_KEYS:
             meta[key] = formula(value)
@@ -278,6 +280,13 @@ def print_proof(obj) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _once(given: set, head: str, where: str) -> None:
+    """Record that a node term gives `head`; a second one is an error."""
+    if head in given:
+        raise SequentSyntaxError(f"{where} repeats ({head} ...)")
+    given.add(head)
+
+
 def parse_proof(text: str):
     """Parse a proof file; returns a Proof, or a CyclicDerivation for glcirc."""
     lines = text.strip().splitlines()
@@ -313,7 +322,10 @@ def parse_proof(text: str):
         if head == "open":
             concl = None
             meta: dict = {}
+            given: set[str] = set()
             for item in items:
+                if isinstance(item, tuple) and item[0] in ("concl", "backlink", "meta"):
+                    _once(given, item[0], "open leaf")
                 if isinstance(item, tuple) and item[0] == "concl":
                     concl = _sequent(node_calculus, value(item), formula)
                 elif isinstance(item, tuple) and item[0] == "backlink":
@@ -331,9 +343,12 @@ def parse_proof(text: str):
         concl = None
         meta = {}
         prems: list[Proof] = []
+        given = set()
         for item in items[1:]:
             if not isinstance(item, tuple):
                 raise SequentSyntaxError(f"unexpected token {item!r} in rule term")
+            if item[0] in ("concl", "meta", "prems"):
+                _once(given, item[0], f"rule {name}")
             if item[0] == "concl":
                 concl = _sequent(node_calculus, value(item), formula)
             elif item[0] == "meta":

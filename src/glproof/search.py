@@ -44,7 +44,7 @@ contexts are arbitrary.
 from __future__ import annotations
 
 from itertools import count
-from typing import Optional
+from typing import Callable, Optional
 
 from .formula import Box, Formula, Not, Or
 from .sequents import (
@@ -75,14 +75,27 @@ class SearchConfig:
 
 
 class SearchResult:
-    __slots__ = ("proved", "proof", "saturated", "hint")
+    """A failed search passes `build`, which makes its saturated sequent;
+    `saturated` calls it on the first read, so a caller that reads only
+    `proved` never pays for it."""
+
+    __slots__ = ("proved", "proof", "_saturated", "_build", "hint")
 
     def __init__(self, proved: bool, proof: Optional[Proof] = None,
-                 saturated: Optional[Sequent] = None, hint: Optional[OracleVerdict] = None):
+                 hint: Optional[OracleVerdict] = None,
+                 build: Optional[Callable[[], Sequent]] = None):
         self.proved = proved
         self.proof = proof
-        self.saturated = saturated
+        self._saturated = None
+        self._build = build
         self.hint = hint
+
+    @property
+    def saturated(self) -> Optional[Sequent]:
+        if self._build is not None:
+            self._saturated = self._build()
+            self._build = None
+        return self._saturated
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +211,7 @@ def decide_glseq(s: GentzenSequent, cfg: SearchConfig = SearchConfig()) -> Searc
     if sk is not None:
         return SearchResult(True, proof=_replay(sk, s, "glseq"))
     hint = oracle_validity(_query_formula(s)) if cfg.oracle_hint else None
-    return SearchResult(False, saturated=GentzenSequent(*dead_end[0]), hint=hint)
+    return SearchResult(False, hint=hint, build=lambda: GentzenSequent(*dead_end[0]))
 
 
 def _query_formula(s: GentzenSequent) -> Formula:
@@ -315,14 +328,20 @@ def decide_csgl(s: LabeledSequent, cfg: SearchConfig = SearchConfig()) -> Search
     counter = [len(labels)]
     sk = _csgl_search(rel, fa, fc, _csgl_pending(fa, fc), counter, frozenset(),
                       [cfg.fuel], dead_end)
-    # fresh labels are named y0, y1, ..., skipping the input's labels
-    names = dict(enumerate(labels))
-    pool = (f"y{i}" for i in count() if f"y{i}" not in to_int)
-    names.update(zip(range(len(labels), counter[0]), pool))
     if sk is not None:
-        return SearchResult(True, proof=_replay(sk, s, "csgl", names))
+        return SearchResult(True, proof=_replay(sk, s, "csgl", _label_names(to_int, counter[0])))
     hint = _flat_hint(s) if cfg.oracle_hint else None
-    return SearchResult(False, saturated=_labeled_from_state(dead_end[0], names), hint=hint)
+    return SearchResult(False, hint=hint, build=lambda: _labeled_from_state(
+        dead_end[0], _label_names(to_int, counter[0])))
+
+
+def _label_names(to_int: dict, end: int) -> dict:
+    """Names for the integer state labels below `end`: the input's labels by
+    `to_int`, then fresh labels y0, y1, ..., skipping the input's labels."""
+    names = {i: lab for lab, i in to_int.items()}
+    pool = (f"y{i}" for i in count() if f"y{i}" not in to_int)
+    names.update(zip(range(len(to_int), end), pool))
+    return names
 
 
 def _labeled_from_state(state, names) -> LabeledSequent:

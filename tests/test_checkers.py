@@ -9,16 +9,35 @@ from glproof.proofio import (
     parse_labeled_sequent as pls,
     parse_lns,
 )
-from glproof.rules import FRESHNESS_VIOLATION, NOT_A_TREE, RULES_OF, premises_of
+from glproof.rules import (
+    CALCULUS_MISMATCH,
+    FRESHNESS_VIOLATION,
+    NON_END_APPLICATION,
+    NOT_A_TREE,
+    OPEN_LEAF,
+    RULES_OF,
+    SCHEMA_MISMATCH,
+    UNKNOWN_RULE,
+    UNKNOWN_RULE_STRICT,
+    WRONG_PREMISE_COUNT,
+    RuleError,
+    premises_of,
+    verify_sub,
+)
 from glproof.search import SearchConfig, prove_formula
 from glproof.sequents import (
+    LABEL_KEYS,
+    OPEN,
+    SEQUENT_OF,
     CyclicDerivation,
     LabeledSequent,
+    LinearNestedSequent,
     NotATree,
     Proof,
     format_address,
     mset_remove,
     rebuild,
+    relabel_proof,
     tree_root,
 )
 from glproof.transform import to_end_active
@@ -566,3 +585,319 @@ def test_modal_blocks_decomposition():
     out = lngl_to_glseq(lp)
     assert check_glseq(out).accepted
     assert [n.meta["gamma"] for _, n in out.nodes() if n.rule == "boxGL"] == [(pf("~[]p | p"),)]
+
+
+# ---------------------------------------------------------------------------
+# The lean walk against the diagnosing walk
+#
+# `_reference_check_node` and `_reference_check_nodes` are verbatim copies of
+# the walk every checker ran at each node before accepted proofs took the
+# lean walk.  A checker's verdict and failure list must equal theirs on
+# every mutant of every stage proof.
+
+def _reference_check_node(
+    addr,
+    node,
+    expected_calculus,
+    allowed,
+    strict_reject,
+    failures,
+):
+    if node.rule == OPEN and OPEN in allowed:
+        return []
+    shaped = isinstance(node.conclusion, SEQUENT_OF[expected_calculus[0]])
+    if node.calculus not in expected_calculus:
+        failures.append(Failure(addr, CALCULUS_MISMATCH, f"node is tagged {node.calculus}"))
+        return [] if shaped else None
+    if not shaped:
+        failures.append(Failure(addr, CALCULUS_MISMATCH,
+                                f"{node.calculus} node concludes a {type(node.conclusion).__name__}"))
+        return None
+    if node.rule == OPEN:
+        failures.append(Failure(addr, OPEN_LEAF, "open leaf in a closed proof"))
+        return []
+    if node.rule not in allowed:
+        code = UNKNOWN_RULE_STRICT if node.rule in strict_reject else UNKNOWN_RULE
+        failures.append(Failure(addr, code, f"rule {node.rule} not available here"))
+        return []
+    if node.rule == "sub":
+        if len(node.premises) != 1:
+            failures.append(Failure(addr, WRONG_PREMISE_COUNT, "sub takes one premise"))
+            return []
+        try:
+            verify_sub(node.meta, node.premises[0].conclusion, node.conclusion)
+        except RuleError as e:
+            failures.append(Failure(addr, e.code, str(e), e.detail))
+        return []
+    try:
+        expected = premises_of(node.calculus, node.rule, node.meta, node.conclusion)
+    except RuleError as e:
+        failures.append(Failure(addr, e.code, str(e), e.detail))
+        return []
+    if len(node.premises) != len(expected):
+        failures.append(
+            Failure(
+                addr,
+                WRONG_PREMISE_COUNT,
+                f"{node.rule} needs {len(expected)} premises, found {len(node.premises)}",
+            )
+        )
+        return []
+    matched = []
+    for i, (want, q) in enumerate(zip(expected, node.premises)):
+        got = q.conclusion
+        matched.append(want == got)
+        if matched[-1]:
+            continue
+        lns_diag = None
+        if isinstance(node.conclusion, LinearNestedSequent):
+            lns_diag = checkers._diagnose_lns_mismatch(node.rule, node.conclusion, want, got)
+        if lns_diag is not None:
+            failures.append(Failure(addr + (i,), lns_diag.code, lns_diag.message))
+        else:
+            failures.append(Failure(addr + (i,), SCHEMA_MISMATCH,
+                                    f"premise {i} of {node.rule} should be {want}, found {got}"))
+    return matched
+
+
+def _reference_check_nodes(
+    proof,
+    expected_calculus,
+    allowed,
+    strict_reject=(),
+    tree=False,
+    fresh=False,
+):
+    failures = []
+    shape = []
+    reused = []
+    seen = {}
+    stack = [((), proof, False)]
+    while stack:
+        addr, node, is_tree = stack.pop()
+        matched = _reference_check_node(addr, node, expected_calculus, allowed, strict_reject,
+                                        failures)
+        if tree and not is_tree and matched is not None:
+            try:
+                tree_root(node.conclusion)
+                is_tree = True
+            except NotATree as e:
+                shape.append(Failure(addr, NOT_A_TREE, str(e), e.diagnosis))
+        y = node.meta.get("fresh") if fresh and node.rule == "boxR" else None
+        if y is not None and isinstance(node.conclusion, LabeledSequent):
+            if y in seen:
+                reused.append(Failure(
+                    addr, FRESHNESS_VIOLATION,
+                    f"fresh label {y} reused (also at {format_address(seen[y])})", detail=y))
+            else:
+                seen[y] = addr
+        for i in range(len(node.premises) - 1, -1, -1):
+            vouched = is_tree and i < len(matched) and matched[i]
+            stack.append((addr + (i,), node.premises[i], vouched))
+    return failures + shape + reused
+
+
+_STRICT_EXTRA = tuple(r for r in RULES_OF["g3glext"] if r not in RULES_OF["g3gl"])
+# each checker, and the arguments of the reference walk that stood for it
+_CHECKS = {
+    "glseq": (check_glseq, (("glseq",), RULES_OF["glseq"])),
+    "k4seq": (check_k4seq, (("k4seq",), RULES_OF["k4seq"])),
+    "g3gl": (lambda p: check_g3gl(p, "strict"),
+             (("g3gl",), RULES_OF["g3gl"], _STRICT_EXTRA, False, True)),
+    "g3glext": (lambda p: check_g3gl(p, "extended"),
+                (("g3gl", "g3glext", "csgl"), RULES_OF["g3glext"], (), False, True)),
+    "csgl": (check_csgl, (("csgl",), RULES_OF["csgl"], (), True, True)),
+    "lngl": (check_lngl, (("lngl",), RULES_OF["lngl"])),
+}
+_ALL_RULES = sorted({r for rules in RULES_OF.values() for r in rules} | {OPEN})
+
+
+def _outcome(fn, p):
+    """The failure list, or the exception raised, which must agree too."""
+    try:
+        return fn(p)
+    except Exception as e:  # noqa: BLE001 - compared, not swallowed
+        return ("raised", type(e).__name__, str(e))
+
+
+@pytest.fixture
+def diagnosed(monkeypatch):
+    """The proofs the diagnosing walk ran on, in order."""
+    calls = []
+    diagnose = checkers._diagnose_nodes
+    monkeypatch.setattr(checkers, "_diagnose_nodes",
+                        lambda p, *args: calls.append(p) or diagnose(p, *args))
+    return calls
+
+
+def _same_as_reference(name, p, diagnosed):
+    """Assert the checker agrees with the reference walk, and runs the
+    diagnosing walk only on a proof that fails; return its failures."""
+    check, args = _CHECKS[name]
+    want = _outcome(lambda q: _reference_check_nodes(q, *args), p)
+    diagnosed.clear()
+    report = _outcome(check, p)
+    got = report if isinstance(report, tuple) else report.failures
+    assert got == want
+    if not isinstance(report, tuple):
+        assert [str(f) for f in got] == [str(f) for f in want]
+        assert report.accepted == (report.failures == [])
+        assert diagnosed == ([p] if got else [])
+    return got
+
+
+def _other_formula(f):
+    return f.sub if isinstance(f, (Not, Box)) else (f.left if isinstance(f, Or) else Not(f))
+
+
+def _edit_meta(node, rng):
+    """The node's meta with one label, formula or partition changed, or with
+    a key missing."""
+    meta = dict(node.meta)
+    key = rng.choice(sorted(meta))
+    value = meta[key]
+    labels = sorted(node.conclusion.labels()) if isinstance(node.conclusion, LabeledSequent) else []
+    if key in LABEL_KEYS:
+        meta[key] = rng.choice([x for x in labels if x != value] or ["zz"])
+    elif key in ("principal", "phi"):
+        meta[key] = _other_formula(value)
+    elif key == "gamma":
+        meta[key] = value[1:] if value else (P,)
+    else:
+        del meta[key]
+    return meta
+
+
+def _edit_conclusion(c, rng):
+    if isinstance(c, LabeledSequent):
+        return c.with_ante((rng.choice(sorted(c.labels())), Atom("q")))
+    if isinstance(c, LinearNestedSequent):
+        # the end component, or one a rule application must leave as it is
+        i = rng.randrange(len(c))
+        return LinearNestedSequent(c.components[:i] + (c.components[i].with_ante(Atom("q")),)
+                                   + c.components[i + 1:])
+    return c.with_ante(Atom("q"))
+
+
+def _fresh_reuse(p, rng):
+    """Two boxRs in different branches, the second renamed to the first's
+    fresh label in its whole subproof: every node still matches its schema."""
+    boxrs = [(a, n) for a, n in p.nodes() if n.rule == "boxR" and "fresh" in n.meta]
+    pairs = [(a, b) for a, m in boxrs for b, n in boxrs
+             if a < b and b[:len(a)] != a and m.meta["fresh"] != n.meta["fresh"]]
+    if not pairs:
+        return None
+    a, b = rng.choice(pairs)
+    node = p.at(b)
+    renamed = relabel_proof(node, {node.meta["fresh"]: p.at(a).meta["fresh"]})
+    return p.replace_at(b, renamed)
+
+
+def _mutants(p, rng):
+    """(kind, mutant) pairs: each changes one thing of `p`."""
+    nodes = list(p.nodes())
+
+    def at(addr, **change):
+        node = p.at(addr)
+        fields = dict(calculus=node.calculus, rule=node.rule, conclusion=node.conclusion,
+                      premises=node.premises, meta=dict(node.meta))
+        fields.update(change)
+        return p.replace_at(addr, Proof(**fields)) if addr else Proof(**fields)
+
+    for _ in range(3):
+        addr, node = rng.choice(nodes)
+        yield "rule", at(addr, rule=rng.choice([r for r in _ALL_RULES if r != node.rule]))
+        yield "retag", at(addr, calculus=rng.choice(
+            [c for c in _CHECKS if c != node.calculus]))
+        yield "conclusion", at(addr, conclusion=_edit_conclusion(node.conclusion, rng))
+        with_meta = [(a, n) for a, n in nodes if n.meta]
+        if with_meta:
+            addr, node = rng.choice(with_meta)
+            yield "meta", at(addr, meta=_edit_meta(node, rng))
+        inner = [(a, n) for a, n in nodes if n.premises]
+        if inner:
+            addr, node = rng.choice(inner)
+            i = rng.randrange(len(node.premises))
+            yield "drop", at(addr, premises=node.premises[:i] + node.premises[i + 1:])
+            if len(node.premises) > 1:
+                yield "swap", at(addr, premises=node.premises[::-1])
+            elif node.premises[0].premises:
+                yield "swap", at(addr, premises=node.premises[0].premises[:1])
+    if isinstance(p.conclusion, LabeledSequent):
+        reuse = _fresh_reuse(p, rng)
+        if reuse is not None:
+            yield "fresh-reuse", reuse
+        # a second root in every conclusion: each schema still matches
+        yield "non-tree", rebuild(p, lambda n, prems: Proof(
+            n.calculus, n.rule, n.conclusion.with_rel(("zz", "zw")), prems, dict(n.meta)))
+
+
+def _stage_proofs(count, seed):
+    """(checker, proof) for every stage of `count` seeded theorems, with the
+    GLseq stages also checked in K4seq and the G3GL stage in strict G3GL."""
+    from glproof.transform import glseq_to_g3gl, linearize, lngl_to_glseq, normalize_lngl
+
+    rng = random.Random(seed)
+    n = 0
+    while n < count:
+        r = prove_formula(random_formula(rng, ("p", "q", "r"), rng.randint(5, 11)), "csgl", CFG)
+        if not r.proved:
+            continue
+        n += 1
+        csgl = r.proof
+        end_active = to_end_active(csgl)
+        lngl = linearize(end_active)
+        normal = normalize_lngl(lngl)
+        glseq = lngl_to_glseq(normal)
+        g3gl = glseq_to_g3gl(glseq)
+        yield from (("csgl", csgl), ("csgl", end_active), ("lngl", lngl), ("lngl", normal),
+                    ("glseq", glseq), ("k4seq", glseq.retag("k4seq")),
+                    ("g3glext", g3gl), ("g3gl", g3gl.retag("g3gl")))
+
+
+def test_checkers_agree_with_the_diagnosing_walk_on_mutants(diagnosed):
+    rng = random.Random(16)
+    kinds = {}
+    for name, proof in _stage_proofs(24, 16):
+        failures = _same_as_reference(name, proof, diagnosed)
+        if name not in ("k4seq", "g3gl"):
+            assert failures == []  # every stage proof is accepted
+        for kind, mutant in _mutants(proof, rng):
+            got = _same_as_reference(name, mutant, diagnosed)
+            if not isinstance(got, tuple) and got:
+                codes_of = kinds.setdefault((name, kind), set())
+                codes_of.update(f.code for f in got)
+    # every mutation was rejected somewhere, and the two that no single
+    # node's schema sees were rejected for exactly that
+    assert {kind for _, kind in kinds} == {
+        "rule", "retag", "conclusion", "meta", "drop", "swap", "fresh-reuse", "non-tree"}
+    assert kinds[("csgl", "fresh-reuse")] == {FRESHNESS_VIOLATION}
+    assert kinds[("g3glext", "fresh-reuse")] == {FRESHNESS_VIOLATION}
+    assert kinds[("csgl", "non-tree")] == {NOT_A_TREE}
+    assert NON_END_APPLICATION in kinds[("lngl", "conclusion")]
+    # the strict checker rejects G3GLext's own rules by their own code
+    assert UNKNOWN_RULE_STRICT in kinds[("g3gl", "rule")]
+
+
+def test_glcirc_agrees_with_the_diagnosing_walk_on_mutants(diagnosed):
+    rng = random.Random(3)
+    d = lob_cyclic()
+    args = (("k4seq",), RULES_OF["k4seq"] + (OPEN,))
+    assert checkers._check_nodes(d.derivation, *args) == []
+    rejected = set()
+    for _ in range(20):
+        for kind, mutant in _mutants(d.derivation, rng):
+            want = _outcome(lambda q: _reference_check_nodes(q, *args), mutant)
+            diagnosed.clear()
+            assert _outcome(lambda q: checkers._check_nodes(q, *args), mutant) == want
+            assert len(diagnosed) == (want != [])
+            report = check_glcirc(CyclicDerivation(mutant, d.backlinks))
+            assert report.accepted == (report.failures == [])
+            if want:
+                rejected.add(kind)
+    assert rejected >= {"rule", "retag", "conclusion", "meta", "drop", "swap"}
+    # the unfolding has open leaves, which K4seq rejects
+    from glproof.transform import unfold_glcirc
+
+    unfolded = unfold_glcirc(d, 2)
+    assert {f.code for f in _same_as_reference("k4seq", unfolded, diagnosed)} == {"OpenLeaf"}

@@ -379,6 +379,34 @@ def test_empty_nameless_and_cut_terms_exit_two(tmp_path, body):
     assert code == 2 and err.startswith("parse error: ")
 
 
+# each edit gives the root term of a GLseq proof of LOB one item twice
+@pytest.mark.parametrize("old, new, named", [
+    ('(rule orR (concl', '(rule orR (concl "|- q") (concl', "rule orR repeats (concl ...)"),
+    ('(meta principal=', '(meta principal="p") (meta principal=', "rule orR repeats (meta ...)"),
+    (') (prems\n', ') (prems) (prems\n', "rule orR repeats (prems ...)"),
+    ('(meta principal=', '(meta principal="p" principal=', "meta repeats the key 'principal'"),
+])
+def test_repeated_node_items_exit_two(tmp_path, old, new, named):
+    code, proof, _ = invoke("decide", "--calculus", "glseq", LOB)
+    assert code == 0
+    head, _, rest = proof.partition("\n")
+    root, _, rest = rest.partition("\n")
+    path = tmp_path / "repeated.glp"
+    path.write_text(f"{head}\n{(root + chr(10)).replace(old, new, 1)}{rest}")
+    assert path.read_text() != proof
+    code, out, err = invoke("check", str(path))
+    assert (code, out, err) == (2, "", f"parse error: {named}\n")
+
+
+@pytest.mark.parametrize("item", ['(concl "p |- p")', "(backlink .)", "(meta)"])
+def test_repeated_open_leaf_items_exit_two(tmp_path, item):
+    path = tmp_path / "repeated.glp"
+    path.write_text(f'calculus: glcirc\n(open (concl "p |- p") (backlink .) (meta) {item})\n')
+    code, out, err = invoke("check", str(path))
+    head = item[1:].split()[0].rstrip(")")
+    assert (code, out, err) == (2, "", f"parse error: open leaf repeats ({head} ...)\n")
+
+
 def test_long_chain_model_loads(tmp_path):
     # the transitive closure of a 150-world chain has 150*149/2 pairs
     worlds = [f"w{i}" for i in range(150)]

@@ -246,6 +246,23 @@ def test_csgl_fresh_labels_avoid_input_labels():
     assert r.saturated == pls("xRy0; y0Ry1; y1: []p |- y1: p")
 
 
+def test_failed_search_builds_its_saturated_sequent_on_first_read(monkeypatch):
+    import glproof.search as search
+
+    built = []
+    for name in ("GentzenSequent", "_labeled_from_state"):
+        make = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *a, make=make: built.append(a) or make(*a))
+    cases = [(decide_glseq, pgs("[]p |- p"), pgs("[]p |- p")),
+             (decide_csgl, pls("xRy0; |- y0: []p"), pls("xRy0; y0Ry1; y1: []p |- y1: p"))]
+    for decide, goal, saturated in cases:
+        built.clear()
+        r = decide(goal, CFG)
+        assert not r.proved and built == []
+        assert r.saturated == saturated and len(built) == 1
+        assert r.saturated is r.saturated and len(built) == 1
+
+
 def test_oracle_agreement_small():
     for f in enumerate_formulas(("p", "q"), 3):
         v = oracle_validity(f).valid

@@ -13,6 +13,10 @@ from glproof.rules import premises_of
 from glproof.search import SearchConfig, prove_formula
 from glproof.sequents import CyclicDerivation, LabeledSequent, Proof, relabel_proof, trampoline
 from glproof.checkers import (
+    NOT_END_ACTIVE,
+    CheckReport,
+    Failure,
+    _wrong_calculus,
     block_violations,
     check_csgl,
     check_g3gl,
@@ -21,6 +25,7 @@ from glproof.checkers import (
     check_lngl,
     check_proof,
     end_active_report,
+    node_end_active,
     normal_form_report,
 )
 from glproof.transform import (
@@ -941,3 +946,124 @@ def test_pass_report_is_measured_only_when_read(monkeypatch):
         f"embed-g3gl: nodes 9->9, height 7->7, permutations 0, "
         f"concludes {to_str(out.conclusion)}")
     assert walks == ["size", "size", "str", "str"]
+
+
+# ---------------------------------------------------------------------------
+# The two shape reports against their list definitions
+#
+# `_reference_end_active_report` and `_reference_normal_form_report` are the
+# definitions the reports had before they became flat loops that list
+# failures only when there is one.
+
+def _reference_end_active_report(p):
+    return CheckReport.from_failures(_wrong_calculus("csgl", p, "end-activity") or [
+        Failure(addr, NOT_END_ACTIVE, f"{node.rule} is not end-active here")
+        for addr, node in p.nodes() if not node_end_active(node)])
+
+
+def _reference_normal_form_report(p):
+    return CheckReport.from_failures(_wrong_calculus("lngl", p, "the normal form") or [
+        f for addr, node in p.nodes() if node.rule == "boxR" for f in block_violations(node, addr)])
+
+
+def _report_outcome(report, p, listed=None):
+    """The failure lines, or the exception raised.  `listed` records the
+    calls of the list definition's per-node predicate inside `report`: there
+    must be some only when a node fails."""
+    if listed is not None:
+        listed.clear()
+    try:
+        rep = report(p)
+    except Exception as e:  # noqa: BLE001 - compared, not swallowed
+        return ("raised", type(e).__name__)
+    assert rep.accepted == (rep.failures == [])
+    if listed is not None:
+        assert bool(listed) == any(f.code != "CalculusMismatch" for f in rep.failures)
+    return [str(f) for f in rep.failures]
+
+
+@pytest.fixture
+def listed(monkeypatch):
+    """The nodes the reports judged one by one, to list their failures."""
+    import glproof.checkers as checkers
+
+    calls = []
+    for name in ("node_end_active", "block_violations"):
+        fn = getattr(checkers, name)
+        monkeypatch.setattr(checkers, name, lambda node, *a, fn=fn: calls.append(node) or fn(node, *a))
+    return calls
+
+
+def _shape_mutants(p, rng, rules):
+    """`p`, then copies with one node's rule, label or auxiliary label
+    changed: the reports read nothing else."""
+    yield p
+    nodes = list(p.nodes())
+    # the nodes right below a 4L or boxL, whose rule decides its block
+    below = [(a, n) for a, n in nodes if any(q.rule in ("4L", "boxL") for q in n.premises)]
+    for _ in range(6):
+        addr, node = rng.choice(below if below and rng.random() < 0.3 else nodes)
+        meta = dict(node.meta)
+        rule = node.rule
+        if rng.random() < 0.5:
+            rule = rng.choice([r for r in rules if r != node.rule])
+        elif isinstance(node.conclusion, LabeledSequent):
+            key = rng.choice(["label", "aux"])
+            meta[key] = rng.choice(sorted(node.conclusion.labels()))
+        new = Proof(node.calculus, rule, node.conclusion, node.premises, meta)
+        yield p.replace_at(addr, new) if addr else new
+
+
+_SHAPE_RULES = ("id1", "id2", "negL", "negR", "orL", "orR", "4L", "boxL", "boxR", "open")
+
+
+def test_end_active_report_agrees_with_its_list_definition(listed):
+    rng = random.Random(4)
+    steps, concls = _boxl_into_fresh_label("s")
+    fixtures = [
+        _negr_above_boxr_csgl(),
+        _build(steps, concls, Proof("csgl", "id2", concls[-1], (), {"label": "x",
+                                                                      "principal": pf("[]q")})),
+        _build(steps, concls, Proof("csgl", "id1", concls[-1], (), {"label": "y",
+                                                                      "principal": Q})),
+    ]
+    assert not any(end_active_report(p).accepted for p in fixtures)
+    while len(fixtures) < 40:
+        r = prove_formula(random_formula(rng, ("p", "q", "r"), rng.randint(5, 11)), "csgl", CFG)
+        if r.proved:
+            fixtures.append(r.proof)
+    seen = {"accepted": 0, "rejected": 0}
+    for p in fixtures:
+        for mutant in _shape_mutants(p, rng, _SHAPE_RULES):
+            got = _report_outcome(end_active_report, mutant, listed)
+            assert got == _report_outcome(_reference_end_active_report, mutant)
+            if isinstance(got, list):
+                seen["rejected" if got else "accepted"] += 1
+    assert min(seen.values()) >= 20
+    # a proof of another calculus: one CalculusMismatch at the root
+    lngl = linearize(to_end_active(fixtures[0]))
+    assert _report_outcome(end_active_report, lngl) == _report_outcome(
+        _reference_end_active_report, lngl) != []
+
+
+def test_normal_form_report_agrees_with_its_list_definition(listed):
+    rng = random.Random(5)
+    fixtures = [_fixture_4l_above_orl(), _fixture_4l_above_boxl(), _fixture_boxl_above_negr(),
+                linearize(to_end_active(csgl_proof(pf("[]~(r | r) | ~[]~[]r")))),
+                linearize(to_end_active(csgl_proof(MANY_PERMUTATIONS)))]
+    assert not any(normal_form_report(p).accepted for p in fixtures)
+    while len(fixtures) < 40:
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(5, 11))
+        if prove_formula(f, "glseq", CFG).proved:
+            fixtures.append(linearize(to_end_active(csgl_proof(f))))
+    seen = {"accepted": 0, "rejected": 0}
+    for p in fixtures:
+        for mutant in _shape_mutants(p, rng, _SHAPE_RULES):
+            got = _report_outcome(normal_form_report, mutant, listed)
+            assert got == _report_outcome(_reference_normal_form_report, mutant)
+            if isinstance(got, list):
+                seen["rejected" if got else "accepted"] += 1
+    assert min(seen.values()) >= 20
+    csgl = csgl_proof(LOB)
+    assert _report_outcome(normal_form_report, csgl) == _report_outcome(
+        _reference_normal_form_report, csgl) != []
