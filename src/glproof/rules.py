@@ -4,7 +4,8 @@ Every rule application carries enough metadata (principal formula, labels,
 box partition, fresh label) that its premises are a function of the
 conclusion.  Checking therefore never searches; it reconstructs and compares.
 The lone exception is the label substitution rule `sub`, which is verified in
-the premise-to-conclusion direction.
+the premise-to-conclusion direction.  `derive` runs the schemas top-down over
+a tree of rule instances, giving each node its conclusion.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from .sequents import (
     GentzenSequent,
     LabeledSequent,
     LinearNestedSequent,
+    Proof,
     Sequent,
     insert_sorted,
     mset_contains,
     mset_diff,
     mset_remove,
+    trampoline,
 )
 
 # Failure codes (stable identifiers surfaced by the CLI)
@@ -272,3 +275,20 @@ def premises_of(calculus: str, rule: str, meta: dict, conclusion: Sequent) -> li
     except KeyError as e:
         raise _missing_key(rule, e) from None
     raise RuleError(UNKNOWN_RULE, f"unknown calculus {calculus}")
+
+
+def derive(calculus: str, tree, conclusion: Sequent, parts) -> Proof:
+    """The proof with the rules of `tree` that concludes `conclusion`: each
+    premise's conclusion is derived from its parent's by `premises_of`, once,
+    top-down.  `parts(node)` gives a node's rule, its meta and its children;
+    a node with the wrong number of children raises `WrongPremiseCount`."""
+    def walk(node, seq: Sequent):
+        rule, meta, children = parts(node)
+        goals = premises_of(calculus, rule, meta, seq)
+        if len(goals) != len(children):
+            raise RuleError(WRONG_PREMISE_COUNT,
+                            f"{rule} needs {len(goals)} premises, found {len(children)}")
+        prems = yield tuple(map(walk, children, goals))
+        return Proof(calculus, rule, seq, prems, meta)
+
+    return trampoline(walk(tree, conclusion))

@@ -55,10 +55,9 @@ from .sequents import (
     Sequent,
     formula_key,
     labeled_key,
-    trampoline,
     tree_root,
 )
-from .rules import WRONG_PREMISE_COUNT, RuleError, premises_of
+from .rules import derive
 from .semantics import OracleVerdict, gentzen_interpretation, oracle_validity
 
 
@@ -113,21 +112,16 @@ _LP, _LAP, _LFP = ("label", "principal"), ("label", "aux", "phi"), ("label", "fr
 def _replay(sk, seq: Sequent, calculus: str, names: Optional[dict] = None) -> Proof:
     """Re-derive a search skeleton over the original multisets; `names` maps
     CSGL's integer state labels to label names."""
-    def walk(sk, seq: Sequent):
+    def parts(sk):
         n = 2 + len(sk[1])
         meta = dict(zip(sk[1], sk[2:n]))
         if names is not None:
             for key in LABEL_KEYS:
                 if key in meta:
                     meta[key] = names[meta[key]]
-        goals = premises_of(calculus, sk[0], meta, seq)
-        if len(goals) != len(sk) - n:
-            raise RuleError(WRONG_PREMISE_COUNT,
-                            f"{sk[0]} needs {len(goals)} premises, found {len(sk) - n}")
-        prems = yield tuple(map(walk, sk[n:], goals))
-        return Proof(calculus, sk[0], seq, prems, meta)
+        return sk[0], meta, sk[n:]
 
-    return trampoline(walk(sk, seq))
+    return derive(calculus, sk, seq, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .formula import Atom, Box, Formula, Not
 from .rules import (INITIAL_RULES, LOCAL_RULE_OF, LOCAL_RULES, PROPAGATION_RULES, RULES_OF,
-                    RuleError, local_premises, premises_of)
+                    RuleError, derive, local_premises, premises_of)
 from .sequents import (
     OPEN,
     Address,
@@ -143,28 +143,16 @@ def _parts(f: Formula) -> tuple:
 # ---------------------------------------------------------------------------
 # Hp-admissible weakening
 
-def weaken(p: Proof, **adds) -> Proof:
-    """Admissible weakening, dissolved into the proof (no w node appears).
-
-    Labeled calculi:  weaken(p, added=LabeledSequent(rel', ante', cons')).
-    LNGL:             weaken(p, component=i, ante=(...), cons=(...)).
-    Gentzen calculi:  weaken(p, ante=(...), cons=(...)).
-    Every node is re-derived at its weakened conclusion; a premise that does
-    not change (the boxGL/box4 premise) is kept.
+def weaken(p: Proof, target) -> Proof:
+    """Admissible weakening, dissolved into the proof (no w node appears): a
+    proof of `target`, a conclusion that contains p's.  Every node is
+    re-derived at its weakened conclusion; a premise that does not change
+    (the boxGL/box4 premise) is kept.  A boxR fresh label that occurs in a
+    labeled target is renamed first.  A target without a formula that some
+    rule of p uses raises NotApplicable.
     """
-    c = p.conclusion
-    add_a, add_c = tuple(adds.get("ante", ())), tuple(adds.get("cons", ()))
     if p.calculus in LABELED:
-        p = trampoline(_avoid_fresh(p, adds["added"].labels()))
-        target = _merge_labeled(c, adds["added"])
-    elif p.calculus == "lngl":
-        i = adds.get("component", len(c) - 1)
-        comp = c.components[i]
-        target = c.replace_at(i, GentzenSequent(comp.ante + add_a, comp.cons + add_c))
-    elif p.calculus in GENTZEN:
-        target = GentzenSequent(c.ante + add_a, c.cons + add_c)
-    else:
-        raise NotApplicable(f"no weakening for {p.calculus}")
+        p = trampoline(_avoid_fresh(p, target.labels()))
     if p.calculus == "csgl":
         # every goal re-derived from a tree target is a tree (tree preservation)
         try:
@@ -174,10 +162,6 @@ def weaken(p: Proof, **adds) -> Proof:
 
     step = lambda q, goal: _rederive(q, goal, step)
     return trampoline(step(p, target))
-
-
-def _merge_labeled(s: LabeledSequent, added: LabeledSequent) -> LabeledSequent:
-    return LabeledSequent(s.rel | added.rel, s.ante + added.ante, s.cons + added.cons)
 
 
 def _avoid_fresh(p: Proof, labels):
@@ -265,14 +249,14 @@ def _contract(p: Proof, side: str, item):
 def admit(rule: str, p: Proof, **instance) -> Proof:
     """Realize an admitted structural rule as a real proof of its conclusion.
 
-    rule 'w':   instance as in `weaken`.
+    rule 'w':   instance target=the weakened conclusion, as in `weaken`.
     rule 'cL':  instance principal=f (Gentzen) or label=x, principal=f.
     rule 'cR':  likewise.
     rule 'sub': instance x=..., y=... (replace y by x).
     Height never increases.
     """
     if rule == "w":
-        return weaken(p, **instance)
+        return weaken(p, instance["target"])
     if rule in ("cL", "cR"):
         if p.calculus == "lngl":
             raise NotApplicable("contraction is not among the admitted LNGL rules")
@@ -304,15 +288,7 @@ def apply_inverse(rule: str, i: int, p: Proof, meta: dict) -> Proof:
     target = _schema(calculus, rule, meta, p.conclusion)[i]
 
     if rule in _W_BACKED:
-        if calculus == "lngl":
-            add = mset_diff(target.end.ante, p.conclusion.end.ante)
-            return weaken(p, component=len(p.conclusion) - 1, ante=add)
-        added = LabeledSequent.of_sorted(
-            target.rel - p.conclusion.rel,
-            mset_diff(target.ante, p.conclusion.ante),
-            mset_diff(target.cons, p.conclusion.cons),
-        )
-        return weaken(p, added=added)
+        return weaken(p, target)
     if rule in LOCAL_RULES or (rule == "boxR" and calculus in LABELED):
         return trampoline(_invert(rule, i, p, meta, target))
     raise NotApplicable(f"no inversion for {rule} in {calculus}")
@@ -518,8 +494,8 @@ def linearize(p: Proof) -> Proof:
                 return new_chain, Proof("lngl", "boxR", concl, (lp,), {"phi": phi})
             if x in chain:
                 i = chain.index(x)
-                lp2 = weaken(lp, component=i, cons=(Box(phi),))
-                return chain, lp2
+                lc = lp.conclusion
+                return chain, weaken(lp, lc.replace_at(i, lc.components[i].with_cons(Box(phi))))
             return chain, lp
         if rule not in RULES_OF["csgl"]:
             raise NotApplicable(f"linearization does not handle rule {rule}")
@@ -568,20 +544,6 @@ def _rule_tree(p: Proof) -> tuple[_RuleNode, int]:
             copy.premises.append(sub)
             stack.append((q, sub))
     return root, count
-
-
-def _derive(calculus: str, tree: _RuleNode, conclusion) -> Proof:
-    """The proof with the rules of `tree` that concludes `conclusion`: each
-    premise's conclusion derived from its parent's, once, top-down."""
-    def walk(node: _RuleNode, seq):
-        goals = _schema(calculus, node.rule, node.meta, seq)
-        if len(goals) != len(node.premises):
-            raise NotApplicable(
-                f"{node.rule} needs {len(goals)} premises, found {len(node.premises)}")
-        subs = yield tuple(map(walk, node.premises, goals))
-        return Proof(calculus, node.rule, seq, subs, dict(node.meta))
-
-    return trampoline(walk(tree, conclusion))
 
 
 def _lowest_mover(boxr: _RuleNode) -> Optional[Address]:
@@ -635,7 +597,11 @@ def normalize_lngl(p: Proof, stats: Optional[dict] = None) -> Proof:
                     path[-1].premises[addr[d - 1]] = mover
                     permutations += 1
             stack.extend(reversed(node.premises))
-        p = _derive(p.calculus, tree, p.conclusion)
+        try:
+            p = derive(p.calculus, tree, p.conclusion,
+                       lambda n: (n.rule, dict(n.meta), n.premises))
+        except RuleError as e:
+            raise NotApplicable(f"normalization cannot re-derive its moves: {e}") from e
         if not normal_form_report(p).accepted:
             raise InternalNonTermination("normalization missed a block violation")
     if stats is not None:
@@ -686,10 +652,8 @@ def lngl_to_glseq(p: Proof) -> Proof:
             gamma = Counter({g: max(a[g], b[g]) for g in set(a) | set(b)})
             gamma_t = tuple(sorted(gamma.elements(), key=formula_key))
             target = premises_of("glseq", "boxGL", {"gamma": gamma_t, "phi": phi}, end)[0]
-            add_a = mset_diff(target.ante, sub2.conclusion.ante)
-            add_c = mset_diff(target.cons, sub2.conclusion.cons)
-            sub3 = weaken(sub2, ante=add_a, cons=add_c)
-            return Proof("glseq", "boxGL", end, (sub3,), {"gamma": gamma_t, "phi": phi})
+            return Proof("glseq", "boxGL", end, (weaken(sub2, target),),
+                         {"gamma": gamma_t, "phi": phi})
         raise NotNormalForm(f"unexpected {rule} outside a modal block")
 
     return trampoline(trans(p))
@@ -753,7 +717,8 @@ def glseq_to_g3gl(p: Proof) -> Proof:
             y, u = next(names)
             sub = yield trans(node.premises[0], u)
             added = LabeledSequent(((y, u),), tuple((y, Box(g)) for g in gamma), ())
-            w1_concl = _merge_labeled(sub.conclusion, added)
+            c = sub.conclusion
+            w1_concl = LabeledSequent(c.rel | added.rel, c.ante + added.ante, c.cons)
             cur = Proof("g3glext", "w", w1_concl, (sub,), {"added": added})
             for rule, parts in (("boxL", gamma), ("4L", [Box(g) for g in gamma])):
                 for g, part in zip(gamma, parts):

@@ -186,10 +186,10 @@ def test_acceptance_3_hp_properties():
     for proof in proofs:
         h = proof.height()
         if proof.calculus == "glseq":
-            out = admit("w", proof, ante=(Box(Q),), cons=(Q,))
+            out = admit("w", proof, target=proof.conclusion.with_ante(Box(Q)).with_cons(Q))
         else:
-            out = admit("w", proof, added=LabeledSequent(
-                (), (("x", Box(Q)),), (("x", Q),)))
+            out = admit("w", proof, target=proof.conclusion.with_ante(
+                ("x", Box(Q))).with_cons(("x", Q)))
         exercised += 1
         if out.height() > h or not _check_of(out)(out).accepted:
             violations += 1

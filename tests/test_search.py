@@ -25,7 +25,7 @@ from glproof.proofio import (
     print_proof,
 )
 from glproof.checkers import check_csgl, check_glseq
-from glproof.rules import WRONG_PREMISE_COUNT, RuleError
+from glproof.rules import WRONG_PREMISE_COUNT, RuleError, derive
 from glproof.search import (
     FuelExhausted,
     SearchConfig,
@@ -36,6 +36,7 @@ from glproof.search import (
 )
 from glproof.semantics import oracle_validity
 from glproof.sequents import GentzenSequent, LabeledSequent, NotATree, tree_root
+from glproof.transform import _RuleNode
 
 CFG = SearchConfig(oracle_hint=False)
 DATA = Path(__file__).parent / "data"
@@ -201,6 +202,15 @@ def test_replay_rejects_a_skeleton_with_the_wrong_premise_count():
     with pytest.raises(RuleError) as e:
         _replay(("id", ("principal",), p, leaf), pgs("p |- p"), "glseq")
     assert e.value.code == WRONG_PREMISE_COUNT
+    # the same deriver on the other node shape: a rule tree node whose
+    # premise list misses its one premise
+    node = _RuleNode("negR", {"principal": pf("~p")})
+    parts = lambda n: (n.rule, dict(n.meta), n.premises)
+    with pytest.raises(RuleError) as e:
+        derive("glseq", node, goal, parts)
+    assert e.value.code == WRONG_PREMISE_COUNT
+    node.premises.append(_RuleNode("id", {"principal": p}))
+    assert derive("glseq", node, goal, parts).premises[0].conclusion == pgs("p, p |- p")
 
 
 def test_determinism():

@@ -11,7 +11,16 @@ from glproof.proofio import (
 )
 from glproof.rules import premises_of
 from glproof.search import SearchConfig, prove_formula
-from glproof.sequents import CyclicDerivation, LabeledSequent, Proof, relabel_proof, trampoline
+from glproof.sequents import (
+    CyclicDerivation,
+    GentzenSequent,
+    LabeledSequent,
+    NotATree,
+    Proof,
+    relabel_proof,
+    trampoline,
+    tree_root,
+)
 from glproof.checkers import (
     NOT_END_ACTIVE,
     CheckReport,
@@ -29,13 +38,18 @@ from glproof.checkers import (
     normal_form_report,
 )
 from glproof.transform import (
+    GENTZEN,
+    LABELED,
     InternalNonTermination,
     NotApplicable,
     NotEndActive,
     NotNormalForm,
     NotPermutable,
     ShapeViolation,
+    TransformError,
+    _avoid_fresh,
     _exchange,
+    _rederive,
     admit,
     apply_inverse,
     csgl_to_g3gl_embed,
@@ -48,6 +62,7 @@ from glproof.transform import (
     run_pass,
     to_end_active,
     unfold_glcirc,
+    weaken,
 )
 
 CFG = SearchConfig(oracle_hint=False)
@@ -119,7 +134,7 @@ def test_gen_id_lns():
 def test_admit_w_lngl_on_initial():
     g = parse_lns("p |- p // q |- q")
     base = Proof("lngl", "id1", g, (), {"principal": Q})
-    out = admit("w", base, component=0, ante=(pf("[]s"),), cons=(Atom("t"),))
+    out = admit("w", base, target=parse_lns("p, []s |- t, p // q |- q"))
     assert out.height() == 0 and out.rule == "id1"
     assert out.conclusion == parse_lns("p, []s |- t, p // q |- q")
     assert check_lngl(out).accepted
@@ -132,8 +147,8 @@ def test_admit_sub_identity():
 
 def test_admit_w_csgl_height_preserved():
     base = csgl_proof(LOB)
-    added = LabeledSequent((), (("x", Q),), (("x", pf("~~r")),))
-    out = admit("w", base, added=added)
+    target = base.conclusion.with_ante(("x", Q)).with_cons(("x", pf("~~r")))
+    out = admit("w", base, target=target)
     assert out.height() == base.height()
     assert check_csgl(out).accepted
     assert set(out.conclusion.ante) >= {("x", Q)}
@@ -142,12 +157,13 @@ def test_admit_w_csgl_height_preserved():
 
 def test_admit_w_csgl_shape_violation():
     base = csgl_proof(pf("p | ~p"))
-    bad = LabeledSequent((("a", "b"),), (), ())  # disconnected from x
+    bad = base.conclusion.with_rel(("a", "b"))  # disconnected from x
     with pytest.raises(ShapeViolation):
-        admit("w", base, added=bad)
+        admit("w", base, target=bad)
     # a cycle through the root, on a proof with a boxR above it
+    lob = csgl_proof(LOB)
     with pytest.raises(ShapeViolation, match="cycle"):
-        admit("w", csgl_proof(LOB), added=LabeledSequent((("x", "x"),), (), ()))
+        admit("w", lob, target=lob.conclusion.with_rel(("x", "x")))
 
 
 def test_admit_w_fresh_collision_renames():
@@ -156,7 +172,7 @@ def test_admit_w_fresh_collision_renames():
     base = csgl_to_g3gl_embed(csgl_proof(LOB))
     fresh_labels = {n.meta["fresh"] for _, n in base.nodes() if n.rule == "boxR"}
     clash = next(iter(fresh_labels))
-    out = admit("w", base, added=LabeledSequent((), ((clash, Q),), ()))
+    out = admit("w", base, target=base.conclusion.with_ante((clash, Q)))
     assert check_g3gl(out, "extended").accepted
     assert all(
         n.meta["fresh"] != clash for _, n in out.nodes() if n.rule == "boxR"
@@ -166,23 +182,144 @@ def test_admit_w_fresh_collision_renames():
 
 def test_admit_w_gentzen_absorbed_by_modal():
     base = prove_formula(LOB, "glseq", CFG).proof
-    out = admit("w", base, ante=(Q,), cons=(pf("[]q"),))
+    out = admit("w", base, target=base.conclusion.with_ante(Q).with_cons(pf("[]q")))
     assert check_glseq(out).accepted
     assert out.height() == base.height()
+
+
+def test_admit_w_target_without_a_used_formula():
+    # the target is not checked to contain p's conclusion: a rule that uses
+    # the missing formula fails to re-derive
+    glseq = prove_formula(LOB, "glseq", CFG).proof
+    csgl = csgl_proof(LOB)
+    for base, target in ((glseq, pgs("|- q")), (csgl, pls("|- x: q")),
+                         (csgl_to_g3gl_embed(csgl), pls("|- x: q"))):
+        with pytest.raises(NotApplicable):
+            admit("w", base, target=target)
+
+
+def _weaken_by_additions(p: Proof, **adds) -> Proof:
+    """Admissible weakening, dissolved into the proof (no w node appears).
+
+    Labeled calculi:  weaken(p, added=LabeledSequent(rel', ante', cons')).
+    LNGL:             weaken(p, component=i, ante=(...), cons=(...)).
+    Gentzen calculi:  weaken(p, ante=(...), cons=(...)).
+    Every node is re-derived at its weakened conclusion; a premise that does
+    not change (the boxGL/box4 premise) is kept.
+    """
+    c = p.conclusion
+    add_a, add_c = tuple(adds.get("ante", ())), tuple(adds.get("cons", ()))
+    if p.calculus in LABELED:
+        p = trampoline(_avoid_fresh(p, adds["added"].labels()))
+        target = _merge_labeled(c, adds["added"])
+    elif p.calculus == "lngl":
+        i = adds.get("component", len(c) - 1)
+        comp = c.components[i]
+        target = c.replace_at(i, GentzenSequent(comp.ante + add_a, comp.cons + add_c))
+    elif p.calculus in GENTZEN:
+        target = GentzenSequent(c.ante + add_a, c.cons + add_c)
+    else:
+        raise NotApplicable(f"no weakening for {p.calculus}")
+    if p.calculus == "csgl":
+        # every goal re-derived from a tree target is a tree (tree preservation)
+        try:
+            tree_root(target)
+        except NotATree as e:
+            raise ShapeViolation(f"weakening breaks the tree shape: {e}") from e
+
+    step = lambda q, goal: _rederive(q, goal, step)
+    return trampoline(step(p, target))
+
+
+def _merge_labeled(s: LabeledSequent, added: LabeledSequent) -> LabeledSequent:
+    return LabeledSequent(s.rel | added.rel, s.ante + added.ante, s.cons + added.cons)
+
+
+def _additions_target(p: Proof, **adds):
+    """The conclusion that `_weaken_by_additions(p, **adds)` derives."""
+    c = p.conclusion
+    if p.calculus in LABELED:
+        return _merge_labeled(c, adds["added"])
+    ante, cons = adds.get("ante", ()), adds.get("cons", ())
+    if p.calculus in GENTZEN:
+        return GentzenSequent(c.ante + ante, c.cons + cons)
+    i = adds.get("component", len(c) - 1)
+    comp = c.components[i]
+    return c.replace_at(i, GentzenSequent(comp.ante + ante, comp.cons + cons))
+
+
+def _weakening_inputs(rng):
+    """(proof, additions) pairs over seeded theorems: GLseq proofs and their
+    subproofs, whose boxGLs absorb additions; CSGL proofs and their g3glext
+    embeddings, with added relational atoms and formulas, some at a fresh
+    label of the proof; LNGL stage proofs, at component 0 and at the end."""
+    parts = [P, Q, pf("[]q"), pf("~[]p"), pf("p | []r")]
+    theorems = []
+    while len(theorems) < 30:
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(4, 10))
+        if prove_formula(f, "glseq", CFG).proved:
+            theorems.append(f)
+    for f in theorems:
+        glseq = prove_formula(f, "glseq", CFG).proof
+        for _, node in rng.sample(list(glseq.nodes()), min(3, glseq.node_count())):
+            yield node, {"ante": (rng.choice(parts),), "cons": tuple(rng.sample(parts, 2))}
+        csgl = csgl_proof(f)
+        fresh = sorted({n.meta["fresh"] for _, n in csgl.nodes() if n.rule == "boxR"})
+        for p in (csgl, csgl_to_g3gl_embed(csgl)):
+            for _, node in rng.sample(list(p.nodes()), min(3, p.node_count())):
+                x = rng.choice(sorted(node.conclusion.labels()))
+                for y in ["z"] + fresh:
+                    g, h = rng.sample(parts, 2)
+                    yield node, {"added": LabeledSequent(((x, y),), ((y, g),), ((x, h),))}
+                    yield node, {"added": LabeledSequent((), ((y, g),), ((y, h),))}
+                yield node, {"added": LabeledSequent((("a", "b"),), (), ())}
+        lngl = linearize(to_end_active(csgl))
+        for p in (lngl, normalize_lngl(lngl)):
+            for _, node in p.nodes():
+                if len(node.conclusion) > 1:
+                    adds = {"ante": (rng.choice(parts),), "cons": (rng.choice(parts),)}
+                    yield node, dict(adds, component=0)
+                    yield node, adds
+
+
+def _outcome(weakening):
+    try:
+        return print_proof(weakening())
+    except TransformError as e:
+        return type(e).__name__, str(e)
+
+
+def test_weaken_to_a_target_agrees_with_weakening_by_additions():
+    outcomes = {"glseq": 0, "csgl": 0, "g3glext": 0, "lngl": 0}
+    absorbed = renamed = shape = 0
+    for p, adds in _weakening_inputs(random.Random(11)):
+        old = _outcome(lambda: _weaken_by_additions(p, **adds))
+        new = _outcome(lambda: weaken(p, _additions_target(p, **adds)))
+        assert new == old, (str(p.conclusion), adds)
+        outcomes[p.calculus] += 1
+        if p.calculus == "glseq":
+            absorbed += "boxGL" in rules_in(p)
+        elif isinstance(old, tuple):
+            shape += old[0] == "ShapeViolation"
+        elif p.calculus in LABELED:
+            fresh = {n.meta["fresh"] for _, n in p.nodes() if n.rule == "boxR"}
+            renamed += bool(fresh & adds["added"].labels())
+    assert min(outcomes.values()) >= 50, outcomes
+    assert absorbed >= 20 and renamed >= 20 and shape >= 20, (absorbed, renamed, shape)
 
 
 def test_admit_contraction_cases():
     base = csgl_proof(LOB)
     conclusion_formula = pf("~[](~[]p | p) | []p")
-    dup = admit("w", base, added=LabeledSequent((), (), (("x", conclusion_formula),)))
+    dup = admit("w", base, target=base.conclusion.with_cons(("x", conclusion_formula)))
     out = admit("cR", dup, label="x", principal=conclusion_formula)
     assert out.conclusion == base.conclusion
     assert out.height() <= dup.height()
     assert check_csgl(out).accepted
 
     gbase = prove_formula(LOB, "glseq", CFG).proof
-    gdup = admit("w", gbase, ante=(pf("[]p"),))
-    gdup2 = admit("w", gdup, ante=(pf("[]p"),))
+    gdup = admit("w", gbase, target=gbase.conclusion.with_ante(pf("[]p")))
+    gdup2 = admit("w", gdup, target=gdup.conclusion.with_ante(pf("[]p")))
     gout = admit("cL", gdup2, principal=pf("[]p"))
     assert check_glseq(gout).accepted
     assert gout.height() <= gdup2.height()
@@ -203,7 +340,7 @@ def test_admit_contraction_boxr_principal():
     # duplicate boxed consequent consumed by boxR
     f = pf("[](p | ~p)")
     r = prove_formula(f, "csgl", CFG)
-    dup = admit("w", r.proof, added=LabeledSequent((), (), (("x", f),)))
+    dup = admit("w", r.proof, target=r.proof.conclusion.with_cons(("x", f)))
     out = admit("cR", dup, label="x", principal=f)
     assert out.conclusion == r.proof.conclusion
     assert out.height() <= dup.height()
