@@ -4,8 +4,16 @@ Conjunction and implication are parser sugar and are expanded away, so
 everything downstream handles exactly four constructors.  Formulas are
 interned: building a formula equal to an existing one returns that object,
 so equal formulas are the same object and compare and hash by identity.
-They carry a fixed total order (Atom < Not < Or < Box, then recursively),
-used to canonicalize multisets.
+Each class interns under the least that names its formula: an `Atom` under
+its name, a `Not` or `Box` under its subformula object, an `Or` under the
+pair of its subformula objects.
+
+Formulas carry a fixed total order (Atom < Not < Or < Box, then
+recursively), used to canonicalize multisets.  A formula's `key` in that
+order is a nested tuple built on first read, not at construction, since
+most formulas are never ordered.  The first read keys the formula on an
+explicit stack, its unkeyed subformulas first, so every subformula of a
+keyed formula is keyed.
 """
 
 from __future__ import annotations
@@ -15,23 +23,21 @@ from typing import Iterator
 
 
 class Formula:
-    """Base class; instances are immutable and interned.  `__new__` looks
-    the constructor arguments up in the class's own table and, on a miss,
-    builds the one instance with the subclass's `_init`, which sets its
-    fields and `key`."""
+    """Base class; instances are immutable and interned.  Each subclass's
+    `__new__` looks its arguments up in the class's own table and, on a
+    miss, builds the one instance.  `_key` holds the order key once it is
+    built, else None.  Only `formula`, `sequents` and `search` read it, on
+    formulas they keyed on the way in; everything else reads `key`."""
 
-    __slots__ = ("key",)
+    __slots__ = ("_key",)
 
     def __init_subclass__(cls) -> None:
         cls._table = {}
 
-    def __new__(cls, *parts):
-        self = cls._table.get(parts)
-        if self is None:
-            self = object.__new__(cls)
-            self._init(*parts)
-            cls._table[parts] = self
-        return self
+    @property
+    def key(self) -> tuple:
+        k = self._key
+        return k if k is not None else _build_key(self)
 
     def __reduce__(self):
         # the slots of each subclass list its constructor arguments in order
@@ -47,34 +53,79 @@ class Formula:
 class Atom(Formula):
     __slots__ = ("name",)
 
-    def _init(self, name: str) -> None:
-        self.name = name
-        self.key = (0, name)
+    def __new__(cls, name: str):
+        self = cls._table.get(name)
+        if self is None:
+            self = cls._table[name] = object.__new__(cls)
+            self.name = name
+            self._key = None
+        return self
+
+
+def _unary_new(cls, sub: Formula):
+    self = cls._table.get(sub)
+    if self is None:
+        self = cls._table[sub] = object.__new__(cls)
+        self.sub = sub
+        self._key = None
+    return self
 
 
 class Not(Formula):
     __slots__ = ("sub",)
-
-    def _init(self, sub: Formula) -> None:
-        self.sub = sub
-        self.key = (1, sub.key)
+    __new__ = _unary_new
 
 
 class Or(Formula):
     __slots__ = ("left", "right")
 
-    def _init(self, left: Formula, right: Formula) -> None:
-        self.left = left
-        self.right = right
-        self.key = (2, left.key, right.key)
+    def __new__(cls, left: Formula, right: Formula):
+        parts = (left, right)
+        self = cls._table.get(parts)
+        if self is None:
+            self = cls._table[parts] = object.__new__(cls)
+            self.left = left
+            self.right = right
+            self._key = None
+        return self
 
 
 class Box(Formula):
     __slots__ = ("sub",)
+    __new__ = _unary_new
 
-    def _init(self, sub: Formula) -> None:
-        self.sub = sub
-        self.key = (3, sub.key)
+
+def _build_key(f: Formula) -> tuple:
+    """Key `f` and each of its unkeyed subformulas, innermost first: (0,
+    name) for an atom, (1, sub key) for a Not, (2, left key, right key) for
+    an Or and (3, sub key) for a Box.  A keyed formula's subformulas are all
+    keyed, so the walk stops at one."""
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g._key is not None:  # reached twice through shared subformulas
+            stack.pop()
+            continue
+        t = type(g)
+        if t is Or:
+            lk, rk = g.left._key, g.right._key
+            if lk is None or rk is None:
+                if lk is None:
+                    stack.append(g.left)
+                if rk is None:
+                    stack.append(g.right)
+                continue
+            g._key = (2, lk, rk)
+        elif t is Atom:
+            g._key = (0, g.name)
+        else:
+            k = g.sub._key
+            if k is None:
+                stack.append(g.sub)
+                continue
+            g._key = (1 if t is Not else 3, k)
+        stack.pop()
+    return f._key
 
 
 def implies(a: Formula, b: Formula) -> Formula:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .formula import Atom, Box, Formula, Not
 from .rules import (INITIAL_RULES, LOCAL_RULE_OF, LOCAL_RULES, PROPAGATION_RULES, RULES_OF,
-                    RuleError, derive, local_premises, premises_of)
+                    RuleError, derive, local_premises, premises_of, verify_sub)
 from .sequents import (
     OPEN,
     Address,
@@ -27,6 +27,7 @@ from .sequents import (
     Proof,
     formula_key,
     fresh_label,
+    insert_sorted,
     mset_diff,
     mset_remove,
     project_chain,
@@ -86,15 +87,74 @@ def _schema(calculus: str, rule: str, meta: dict, conclusion) -> list:
 def _rederive(p: Proof, target, step):
     """Walker: p's rule instance applied at the conclusion `target`.  A
     premise whose conclusion does not change is kept, every other one is
-    rebuilt by the walker `step(premise, new_conclusion)`."""
-    goals = _schema(p.calculus, p.rule, p.meta, target)
+    rebuilt by the walker `step(premise, new_conclusion)`.  A `w` node adds
+    only what of its addition the target still holds."""
+    if p.rule == "sub":
+        return (yield from _rederive_sub(p, target, step))
+    meta = dict(p.meta)
+    if p.rule == "w":
+        a = meta["added"]
+        meta["added"] = LabeledSequent.of_sorted(
+            a.rel & target.rel, _common(a.ante, target.ante), _common(a.cons, target.cons))
+    goals = _schema(p.calculus, p.rule, meta, target)
     subs = []
     for q, goal in zip(p.premises, goals):
         sub = q if q.conclusion == goal else (yield step(q, goal))
         if sub.conclusion != goal:
             raise NotApplicable(f"{p.rule} misaligned a premise")
         subs.append(sub)
-    return Proof(p.calculus, p.rule, target, tuple(subs), dict(p.meta))
+    return Proof(p.calculus, p.rule, target, tuple(subs), meta)
+
+
+def _rederive_sub(p: Proof, target, step):
+    """Walker: the (x/y) node p at `target`.  The schema only verifies, so
+    the premise is built here.  It gains the target's additions under their
+    own labels, after y is renamed in the subproof if an addition uses it.
+    For each item the target drops, it loses that item if it holds it, else
+    the copy at y that the substitution maps onto it."""
+    c, q, meta = p.conclusion, p.premises[0], dict(p.meta)
+    if not c.rel <= target.rel:
+        raise NotApplicable("sub does not apply: the target drops a relational atom")
+    rel = target.rel - c.rel
+    changes = (_changes(c.ante, target.ante), _changes(c.cons, target.cons))
+    x, y = meta["x"], meta["y"]
+    if any(y in pair for pair in rel) or any(lab == y for added, _ in changes for lab, _ in added):
+        y = meta["y"] = fresh_label(proof_labels(q) | target.labels())
+        q = relabel_proof(q, {p.meta["y"]: y})
+    sides = []
+    for (added, dropped), side in zip(changes, (q.conclusion.ante, q.conclusion.cons)):
+        for lab, f in dropped:
+            item = (lab, f) if (lab, f) in side or lab != x else (y, f)
+            if item not in side:
+                raise NotApplicable(f"sub does not apply: its premise lacks {lab}: {f}")
+            side = mset_remove(side, item)
+        sides.append(insert_sorted(side, added))
+    goal = LabeledSequent.of_sorted(q.conclusion.rel | rel, *sides)
+    try:
+        verify_sub(meta, goal, target)
+    except RuleError as e:
+        raise NotApplicable(f"sub does not apply: {e}") from e
+    sub = q if q.conclusion == goal else (yield step(q, goal))
+    if sub.conclusion != goal:
+        raise NotApplicable("sub misaligned a premise")
+    return Proof(p.calculus, "sub", target, (sub,), meta)
+
+
+def _changes(have: tuple, want: tuple) -> tuple[tuple, list]:
+    """The items of `want` that `have` lacks and the items of `have` that
+    `want` lacks, as multisets; `want`'s stay in order."""
+    added, dropped = list(want), []
+    for item in have:
+        try:
+            added.remove(item)
+        except ValueError:
+            dropped.append(item)
+    return tuple(added), dropped
+
+
+def _common(a: tuple, b: tuple) -> tuple:
+    """The multiset intersection of two sides, in `a`'s order."""
+    return mset_diff(a, _changes(b, a)[0])
 
 
 def _drop(s, side: str, item):

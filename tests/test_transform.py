@@ -864,6 +864,73 @@ def test_glseq_to_g3gl_corpus():
         assert out.conclusion == pls(f" |- x: {f}")
 
 
+def _to_g3gl_outputs(rng, n):
+    """to-g3gl outputs of n seeded theorems whose GLseq proof has a boxGL,
+    so each has at least one (x/y) node."""
+    while n:
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(4, 12))
+        r = prove_formula(f, "glseq", CFG)
+        if r.proved and "boxGL" in rules_in(r.proof):
+            n -= 1
+            yield f, run_pass("to-g3gl", r.proof)[0]
+
+
+def _checked(p, conclusion, f):
+    assert p.conclusion == conclusion, print_formula(f)
+    assert check_g3gl(p, "extended").accepted, print_formula(f)
+    return p
+
+
+def test_weaken_restates_the_sub_nodes_of_to_g3gl_outputs():
+    # a to-g3gl template's (x/y) node gets the target's additions in its
+    # premise under their own labels; an addition at the node's y renames y
+    # in its subproof first
+    rng = random.Random(18)
+    parts = [P, Q, pf("[]q"), pf("~[]p"), pf("p | []r")]
+    for f, out in _to_g3gl_outputs(rng, 40):
+        c = out.conclusion
+        y = rng.choice(sorted(n.meta["y"] for _, n in out.nodes() if n.rule == "sub"))
+        g, h = rng.sample(parts, 2)
+        targets = [c.with_ante(("x", g)).with_cons(("x", h)),
+                   c.with_rel(("x", "z")).with_cons(("z", h), ("x", g)),
+                   c.with_rel(("x", y)).with_ante((y, g))]
+        for i, target in enumerate(targets):
+            w = weaken(out, target) if i % 2 == 0 else admit("w", out, target=target)
+            _checked(w, target, f)
+            assert [n.rule for _, n in w.nodes()] == [n.rule for _, n in out.nodes()]
+        # the last target added a formula at y: no (x/y) node replaces y now
+        assert y not in {n.meta["y"] for _, n in w.nodes() if n.rule == "sub"}
+
+
+def test_contraction_and_inversion_pass_the_sub_nodes_of_to_g3gl_outputs():
+    # a dropped item leaves the (x/y) premise as its own copy, or as the
+    # copy at y that the substitution maps onto it; a w node that added it
+    # adds the rest (the first theorem contracts through such a w)
+    rng = random.Random(19)
+    d = pf("q | r")
+    first = pf("[](r | ~r) | ~~~(q | q) | ~(q | q)")
+    first = (first, run_pass("to-g3gl", prove_formula(first, "glseq", CFG).proof)[0])
+    for f, out in [first, *_to_g3gl_outputs(rng, 40)]:
+        c = out.conclusion
+        g = rng.choice([P, pf("[]q"), pf("~[]p"), pf("p | []r")])
+        dup = weaken(out, c.with_ante(("x", g), ("x", g)))
+        _checked(admit("cL", dup, label="x", principal=g), c.with_ante(("x", g)), f)
+        _checked(admit("cR", weaken(out, c.with_cons(("x", f))), label="x", principal=f), c, f)
+        inv = apply_inverse("orL", 1, weaken(out, c.with_ante(("x", d))),
+                            {"label": "x", "principal": d})
+        _checked(inv, c.with_ante(("x", d.right)), f)
+
+
+def test_sub_keeps_its_relational_atoms():
+    r = prove_formula(pf("[]p -> [][]p"), "glseq", CFG)
+    out, _ = run_pass("to-g3gl", r.proof)
+    w = weaken(out, out.conclusion.with_rel(("x", "z")))
+    sub = next(n for _, n in w.nodes() if n.rule == "sub")
+    c = sub.conclusion
+    with pytest.raises(NotApplicable, match="sub does not apply: the target drops a relational"):
+        weaken(sub, LabeledSequent.of_sorted(frozenset(), c.ante, c.cons))
+
+
 def test_embed_csgl():
     base = csgl_proof(LOB)
     out = csgl_to_g3gl_embed(base)
