@@ -26,8 +26,8 @@ class Formula:
     """Base class; instances are immutable and interned.  Each subclass's
     `__new__` looks its arguments up in the class's own table and, on a
     miss, builds the one instance.  `_key` holds the order key once it is
-    built, else None.  Only `formula`, `sequents` and `search` read it, on
-    formulas they keyed on the way in; everything else reads `key`."""
+    built, else None; only this module reads it, and everything else reads
+    `key`."""
 
     __slots__ = ("_key",)
 

@@ -46,15 +46,15 @@ from __future__ import annotations
 from itertools import count
 from typing import Callable, Optional
 
-from .formula import Box, Formula, Not, Or, _build_key
+from .formula import Box, Formula, Not, Or
 from .sequents import (
     LABEL_KEYS,
     GentzenSequent,
     LabeledSequent,
     Proof,
     Sequent,
-    labeled_slot_key,
-    slot_key,
+    formula_key,
+    labeled_key,
     tree_root,
 )
 from .rules import derive
@@ -135,14 +135,14 @@ _CONS_RANK = {Not: 1, Or: 2}
 
 def _glseq_pending(fa, fc) -> frozenset:
     return frozenset(
-        [(_ANTE_RANK[type(f)], f._key, f) for f in fa if type(f) in _ANTE_RANK]
-        + [(_CONS_RANK[type(f)], f._key, f) for f in fc if type(f) in _CONS_RANK])
+        [(_ANTE_RANK[type(f)], f.key, f) for f in fa if type(f) in _ANTE_RANK]
+        + [(_CONS_RANK[type(f)], f.key, f) for f in fc if type(f) in _CONS_RANK])
 
 
 def _plus(pending, ranks, f):
     """`pending` with the entry of `f` if it is a Not or an Or."""
     r = ranks.get(type(f))
-    return pending if r is None else pending | {(r, f._key, f)}
+    return pending if r is None else pending | {(r, f.key, f)}
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ def _glseq_search(fa, fc, pending, fuel, dead_end):
         raise FuelExhausted()
     shared = fa & fc
     if shared:
-        return ("id", _P, min(shared, key=slot_key))
+        return ("id", _P, min(shared, key=formula_key))
     if pending:
         entry = min(pending)
         rank, _, f = entry
@@ -182,12 +182,12 @@ def _glseq_search(fa, fc, pending, fuel, dead_end):
                               fuel, dead_end)
         return ("orL", _P, f, left, right) if right is not None else None
     # modal choices, left to right over the consequent order
-    boxes = sorted((g for g in fc if type(g) is Box), key=slot_key)
+    boxes = sorted((g for g in fc if type(g) is Box), key=formula_key)
     if not boxes:  # a leaf where no rule applies; the first one is the dead end
         if dead_end[0] is None:
             dead_end[0] = (fa, fc)
         return None
-    gamma = tuple(sorted((g.sub for g in fa if type(g) is Box), key=slot_key))
+    gamma = tuple(sorted((g.sub for g in fa if type(g) is Box), key=formula_key))
     for f in boxes:
         fa2 = frozenset(Box(g) for g in gamma) | frozenset(gamma) | {f}
         fc2 = frozenset((f.sub,))
@@ -200,21 +200,12 @@ def _glseq_search(fa, fc, pending, fuel, dead_end):
 def decide_glseq(s: GentzenSequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Backward decision procedure for the Gentzen calculus."""
     fa, fc = frozenset(s.ante), frozenset(s.cons)
-    _key_all(fa | fc)
     dead_end = [None]
     sk = _glseq_search(fa, fc, _glseq_pending(fa, fc), [cfg.fuel], dead_end)
     if sk is not None:
         return SearchResult(True, proof=_replay(sk, s, "glseq"))
     hint = oracle_validity(_query_formula(s)) if cfg.oracle_hint else None
     return SearchResult(False, hint=hint, build=lambda: GentzenSequent(*dead_end[0]))
-
-
-def _key_all(formulas) -> None:
-    """Key the input's formulas: search reads their key slots, and a side
-    given to `of_sorted` may hold formulas never keyed."""
-    for f in formulas:
-        if f._key is None:
-            _build_key(f)
 
 
 def _query_formula(s: GentzenSequent) -> Formula:
@@ -228,14 +219,14 @@ def _query_formula(s: GentzenSequent) -> Formula:
 
 def _csgl_pending(fa, fc) -> frozenset:
     return frozenset(
-        [(_ANTE_RANK[type(f)], x, f._key, f) for x, f in fa if type(f) in _ANTE_RANK]
-        + [(_CONS_RANK[type(f)], x, f._key, f) for x, f in fc if type(f) in _CONS_RANK])
+        [(_ANTE_RANK[type(f)], x, f.key, f) for x, f in fa if type(f) in _ANTE_RANK]
+        + [(_CONS_RANK[type(f)], x, f.key, f) for x, f in fc if type(f) in _CONS_RANK])
 
 
 def _lplus(pending, ranks, x, f):
     """`pending` with the entry of `f` at `x` if it is a Not or an Or."""
     r = ranks.get(type(f))
-    return pending if r is None else pending | {(r, x, f._key, f)}
+    return pending if r is None else pending | {(r, x, f.key, f)}
 
 
 def _csgl_search(rel, fa, fc, pending, counter, fired, fuel, dead_end):
@@ -251,7 +242,7 @@ def _csgl_search(rel, fa, fc, pending, counter, fired, fuel, dead_end):
     shared = fa & fc
     if shared:
         hit = min((p for p in shared if type(p[1]) is not Not and type(p[1]) is not Or),
-                  key=labeled_slot_key, default=None)
+                  key=labeled_key, default=None)
         if hit is not None:
             x, g = hit
             return ("id1" if type(g) is not Box else "id2", _LP, x, g)
@@ -295,7 +286,7 @@ def _csgl_search(rel, fa, fc, pending, counter, fired, fuel, dead_end):
                     if (1, x, y, f) not in fired and (y, f.sub) not in fa:
                         props.append((1, x, y, f))
     if props:
-        kind, x, y, f = min(props, key=lambda q: (q[0], q[1], q[2], q[3]._key))
+        kind, x, y, f = min(props, key=lambda q: (q[0], q[1], q[2], q[3].key))
         added = f if kind == 0 else f.sub
         sub = _csgl_search(rel, fa | {(y, added)}, fc, _lplus(pending, _ANTE_RANK, y, added),
                            counter, fired | {(kind, x, y, f)}, fuel, dead_end)
@@ -303,7 +294,7 @@ def _csgl_search(rel, fa, fc, pending, counter, fired, fuel, dead_end):
         return (name, _LAP, x, y, f.sub, sub) if sub is not None else None
 
     # boxR expansion with the blocking condition; eager and sequential
-    for x, f in sorted((p for p in fc if type(p[1]) is Box), key=labeled_slot_key):
+    for x, f in sorted((p for p in fc if type(p[1]) is Box), key=labeled_key):
         if any(a == x and (y, f) in fa and (y, f.sub) in fc for a, y in rel):
             continue  # blocked
         y = counter[0]
@@ -327,7 +318,6 @@ def decide_csgl(s: LabeledSequent, cfg: SearchConfig = SearchConfig()) -> Search
     rel = frozenset((to_int[a], to_int[b]) for a, b in s.rel)
     fa = frozenset((to_int[x], f) for x, f in s.ante)
     fc = frozenset((to_int[x], f) for x, f in s.cons)
-    _key_all(f for _, f in fa | fc)
     dead_end = [None]
     counter = [len(labels)]
     sk = _csgl_search(rel, fa, fc, _csgl_pending(fa, fc), counter, frozenset(),

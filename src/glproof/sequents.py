@@ -4,9 +4,7 @@ Multiset sides are canonical: tuples sorted under the fixed formula order
 (labeled sides by label, then formula), so multiset equality is plain
 equality.  A side is sorted once, when a sequent is built from raw input;
 rules then insert into sides already in order (`insert_sorted`, `with_ante`,
-`with_cons`) and build with `of_sorted`, which does not sort again.  Sides
-hold keyed formulas: the constructors key what they sort and `insert_sorted`
-keys what it adds, so ordering a side reads each key slot directly.  A
+`with_cons`) and build with `of_sorted`, which does not sort again.  A
 sequent computes its hash on the first `hash()` call, since most are built
 only to be compared.  Tree sequents reuse the labeled-sequent
 representation; validity is enforced by `tree_root`, which doubles as the
@@ -26,7 +24,7 @@ from bisect import insort_right
 from operator import attrgetter, itemgetter
 from typing import Iterable, Union
 
-from .formula import Formula, _build_key, print_formula
+from .formula import Formula, print_formula
 
 
 Label = str
@@ -43,43 +41,15 @@ def labeled_key(p: tuple[Label, Formula]):
     return (p[0], p[1].key)
 
 
-# the same orders on keyed formulas only: they read the key slot and build nothing
-slot_key = attrgetter("_key")
-
-
-def labeled_slot_key(p: tuple[Label, Formula]):
-    return (p[0], p[1]._key)
-
-
-def _sorted_keyed(items: Iterable, labeled: bool) -> tuple:
-    """`items` in canonical order, each formula keyed first."""
-    lst = list(items)
-    for item in lst:
-        f = item[1] if labeled else item
-        if f._key is None:
-            _build_key(f)
-    lst.sort(key=labeled_slot_key if labeled else slot_key)
-    return tuple(lst)
-
-
 def insert_sorted(side: tuple, items: tuple) -> tuple:
     """A canonical side with `items` added, still canonical: equal to
-    sorting the concatenation, without sorting.  The new items are keyed
-    here; the side's own formulas are keyed already, unless it was given to
-    `of_sorted` raw, and then it is keyed and sorted in full."""
+    sorting the concatenation, without sorting."""
     if not items:
         return side
-    labeled = type(items[0]) is tuple
-    key = labeled_slot_key if labeled else slot_key
+    key = labeled_key if type(items[0]) is tuple else formula_key
     lst = list(side)
-    try:
-        for item in items:
-            f = item[1] if labeled else item
-            if f._key is None:
-                _build_key(f)
-            insort_right(lst, item, key=key)
-    except TypeError:  # a probe met an empty key slot
-        return _sorted_keyed(side + items, labeled)
+    for item in items:
+        insort_right(lst, item, key=key)
     return tuple(lst)
 
 
@@ -112,14 +82,13 @@ class GentzenSequent:
     __slots__ = ("ante", "cons", "_hash")
 
     def __init__(self, ante: Iterable[Formula] = (), cons: Iterable[Formula] = ()):
-        self.ante = _sorted_keyed(ante, False)
-        self.cons = _sorted_keyed(cons, False)
+        self.ante = tuple(sorted(ante, key=formula_key))
+        self.cons = tuple(sorted(cons, key=formula_key))
         self._hash = None
 
     @classmethod
     def of_sorted(cls, ante: tuple, cons: tuple) -> "GentzenSequent":
-        """A sequent from sides already canonical (keyed formulas in order);
-        they are not sorted again."""
+        """A sequent from sides already canonical; they are not sorted again."""
         s = object.__new__(cls)
         s.ante, s.cons, s._hash = ante, cons, None
         return s
@@ -165,14 +134,13 @@ class LabeledSequent:
         cons: Iterable[tuple[Label, Formula]] = (),
     ):
         self.rel = frozenset(rel)
-        self.ante = _sorted_keyed(ante, True)
-        self.cons = _sorted_keyed(cons, True)
+        self.ante = tuple(sorted(ante, key=labeled_key))
+        self.cons = tuple(sorted(cons, key=labeled_key))
         self._hash = None
 
     @classmethod
     def of_sorted(cls, rel: frozenset, ante: tuple, cons: tuple) -> "LabeledSequent":
-        """A sequent from a frozenset `rel` and canonical sides (keyed
-        formulas in order), not sorted again."""
+        """A sequent from a frozenset `rel` and canonical sides, not sorted again."""
         s = object.__new__(cls)
         s.rel, s.ante, s.cons, s._hash = rel, ante, cons, None
         return s

@@ -87,15 +87,17 @@ def _schema(calculus: str, rule: str, meta: dict, conclusion) -> list:
 def _rederive(p: Proof, target, step):
     """Walker: p's rule instance applied at the conclusion `target`.  A
     premise whose conclusion does not change is kept, every other one is
-    rebuilt by the walker `step(premise, new_conclusion)`.  A `w` node adds
-    only what of its addition the target still holds."""
+    rebuilt by the walker `step(premise, new_conclusion)`.  A `w` node's
+    addition loses what the target drops first, so its premise keeps each
+    item that some copy in the addition can stand for."""
     if p.rule == "sub":
         return (yield from _rederive_sub(p, target, step))
     meta = dict(p.meta)
     if p.rule == "w":
-        a = meta["added"]
+        a, c = meta["added"], p.conclusion
         meta["added"] = LabeledSequent.of_sorted(
-            a.rel & target.rel, _common(a.ante, target.ante), _common(a.cons, target.cons))
+            a.rel & target.rel, _kept(a.ante, c.ante, target.ante),
+            _kept(a.cons, c.cons, target.cons))
     goals = _schema(p.calculus, p.rule, meta, target)
     subs = []
     for q, goal in zip(p.premises, goals):
@@ -152,9 +154,14 @@ def _changes(have: tuple, want: tuple) -> tuple[tuple, list]:
     return tuple(added), dropped
 
 
-def _common(a: tuple, b: tuple) -> tuple:
-    """The multiset intersection of two sides, in `a`'s order."""
-    return mset_diff(a, _changes(b, a)[0])
+def _kept(added: tuple, have: tuple, want: tuple) -> tuple:
+    """What of `added`, a part of side `have`, is left when `have` becomes
+    `want`: each item `want` drops leaves `added` if `added` holds it."""
+    lst = list(added)
+    for item in _changes(have, want)[1]:
+        if item in lst:
+            lst.remove(item)
+    return tuple(lst)
 
 
 def _drop(s, side: str, item):

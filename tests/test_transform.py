@@ -921,6 +921,19 @@ def test_contraction_and_inversion_pass_the_sub_nodes_of_to_g3gl_outputs():
         _checked(inv, c.with_ante(("x", d.right)), f)
 
 
+@pytest.mark.parametrize("rule,side", [("cL", "x: p, x: p |- x: p"), ("cR", "x: p |- x: p, x: p")])
+def test_contraction_drops_the_copy_a_w_node_added(rule, side):
+    # the w node adds a second x: p beside the one its id1 premise uses:
+    # contraction drops the added copy and keeps the premise whole
+    prem = Proof("g3glext", "id1", pls("x: p |- x: p"), (), {"label": "x", "principal": P})
+    added = pls("x: p |- ") if rule == "cL" else pls(" |- x: p")
+    out = admit(rule, Proof("g3glext", "w", pls(side), (prem,), {"added": added}),
+                label="x", principal=P)
+    assert out.conclusion == prem.conclusion and out.premises == (prem,)
+    assert out.meta["added"] == LabeledSequent()
+    assert check_g3gl(out, "extended").accepted
+
+
 def test_sub_keeps_its_relational_atoms():
     r = prove_formula(pf("[]p -> [][]p"), "glseq", CFG)
     out, _ = run_pass("to-g3gl", r.proof)

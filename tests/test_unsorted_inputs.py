@@ -1,11 +1,12 @@
 """Formulas that never went through a sequent constructor's sort.
 
-Sides hold keyed formulas: the constructors key what they sort,
-`insert_sorted` (so `with_ante`/`with_cons`) keys the items it adds, and
-`decide_glseq`/`decide_csgl` key their input.  Each case builds its formulas
-fresh, over atoms no other test uses, so none has a key before the case
-runs; each prints the same text as when every formula was keyed at
-construction (the digests were recorded that way).
+Sides given to `of_sorted`, the items `insert_sorted` (so
+`with_ante`/`with_cons`) adds, and the inputs of `decide_glseq`/`decide_csgl`
+may hold formulas never keyed; whatever orders them builds their keys on
+the way.  Each case builds its formulas fresh, over atoms no other test
+uses, so none has a key before the case runs; each prints the same text as
+when every formula was keyed at construction (the digests were recorded
+that way).
 """
 
 import hashlib
@@ -33,10 +34,6 @@ def _unkeyed(*formulas) -> None:
     assert all(getattr(f, "_key", None) is None for f in formulas)
 
 
-def _keyed(*formulas) -> None:
-    assert all(getattr(f, "_key", ()) is not None for f in formulas)
-
-
 def _decided(result) -> str:
     if result.proved:
         return print_proof(result.proof)
@@ -54,7 +51,6 @@ def _of_sorted_glseq():
                  (Not(q), Not(Box(p)), Box(r), Box(Not(p)))):
         s = GentzenSequent.of_sorted(ante, cons)
         out.append(_decided(decide_glseq(s, CFG)))
-        _keyed(*s.ante, *s.cons)
         assert s == GentzenSequent(s.ante, s.cons)  # the sides were canonical
     return out
 
@@ -71,7 +67,6 @@ def _of_sorted_csgl():
         (("x", Not(q)), ("x", Not(Box(r))), ("x", Box(q)), ("x", Box(Or(q, r))),
          ("y", Or(q, r)), ("y", Or(Not(q), r))))
     out.append(_decided(decide_csgl(s, CFG)))
-    _keyed(*(f for _, f in s.ante + s.cons))
     assert s == LabeledSequent(s.rel, s.ante, s.cons)
     return out
 
@@ -82,13 +77,10 @@ def _inserted():
     _unkeyed(p, q, r)
     added = (Box(p), Or(q, Not(r)), p)
     out = [str(GentzenSequent.of_sorted(insert_sorted(side, added), ()))]
-    _keyed(*added)
     g = pgs("p, []q |- q | p, []p").with_ante(Not(Or(p, Box(q))), r).with_cons(Or(Not(r), p))
-    _keyed(*g.ante, *g.cons)
     out += [str(g), _decided(decide_glseq(g, CFG))]
     lab = pls("xRy; x: []p |- y: p").with_ante(("y", Box(Box(q))), ("x", Box(p)))
     lab = lab.with_cons(("y", Or(Not(Box(q)), r)), ("x", Not(p)))
-    _keyed(*(f for _, f in lab.ante + lab.cons))
     out += [str(lab), _decided(decide_csgl(lab, CFG))]
     return out
 
@@ -100,7 +92,7 @@ def _weakened():
     out = []
     glseq = prove_formula(lob, "glseq", CFG).proof
     out.append(print_proof(weaken(glseq, glseq.conclusion.with_ante(Box(Or(p, q))))))
-    # a raw one-formula antecedent, never keyed: the probes meet it unkeyed
+    # a raw one-formula antecedent whose formula was never keyed
     raw = GentzenSequent.of_sorted((Or(Not(r), q),), glseq.conclusion.cons)
     out.append(print_proof(weaken(glseq, raw)))
     g3 = csgl_to_g3gl_embed(prove_formula(lob, "csgl", CFG).proof)
