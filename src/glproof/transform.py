@@ -88,8 +88,8 @@ def _rederive(p: Proof, target, step):
     """Walker: p's rule instance applied at the conclusion `target`.  A
     premise whose conclusion does not change is kept, every other one is
     rebuilt by the walker `step(premise, new_conclusion)`.  A `w` node's
-    addition loses what the target drops first, so its premise keeps each
-    item that some copy in the addition can stand for."""
+    addition gives up what the target drops before its premise does, so the
+    premise keeps the copies its rules use."""
     if p.rule == "sub":
         return (yield from _rederive_sub(p, target, step))
     meta = dict(p.meta)
