@@ -78,8 +78,8 @@ from .transform import (
     NotPermutable,
     PassReport,
     ShapeViolation,
-    admit,
     apply_inverse,
+    contract,
     csgl_to_g3gl_embed,
     glseq_to_g3gl,
     linearize,
@@ -88,6 +88,7 @@ from .transform import (
     permute_down,
     prove_general_id,
     run_pass,
+    substitute_labels,
     to_end_active,
     unfold_glcirc,
     weaken,

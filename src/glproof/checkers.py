@@ -10,10 +10,10 @@ the same.
 
 Tree preservation: every CSGL rule maps a tree sequent to tree sequents.
 Local rules, boxL and 4L add formulas at labels already in the tree, and
-boxR (whose label the schema checks is fresh) adds a new leaf.  So
-`check_csgl` validates the tree shape of the root conclusion only, and of
-each premise whose conclusion is not the one `premises_of` derives from a
-tree conclusion; all other premises are trees without being looked at.
+boxR (whose label the schema checks is fresh) adds a new leaf.  So the
+lean walk, which accepts only proofs whose premises are all the ones
+`premises_of` derives, runs `tree_root` on the root conclusion only; the
+diagnosing walk runs it at every node of the calculus's shape.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .rules import (
     BAD_BACKLINK,
     BLOCK_VIOLATION,
     CALCULUS_MISMATCH,
+    EXTENDED_EXTRA,
     LINT_NO_BOX_ON_CYCLE,
     NON_END_APPLICATION,
     NOT_A_TREE,
@@ -129,41 +130,40 @@ def _check_node(
     allowed: tuple[str, ...],
     strict_reject: tuple[str, ...],
     failures: list[Failure],
-) -> list[bool] | None:
-    """Append the node's own failures; return, for each premise, whether its
-    conclusion is the one the schema derives (none when the schema did not
-    apply), or None when the conclusion is not a sequent of the calculus."""
-    if node.rule == OPEN and OPEN in allowed:
-        return []
+) -> bool:
+    """Append the node's own failures; return whether its conclusion is a
+    sequent of the calculus."""
     shaped = isinstance(node.conclusion, SEQUENT_OF[expected_calculus[0]])
+    if node.rule == OPEN and OPEN in allowed:
+        return shaped
     if node.calculus not in expected_calculus:
         failures.append(Failure(addr, CALCULUS_MISMATCH, f"node is tagged {node.calculus}"))
-        return [] if shaped else None
+        return shaped
     if not shaped:
         failures.append(Failure(addr, CALCULUS_MISMATCH,
                                 f"{node.calculus} node concludes a {type(node.conclusion).__name__}"))
-        return None
+        return False
     if node.rule == OPEN:
         failures.append(Failure(addr, OPEN_LEAF, "open leaf in a closed proof"))
-        return []
+        return True
     if node.rule not in allowed:
         code = UNKNOWN_RULE_STRICT if node.rule in strict_reject else UNKNOWN_RULE
         failures.append(Failure(addr, code, f"rule {node.rule} not available here"))
-        return []
+        return True
     if node.rule == "sub":
         if len(node.premises) != 1:
             failures.append(Failure(addr, WRONG_PREMISE_COUNT, "sub takes one premise"))
-            return []
+            return True
         try:
             verify_sub(node.meta, node.premises[0].conclusion, node.conclusion)
         except RuleError as e:
             failures.append(Failure(addr, e.code, str(e), e.detail))
-        return []
+        return True
     try:
         expected = premises_of(node.calculus, node.rule, node.meta, node.conclusion)
     except RuleError as e:
         failures.append(Failure(addr, e.code, str(e), e.detail))
-        return []
+        return True
     if len(node.premises) != len(expected):
         failures.append(
             Failure(
@@ -172,12 +172,10 @@ def _check_node(
                 f"{node.rule} needs {len(expected)} premises, found {len(node.premises)}",
             )
         )
-        return []
-    matched = []
+        return True
     for i, (want, q) in enumerate(zip(expected, node.premises)):
         got = q.conclusion
-        matched.append(want == got)
-        if matched[-1]:
+        if want == got:
             continue
         lns_diag = None
         if isinstance(node.conclusion, LinearNestedSequent):
@@ -187,7 +185,7 @@ def _check_node(
         else:
             failures.append(Failure(addr + (i,), SCHEMA_MISMATCH,
                                     f"premise {i} of {node.rule} should be {want}, found {got}"))
-    return matched
+    return True
 
 
 def _check_nodes(
@@ -208,8 +206,8 @@ def _check_nodes(
 
 def _accepts(proof: Proof, calculi: frozenset, rules: frozenset, shape: type,
              tree: bool, fresh: bool) -> bool:
-    """The lean walk: whether no node of `proof` fails, with no addresses,
-    messages or vouching.  Per node: the calculus, shape and rule guard, one
+    """The lean walk: whether no node of `proof` fails, with no addresses or
+    messages.  Per node: the calculus, shape and rule guard, one
     `premises_of` (or `verify_sub`), one `==` per premise and, with `fresh`,
     the boxR fresh label against those already seen; under `tree`,
     `tree_root` on the root only, since an accepted proof's premises are all
@@ -267,20 +265,16 @@ def _diagnose_nodes(
     """One pre-order walk, without recursion: every node's schema failures,
     then (with `tree`) each conclusion that is not a tree sequent, then (with
     `fresh`) each boxR fresh label used twice.  Under `tree`, `tree_root`
-    runs on the root and on premises the schema did not derive from a tree
-    conclusion; every other premise is a tree by tree preservation."""
+    runs at every node whose conclusion has the calculus's shape."""
     failures: list[Failure] = []
     shape: list[Failure] = []
     reused: list[Failure] = []
     seen: dict[str, Address] = {}
-    stack: list[tuple[Address, Proof, bool]] = [((), proof, False)]
-    while stack:
-        addr, node, is_tree = stack.pop()
-        matched = _check_node(addr, node, expected_calculus, allowed, strict_reject, failures)
-        if tree and not is_tree and matched is not None:
+    for addr, node in proof.nodes():
+        shaped = _check_node(addr, node, expected_calculus, allowed, strict_reject, failures)
+        if tree and shaped:
             try:
                 tree_root(node.conclusion)
-                is_tree = True
             except NotATree as e:
                 shape.append(Failure(addr, NOT_A_TREE, str(e), e.diagnosis))
         y = node.meta.get("fresh") if fresh and node.rule == "boxR" else None
@@ -291,9 +285,6 @@ def _diagnose_nodes(
                     f"fresh label {y} reused (also at {format_address(seen[y])})", detail=y))
             else:
                 seen[y] = addr
-        for i in range(len(node.premises) - 1, -1, -1):
-            vouched = is_tree and i < len(matched) and matched[i]
-            stack.append((addr + (i,), node.premises[i], vouched))
     return failures + shape + reused
 
 
@@ -310,12 +301,12 @@ def check_k4seq(p: Proof) -> CheckReport:
 
 def check_g3gl(p: Proof, mode: str = "strict") -> CheckReport:
     """mode: 'strict' (labeled rules only) or 'extended' (plus the admitted
-    rules 4L, w, cL, cR, (x/y)=sub, cut, checkable as explicit nodes)."""
+    rules 4L, w and (x/y)=sub, checkable as explicit nodes)."""
     if mode not in ("strict", "extended"):
         raise ValueError("mode must be 'strict' or 'extended'")
     if mode == "strict":
-        extra = tuple(r for r in RULES_OF["g3glext"] if r not in RULES_OF["g3gl"])
-        failures = _check_nodes(p, ("g3gl",), RULES_OF["g3gl"], strict_reject=extra, fresh=True)
+        failures = _check_nodes(p, ("g3gl",), RULES_OF["g3gl"], strict_reject=EXTENDED_EXTRA,
+                                fresh=True)
     else:
         failures = _check_nodes(p, ("g3gl", "g3glext", "csgl"), RULES_OF["g3glext"], fresh=True)
     return CheckReport.from_failures(failures)

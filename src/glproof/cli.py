@@ -260,7 +260,7 @@ def _dispatch(args, stdout, stderr) -> int:
         return 0
 
     if args.command == "pipeline":
-        return _pipeline(args, stdout, stderr)
+        return _pipeline(args, stdout)
 
     return 2
 
@@ -284,7 +284,7 @@ def _render(args) -> str:
     return render_proof_text(obj)
 
 
-def _pipeline(args, stdout, stderr) -> int:
+def _pipeline(args, stdout) -> int:
     f = _read_formula(args.formula)
     if args.emit_trace:
         os.makedirs(args.emit_trace, exist_ok=True)  # a bad path fails before any work

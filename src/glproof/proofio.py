@@ -180,10 +180,8 @@ def _encode_meta(meta: dict) -> str:
             parts.append(f"{key}={_quote(print_formula(value))}")
         elif key in LABEL_KEYS or key in _INT_KEYS:
             parts.append(f"{key}={value}")
-        elif key in _FLIST_KEYS or key in ("ante", "cons"):
+        elif key in _FLIST_KEYS:
             parts.append(f"{key}={_quote(', '.join(print_formula(g) for g in value))}")
-        elif key == "backlink":
-            parts.append(f"{key}={format_address(value)}")
         else:
             parts.append(f"{key}={_quote(str(value))}")
     return " ".join(parts)
@@ -216,7 +214,7 @@ def _decode_meta(pairs: list[str], formula) -> dict:
             meta[key] = formula(value)
         elif key in LABEL_KEYS:
             meta[key] = value
-        elif key in _FLIST_KEYS or key in ("ante", "cons"):
+        elif key in _FLIST_KEYS:
             meta[key] = tuple(formula(p) for p in _split_formulas(value))
         elif key in _INT_KEYS:
             try:
@@ -225,8 +223,6 @@ def _decode_meta(pairs: list[str], formula) -> dict:
                 raise SequentSyntaxError(f"{key} must be an integer, got {value!r}") from None
         elif key == "added":
             meta[key] = _labeled(value, formula)
-        elif key == "backlink":
-            meta[key] = _address(value)
         elif key == "target":
             meta[key] = _gentzen(value, formula)
         else:
@@ -258,7 +254,7 @@ def print_proof(obj) -> str:
         pad = "  " * indent
         concl = _quote(str(node.conclusion))
         if node.rule == OPEN:
-            target = backlinks.get(addr, node.meta.get("backlink"))
+            target = backlinks.get(addr)
             if target is not None:
                 lines.append(f"{pad}(open (concl {concl}) (backlink {format_address(target)}))")
             else:

@@ -59,7 +59,7 @@ RULES_OF = {
     "csgl": ("id1", "id2", "negL", "negR", "orL", "orR", "boxL", "boxR", "4L"),
     "lngl": ("id1", "id2", "negL", "negR", "orL", "orR", "boxL", "boxR", "4L"),
 }
-EXTENDED_EXTRA = ("4L", "w", "cL", "cR", "sub", "cut")
+EXTENDED_EXTRA = ("4L", "w", "sub")
 RULES_OF["g3glext"] = RULES_OF["g3gl"] + EXTENDED_EXTRA
 
 def _missing_key(rule: str, e: KeyError) -> RuleError:
@@ -198,19 +198,6 @@ def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledS
                 c.rel - added.rel, mset_diff(c.ante, added.ante), mset_diff(c.cons, added.cons)
             )
         ]
-    if rule in ("cL", "cR"):
-        x = meta["label"]
-        phi = meta["principal"]
-        side = c.ante if rule == "cL" else c.cons
-        if (x, phi) not in side:
-            raise RuleError(SCHEMA_MISMATCH, f"{rule} principal not present")
-        if rule == "cL":
-            return [c.with_ante((x, phi))]
-        return [c.with_cons((x, phi))]
-    if rule == "cut":
-        x = meta["label"]
-        phi = meta["principal"]
-        return [c.with_cons((x, phi)), c.with_ante((x, phi))]
     if rule == "sub":
         raise RuleError(SCHEMA_MISMATCH, "sub premises cannot be reconstructed; verify instead")
     raise RuleError(UNKNOWN_RULE, f"unknown labeled rule {rule}")

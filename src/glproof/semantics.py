@@ -438,18 +438,13 @@ def enumerate_models(atom_names: tuple[str, ...], bound: ModelBound) -> Iterator
     atom_pos = {name: i for i, name in enumerate(atom_names)}
     for n in range(1, bound.max_worlds + 1):
         for shape in _skeletons(n, bound.max_depth, bound.max_branching):
-            sizes = _shape_sizes(shape)
             for bits in range(1 << (a * n)):
-                assignment = _split_bits(shape, sizes, bits, a)
+                assignment = _split_bits(shape, bits, a)
                 model, _ = _skeleton_model(shape, atom_names, assignment, atom_pos)
                 yield model
 
 
-def _shape_sizes(shape) -> int:
-    return 1 + sum(_shape_sizes(c) for c in shape)
-
-
-def _split_bits(shape, total, bits, a):
+def _split_bits(shape, bits, a):
     """Distribute a flat bitstring over the tree in preorder."""
 
     def take(node_shape, offset):

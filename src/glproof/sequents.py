@@ -384,8 +384,6 @@ def tree_view(t: LabeledSequent) -> TreeView:
 # ---------------------------------------------------------------------------
 # Proofs and cyclic derivations
 
-CALCULI = ("glseq", "k4seq", "g3gl", "g3glext", "csgl", "lngl")
-
 SEQUENT_OF = {"glseq": GentzenSequent, "k4seq": GentzenSequent, "g3gl": LabeledSequent,
               "g3glext": LabeledSequent, "csgl": LabeledSequent, "lngl": LinearNestedSequent}
 

@@ -1,11 +1,11 @@
 """Constructive proof transformations between the formalisms.
 
-Every pass is a total function from checked proofs to checked proofs:
-admissible-rule constructors (weakening, contraction, label substitution),
-height-preserving rule inversion, rule permutation, end-activation,
-linearization into LNGL, normalization, the translation into the Gentzen
-calculus, the labeled-calculus embedding of Gentzen proofs, and the bounded
-unfolder for cyclic derivations.
+Every pass is a total function from checked proofs to checked proofs: the
+admitted rules, each dissolved into the proof by its own function (`weaken`,
+`contract`, `substitute_labels`), height-preserving rule inversion, rule
+permutation, end-activation, linearization into LNGL, normalization, the
+translation into the Gentzen calculus, the labeled-calculus embedding of
+Gentzen proofs, and the bounded unfolder for cyclic derivations.
 """
 
 from __future__ import annotations
@@ -248,6 +248,9 @@ def _avoid_fresh(p: Proof, labels):
 # Hp-admissible label substitution ((x/y): replace y by x)
 
 def substitute_labels(p: Proof, x: str, y: str) -> Proof:
+    """Admissible label substitution (x/y), dissolved into the proof: p with y
+    replaced by x, after renaming each boxR fresh label that is x or y.  On
+    CSGL a conclusion that is no longer a tree raises ShapeViolation."""
     if x == y:
         return p
     if p.calculus not in LABELED:
@@ -264,6 +267,18 @@ def substitute_labels(p: Proof, x: str, y: str) -> Proof:
 
 # ---------------------------------------------------------------------------
 # Hp-admissible contraction
+
+def contract(p: Proof, side: str, item) -> Proof:
+    """Admissible contraction, dissolved into the proof: a proof of p's
+    conclusion with one occurrence of `item` (a formula, or (label, formula)
+    in a labeled calculus) removed from `side`, "ante" or "cons".  Height
+    never increases."""
+    if p.calculus == "lngl":
+        raise NotApplicable("contraction is not among the admitted LNGL rules")
+    if side not in ("ante", "cons"):
+        raise NotApplicable(f"contraction needs the side 'ante' or 'cons', not {side!r}")
+    return trampoline(_contract(p, side, item))
+
 
 def _contract(p: Proof, side: str, item):
     """Walker: a proof of p's conclusion with one occurrence of `item` removed
@@ -313,31 +328,6 @@ def _contract(p: Proof, side: str, item):
     return (yield from _rederive(p, target, lambda q, goal: _contract(q, side, item)))
 
 
-def admit(rule: str, p: Proof, **instance) -> Proof:
-    """Realize an admitted structural rule as a real proof of its conclusion.
-
-    rule 'w':   instance target=the weakened conclusion, as in `weaken`.
-    rule 'cL':  instance principal=f (Gentzen) or label=x, principal=f.
-    rule 'cR':  likewise.
-    rule 'sub': instance x=..., y=... (replace y by x).
-    Height never increases.
-    """
-    if rule == "w":
-        return weaken(p, instance["target"])
-    if rule in ("cL", "cR"):
-        if p.calculus == "lngl":
-            raise NotApplicable("contraction is not among the admitted LNGL rules")
-        side = "ante" if rule == "cL" else "cons"
-        if p.calculus in LABELED:
-            item = (instance["label"], instance["principal"])
-        else:
-            item = instance["principal"]
-        return trampoline(_contract(p, side, item))
-    if rule == "sub":
-        return substitute_labels(p, instance["x"], instance["y"])
-    raise NotApplicable(f"admit does not handle rule {rule}")
-
-
 # ---------------------------------------------------------------------------
 # Hp-invertibility
 
@@ -352,7 +342,10 @@ def apply_inverse(rule: str, i: int, p: Proof, meta: dict) -> Proof:
         raise NotApplicable(f"{rule} is not invertible")
     if calculus == "lngl" and rule == "boxR":
         raise NotApplicable("boxR is not invertible in LNGL")
-    target = _schema(calculus, rule, meta, p.conclusion)[i]
+    goals = _schema(calculus, rule, meta, p.conclusion)
+    if not 0 <= i < len(goals):
+        raise NotApplicable(f"{rule} has no premise {i}")
+    target = goals[i]
 
     if rule in _W_BACKED:
         return weaken(p, target)
@@ -824,9 +817,7 @@ def unfold_glcirc(d: CyclicDerivation, depth: int) -> Proof:
     # stamp the targets on what is left open
     def finish(node: Proof, prems: tuple) -> Proof:
         if node.rule == OPEN:
-            meta = dict(node.meta)
-            meta.pop("backlink", None)
-            meta["target"] = node.conclusion
+            meta = dict(node.meta, target=node.conclusion)
             return Proof(node.calculus, OPEN, node.conclusion, (), meta)
         return Proof(node.calculus, node.rule, node.conclusion, prems, dict(node.meta))
 

@@ -38,7 +38,6 @@ from glproof.checkers import (
     normal_form_report,
 )
 from glproof.transform import (
-    admit,
     apply_inverse,
     glseq_to_g3gl,
     linearize,
@@ -46,6 +45,7 @@ from glproof.transform import (
     normalize_lngl,
     to_end_active,
     unfold_glcirc,
+    weaken,
 )
 
 CFG = SearchConfig(oracle_hint=False)
@@ -186,9 +186,9 @@ def test_acceptance_3_hp_properties():
     for proof in proofs:
         h = proof.height()
         if proof.calculus == "glseq":
-            out = admit("w", proof, target=proof.conclusion.with_ante(Box(Q)).with_cons(Q))
+            out = weaken(proof, proof.conclusion.with_ante(Box(Q)).with_cons(Q))
         else:
-            out = admit("w", proof, target=proof.conclusion.with_ante(
+            out = weaken(proof, proof.conclusion.with_ante(
                 ("x", Box(Q))).with_cons(("x", Q)))
         exercised += 1
         if out.height() > h or not _check_of(out)(out).accepted:

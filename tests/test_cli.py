@@ -97,6 +97,43 @@ def test_check_json(tmp_path):
     assert doc["failures"][0]["code"] == "SchemaMismatch"
 
 
+# a root instance of each rule that no pass writes, over premises closed by id1
+_UNPRODUCED = {
+    "cL": ('x: p |- x: p', 'label=x principal="p"', ['x: p, x: p |- x: p']),
+    "cR": ('x: p |- x: p', 'label=x principal="p"', ['x: p |- x: p, x: p']),
+    "cut": ('x: p |- x: p', 'label=x principal="q"',
+            ['x: p |- x: p, x: q', 'x: p, x: q |- x: p']),
+}
+
+
+@pytest.mark.parametrize("calculus", ["g3glext", "g3gl"])
+@pytest.mark.parametrize("rule", sorted(_UNPRODUCED))
+def test_check_rejects_rules_without_a_producer(tmp_path, calculus, rule):
+    concl, meta, prems = _UNPRODUCED[rule]
+    leaves = "".join(f'  (rule id1 (concl "{s}") (meta label=x principal="p") (prems))\n'
+                     for s in prems)
+    path = tmp_path / "unproduced.glp"
+    path.write_text(f'calculus: {calculus}\n'
+                    f'(rule {rule} (concl "{concl}") (meta {meta}) (prems\n{leaves}))\n')
+    code, out, _ = invoke("check", str(path))
+    assert code == 1
+    assert out.splitlines() == ["rejected", f"UnknownRule\t.\trule {rule} not available here"]
+
+
+def test_backlink_meta_is_no_back_link(tmp_path):
+    # back-links live in (backlink addr) terms only: a meta key is no back-link,
+    # before a print/parse round trip or after it
+    text = GLCIRC_FILE.replace("(backlink 0)", "(meta backlink=0)")
+    assert text != GLCIRC_FILE
+    path = tmp_path / "meta.glp"
+    for _ in range(2):
+        path.write_text(text)
+        code, out, _ = invoke("check", str(path))
+        assert code == 1 and "OpenLeaf\t" in out
+        text = print_proof(parse_proof(text))
+        assert "backlink" not in text
+
+
 def test_oracle_valid_and_countermodel():
     code, out, _ = invoke("oracle", LOB)
     assert code == 0 and out.strip() == "Valid"

@@ -1,8 +1,12 @@
-"""Every name that a module of src/glproof imports is used in that module.
+"""Every name that a module of src/glproof imports is used in that module,
+and every parameter of a function is read in its body.
 
-`__init__.py` is left out: its imports are the package's public names.  A
-name counts as used when it is read anywhere in the module, in code or in an
-annotation, including one written as a string.
+`__init__.py` is left out of the import check: its imports are the package's
+public names.  A name counts as used when it is read anywhere in the module,
+in code or in an annotation, including one written as a string.  A parameter
+counts as read when its name is loaded anywhere in the function's body,
+nested functions included.  Lambdas are left out: each adapts a callee to a
+calling protocol, whose parameters it need not read.
 """
 
 import ast
@@ -62,3 +66,46 @@ def test_the_check_sees_an_unused_import():
               "def f(x: 'RuleError') -> None:\n"
               "    return json.dumps(x)\n")
     assert unused_imports(source) == ["derive (line 1)"]
+
+
+# (module, function, parameter): why the parameter stays unread
+UNREAD_PARAMETERS = {
+    ("cli.py", "run", "stdin"): "perfbench calls run(argv, None, out, err) positionally",
+    ("transform.py", "twice", "goal"): "a walker step takes (premise, goal), as _rederive calls it",
+}
+
+
+def unread_parameters(source: str) -> list[tuple[str, str, int]]:
+    """(function, parameter, line) for each parameter of a `def` that its
+    body never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [v for v in (a.vararg, a.kwarg) if v]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.name, q.arg, q.lineno) for q in params if q.arg not in read]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_every_parameter_is_read(module):
+    unread = unread_parameters((SRC / module).read_text())
+    allowed = {(f, q) for m, f, q in UNREAD_PARAMETERS if m == module}
+    assert [u for u in unread if u[:2] not in allowed] == []
+    # an entry whose parameter is gone or now read leaves the list
+    assert {u[:2] for u in unread} >= allowed
+
+
+def test_the_check_sees_an_unread_parameter():
+    source = ("def f(a, b, *args, c, d=1, **kw) -> int:\n"
+              "    def g(e):\n"
+              "        return a + d\n"
+              "    b = 2\n"
+              "    return g(1), kw\n"
+              "h = lambda x, y: x\n")
+    # b is only assigned, and the lambda's y is not looked at
+    assert unread_parameters(source) == [("f", "b", 1), ("f", "c", 1), ("f", "args", 1),
+                                         ("g", "e", 2)]

@@ -50,8 +50,8 @@ from glproof.transform import (
     _avoid_fresh,
     _exchange,
     _rederive,
-    admit,
     apply_inverse,
+    contract,
     csgl_to_g3gl_embed,
     glseq_to_g3gl,
     linearize,
@@ -60,6 +60,7 @@ from glproof.transform import (
     permute_down,
     prove_general_id,
     run_pass,
+    substitute_labels,
     to_end_active,
     unfold_glcirc,
     weaken,
@@ -134,7 +135,7 @@ def test_gen_id_lns():
 def test_admit_w_lngl_on_initial():
     g = parse_lns("p |- p // q |- q")
     base = Proof("lngl", "id1", g, (), {"principal": Q})
-    out = admit("w", base, target=parse_lns("p, []s |- t, p // q |- q"))
+    out = weaken(base, parse_lns("p, []s |- t, p // q |- q"))
     assert out.height() == 0 and out.rule == "id1"
     assert out.conclusion == parse_lns("p, []s |- t, p // q |- q")
     assert check_lngl(out).accepted
@@ -142,13 +143,13 @@ def test_admit_w_lngl_on_initial():
 
 def test_admit_sub_identity():
     base = csgl_proof(LOB)
-    assert admit("sub", base, x="x", y="x") == base
+    assert substitute_labels(base, "x", "x") == base
 
 
 def test_admit_w_csgl_height_preserved():
     base = csgl_proof(LOB)
     target = base.conclusion.with_ante(("x", Q)).with_cons(("x", pf("~~r")))
-    out = admit("w", base, target=target)
+    out = weaken(base, target)
     assert out.height() == base.height()
     assert check_csgl(out).accepted
     assert set(out.conclusion.ante) >= {("x", Q)}
@@ -159,11 +160,11 @@ def test_admit_w_csgl_shape_violation():
     base = csgl_proof(pf("p | ~p"))
     bad = base.conclusion.with_rel(("a", "b"))  # disconnected from x
     with pytest.raises(ShapeViolation):
-        admit("w", base, target=bad)
+        weaken(base, bad)
     # a cycle through the root, on a proof with a boxR above it
     lob = csgl_proof(LOB)
     with pytest.raises(ShapeViolation, match="cycle"):
-        admit("w", lob, target=lob.conclusion.with_rel(("x", "x")))
+        weaken(lob, lob.conclusion.with_rel(("x", "x")))
 
 
 def test_admit_w_fresh_collision_renames():
@@ -172,7 +173,7 @@ def test_admit_w_fresh_collision_renames():
     base = csgl_to_g3gl_embed(csgl_proof(LOB))
     fresh_labels = {n.meta["fresh"] for _, n in base.nodes() if n.rule == "boxR"}
     clash = next(iter(fresh_labels))
-    out = admit("w", base, target=base.conclusion.with_ante((clash, Q)))
+    out = weaken(base, base.conclusion.with_ante((clash, Q)))
     assert check_g3gl(out, "extended").accepted
     assert all(
         n.meta["fresh"] != clash for _, n in out.nodes() if n.rule == "boxR"
@@ -182,7 +183,7 @@ def test_admit_w_fresh_collision_renames():
 
 def test_admit_w_gentzen_absorbed_by_modal():
     base = prove_formula(LOB, "glseq", CFG).proof
-    out = admit("w", base, target=base.conclusion.with_ante(Q).with_cons(pf("[]q")))
+    out = weaken(base, base.conclusion.with_ante(Q).with_cons(pf("[]q")))
     assert check_glseq(out).accepted
     assert out.height() == base.height()
 
@@ -195,7 +196,7 @@ def test_admit_w_target_without_a_used_formula():
     for base, target in ((glseq, pgs("|- q")), (csgl, pls("|- x: q")),
                          (csgl_to_g3gl_embed(csgl), pls("|- x: q"))):
         with pytest.raises(NotApplicable):
-            admit("w", base, target=target)
+            weaken(base, target)
 
 
 def _weaken_by_additions(p: Proof, **adds) -> Proof:
@@ -311,16 +312,16 @@ def test_weaken_to_a_target_agrees_with_weakening_by_additions():
 def test_admit_contraction_cases():
     base = csgl_proof(LOB)
     conclusion_formula = pf("~[](~[]p | p) | []p")
-    dup = admit("w", base, target=base.conclusion.with_cons(("x", conclusion_formula)))
-    out = admit("cR", dup, label="x", principal=conclusion_formula)
+    dup = weaken(base, base.conclusion.with_cons(("x", conclusion_formula)))
+    out = contract(dup, "cons", ("x", conclusion_formula))
     assert out.conclusion == base.conclusion
     assert out.height() <= dup.height()
     assert check_csgl(out).accepted
 
     gbase = prove_formula(LOB, "glseq", CFG).proof
-    gdup = admit("w", gbase, target=gbase.conclusion.with_ante(pf("[]p")))
-    gdup2 = admit("w", gdup, target=gdup.conclusion.with_ante(pf("[]p")))
-    gout = admit("cL", gdup2, principal=pf("[]p"))
+    gdup = weaken(gbase, gbase.conclusion.with_ante(pf("[]p")))
+    gdup2 = weaken(gdup, gdup.conclusion.with_ante(pf("[]p")))
+    gout = contract(gdup2, "ante", pf("[]p"))
     assert check_glseq(gout).accepted
     assert gout.height() <= gdup2.height()
 
@@ -330,7 +331,7 @@ def test_admit_contraction_through_principal():
     f = pf("p | q")
     goal = pls("x: p | q, x: p | q |- x: p | q")
     p = prove_general_id("csgl", goal, ("x", f))
-    out = admit("cL", p, label="x", principal=f)
+    out = contract(p, "ante", ("x", f))
     assert out.conclusion == pls("x: p | q |- x: p | q")
     assert out.height() <= p.height()
     assert check_csgl(out).accepted
@@ -340,8 +341,8 @@ def test_admit_contraction_boxr_principal():
     # duplicate boxed consequent consumed by boxR
     f = pf("[](p | ~p)")
     r = prove_formula(f, "csgl", CFG)
-    dup = admit("w", r.proof, target=r.proof.conclusion.with_cons(("x", f)))
-    out = admit("cR", dup, label="x", principal=f)
+    dup = weaken(r.proof, r.proof.conclusion.with_cons(("x", f)))
+    out = contract(dup, "cons", ("x", f))
     assert out.conclusion == r.proof.conclusion
     assert out.height() <= dup.height()
     assert check_csgl(out).accepted
@@ -351,11 +352,29 @@ def test_admit_rejects_lngl_contraction():
     g = parse_lns("p, p |- p")
     base = Proof("lngl", "id1", g, (), {"principal": P})
     with pytest.raises(NotApplicable):
-        admit("cL", base, principal=P)
+        contract(base, "ante", P)
+
+
+def test_contract_refuses_lngl_and_a_bad_side():
+    base = Proof("lngl", "id1", parse_lns("p, p |- p"), (), {"principal": P})
+    with pytest.raises(NotApplicable, match="LNGL"):
+        contract(base, "ante", P)
+    dup = prove_general_id("csgl", pls("x: p, x: p |- x: p"), ("x", P))
+    with pytest.raises(NotApplicable, match="'left'"):
+        contract(dup, "left", ("x", P))
+    assert contract(dup, "ante", ("x", P)).conclusion == pls("x: p |- x: p")
 
 
 # ---------------------------------------------------------------------------
 # apply_inverse
+
+def test_invert_names_a_premise_the_rule_lacks():
+    p = csgl_proof(pf("~~p | ~p"))
+    assert p.rule == "orR"
+    for i in (1, -1):
+        with pytest.raises(NotApplicable, match=f"orR has no premise {i}"):
+            apply_inverse("orR", i, p, dict(p.meta))
+
 
 def test_invert_orr_on_csgl():
     base = csgl_proof(LOB)
@@ -895,7 +914,7 @@ def test_weaken_restates_the_sub_nodes_of_to_g3gl_outputs():
                    c.with_rel(("x", "z")).with_cons(("z", h), ("x", g)),
                    c.with_rel(("x", y)).with_ante((y, g))]
         for i, target in enumerate(targets):
-            w = weaken(out, target) if i % 2 == 0 else admit("w", out, target=target)
+            w = weaken(out, target)
             _checked(w, target, f)
             assert [n.rule for _, n in w.nodes()] == [n.rule for _, n in out.nodes()]
         # the last target added a formula at y: no (x/y) node replaces y now
@@ -914,8 +933,8 @@ def test_contraction_and_inversion_pass_the_sub_nodes_of_to_g3gl_outputs():
         c = out.conclusion
         g = rng.choice([P, pf("[]q"), pf("~[]p"), pf("p | []r")])
         dup = weaken(out, c.with_ante(("x", g), ("x", g)))
-        _checked(admit("cL", dup, label="x", principal=g), c.with_ante(("x", g)), f)
-        _checked(admit("cR", weaken(out, c.with_cons(("x", f))), label="x", principal=f), c, f)
+        _checked(contract(dup, "ante", ("x", g)), c.with_ante(("x", g)), f)
+        _checked(contract(weaken(out, c.with_cons(("x", f))), "cons", ("x", f)), c, f)
         inv = apply_inverse("orL", 1, weaken(out, c.with_ante(("x", d))),
                             {"label": "x", "principal": d})
         _checked(inv, c.with_ante(("x", d.right)), f)
@@ -927,8 +946,8 @@ def test_contraction_drops_the_copy_a_w_node_added(rule, side):
     # contraction drops the added copy and keeps the premise whole
     prem = Proof("g3glext", "id1", pls("x: p |- x: p"), (), {"label": "x", "principal": P})
     added = pls("x: p |- ") if rule == "cL" else pls(" |- x: p")
-    out = admit(rule, Proof("g3glext", "w", pls(side), (prem,), {"added": added}),
-                label="x", principal=P)
+    out = contract(Proof("g3glext", "w", pls(side), (prem,), {"added": added}),
+                   "ante" if rule == "cL" else "cons", ("x", P))
     assert out.conclusion == prem.conclusion and out.premises == (prem,)
     assert out.meta["added"] == LabeledSequent()
     assert check_g3gl(out, "extended").accepted
