@@ -36,7 +36,6 @@ from .rules import (
     WRONG_PREMISE_COUNT,
     INITIAL_RULES,
     premises_of,
-    verify_sub,
     LOCAL_RULES,
     PROPAGATION_RULES,
 )
@@ -150,15 +149,6 @@ def _check_node(
         code = UNKNOWN_RULE_STRICT if node.rule in strict_reject else UNKNOWN_RULE
         failures.append(Failure(addr, code, f"rule {node.rule} not available here"))
         return True
-    if node.rule == "sub":
-        if len(node.premises) != 1:
-            failures.append(Failure(addr, WRONG_PREMISE_COUNT, "sub takes one premise"))
-            return True
-        try:
-            verify_sub(node.meta, node.premises[0].conclusion, node.conclusion)
-        except RuleError as e:
-            failures.append(Failure(addr, e.code, str(e), e.detail))
-        return True
     try:
         expected = premises_of(node.calculus, node.rule, node.meta, node.conclusion)
     except RuleError as e:
@@ -208,8 +198,8 @@ def _accepts(proof: Proof, calculi: frozenset, rules: frozenset, shape: type,
              tree: bool, fresh: bool) -> bool:
     """The lean walk: whether no node of `proof` fails, with no addresses or
     messages.  Per node: the calculus, shape and rule guard, one
-    `premises_of` (or `verify_sub`), one `==` per premise and, with `fresh`,
-    the boxR fresh label against those already seen; under `tree`,
+    `premises_of`, one `==` per premise and, with `fresh`, the boxR fresh
+    label against those already seen; under `tree`,
     `tree_root` on the root only, since an accepted proof's premises are all
     the ones the schema derives.  It stops at the first failing node."""
     open_ok = OPEN in rules
@@ -226,19 +216,14 @@ def _accepts(proof: Proof, calculi: frozenset, rules: frozenset, shape: type,
         if node.calculus not in calculi or not isinstance(c, shape) or rule not in rules:
             return False
         try:
-            if rule == "sub":
-                if len(prems) != 1:
-                    return False
-                verify_sub(node.meta, prems[0].conclusion, c)
-            else:
-                expected = premises_of(node.calculus, rule, node.meta, c)
-                if len(expected) != len(prems):
-                    return False
-                for want, q in zip(expected, prems):
-                    if want != q.conclusion:
-                        return False
+            expected = premises_of(node.calculus, rule, node.meta, c)
         except RuleError:
             return False
+        if len(expected) != len(prems):
+            return False
+        for want, q in zip(expected, prems):
+            if want != q.conclusion:
+                return False
         if fresh and rule == "boxR" and isinstance(c, LabeledSequent):
             y = node.meta.get("fresh")
             if y is not None:
@@ -301,7 +286,7 @@ def check_k4seq(p: Proof) -> CheckReport:
 
 def check_g3gl(p: Proof, mode: str = "strict") -> CheckReport:
     """mode: 'strict' (labeled rules only) or 'extended' (plus the admitted
-    rules 4L, w and (x/y)=sub, checkable as explicit nodes)."""
+    rules 4L and w, checkable as explicit nodes)."""
     if mode not in ("strict", "extended"):
         raise ValueError("mode must be 'strict' or 'extended'")
     if mode == "strict":

@@ -253,18 +253,13 @@ def print_proof(obj) -> str:
     def emit(node: Proof, addr: Address, indent: int):
         pad = "  " * indent
         concl = _quote(str(node.conclusion))
-        if node.rule == OPEN:
-            target = backlinks.get(addr)
-            if target is not None:
-                lines.append(f"{pad}(open (concl {concl}) (backlink {format_address(target)}))")
-            else:
-                extra = ""
-                if "target" in node.meta:
-                    extra = f" (meta target={_quote(str(node.meta['target']))})"
-                lines.append(f"{pad}(open (concl {concl}){extra})")
-            return
         meta = _encode_meta(node.meta)
         meta_part = f" (meta {meta})" if meta else ""
+        if node.rule == OPEN:
+            target = backlinks.get(addr)
+            link = "" if target is None else f" (backlink {format_address(target)})"
+            lines.append(f"{pad}(open (concl {concl}){link}{meta_part})")
+            return
         if node.premises:
             lines.append(f"{pad}(rule {node.rule} (concl {concl}){meta_part} (prems")
             yield tuple(emit(prem, addr + (i,), indent + 1) for i, prem in enumerate(node.premises))

@@ -3,9 +3,8 @@
 Every rule application carries enough metadata (principal formula, labels,
 box partition, fresh label) that its premises are a function of the
 conclusion.  Checking therefore never searches; it reconstructs and compares.
-The lone exception is the label substitution rule `sub`, which is verified in
-the premise-to-conclusion direction.  `derive` runs the schemas top-down over
-a tree of rule instances, giving each node its conclusion.
+`derive` runs the schemas top-down over a tree of rule instances, giving
+each node its conclusion.
 """
 
 from __future__ import annotations
@@ -59,11 +58,8 @@ RULES_OF = {
     "csgl": ("id1", "id2", "negL", "negR", "orL", "orR", "boxL", "boxR", "4L"),
     "lngl": ("id1", "id2", "negL", "negR", "orL", "orR", "boxL", "boxR", "4L"),
 }
-EXTENDED_EXTRA = ("4L", "w", "sub")
+EXTENDED_EXTRA = ("4L", "w")
 RULES_OF["g3glext"] = RULES_OF["g3gl"] + EXTENDED_EXTRA
-
-def _missing_key(rule: str, e: KeyError) -> RuleError:
-    return RuleError(SCHEMA_MISMATCH, f"{rule} requires meta key '{e.args[0]}'")
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +194,7 @@ def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledS
                 c.rel - added.rel, mset_diff(c.ante, added.ante), mset_diff(c.cons, added.cons)
             )
         ]
-    if rule == "sub":
-        raise RuleError(SCHEMA_MISMATCH, "sub premises cannot be reconstructed; verify instead")
     raise RuleError(UNKNOWN_RULE, f"unknown labeled rule {rule}")
-
-
-def verify_sub(meta: dict, premise: LabeledSequent, conclusion: LabeledSequent) -> None:
-    """(x/y): the conclusion is the premise with label y replaced by x."""
-    try:
-        x, y = meta["x"], meta["y"]
-    except KeyError as e:
-        raise _missing_key("sub", e) from None
-    if premise.substitute(y, x) != conclusion:
-        raise RuleError(SCHEMA_MISMATCH, f"substitution ({x}/{y}) does not yield the conclusion")
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +244,7 @@ def premises_of(calculus: str, rule: str, meta: dict, conclusion: Sequent) -> li
         if calculus == "lngl":
             return _lns_premises(rule, meta, conclusion)
     except KeyError as e:
-        raise _missing_key(rule, e) from None
+        raise RuleError(SCHEMA_MISMATCH, f"{rule} requires meta key '{e.args[0]}'") from None
     raise RuleError(UNKNOWN_RULE, f"unknown calculus {calculus}")
 
 

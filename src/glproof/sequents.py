@@ -194,12 +194,6 @@ class LabeledSequent:
     def with_cons(self, *add: tuple[Label, Formula]) -> "LabeledSequent":
         return LabeledSequent.of_sorted(self.rel, self.ante, insert_sorted(self.cons, add))
 
-    def substitute(self, old: Label, new: Label) -> "LabeledSequent":
-        """Replace every occurrence of label `old` by `new` (the (x/y) action)."""
-        if old == new:
-            return self
-        return self.rename({old: new})
-
     def rename(self, mapping: dict[Label, Label]) -> "LabeledSequent":
         """Simultaneous label renaming."""
         new = {x: mapping.get(x, x) for x in self.labels()}
@@ -545,7 +539,11 @@ def relabel_proof(proof: Proof, mapping: dict[Label, Label]) -> Proof:
             if key in meta:
                 meta[key] = mapping.get(meta[key], meta[key])
         if "added" in meta and isinstance(meta["added"], LabeledSequent):
-            meta["added"] = ren_seq(meta["added"])
+            # an added relational atom that the renaming merges with one the
+            # premise holds is no longer added: a relation is a set
+            a = ren_seq(meta["added"])
+            held = prems[0].conclusion.rel if prems else frozenset()
+            meta["added"] = LabeledSequent.of_sorted(a.rel - held, a.ante, a.cons)
         return Proof(node.calculus, node.rule, ren_seq(node.conclusion), prems, meta)
 
     return rebuild(proof, make)

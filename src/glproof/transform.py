@@ -16,7 +16,7 @@ from typing import Optional
 
 from .formula import Atom, Box, Formula, Not
 from .rules import (INITIAL_RULES, LOCAL_RULE_OF, LOCAL_RULES, PROPAGATION_RULES, RULES_OF,
-                    RuleError, derive, local_premises, premises_of, verify_sub)
+                    RuleError, derive, local_premises, premises_of)
 from .sequents import (
     OPEN,
     Address,
@@ -27,7 +27,6 @@ from .sequents import (
     Proof,
     formula_key,
     fresh_label,
-    insert_sorted,
     mset_diff,
     mset_remove,
     project_chain,
@@ -90,8 +89,6 @@ def _rederive(p: Proof, target, step):
     rebuilt by the walker `step(premise, new_conclusion)`.  A `w` node's
     addition gives up what the target drops before its premise does, so the
     premise keeps the copies its rules use."""
-    if p.rule == "sub":
-        return (yield from _rederive_sub(p, target, step))
     meta = dict(p.meta)
     if p.rule == "w":
         a, c = meta["added"], p.conclusion
@@ -108,58 +105,14 @@ def _rederive(p: Proof, target, step):
     return Proof(p.calculus, p.rule, target, tuple(subs), meta)
 
 
-def _rederive_sub(p: Proof, target, step):
-    """Walker: the (x/y) node p at `target`.  The schema only verifies, so
-    the premise is built here.  It gains the target's additions under their
-    own labels, after y is renamed in the subproof if an addition uses it.
-    For each item the target drops, it loses that item if it holds it, else
-    the copy at y that the substitution maps onto it."""
-    c, q, meta = p.conclusion, p.premises[0], dict(p.meta)
-    if not c.rel <= target.rel:
-        raise NotApplicable("sub does not apply: the target drops a relational atom")
-    rel = target.rel - c.rel
-    changes = (_changes(c.ante, target.ante), _changes(c.cons, target.cons))
-    x, y = meta["x"], meta["y"]
-    if any(y in pair for pair in rel) or any(lab == y for added, _ in changes for lab, _ in added):
-        y = meta["y"] = fresh_label(proof_labels(q) | target.labels())
-        q = relabel_proof(q, {p.meta["y"]: y})
-    sides = []
-    for (added, dropped), side in zip(changes, (q.conclusion.ante, q.conclusion.cons)):
-        for lab, f in dropped:
-            item = (lab, f) if (lab, f) in side or lab != x else (y, f)
-            if item not in side:
-                raise NotApplicable(f"sub does not apply: its premise lacks {lab}: {f}")
-            side = mset_remove(side, item)
-        sides.append(insert_sorted(side, added))
-    goal = LabeledSequent.of_sorted(q.conclusion.rel | rel, *sides)
-    try:
-        verify_sub(meta, goal, target)
-    except RuleError as e:
-        raise NotApplicable(f"sub does not apply: {e}") from e
-    sub = q if q.conclusion == goal else (yield step(q, goal))
-    if sub.conclusion != goal:
-        raise NotApplicable("sub misaligned a premise")
-    return Proof(p.calculus, "sub", target, (sub,), meta)
-
-
-def _changes(have: tuple, want: tuple) -> tuple[tuple, list]:
-    """The items of `want` that `have` lacks and the items of `have` that
-    `want` lacks, as multisets; `want`'s stay in order."""
-    added, dropped = list(want), []
-    for item in have:
-        try:
-            added.remove(item)
-        except ValueError:
-            dropped.append(item)
-    return tuple(added), dropped
-
-
 def _kept(added: tuple, have: tuple, want: tuple) -> tuple:
     """What of `added`, a part of side `have`, is left when `have` becomes
     `want`: each item `want` drops leaves `added` if `added` holds it."""
-    lst = list(added)
-    for item in _changes(have, want)[1]:
-        if item in lst:
+    rest, lst = list(want), list(added)
+    for item in have:
+        if item in rest:
+            rest.remove(item)
+        elif item in lst:
             lst.remove(item)
     return tuple(lst)
 
@@ -231,17 +184,27 @@ def weaken(p: Proof, target) -> Proof:
     return trampoline(step(p, target))
 
 
-def _avoid_fresh(p: Proof, labels):
-    """Walker: p with every boxR fresh label that lies in `labels` renamed."""
-    y = p.meta.get("fresh") if p.rule == "boxR" else None
-    if y in labels:
-        z = fresh_label(proof_labels(p) | set(labels))
-        p = Proof(p.calculus, p.rule, p.conclusion,
-                  (relabel_proof(p.premises[0], {y: z}),), dict(p.meta, fresh=z))
-    prems = yield tuple(_avoid_fresh(q, labels) for q in p.premises)
-    if all(a is b for a, b in zip(prems, p.premises)):
-        return p
-    return Proof(p.calculus, p.rule, p.conclusion, prems, dict(p.meta))
+def _avoid_fresh(root: Proof, labels):
+    """Walker: root with every boxR fresh label that lies in `labels` renamed
+    to one that occurs nowhere else in the proof or in `labels`, so that no
+    two boxRs share a fresh label."""
+    used: set = set()  # filled at the first rename
+
+    def walk(p: Proof):
+        y = p.meta.get("fresh") if p.rule == "boxR" else None
+        if y in labels:
+            if not used:
+                used.update(proof_labels(root), labels)
+            z = fresh_label(used)
+            used.add(z)
+            p = Proof(p.calculus, p.rule, p.conclusion,
+                      (relabel_proof(p.premises[0], {y: z}),), dict(p.meta, fresh=z))
+        prems = yield tuple(map(walk, p.premises))
+        if all(a is b for a, b in zip(prems, p.premises)):
+            return p
+        return Proof(p.calculus, p.rule, p.conclusion, prems, dict(p.meta))
+
+    return (yield walk(root))
 
 
 # ---------------------------------------------------------------------------
@@ -723,33 +686,33 @@ def lngl_to_glseq(p: Proof) -> Proof:
 # GLseq to G3GL (extended)
 
 def _g3gl_label_names(p: Proof):
-    """The labels `glseq_to_g3gl` creates for p, one (y, u) pair per boxGL in
-    pre-order, named y0, y1, ... in breadth-first order of first occurrence.
-    A template rooted at G3GL depth d introduces y in its boxR at d + 2 and u
-    in the boxR's premise at d + 3, and puts its premise at d + 4 + 2|gamma|;
-    every other node has its premises one level down and introduces none.
-    Two births at one depth come from templates neither above the other, so
-    their left-to-right order is the pre-order of their boxGLs."""
-    births = []  # (depth, boxGL index in pre-order, 0 for y or 1 for u)
+    """The labels `glseq_to_g3gl` creates for p, one per boxGL in pre-order,
+    named y0, y1, ... in breadth-first order of first occurrence.  A template
+    rooted at G3GL depth d introduces its label in the boxR's premise at
+    d + 2 and puts its premise at d + 3 + 2|gamma|; every other node has its
+    premises one level down and introduces none.  Two births at one depth
+    come from templates neither above the other, so their left-to-right
+    order is the pre-order of their boxGLs."""
+    births = []  # (depth, boxGL index in pre-order)
     stack = [(p, 0)]
     while stack:
         node, d = stack.pop()
         if node.rule == "boxGL":
-            i = len(births) // 2
-            births += [(d + 2, i, 0), (d + 3, i, 1)]
-            stack.append((node.premises[0], d + 4 + 2 * len(node.meta["gamma"])))
+            births.append((d + 2, len(births)))
+            stack.append((node.premises[0], d + 3 + 2 * len(node.meta["gamma"])))
         else:
             stack.extend((q, d + 1) for q in reversed(node.premises))
     names = [""] * len(births)
-    for n, (_, i, k) in enumerate(sorted(births)):
-        names[2 * i + k] = f"y{n}"
-    return iter(zip(names[::2], names[1::2]))
+    for n, (_, i) in enumerate(sorted(births)):
+        names[i] = f"y{n}"
+    return iter(names)
 
 
 def glseq_to_g3gl(p: Proof) -> Proof:
     """Label a Gentzen proof: Gamma |- Delta becomes x:Gamma |- x:Delta.
-    Each boxGL becomes the seven-step template (w; boxL block; 4L block;
-    boxR; (x/y); w) over the extended labeled calculus.  The root keeps the
+    Each boxGL at label x becomes the template (w; boxL block; 4L block;
+    boxR; w) over the extended labeled calculus, whose blocks and boxR sit
+    at x and whose boxR creates the premise's label.  The root keeps the
     label x; the labels the templates create are named y0, y1, ... in
     breadth-first order of their first occurrence in the output."""
     names = _g3gl_label_names(p)
@@ -774,25 +737,23 @@ def glseq_to_g3gl(p: Proof) -> Proof:
         if node.rule == "boxGL":
             gamma = tuple(node.meta["gamma"])
             phi = node.meta["phi"]
-            y, u = next(names)
+            u = next(names)
             sub = yield trans(node.premises[0], u)
-            added = LabeledSequent(((y, u),), tuple((y, Box(g)) for g in gamma), ())
+            added = LabeledSequent(((lab, u),), tuple((lab, Box(g)) for g in gamma), ())
             c = sub.conclusion
             w1_concl = LabeledSequent(c.rel | added.rel, c.ante + added.ante, c.cons)
             cur = Proof("g3glext", "w", w1_concl, (sub,), {"added": added})
             for rule, parts in (("boxL", gamma), ("4L", [Box(g) for g in gamma])):
                 for g, part in zip(gamma, parts):
                     concl = _drop(cur.conclusion, "ante", (u, part))
-                    cur = Proof("g3glext", rule, concl, (cur,), {"label": y, "aux": u, "phi": g})
-            boxr_concl = LabeledSequent((), tuple((y, Box(g)) for g in gamma),
-                                        ((y, Box(phi)),))
+                    cur = Proof("g3glext", rule, concl, (cur,), {"label": lab, "aux": u, "phi": g})
+            boxr_concl = LabeledSequent((), tuple((lab, Box(g)) for g in gamma),
+                                        ((lab, Box(phi)),))
             cur = Proof("g3glext", "boxR", boxr_concl, (cur,),
-                        {"label": y, "fresh": u, "phi": phi})
-            sub_concl = boxr_concl.substitute(y, lab)
-            cur = Proof("g3glext", "sub", sub_concl, (cur,), {"x": lab, "y": y})
+                        {"label": lab, "fresh": u, "phi": phi})
             added2 = LabeledSequent.of_sorted(
-                frozenset(), mset_diff(goal.ante, sub_concl.ante),
-                mset_diff(goal.cons, sub_concl.cons))
+                frozenset(), mset_diff(goal.ante, boxr_concl.ante),
+                mset_diff(goal.cons, boxr_concl.cons))
             return Proof("g3glext", "w", goal, (cur,), {"added": added2})
         raise NotApplicable(f"translation does not handle {node.rule}")
 

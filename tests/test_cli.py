@@ -103,6 +103,7 @@ _UNPRODUCED = {
     "cR": ('x: p |- x: p', 'label=x principal="p"', ['x: p |- x: p, x: p']),
     "cut": ('x: p |- x: p', 'label=x principal="q"',
             ['x: p |- x: p, x: q', 'x: p, x: q |- x: p']),
+    "sub": ('x: p |- x: p', 'x=x y=y', ['x: p |- x: p']),
 }
 
 
@@ -131,7 +132,18 @@ def test_backlink_meta_is_no_back_link(tmp_path):
         code, out, _ = invoke("check", str(path))
         assert code == 1 and "OpenLeaf\t" in out
         text = print_proof(parse_proof(text))
-        assert "backlink" not in text
+        assert "(backlink" not in text and '(meta backlink="0")' in text
+
+
+@pytest.mark.parametrize("link", ["", " (backlink .)"])
+def test_open_leaf_meta_round_trips(link):
+    # an open leaf prints its meta as a rule node does, beside a back-link
+    # or without one
+    text = (f'calculus: glcirc\n(rule box4 (concl "[]p |- []p") (meta gamma="p" phi="p") (prems\n'
+            f'  (open (concl "p, []p |- p"){link} (meta note="x"))\n))\n')
+    d = parse_proof(text)
+    assert d.derivation.premises[0].meta == {"note": "x"}
+    assert print_proof(d) == text
 
 
 def test_oracle_valid_and_countermodel():

@@ -7,8 +7,15 @@ nor any of its six `--emit-trace` stage files may drift on the acceptance
 corpus (golden sha256 digests in tests/data/pipeline_golden.json and
 tests/data/stage_golden.json), nor the five passes' printed output on 300
 seeded theorems (tests/data/stage_digest_golden.json).
+
+Those three files were recorded when to-g3gl built each boxGL template at a
+label of its own and renamed it with an (x/y) node; they are checked with
+that translation, kept in g3gl_reference.py, in place of the pass.  The
+digests of today's to-g3gl output are in tests/data/g3gl_golden.json, and
+the two translations are compared on the 300 theorems up to labels.
 """
 
+import functools
 import hashlib
 import io
 import json
@@ -20,7 +27,8 @@ from pathlib import Path
 
 import pytest
 
-from glproof import checkers
+import g3gl_reference
+from glproof import checkers, transform
 from glproof.checkers import (
     check_csgl,
     check_g3gl,
@@ -32,15 +40,30 @@ from glproof.checkers import (
 from glproof.cli import run
 from glproof.formula import parse_formula, print_formula, random_formula
 from glproof.proofio import print_proof
+from glproof.rules import derive
 from glproof.search import SearchConfig, prove_formula
-from glproof.sequents import LabeledSequent, LinearNestedSequent, formula_key, labeled_key
+from glproof.sequents import (LabeledSequent, LinearNestedSequent, Proof, formula_key,
+                              labeled_key, rebuild, relabel_proof)
 from glproof.transform import run_pass
 
 CFG = SearchConfig(oracle_hint=False)
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden.json"
 STAGE_GOLDEN = Path(__file__).parent / "data" / "stage_golden.json"
 STAGE_DIGEST_GOLDEN = Path(__file__).parent / "data" / "stage_digest_golden.json"
+G3GL_GOLDEN = Path(__file__).parent / "data" / "g3gl_golden.json"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+TESTS = str(Path(__file__).resolve().parent)
+
+
+@pytest.fixture
+def reference_to_g3gl(monkeypatch):
+    """The to-g3gl pass as it was when the first three golden files were
+    recorded."""
+    monkeypatch.setitem(transform.PASSES, "to-g3gl", g3gl_reference.PASS)
+
+
+def _g3gl_golden(part: str) -> dict:
+    return json.loads(G3GL_GOLDEN.read_text())[part]
 
 
 def _pipeline_digest(formula: str) -> str:
@@ -49,39 +72,67 @@ def _pipeline_digest(formula: str) -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def test_pipeline_golden_output():
+def test_pipeline_golden_output(reference_to_g3gl):
     golden = json.loads(GOLDEN.read_text())
     drifted = [f for f, digest in golden.items() if _pipeline_digest(f) != digest]
     assert not drifted, f"pipeline stdout changed for {drifted}"
 
 
-def test_stage_files_golden(tmp_path):
+def test_pipeline_g3gl_golden_output():
+    golden = _g3gl_golden("pipeline")
+    assert list(golden) == list(json.loads(GOLDEN.read_text()))
+    drifted = [f for f, digest in golden.items() if _pipeline_digest(f) != digest]
+    assert not drifted, f"pipeline stdout changed for {drifted}"
+
+
+def _stage_files(tmp_path, f: str) -> dict:
+    """`{file name: sha256}` of the six `--emit-trace` stage files of f."""
+    assert run(["pipeline", "--emit-trace", str(tmp_path), f],
+               stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.iterdir())}
+
+
+def test_stage_files_golden(tmp_path, reference_to_g3gl):
     golden = json.loads(STAGE_GOLDEN.read_text())
     assert list(golden) == list(json.loads(GOLDEN.read_text()))
     for i, (f, digests) in enumerate(golden.items()):
-        out_dir = tmp_path / str(i)
-        assert run(["pipeline", "--emit-trace", str(out_dir), f],
-                   stdout=io.StringIO(), stderr=io.StringIO()) == 0
-        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(out_dir.iterdir())}
-        assert got == digests, f"stage files changed for {f}"
+        assert _stage_files(tmp_path / str(i), f) == digests, f"stage files changed for {f}"
+
+
+def test_stage_files_g3gl_golden(tmp_path):
+    # the first five stage files are the ones recorded in STAGE_GOLDEN
+    golden = json.loads(STAGE_GOLDEN.read_text())
+    g3gl = _g3gl_golden("stage_file")
+    assert list(g3gl) == list(golden)
+    for i, (f, digests) in enumerate(golden.items()):
+        want = dict(digests, **{"06-g3gl.glp": g3gl[f]})
+        assert _stage_files(tmp_path / str(i), f) == want, f"stage files changed for {f}"
 
 
 @pytest.mark.parametrize("hashseed", ["0", "12345"])
 def test_pipeline_golden_output_any_hash_seed(hashseed):
+    # today's stdout, then the stdout with the reference translation
     script = (
         "import hashlib, io, json, sys\n"
+        "sys.path.insert(0, sys.argv[2])\n"
+        "import g3gl_reference\n"
+        "from glproof import transform\n"
         "from glproof.cli import run\n"
-        "for f in json.load(open(sys.argv[1])):\n"
-        "    out = io.StringIO()\n"
-        "    run(['pipeline', f], stdout=out, stderr=io.StringIO())\n"
-        "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+        "def digests():\n"
+        "    for f in json.load(open(sys.argv[1])):\n"
+        "        out = io.StringIO()\n"
+        "        run(['pipeline', f], stdout=out, stderr=io.StringIO())\n"
+        "        print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+        "digests()\n"
+        "transform.PASSES['to-g3gl'] = g3gl_reference.PASS\n"
+        "digests()\n"
     )
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=SRC)
-    res = subprocess.run([sys.executable, "-c", script, str(GOLDEN)], env=env,
+    res = subprocess.run([sys.executable, "-c", script, str(GOLDEN), TESTS], env=env,
                          capture_output=True, text=True, check=True)
     golden = json.loads(GOLDEN.read_text())
-    assert res.stdout.split() == list(golden.values())
+    assert res.stdout.split() == list(_g3gl_golden("pipeline").values()) + list(golden.values())
 
 
 @pytest.mark.parametrize("formula", [
@@ -148,9 +199,15 @@ def test_pipeline_totality_seeded_theorems(monkeypatch):
     assert derived and all(_canonical(s) for s in derived)
 
 
-def stage_digests(n=300):
-    """`{formula: five sha256 prefixes}` for n seeded CSGL-proved theorems:
-    the printed proof after each pass, in pipeline order."""
+def _digest(proof) -> str:
+    return hashlib.sha256(print_proof(proof).encode()).hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=None)
+def _seeded_glseq_proofs(n=300) -> dict:
+    """`{formula: (four sha256 prefixes, to-glseq output)}` for n seeded
+    CSGL-proved theorems: the printed proof after each pass up to to-glseq,
+    in pipeline order, and the last of those proofs."""
     rng = random.Random(29)
     got = {}
     while len(got) < n:
@@ -159,10 +216,10 @@ def stage_digests(n=300):
         if not r.proved or print_formula(f) in got:
             continue
         proof, digests = r.proof, []
-        for name, _ in STAGES:
+        for name, _ in STAGES[:-1]:
             proof, _ = run_pass(name, proof)
-            digests.append(hashlib.sha256(print_proof(proof).encode()).hexdigest()[:16])
-        got[print_formula(f)] = " ".join(digests)
+            digests.append(_digest(proof))
+        got[print_formula(f)] = (digests, proof)
     return got
 
 
@@ -170,10 +227,64 @@ def test_stage_digest_golden():
     # every pass's printed output on seeded theorems beyond the corpus; the
     # five digests name the first pass whose output drifted
     golden = json.loads(STAGE_DIGEST_GOLDEN.read_text())
-    got = stage_digests()
+    got = {f: " ".join(digests + [_digest(g3gl_reference.glseq_to_g3gl(p))])
+           for f, (digests, p) in _seeded_glseq_proofs().items()}
     assert list(got) == list(golden)
     drifted = [f for f, d in golden.items() if got[f] != d]
     assert not drifted, f"stage output changed for {drifted}"
+
+
+def test_stage_digest_g3gl_golden():
+    golden = _g3gl_golden("stage_digest")
+    got = {f: _digest(run_pass("to-g3gl", p)[0]) for f, (_, p) in _seeded_glseq_proofs().items()}
+    assert list(got) == list(golden)
+    drifted = [f for f, d in golden.items() if got[f] != d]
+    assert not drifted, f"to-g3gl output changed for {drifted}"
+
+
+def _boxr_labels_by_index(p: Proof) -> Proof:
+    """p with each boxR's fresh label renamed b<i>, i its boxR's pre-order
+    index."""
+    fresh = [n.meta["fresh"] for _, n in p.nodes() if n.rule == "boxR"]
+    return relabel_proof(p, {y: f"b{i}" for i, y in enumerate(fresh)})
+
+
+def _without_sub(p: Proof) -> Proof:
+    """p with each (x/y) node replaced by its premise, relabeled y -> x."""
+    def make(node: Proof, prems: tuple) -> Proof:
+        if node.rule == "sub":
+            return relabel_proof(prems[0], {node.meta["y"]: node.meta["x"]})
+        return Proof(node.calculus, node.rule, node.conclusion, prems, dict(node.meta))
+    return rebuild(p, make)
+
+
+def test_to_g3gl_is_the_reference_without_its_sub_nodes():
+    # a template's (x/y) node only renames its label y to the current label,
+    # so building the template at the current label drops it and changes
+    # nothing else but the names of the labels
+    for f, (_, p) in _seeded_glseq_proofs().items():
+        ref = _boxr_labels_by_index(_without_sub(g3gl_reference.glseq_to_g3gl(p)))
+        out = _boxr_labels_by_index(run_pass("to-g3gl", p)[0])
+        assert print_proof(out) == print_proof(ref), f
+
+
+def test_stage_proofs_derive_top_down():
+    # every rule of every stage has a top-down schema: each stage proof is
+    # what `derive` builds from its own rules and its conclusion
+    parts = lambda n: (n.rule, dict(n.meta), n.premises)
+    rng = random.Random(3)
+    n = 0
+    while n < 200:
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(6, 14))
+        r = prove_formula(f, "csgl", CFG)
+        if not r.proved:
+            continue
+        n += 1
+        stages = [("csgl", r.proof)]
+        for name, _ in STAGES:
+            stages.append((name, run_pass(name, stages[-1][1])[0]))
+        for name, p in stages:
+            assert derive(p.calculus, p, p.conclusion, parts) == p, (name, print_formula(f))
 
 
 @pytest.mark.parametrize("prefix", ["~" * 900, "[]" * 40], ids=["neg900", "box40"])

@@ -146,6 +146,20 @@ def test_admit_sub_identity():
     assert substitute_labels(base, "x", "x") == base
 
 
+def test_substitution_merges_an_added_relational_atom_into_the_premise():
+    # (u/z) maps the added xRu onto the premise's xRz: a relation is a set,
+    # so the w node adds nothing then
+    prem = Proof("g3glext", "id1", pls("xRz; z: p |- z: p"), (),
+                 {"label": "z", "principal": P})
+    w = Proof("g3glext", "w", pls("xRz; xRu; z: p |- z: p"), (prem,),
+              {"added": pls("xRu; |- ")})
+    assert check_g3gl(w, "extended").accepted
+    out = substitute_labels(w, "u", "z")
+    assert out.conclusion == pls("xRu; u: p |- u: p")
+    assert out.meta["added"] == LabeledSequent()
+    assert check_g3gl(out, "extended").accepted
+
+
 def test_admit_w_csgl_height_preserved():
     base = csgl_proof(LOB)
     target = base.conclusion.with_ante(("x", Q)).with_cons(("x", pf("~~r")))
@@ -154,6 +168,17 @@ def test_admit_w_csgl_height_preserved():
     assert check_csgl(out).accepted
     assert set(out.conclusion.ante) >= {("x", Q)}
     assert ("x", pf("~~r")) in out.conclusion.cons
+
+
+def test_weaken_renames_a_fresh_label_apart_from_the_whole_proof():
+    # the orL branches' boxRs create y0 and y1; a target at y0 renames the
+    # first one's label to one that no branch uses, not to y1
+    base = csgl_proof(pf("~[]p | ([]([]p | q) | ~(q | q))"))
+    assert [n.meta["fresh"] for _, n in base.nodes() if n.rule == "boxR"] == ["y0", "y1"]
+    target = base.conclusion.with_rel(("x", "y0")).with_ante(("y0", P))
+    out = weaken(base, target)
+    assert [n.meta["fresh"] for _, n in out.nodes() if n.rule == "boxR"] == ["y2", "y1"]
+    assert check_csgl(out).accepted
 
 
 def test_admit_w_csgl_shape_violation():
@@ -900,15 +925,15 @@ def _checked(p, conclusion, f):
     return p
 
 
-def test_weaken_restates_the_sub_nodes_of_to_g3gl_outputs():
-    # a to-g3gl template's (x/y) node gets the target's additions in its
-    # premise under their own labels; an addition at the node's y renames y
-    # in its subproof first
+def test_weaken_restates_the_templates_of_to_g3gl_outputs():
+    # every node of a to-g3gl template is re-derived at the target; an
+    # addition at a template boxR's fresh label y renames y in the boxR's
+    # subproof first
     rng = random.Random(18)
     parts = [P, Q, pf("[]q"), pf("~[]p"), pf("p | []r")]
     for f, out in _to_g3gl_outputs(rng, 40):
         c = out.conclusion
-        y = rng.choice(sorted(n.meta["y"] for _, n in out.nodes() if n.rule == "sub"))
+        y = rng.choice(sorted(n.meta["fresh"] for _, n in out.nodes() if n.rule == "boxR"))
         g, h = rng.sample(parts, 2)
         targets = [c.with_ante(("x", g)).with_cons(("x", h)),
                    c.with_rel(("x", "z")).with_cons(("z", h), ("x", g)),
@@ -917,14 +942,15 @@ def test_weaken_restates_the_sub_nodes_of_to_g3gl_outputs():
             w = weaken(out, target)
             _checked(w, target, f)
             assert [n.rule for _, n in w.nodes()] == [n.rule for _, n in out.nodes()]
-        # the last target added a formula at y: no (x/y) node replaces y now
-        assert y not in {n.meta["y"] for _, n in w.nodes() if n.rule == "sub"}
+        # the last target added a formula at y: no boxR creates y now
+        assert y not in {n.meta["fresh"] for _, n in w.nodes() if n.rule == "boxR"}
 
 
 def test_contraction_and_inversion_pass_the_sub_nodes_of_to_g3gl_outputs():
-    # a dropped item leaves the (x/y) premise as its own copy, or as the
-    # copy at y that the substitution maps onto it; a w node that added it
-    # adds the rest (the first theorem contracts through such a w)
+    # contraction and inversion pass through the boxGL templates of to-g3gl
+    # outputs; a w node that added a dropped item adds the rest (the first
+    # theorem contracts through such a w, and through a template boxR whose
+    # two fresh labels contraction merges)
     rng = random.Random(19)
     d = pf("q | r")
     first = pf("[](r | ~r) | ~~~(q | q) | ~(q | q)")
@@ -951,16 +977,6 @@ def test_contraction_drops_the_copy_a_w_node_added(rule, side):
     assert out.conclusion == prem.conclusion and out.premises == (prem,)
     assert out.meta["added"] == LabeledSequent()
     assert check_g3gl(out, "extended").accepted
-
-
-def test_sub_keeps_its_relational_atoms():
-    r = prove_formula(pf("[]p -> [][]p"), "glseq", CFG)
-    out, _ = run_pass("to-g3gl", r.proof)
-    w = weaken(out, out.conclusion.with_rel(("x", "z")))
-    sub = next(n for _, n in w.nodes() if n.rule == "sub")
-    c = sub.conclusion
-    with pytest.raises(NotApplicable, match="sub does not apply: the target drops a relational"):
-        weaken(sub, LabeledSequent.of_sorted(frozenset(), c.ante, c.cons))
 
 
 def test_embed_csgl():
