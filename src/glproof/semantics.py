@@ -9,15 +9,22 @@ reads of a child.  A parent's box combination is the AND of one vector per
 child.  For each box combination met, every subformula is evaluated once, as
 one int whose bits range over all atom valuations, giving a table of the
 vectors that combination reaches and whether it falsifies the formula; every
-world of every skeleton with that combination reuses it.  Any countermodel
-the oracle reports is re-verified with the plain recursive evaluator before
-being returned.
+world of every skeleton with that combination reuses it.
+
+The model for a witnessed choice is built and validated once per process
+(`_countermodel`, an LRU cache of up to `_COUNTERMODEL_CACHE` models keyed by
+skeleton, atoms and per-world rows), so verdicts share `Model` objects, and
+a `Model` is an immutable value.  Every countermodel the oracle reports, a
+shared one included, is re-verified with the plain evaluator `eval_formula`
+(memoized, on an explicit stack) before being returned.  The soundness
+audit's brute force (`enumerate_models`) builds its models uncached.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 from typing import Iterator, Optional
 
 from .formula import Atom, Box, Formula, Not, Or, conj, implies, subformulas
@@ -33,14 +40,17 @@ class BadModel(Exception):
 
 
 class Model:
-    """Finite transitive irreflexive Kripke structure."""
+    """Finite transitive irreflexive Kripke structure, an immutable value:
+    `worlds` is a tuple, `rel` a frozenset and `valuation` a read-only
+    mapping from atom names to frozensets of worlds, so the oracle can hand
+    one instance to every verdict it refutes with."""
 
     __slots__ = ("worlds", "rel", "valuation", "_succ")
 
     def __init__(self, worlds, rel, valuation):
         self.worlds = tuple(worlds)
         self.rel = frozenset(rel)
-        self.valuation = {a: frozenset(ws) for a, ws in valuation.items()}
+        self.valuation = MappingProxyType({a: frozenset(ws) for a, ws in valuation.items()})
         wset = set(self.worlds)
         succ = {w: set() for w in self.worlds}
         for x, y in self.rel:
@@ -58,6 +68,10 @@ class Model:
                 raise BadModel(f"valuation of {a} mentions unknown worlds")
         self._succ = {w: tuple(sorted(ys)) for w, ys in succ.items()}
 
+    def __reduce__(self):
+        # a mapping proxy does not pickle: rebuild (and re-validate) from a dict
+        return (Model, (self.worlds, self.rel, dict(self.valuation)))
+
     def successors(self, w) -> tuple:
         return self._succ[w]
 
@@ -66,28 +80,56 @@ class Model:
 
 
 def eval_formula(m: Model, w, f: Formula) -> bool:
-    """Truth at a world per the usual clauses; box quantifies over successors."""
-    if w not in m._succ:
+    """Truth at a world per the usual clauses; box quantifies over successors.
+
+    A post-order on an explicit stack, memoized by (world, subformula): `|`
+    reads its right side only when its left side fails, and a box reads its
+    successors in order up to the first that fails, so formula depth costs
+    no Python recursion."""
+    succ, val = m._succ, m.valuation
+    if w not in succ:
         raise UnknownWorld(w)
     memo: dict[tuple, bool] = {}
-
-    def go(u, g) -> bool:
-        key = (u, g)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(g, Atom):
-            v = u in m.valuation.get(g.name, frozenset())
-        elif isinstance(g, Not):
-            v = not go(u, g.sub)
-        elif isinstance(g, Or):
-            v = go(u, g.left) or go(u, g.right)
+    top = (w, f)
+    stack = [top]
+    while stack:
+        key = stack[-1]
+        u, g = key
+        kind = type(g)
+        if kind is Atom:
+            v = u in val.get(g.name, ())
+        elif kind is Or:
+            v = memo.get((u, g.left))
+            if v is None:
+                stack.append((u, g.left))
+                continue
+            if not v:
+                v = memo.get((u, g.right))
+                if v is None:
+                    stack.append((u, g.right))
+                    continue
+        elif kind is Not:
+            v = memo.get((u, g.sub))
+            if v is None:
+                stack.append((u, g.sub))
+                continue
+            v = not v
         else:
-            v = all(go(s, g.sub) for s in m.successors(u))
+            sub = g.sub
+            for s in succ[u]:
+                v = memo.get((s, sub))
+                if v is None:
+                    stack.append((s, sub))
+                    break
+                if not v:
+                    break
+            else:
+                v = True
+            if v is None:
+                continue
         memo[key] = v
-        return v
-
-    return go(w, f)
+        stack.pop()
+    return memo[top]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +297,7 @@ class _Tables:
             index[g] = len(ops) - 1
             stack.pop()
         atoms.sort()
-        self.atoms = atoms
+        self.atoms = tuple(atoms)
         self.ops = ops
         self.box_subs = box_subs
         self.full = full = (1 << (1 << len(atoms))) - 1
@@ -351,6 +393,18 @@ class _Tables:
                            for cs, c in zip(shape, vecs)))
 
 
+# Distinct countermodels kept per process.  Each entry holds one tree model
+# within the call's bound; refutations of similar formulas mostly share one.
+_COUNTERMODEL_CACHE = 1024
+
+
+@lru_cache(maxsize=_COUNTERMODEL_CACHE)
+def _countermodel(shape, atoms: tuple, rows) -> tuple[Model, str]:
+    """The model of a skeleton with per-node atom rows, and its root: built
+    and validated once, then shared by every verdict that finds it."""
+    return _skeleton_model(shape, atoms, rows, {a: i for i, a in enumerate(atoms)})
+
+
 def _low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
@@ -374,9 +428,8 @@ def oracle_validity(f: Formula, bound: Optional[ModelBound] = None) -> OracleVer
                 row = tabs.table(r)[1]
                 if row < 0:
                     continue
-                bits = tabs.assignment(shape, row, vecs)
-                atom_pos = {a: i for i, a in enumerate(tabs.atoms)}
-                model, root = _skeleton_model(shape, tabs.atoms, bits, atom_pos)
+                model, root = _countermodel(shape, tabs.atoms,
+                                            tabs.assignment(shape, row, vecs))
                 if eval_formula(model, root, f):
                     raise AssertionError("oracle self-check failed: model does not refute")
                 return OracleVerdict(False, model, root, skeletons=tried,
@@ -496,12 +549,14 @@ def gentzen_interpretation(s: GentzenSequent) -> Formula:
 
 
 def lns_interpretation(g: LinearNestedSequent) -> Formula:
-    """f(Gamma |- Delta // G) = /\\Gamma -> (\\/Delta or []f(G))."""
-    comp = g.components[0]
-    if len(g) == 1:
-        return _conditional(comp.ante, big_or(comp.cons))
-    rest = Box(lns_interpretation(LinearNestedSequent(g.components[1:])))
-    return _conditional(comp.ante, Or(big_or(comp.cons), rest) if comp.cons else rest)
+    """f(Gamma |- Delta // G) = /\\Gamma -> (\\/Delta or []f(G)), built from
+    the last component out."""
+    *outer, last = g.components
+    out = _conditional(last.ante, big_or(last.cons))
+    for comp in reversed(outer):
+        rest = Box(out)
+        out = _conditional(comp.ante, Or(big_or(comp.cons), rest) if comp.cons else rest)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,18 @@ Proof walks are walkers, generators run by `sequents.trampoline`, so proof
 height costs no Python recursion.  This lint parses the proof-layer modules
 and fails on any function that is not a generator and calls itself by name.
 
+The same lint covers `semantics.eval_formula` and `lns_interpretation`,
+nested functions included, so formula depth and sequent length cost no
+recursion there.
+
 Out of scope, and still behind the CLI's `RecursionError` backstop:
 `formula` (the parser and printer recurse on formula depth, about 1,000
-levels), `search` (backward proof search recurses once per level of its
-branch, about 990 levels) and `semantics` (the evaluators recurse on
-formula depth).
+levels) and `search` (backward proof search recurses once per level of its
+branch, about 990 levels).  What still recurses in `semantics` is bounded
+by the model, not the formula: `_skeleton_model`'s `build` and
+`_Tables.assignment` (with `_Tables.states` and `combos`, which call each
+other) by model depth, `_split_bits`'s `take` by model depth, and
+`_skeletons` (with its `extend`) by world count.
 """
 
 import ast
@@ -59,6 +66,14 @@ def recursive_functions(source: str) -> list[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_no_recursive_function(module):
     assert recursive_functions((SRC / f"{module}.py").read_text()) == []
+
+
+@pytest.mark.parametrize("name", ("eval_formula", "lns_interpretation"))
+def test_semantics_walks_do_not_recurse(name):
+    source = (SRC / "semantics.py").read_text()
+    fn = next(n for n in ast.parse(source).body
+              if isinstance(n, ast.FunctionDef) and n.name == name)
+    assert recursive_functions(ast.get_source_segment(source, fn)) == []
 
 
 def test_lint_finds_recursion():

@@ -1,9 +1,14 @@
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glproof.formula import Atom, Box, parse_formula, random_formula, subformulas
+from glproof import semantics
+from glproof.formula import (
+    Atom, Box, Not, Or, enumerate_formulas, implies, parse_formula, random_formula, subformulas,
+)
 from glproof.proofio import parse_labeled_sequent, parse_lns
 from glproof.search import SearchConfig, decide_glseq
 from glproof.semantics import (
@@ -21,7 +26,7 @@ from glproof.semantics import (
     parse_model,
     print_model,
 )
-from glproof.sequents import GentzenSequent
+from glproof.sequents import GentzenSequent, LinearNestedSequent
 
 LOB = parse_formula("[]([]p -> p) -> []p")
 CHAIN = Model(["w", "u"], [("w", "u")], {"p": ["u"]})
@@ -258,3 +263,102 @@ def test_oracle_agrees_with_truth_tables_on_propositional(bits):
         tt(f, {"p": a, "q": b}) for a in (False, True) for b in (False, True)
     )
     assert oracle_validity(f).valid == taut
+
+
+# ---------------------------------------------------------------------------
+# Shared countermodels
+
+@pytest.fixture(scope="module")
+def refuted():
+    """Every {p, q} formula with at most 4 connectives that the oracle refutes."""
+    return [f for f in enumerate_formulas(("p", "q"), 4) if not oracle_validity(f).valid]
+
+
+def test_shared_countermodels_print_as_freshly_built_ones(refuted):
+    before = semantics._countermodel.cache_info()
+    shared = [(print_model(v.model), v.world) for v in map(oracle_validity, refuted)]
+    assert semantics._countermodel.cache_info().hits >= before.hits + len(refuted)
+    fresh = []
+    for f in refuted:
+        semantics._countermodel.cache_clear()
+        v = oracle_validity(f)
+        fresh.append((print_model(v.model), v.world))
+    assert shared == fresh
+
+
+def test_every_refutation_is_checked_cache_hits_included(refuted, monkeypatch):
+    checked = []
+
+    def counting(m, w, f):
+        checked.append(f)
+        return eval_formula(m, w, f)
+
+    monkeypatch.setattr(semantics, "eval_formula", counting)
+    before = semantics._countermodel.cache_info()
+    for f in refuted:
+        assert not oracle_validity(f).valid
+    assert checked == refuted
+    assert semantics._countermodel.cache_info().hits > before.hits
+
+
+def test_labeled_sequent_valid_bypasses_the_countermodel_cache():
+    before = semantics._countermodel.cache_info()
+    for text in ("x: p |- x: p", "x: p |- y: p", "xRy; x: []p |- y: p", " |- x: []p"):
+        labeled_sequent_valid(parse_labeled_sequent(text))
+    assert semantics._countermodel.cache_info() == before
+
+
+def test_models_are_immutable_values():
+    models = (oracle_validity(parse_formula("[]p | []~p | q")).model,
+              parse_model("worlds: w1 w2 w3\nrel: w1<w2; w2<w3\nval p: w2\nval q: w1 w3\n"))
+    for m in models:
+        with pytest.raises(TypeError):
+            m.valuation["p"] = frozenset()
+        with pytest.raises(TypeError):
+            del m.valuation["p"]
+        for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert twin is not m
+            assert (twin.worlds, twin.rel, twin.valuation) == (m.worlds, m.rel, m.valuation)
+            assert [twin.successors(w) for w in twin.worlds] == [m.successors(w) for w in m.worlds]
+            assert print_model(twin) == print_model(m)
+            with pytest.raises(TypeError):
+                twin.valuation["p"] = frozenset()
+
+
+# ---------------------------------------------------------------------------
+# Formula depth costs no recursion
+
+def _nest(cls, times, f):
+    for _ in range(times):
+        f = cls(f)
+    return f
+
+
+def test_oracle_on_deep_negations():
+    assert oracle_validity(_nest(Not, 5000, Atom("p"))).kind == "Countermodel"
+    assert oracle_validity(_nest(Not, 5000, parse_formula("p | ~p"))).kind == "Valid"
+
+
+def test_eval_deep_box_chain():
+    # a box chain reaches no deeper than the model: at w only the outermost
+    # box has a successor to look at
+    not_p = Not(Atom("p"))
+    assert not eval_formula(CHAIN, "w", Box(not_p))
+    deep = _nest(Box, 5000, not_p)
+    assert eval_formula(CHAIN, "w", deep) and eval_formula(CHAIN, "u", deep)
+    assert not eval_formula(CHAIN, "w", Not(deep))
+    # 5,000 false boxed disjuncts, all read at w, one `|` inside the next
+    disjuncts = Box(not_p)
+    for _ in range(4999):
+        disjuncts = Or(Box(not_p), disjuncts)
+    assert not eval_formula(CHAIN, "w", disjuncts)
+    assert eval_formula(CHAIN, "w", Or(disjuncts, Box(Atom("p"))))
+
+
+def test_lns_interpretation_of_a_long_sequent():
+    p, q = Atom("p"), Atom("q")
+    comp = GentzenSequent((p,), (q,))
+    expected = implies(p, q)
+    for _ in range(1999):
+        expected = implies(p, Or(q, Box(expected)))
+    assert lns_interpretation(LinearNestedSequent([comp] * 2000)) is expected
