@@ -5,8 +5,9 @@ everything downstream handles exactly four constructors.  Formulas are
 interned: building a formula equal to an existing one returns that object,
 so equal formulas are the same object and compare and hash by identity.
 Each class interns under the least that names its formula: an `Atom` under
-its name, a `Not` or `Box` under its subformula object, an `Or` under the
-pair of its subformula objects.
+its name, a `Not` or `Box` under its subformula object, an `Or` under its
+left subformula object, then its right one.  So interning never hashes a
+nested value, and a hit allocates nothing.
 
 Formulas carry a fixed total order (Atom < Not < Or < Box, then
 recursively), used to canonicalize multisets.  A formula's `key` in that
@@ -24,8 +25,9 @@ from typing import Iterator
 
 class Formula:
     """Base class; instances are immutable and interned.  Each subclass's
-    `__new__` looks its arguments up in the class's own table and, on a
-    miss, builds the one instance.  `_key` holds the order key once it is
+    `__new__` looks its arguments up in the class's own table (`Or`'s maps
+    its left part to a table of its right parts) and, on a miss, builds the
+    one instance.  `_key` holds the order key once it is
     built, else None; only this module reads it, and everything else reads
     `key`."""
 
@@ -80,10 +82,12 @@ class Or(Formula):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
-        parts = (left, right)
-        self = cls._table.get(parts)
+        row = cls._table.get(left)
+        if row is None:
+            row = cls._table[left] = {}
+        self = row.get(right)
         if self is None:
-            self = cls._table[parts] = object.__new__(cls)
+            self = row[right] = object.__new__(cls)
             self.left = left
             self.right = right
             self._key = None

@@ -1,5 +1,8 @@
+import collections
 import copy
+import itertools
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,3 +125,37 @@ def test_pickle_and_deepcopy_return_the_interned_formula():
     assert pickle.loads(pickle.dumps(f)) is f
     assert copy.deepcopy(f) is f
     assert copy.copy(f) is f
+
+
+def _hit_peak(n: int, left, right) -> int:
+    """tracemalloc's peak over n lookups of the existing Or(left, right),
+    less the traced memory before them.  CPython keeps freed tuples on a
+    free list and reuses them without the allocator, so the live pairs held
+    here empty that list first: a lookup that builds a tuple then shows.
+    The lookups call `Or.__new__` itself, since calling the class also
+    builds a tuple of its arguments."""
+    hits = map(Or.__new__, itertools.repeat(Or, n), itertools.repeat(left, n),
+               itertools.repeat(right, n))
+    consume = collections.deque(maxlen=0).extend
+    held = [(i, i) for i in range(4000)]
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()
+    consume(hits)
+    end = tracemalloc.get_traced_memory()
+    del held
+    return end[1] - start[0]
+
+
+def test_or_lookup_hits_allocate_nothing():
+    left, right = Not(Box(P)), Or(Q, P)
+    f = Or(left, right)
+    tracemalloc.start()
+    try:
+        # 10,000 hits raise the peak by exactly what no hit does
+        assert _hit_peak(10_000, left, right) - _hit_peak(0, left, right) == 0
+    finally:
+        tracemalloc.stop()
+    assert Or(left, right) is f and Or._table[left][right] is f
+    for l, row in Or._table.items():
+        for r, g in row.items():
+            assert g.left is l and g.right is r

@@ -91,12 +91,12 @@ def test_deep_chains_key_on_first_read():
 
 def test_each_class_interns_under_its_parts():
     # an atom under its name, a Not or Box under its subformula, an Or under
-    # the pair of its parts: never under a key, whose hash would walk its
-    # whole nesting
+    # its left part and then its right: never under a key, whose hash would
+    # walk its whole nesting
     chains = _chains("lazy_intern")
     f = Or(chains["|"], chains["~"])
     assert Or(chains["|"], chains["~"]) is f and f._key is None
-    assert Or._table[chains["|"], chains["~"]] is f
+    assert Or._table[chains["|"]][chains["~"]] is f
     neg, box, atom = Not(chains["~"]), Box(chains["[]"]), Atom("lazy_intern0")
     assert Not._table[chains["~"]] is neg and Box._table[chains["[]"]] is box
     assert Atom._table["lazy_intern0"] is atom

@@ -1,21 +1,22 @@
-"""No function of the proof layer calls itself.
+"""No function of the proof layer calls itself, directly or through others.
 
 Proof walks are walkers, generators run by `sequents.trampoline`, so proof
 height costs no Python recursion.  This lint parses the proof-layer modules
-and fails on any function that is not a generator and calls itself by name.
+and fails on any function that is not a generator and either calls itself
+by name or lies on a cycle of its module's call graph.
 
-The same lint covers `semantics.eval_formula` and `lns_interpretation`,
-nested functions included, so formula depth and sequent length cost no
-recursion there.
+The same lint covers all of `semantics`.  `eval_formula` and
+`lns_interpretation` do not recurse, nested functions included, so formula
+depth and sequent length cost no recursion there.  What recurses is bounded
+by the model, not the formula, and is exactly `MODEL_BOUNDED`:
+`_skeleton_model`'s `build` and `_Tables.assignment` (with `_Tables.states`
+and `combos`, which call each other) by model depth, `_split_bits`'s `take`
+by model depth, and `_skeletons` (with its `extend`) by world count.
 
 Out of scope, and still behind the CLI's `RecursionError` backstop:
 `formula` (the parser and printer recurse on formula depth, about 1,000
 levels) and `search` (backward proof search recurses once per level of its
-branch, about 990 levels).  What still recurses in `semantics` is bounded
-by the model, not the formula: `_skeleton_model`'s `build` and
-`_Tables.assignment` (with `_Tables.states` and `combos`, which call each
-other) by model depth, `_split_bits`'s `take` by model depth, and
-`_skeletons` (with its `extend`) by world count.
+branch, about 990 levels).
 """
 
 import ast
@@ -25,12 +26,14 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "glproof"
 MODULES = ("sequents", "rules", "checkers", "transform", "proofio", "render")
-SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+SCOPES = FUNCTIONS + (ast.Lambda, ast.ClassDef)
+MODEL_BOUNDED = ("_skeletons", "extend", "build", "assignment", "states", "combos", "take")
 
 
 def _own_nodes(fn):
     """The nodes of fn's body, without those of the scopes nested in it."""
-    stack = list(fn.body)
+    stack = [n for n in fn.body if not isinstance(n, SCOPES)]
     while stack:
         node = stack.pop()
         yield node
@@ -38,29 +41,60 @@ def _own_nodes(fn):
 
 
 def _calls_itself(fn) -> bool:
+    """Whether fn calls its own name, bare or as an attribute.  An attribute
+    of a call's result (`super().f()`, `Cls(x).f()`) is another object's."""
     for node in ast.walk(fn):
         if isinstance(node, ast.Call):
             f = node.func
             if isinstance(f, ast.Name) and f.id == fn.name:
                 return True
             if (isinstance(f, ast.Attribute) and f.attr == fn.name
-                    and not (isinstance(f.value, ast.Call) and isinstance(f.value.func, ast.Name)
-                             and f.value.func.id == "super")):
+                    and not isinstance(f.value, ast.Call)):
                 return True
     return False
 
 
+def _on_call_cycles(functions) -> set[str]:
+    """The names of `functions` on a cycle of their call graph.  An edge is
+    a call of one of their names, bare or through `self.`/`cls.`."""
+    names = {fn.name for fn in functions}
+    calls: dict[str, set[str]] = {name: set() for name in names}
+    for fn in functions:
+        for node in _own_nodes(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                callee = f.id
+            elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and f.value.id in ("self", "cls")):
+                callee = f.attr
+            else:
+                continue
+            if callee in names:
+                calls[fn.name].add(callee)
+    cyclic = set()
+    for start in names:  # does a path of calls lead back to start?
+        seen, stack = set(), list(calls[start])
+        while stack:
+            name = stack.pop()
+            if name == start:
+                cyclic.add(start)
+                break
+            if name not in seen:
+                seen.add(name)
+                stack.extend(calls[name])
+    return cyclic
+
+
 def recursive_functions(source: str) -> list[str]:
-    """Names of the non-generator functions in `source` that call themselves."""
-    found = []
-    for fn in ast.walk(ast.parse(source)):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in _own_nodes(fn)):
-            continue
-        if _calls_itself(fn):
-            found.append(fn.name)
-    return found
+    """Names of the non-generator functions in `source` that call themselves
+    or lie on a cycle of the module's call graph."""
+    functions = [fn for fn in ast.walk(ast.parse(source)) if isinstance(fn, FUNCTIONS)]
+    cyclic = _on_call_cycles(functions)
+    return [fn.name for fn in functions
+            if not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in _own_nodes(fn))
+            and (fn.name in cyclic or _calls_itself(fn))]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -76,12 +110,21 @@ def test_semantics_walks_do_not_recurse(name):
     assert recursive_functions(ast.get_source_segment(source, fn)) == []
 
 
+def test_semantics_recurses_only_on_the_model():
+    found = recursive_functions((SRC / "semantics.py").read_text())
+    assert sorted(found) == sorted(MODEL_BOUNDED)
+
+
 def test_lint_finds_recursion():
     source = (
         "def f(n):\n    return f(n - 1) if n else 0\n"
         "class C:\n"
         "    def __init__(self):\n        super().__init__()\n"
         "    def walk(self, q):\n        return [q.walk(c) for c in q.kids]\n"
+        "    def bound(self):\n        return 1\n"
         "def g(n):\n    return (yield g(n - 1))\n"
+        "def even(n):\n    return n == 0 or odd(n - 1)\n"
+        "def odd(n):\n    return n != 0 and even(n - 1)\n"
+        "def bound(x):\n    return C(x).bound()\n"
     )
-    assert recursive_functions(source) == ["f", "walk"]
+    assert recursive_functions(source) == ["f", "even", "odd", "walk"]

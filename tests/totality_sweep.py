@@ -8,13 +8,15 @@ formulas with at most 6 connectives.  Each must be proved by CSGL search, and
 each pass's output must be accepted by its stage's checkers (the `STAGES`
 table of tests/test_pipeline.py) and conclude |- x: f.  Runs one process per
 core; prints one line per failure (formula, stage, reason), then the counts,
-and exits 1 when anything fails.  It takes about a minute on 2 cores, so
+the time and the peak RSS of this process and of its largest worker, and
+exits 1 when anything fails.  It takes about a minute on 2 cores, so
 pytest does not collect it (the file name has no `test_`).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import resource
 import sys
 import time
 from pathlib import Path
@@ -77,8 +79,12 @@ def main() -> int:
     lines = sorted(line for _, part in results for line in part)
     for line in lines:
         print(line)
+    # ru_maxrss is in KiB; the pool's workers have all been waited for here
+    own, worker = (resource.getrusage(who).ru_maxrss / 1024
+                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     print(f"theorems {theorems}, failures {len(lines)}, "
-          f"{time.monotonic() - start:.1f} s on {parts} processes")
+          f"{time.monotonic() - start:.1f} s on {parts} processes, "
+          f"peak RSS {own:.1f} MB here and {worker:.1f} MB in the largest worker")
     return 1 if lines else 0
 
 
