@@ -88,7 +88,6 @@ from .transform import (
     permute_down,
     prove_general_id,
     run_pass,
-    substitute_labels,
     to_end_active,
     unfold_glcirc,
     weaken,

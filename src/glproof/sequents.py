@@ -528,7 +528,9 @@ def rebuild(proof: Proof, make) -> Proof:
 
 
 def relabel_proof(proof: Proof, mapping: dict[Label, Label]) -> Proof:
-    """Apply a label renaming to every sequent and every label-valued meta entry."""
+    """Apply a label renaming to every sequent and every label-valued meta
+    entry.  A renaming that merges a `w` node's added relational atom with
+    one its premise holds leaves a node the `w` schema rejects."""
 
     def ren_seq(s):
         return s.rename(mapping) if isinstance(s, LabeledSequent) else s
@@ -538,12 +540,8 @@ def relabel_proof(proof: Proof, mapping: dict[Label, Label]) -> Proof:
         for key in LABEL_KEYS:
             if key in meta:
                 meta[key] = mapping.get(meta[key], meta[key])
-        if "added" in meta and isinstance(meta["added"], LabeledSequent):
-            # an added relational atom that the renaming merges with one the
-            # premise holds is no longer added: a relation is a set
-            a = ren_seq(meta["added"])
-            held = prems[0].conclusion.rel if prems else frozenset()
-            meta["added"] = LabeledSequent.of_sorted(a.rel - held, a.ante, a.cons)
+        if "added" in meta:
+            meta["added"] = ren_seq(meta["added"])
         return Proof(node.calculus, node.rule, ren_seq(node.conclusion), prems, meta)
 
     return rebuild(proof, make)

@@ -60,7 +60,6 @@ from glproof.transform import (
     permute_down,
     prove_general_id,
     run_pass,
-    substitute_labels,
     to_end_active,
     unfold_glcirc,
     weaken,
@@ -139,25 +138,6 @@ def test_admit_w_lngl_on_initial():
     assert out.height() == 0 and out.rule == "id1"
     assert out.conclusion == parse_lns("p, []s |- t, p // q |- q")
     assert check_lngl(out).accepted
-
-
-def test_admit_sub_identity():
-    base = csgl_proof(LOB)
-    assert substitute_labels(base, "x", "x") == base
-
-
-def test_substitution_merges_an_added_relational_atom_into_the_premise():
-    # (u/z) maps the added xRu onto the premise's xRz: a relation is a set,
-    # so the w node adds nothing then
-    prem = Proof("g3glext", "id1", pls("xRz; z: p |- z: p"), (),
-                 {"label": "z", "principal": P})
-    w = Proof("g3glext", "w", pls("xRz; xRu; z: p |- z: p"), (prem,),
-              {"added": pls("xRu; |- ")})
-    assert check_g3gl(w, "extended").accepted
-    out = substitute_labels(w, "u", "z")
-    assert out.conclusion == pls("xRu; u: p |- u: p")
-    assert out.meta["added"] == LabeledSequent()
-    assert check_g3gl(out, "extended").accepted
 
 
 def test_admit_w_csgl_height_preserved():
@@ -335,14 +315,6 @@ def test_weaken_to_a_target_agrees_with_weakening_by_additions():
 
 
 def test_admit_contraction_cases():
-    base = csgl_proof(LOB)
-    conclusion_formula = pf("~[](~[]p | p) | []p")
-    dup = weaken(base, base.conclusion.with_cons(("x", conclusion_formula)))
-    out = contract(dup, "cons", ("x", conclusion_formula))
-    assert out.conclusion == base.conclusion
-    assert out.height() <= dup.height()
-    assert check_csgl(out).accepted
-
     gbase = prove_formula(LOB, "glseq", CFG).proof
     gdup = weaken(gbase, gbase.conclusion.with_ante(pf("[]p")))
     gdup2 = weaken(gdup, gdup.conclusion.with_ante(pf("[]p")))
@@ -352,25 +324,19 @@ def test_admit_contraction_cases():
 
 
 def test_admit_contraction_through_principal():
-    # contract a disjunction that the last rule decomposes
+    # contract a disjunction that the last rule decomposes: the other copy
+    # is inverted in each premise
     f = pf("p | q")
-    goal = pls("x: p | q, x: p | q |- x: p | q")
-    p = prove_general_id("csgl", goal, ("x", f))
-    out = contract(p, "ante", ("x", f))
-    assert out.conclusion == pls("x: p | q |- x: p | q")
+    goal = pgs("p | q, p | q |- p, q")
+    m = {"principal": f}
+    prems = tuple(Proof("glseq", "id", c, (), {"principal": g})
+                  for c, g in zip(premises_of("glseq", "orL", m, goal), (P, Q)))
+    p = Proof("glseq", "orL", goal, prems, m)
+    assert check_glseq(p).accepted
+    out = contract(p, "ante", f)
+    assert out.conclusion == pgs("p | q |- p, q")
     assert out.height() <= p.height()
-    assert check_csgl(out).accepted
-
-
-def test_admit_contraction_boxr_principal():
-    # duplicate boxed consequent consumed by boxR
-    f = pf("[](p | ~p)")
-    r = prove_formula(f, "csgl", CFG)
-    dup = weaken(r.proof, r.proof.conclusion.with_cons(("x", f)))
-    out = contract(dup, "cons", ("x", f))
-    assert out.conclusion == r.proof.conclusion
-    assert out.height() <= dup.height()
-    assert check_csgl(out).accepted
+    assert check_glseq(out).accepted
 
 
 def test_admit_rejects_lngl_contraction():
@@ -381,13 +347,16 @@ def test_admit_rejects_lngl_contraction():
 
 
 def test_contract_refuses_lngl_and_a_bad_side():
+    # contraction is admitted in the Gentzen calculi only
     base = Proof("lngl", "id1", parse_lns("p, p |- p"), (), {"principal": P})
-    with pytest.raises(NotApplicable, match="LNGL"):
-        contract(base, "ante", P)
-    dup = prove_general_id("csgl", pls("x: p, x: p |- x: p"), ("x", P))
+    labeled = prove_general_id("csgl", pls("x: p, x: p |- x: p"), ("x", P))
+    for p, item in ((base, P), (labeled, ("x", P)), (labeled.retag("g3glext"), ("x", P))):
+        with pytest.raises(NotApplicable, match=f"not in {p.calculus}"):
+            contract(p, "ante", item)
+    dup = prove_general_id("glseq", pgs("p, p |- p"), P)
     with pytest.raises(NotApplicable, match="'left'"):
-        contract(dup, "left", ("x", P))
-    assert contract(dup, "ante", ("x", P)).conclusion == pls("x: p |- x: p")
+        contract(dup, "left", P)
+    assert contract(dup, "ante", P).conclusion == pgs("p |- p")
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +404,18 @@ def test_invert_not_applicable():
         apply_inverse("boxGL", 0, base, {"gamma": (), "phi": P})
     with pytest.raises(NotApplicable):
         apply_inverse("negL", 0, base, {"principal": P})  # p is not a negation
-
-
-def test_invert_boxr_labeled():
-    base = csgl_proof(pf("[](p | ~p)"))
-    # conclusion |- x: [](p | ~p); invert boxR with a brand-new fresh label
-    out = apply_inverse("boxR", 0, base, {"label": "x", "fresh": "w9", "phi": pf("p | ~p")})
-    assert ("x", "w9") in out.conclusion.rel
-    assert check_csgl(out).accepted
+    # boxR is inverted in no calculus
+    csgl = csgl_proof(pf("[](p | ~p)"))
+    meta = {"label": "x", "fresh": "w9", "phi": pf("p | ~p")}
+    lngl = Proof("lngl", "id1", parse_lns("p |- p, []q"), (), {"principal": P})
+    for p, m in ((csgl, meta), (csgl_to_g3gl_embed(csgl), meta), (lngl, {"phi": Q})):
+        with pytest.raises(NotApplicable, match=f"no inversion for boxR in {p.calculus}"):
+            apply_inverse("boxR", 0, p, m)
+    # nor is a formula that a w node adds
+    prem = Proof("g3glext", "id1", pls("x: p |- x: p"), (), {"label": "x", "principal": P})
+    w = Proof("g3glext", "w", pls("x: p, x: ~q |- x: p"), (prem,), {"added": pls("x: ~q |- ")})
+    with pytest.raises(NotApplicable, match="w does not apply"):
+        apply_inverse("negL", 0, w, {"label": "x", "principal": pf("~q")})
 
 
 # ---------------------------------------------------------------------------
@@ -946,37 +919,19 @@ def test_weaken_restates_the_templates_of_to_g3gl_outputs():
         assert y not in {n.meta["fresh"] for _, n in w.nodes() if n.rule == "boxR"}
 
 
-def test_contraction_and_inversion_pass_the_sub_nodes_of_to_g3gl_outputs():
-    # contraction and inversion pass through the boxGL templates of to-g3gl
-    # outputs; a w node that added a dropped item adds the rest (the first
-    # theorem contracts through such a w, and through a template boxR whose
-    # two fresh labels contraction merges)
+def test_weakening_and_inversion_pass_the_templates_of_to_g3gl_outputs():
+    # weakening and orL inversion pass through the boxGL templates of
+    # to-g3gl outputs
     rng = random.Random(19)
     d = pf("q | r")
-    first = pf("[](r | ~r) | ~~~(q | q) | ~(q | q)")
-    first = (first, run_pass("to-g3gl", prove_formula(first, "glseq", CFG).proof)[0])
-    for f, out in [first, *_to_g3gl_outputs(rng, 40)]:
+    for f, out in _to_g3gl_outputs(rng, 40):
         c = out.conclusion
         g = rng.choice([P, pf("[]q"), pf("~[]p"), pf("p | []r")])
-        dup = weaken(out, c.with_ante(("x", g), ("x", g)))
-        _checked(contract(dup, "ante", ("x", g)), c.with_ante(("x", g)), f)
-        _checked(contract(weaken(out, c.with_cons(("x", f))), "cons", ("x", f)), c, f)
+        dup = c.with_ante(("x", g), ("x", g))
+        _checked(weaken(out, dup), dup, f)
         inv = apply_inverse("orL", 1, weaken(out, c.with_ante(("x", d))),
                             {"label": "x", "principal": d})
         _checked(inv, c.with_ante(("x", d.right)), f)
-
-
-@pytest.mark.parametrize("rule,side", [("cL", "x: p, x: p |- x: p"), ("cR", "x: p |- x: p, x: p")])
-def test_contraction_drops_the_copy_a_w_node_added(rule, side):
-    # the w node adds a second x: p beside the one its id1 premise uses:
-    # contraction drops the added copy and keeps the premise whole
-    prem = Proof("g3glext", "id1", pls("x: p |- x: p"), (), {"label": "x", "principal": P})
-    added = pls("x: p |- ") if rule == "cL" else pls(" |- x: p")
-    out = contract(Proof("g3glext", "w", pls(side), (prem,), {"added": added}),
-                   "ante" if rule == "cL" else "cons", ("x", P))
-    assert out.conclusion == prem.conclusion and out.premises == (prem,)
-    assert out.meta["added"] == LabeledSequent()
-    assert check_g3gl(out, "extended").accepted
 
 
 def test_embed_csgl():
@@ -1093,15 +1048,6 @@ def test_end_active_keeps_used_propagation():
     assert check_csgl(base).accepted and not end_active_report(base).accepted
     with pytest.raises(InternalNonTermination):
         to_end_active(base)
-
-
-def test_invert_boxr_rebuilds_destroyed_id2():
-    # the id2 witness x:[]p is the inverted boxR principal
-    base = Proof("csgl", "id2", pls("x: []p |- x: []p"), (), {"label": "x", "principal": pf("[]p")})
-    out = apply_inverse("boxR", 0, base, {"label": "x", "fresh": "y", "phi": P})
-    assert out.conclusion == pls("xRy; x: []p, y: []p |- y: p")
-    assert [n.rule for _, n in out.nodes()] == ["boxL", "id1"]
-    assert check_csgl(out).accepted
 
 
 def test_invert_negl_rebuilds_destroyed_gentzen_id():
