@@ -14,18 +14,32 @@ searches terminate without a loop check:
 
 Rules are tried in a fixed order: id, then the local rules negL, negR, orR,
 orL, then (CSGL) 4L/boxL propagation and boxR, or (GLseq) boxGL.  Beside its
-two sides, a state carries a `pending` frozenset with one entry per Not or
-Or formula on either side: `(rank, key, formula)` in GLseq and `(rank,
-label, key, formula)` in CSGL, where the rank is 0 for a Not in the
+two sides, a state carries a `pending` list, kept sorted, with one entry per
+Not or Or formula on either side: `(rank, key, formula)` in GLseq and
+`(rank, label, key, formula)` in CSGL, where the rank is 0 for a Not in the
 antecedent (negL), 1 for a Not in the consequent (negR), 2 for an Or in the
 consequent (orR) and 3 for an Or in the antecedent (orL).  Tuple order is
 then rule priority first and the sides' canonical order (`formula_key`,
-`labeled_key`) second, so `min(pending)` is exactly the formula that taking
+`labeled_key`) second, so `pending[0]` is exactly the formula that taking
 the least Not of the antecedent, else of the consequent, else the least Or
 of the consequent, else of the antecedent, would pick.  A key names its
 formula, so no comparison reaches the formula itself.  Each rule removes the
-entry of its principal formula and adds an entry for each Not or Or it puts
-on a side; the sides stay full sets, so `fa & fc` is still the id test.
+entry of its principal formula and inserts one for each Not or Or it puts on
+a side that did not hold it.  A state that applies a rule shares no formula
+between its sides (in CSGL, no atom or box), so the id test of its premise
+looks only at the formulas the rule added.
+
+Both searches run on an explicit stack, so a branch's height costs no
+Python recursion.  Each branch owns one mutable state: the two sides as
+sets, `pending`, and in CSGL also `rel` and the propagations `fired` on the
+branch.  A one-premise rule (negL, negR, orR, and in CSGL 4L, boxL and boxR)
+changes that state in place and appends its skeleton head to the branch's
+chain.  orL hands the state to its left premise and saves a copy for the
+right one, which runs only after the left one closes.  Each boxGL premise
+of GLseq starts a fresh state, one consequent box at a time in
+`formula_key` order.  A suspended orL or boxGL waits in a frame on the
+stack with its chain; when a branch closes, its skeleton is wrapped in its
+chain's heads and handed to the frame below.
 
 Dead ends: the first state at which a failing search gives up is a leaf,
 because an interior node fails only after a premise has failed first.  So
@@ -43,8 +57,9 @@ contexts are arbitrary.
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import count
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .formula import Box, Formula, Not, Or
 from .sequents import (
@@ -125,7 +140,7 @@ def _replay(sk, seq: Sequent, calculus: str, names: Optional[dict] = None) -> Pr
 
 
 # ---------------------------------------------------------------------------
-# The pending set: the Not/Or formulas of both sides, ranked by side in the
+# The pending list: the Not/Or formulas of both sides, ranked by side in the
 # order their rules are tried (negL, negR, orR, orL).  Atoms and boxes have
 # no local rule and no rank.
 
@@ -133,75 +148,105 @@ _ANTE_RANK = {Not: 0, Or: 3}
 _CONS_RANK = {Not: 1, Or: 2}
 
 
-def _glseq_pending(fa, fc) -> frozenset:
-    return frozenset(
-        [(_ANTE_RANK[type(f)], f.key, f) for f in fa if type(f) in _ANTE_RANK]
-        + [(_CONS_RANK[type(f)], f.key, f) for f in fc if type(f) in _CONS_RANK])
-
-
-def _plus(pending, ranks, f):
-    """`pending` with the entry of `f` if it is a Not or an Or."""
-    r = ranks.get(type(f))
-    return pending if r is None else pending | {(r, f.key, f)}
-
-
 # ---------------------------------------------------------------------------
 # GLseq
 
-def _glseq_search(fa, fc, pending, fuel, dead_end):
-    """Search on set-sequents; `pending` holds `(rank, key, formula)` for
-    each Not/Or formula of `fa` and `fc`.  Returns a skeleton tuple or None."""
-    fuel[0] -= 1
-    if fuel[0] < 0:
-        raise FuelExhausted()
-    shared = fa & fc
-    if shared:
-        return ("id", _P, min(shared, key=formula_key))
-    if pending:
-        entry = min(pending)
-        rank, _, f = entry
-        rest = pending - {entry}
-        if rank == 0:
-            sub = _glseq_search(fa - {f}, fc | {f.sub}, _plus(rest, _CONS_RANK, f.sub),
-                                fuel, dead_end)
-            return ("negL", _P, f, sub) if sub is not None else None
-        if rank == 1:
-            sub = _glseq_search(fa | {f.sub}, fc - {f}, _plus(rest, _ANTE_RANK, f.sub),
-                                fuel, dead_end)
-            return ("negR", _P, f, sub) if sub is not None else None
-        if rank == 2:
-            more = _plus(_plus(rest, _CONS_RANK, f.left), _CONS_RANK, f.right)
-            sub = _glseq_search(fa, fc.difference({f}) | {f.left, f.right}, more,
-                                fuel, dead_end)
-            return ("orR", _P, f, sub) if sub is not None else None
-        fa = fa - {f}
-        left = _glseq_search(fa | {f.left}, fc, _plus(rest, _ANTE_RANK, f.left), fuel, dead_end)
-        if left is None:
-            return None
-        right = _glseq_search(fa | {f.right}, fc, _plus(rest, _ANTE_RANK, f.right),
-                              fuel, dead_end)
-        return ("orL", _P, f, left, right) if right is not None else None
-    # modal choices, left to right over the consequent order
-    boxes = sorted((g for g in fc if type(g) is Box), key=formula_key)
-    if not boxes:  # a leaf where no rule applies; the first one is the dead end
-        if dead_end[0] is None:
-            dead_end[0] = (fa, fc)
-        return None
-    gamma = tuple(sorted((g.sub for g in fa if type(g) is Box), key=formula_key))
-    for f in boxes:
-        fa2 = frozenset(Box(g) for g in gamma) | frozenset(gamma) | {f}
-        fc2 = frozenset((f.sub,))
-        sub = _glseq_search(fa2, fc2, _glseq_pending(fa2, fc2), fuel, dead_end)
-        if sub is not None:
-            return ("boxGL", _GP, gamma, f.sub, sub)
-    return None
+def _glseq_search(fa: set, fc: Iterable, fuel: list, dead_end: list):
+    """Search from the set-sequent `fa |- set(fc)`, changing `fa` in place;
+    `fuel` holds the fuel left and `dead_end` the first dead end, each in a
+    one-element list.  Returns a skeleton tuple or None."""
+    n = fuel[0]
+    pending = sorted([(_ANTE_RANK[type(f)], f.key, f) for f in fa if type(f) in _ANTE_RANK])
+    # the root's consequent goes on as if a rule had added it
+    side, other, ranks, adds = set(), fa, _CONS_RANK, fc
+    fc, shared = side, set()
+    # a frame is [chain, f, saved state, left skeleton] for orL on f, and
+    # [chain, gamma, boxes left, antecedent without the box, its pending
+    # entries, box tried] for boxGL
+    chain, stack = [], []
+    while True:
+        for g in adds:  # the formulas this node's rule put on `side`
+            if g not in side:
+                side.add(g)
+                r = ranks.get(type(g))
+                if r is not None:
+                    insort(pending, (r, g.key, g))
+                if g in other:
+                    shared.add(g)
+        n -= 1
+        if n < 0:
+            raise FuelExhausted()
+        if shared:
+            sk = ("id", _P, min(shared, key=formula_key))
+        elif pending:
+            rank, _, f = pending.pop(0)
+            if rank == 0:
+                fa.remove(f)
+                chain.append(("negL", _P, f))
+                side, other, ranks, adds = fc, fa, _CONS_RANK, (f.sub,)
+            elif rank == 1:
+                fc.remove(f)
+                chain.append(("negR", _P, f))
+                side, other, ranks, adds = fa, fc, _ANTE_RANK, (f.sub,)
+            elif rank == 2:
+                fc.remove(f)
+                chain.append(("orR", _P, f))
+                side, other, ranks, adds = fc, fa, _CONS_RANK, (f.left, f.right)
+            else:  # orL: the left premise takes this state, the right one a copy
+                fa.remove(f)
+                stack.append([chain, f, (fa.copy(), fc.copy(), pending.copy()), None])
+                chain = []
+                side, other, ranks, adds = fa, fc, _ANTE_RANK, (f.left,)
+            continue
+        else:
+            # modal choices, left to right over the consequent order; the
+            # frame's failed "premise" below starts the first one
+            boxes = sorted((g for g in fc if type(g) is Box), key=formula_key)
+            if boxes:
+                boxed = [g for g in fa if type(g) is Box]
+                gamma = tuple(sorted((g.sub for g in boxed), key=formula_key))
+                entries = sorted((_ANTE_RANK[type(g)], g.key, g) for g in gamma
+                                 if type(g) in _ANTE_RANK)
+                stack.append([chain, gamma, iter(boxes), {*boxed, *gamma}, entries, None])
+            elif dead_end[0] is None:  # a leaf where no rule applies
+                dead_end[0] = (frozenset(fa), frozenset(fc))
+            sk = None
+        # this branch closed with skeleton `sk`, or failed if it is None
+        while True:
+            if sk is not None:
+                for step in reversed(chain):
+                    sk = step + (sk,)
+            if not stack:
+                fuel[0] = n
+                return sk
+            frame = stack[-1]
+            chain = frame[0]
+            if len(frame) == 4:  # orL
+                if sk is not None:
+                    if frame[3] is None:  # the left premise closed: run the right one
+                        frame[3] = sk
+                        fa, fc, pending = frame[2]
+                        shared, chain = set(), []
+                        side, other, ranks, adds = fa, fc, _ANTE_RANK, (frame[1].right,)
+                        break
+                    sk = ("orL", _P, frame[1], frame[3], sk)
+            elif sk is not None:
+                sk = ("boxGL", _GP, frame[1], frame[5].sub, sk)
+            else:  # a fresh state for the next boxGL premise
+                f = frame[5] = next(frame[2], None)
+                if f is not None:
+                    fa, fc, pending = set(frame[3]), set(), frame[4].copy()
+                    fa.add(f)
+                    shared, chain = set(), []
+                    side, other, ranks, adds = fc, fa, _CONS_RANK, (f.sub,)
+                    break
+            stack.pop()
 
 
 def decide_glseq(s: GentzenSequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Backward decision procedure for the Gentzen calculus."""
-    fa, fc = frozenset(s.ante), frozenset(s.cons)
     dead_end = [None]
-    sk = _glseq_search(fa, fc, _glseq_pending(fa, fc), [cfg.fuel], dead_end)
+    sk = _glseq_search(set(s.ante), s.cons, [cfg.fuel], dead_end)
     if sk is not None:
         return SearchResult(True, proof=_replay(sk, s, "glseq"))
     hint = oracle_validity(_query_formula(s)) if cfg.oracle_hint else None
@@ -217,97 +262,111 @@ def _query_formula(s: GentzenSequent) -> Formula:
 # ---------------------------------------------------------------------------
 # CSGL
 
-def _csgl_pending(fa, fc) -> frozenset:
-    return frozenset(
-        [(_ANTE_RANK[type(f)], x, f.key, f) for x, f in fa if type(f) in _ANTE_RANK]
-        + [(_CONS_RANK[type(f)], x, f.key, f) for x, f in fc if type(f) in _CONS_RANK])
-
-
-def _lplus(pending, ranks, x, f):
-    """`pending` with the entry of `f` at `x` if it is a Not or an Or."""
-    r = ranks.get(type(f))
-    return pending if r is None else pending | {(r, x, f.key, f)}
-
-
-def _csgl_search(rel, fa, fc, pending, counter, fired, fuel, dead_end):
-    """States use integer labels; `pending` holds `(rank, label, key,
-    formula)` for each Not/Or formula of `fa` and `fc`; `counter` is the
-    proof-global fresh-label counter (mutable one-element list); `fired`
-    records propagations already performed on this branch, so a decomposed
-    propagation result is never re-derived (re-firing is redundant by
-    admissible contraction).  Returns a skeleton tuple or None."""
-    fuel[0] -= 1
-    if fuel[0] < 0:
-        raise FuelExhausted()
-    shared = fa & fc
-    if shared:
-        hit = min((p for p in shared if type(p[1]) is not Not and type(p[1]) is not Or),
-                  key=labeled_key, default=None)
-        if hit is not None:
-            x, g = hit
-            return ("id1" if type(g) is not Box else "id2", _LP, x, g)
-
-    if pending:
-        entry = min(pending)
-        rank, x, _, f = entry
-        rest = pending - {entry}
-        p = (x, f)
-        if rank == 0:
-            sub = _csgl_search(rel, fa - {p}, fc | {(x, f.sub)},
-                               _lplus(rest, _CONS_RANK, x, f.sub), counter, fired, fuel, dead_end)
-            return ("negL", _LP, x, f, sub) if sub is not None else None
-        if rank == 1:
-            sub = _csgl_search(rel, fa | {(x, f.sub)}, fc - {p},
-                               _lplus(rest, _ANTE_RANK, x, f.sub), counter, fired, fuel, dead_end)
-            return ("negR", _LP, x, f, sub) if sub is not None else None
-        if rank == 2:
-            more = _lplus(_lplus(rest, _CONS_RANK, x, f.left), _CONS_RANK, x, f.right)
-            sub = _csgl_search(rel, fa, fc.difference({p}) | {(x, f.left), (x, f.right)}, more,
-                               counter, fired, fuel, dead_end)
-            return ("orR", _LP, x, f, sub) if sub is not None else None
-        fa = fa - {p}
-        left = _csgl_search(rel, fa | {(x, f.left)}, fc, _lplus(rest, _ANTE_RANK, x, f.left),
-                            counter, fired, fuel, dead_end)
-        if left is None:
-            return None
-        right = _csgl_search(rel, fa | {(x, f.right)}, fc, _lplus(rest, _ANTE_RANK, x, f.right),
-                             counter, fired, fuel, dead_end)
-        return ("orL", _LP, x, f, left, right) if right is not None else None
-
-    # no local rule applies, so `pending` is empty from here on
-    # propagation to a fixpoint: 4L then boxL, first not-yet-fired candidate
-    props = []
-    for x, f in fa:
-        if type(f) is Box:
-            for a, y in rel:
-                if a == x:
-                    if (0, x, y, f) not in fired and (y, f) not in fa:
-                        props.append((0, x, y, f))
-                    if (1, x, y, f) not in fired and (y, f.sub) not in fa:
-                        props.append((1, x, y, f))
-    if props:
-        kind, x, y, f = min(props, key=lambda q: (q[0], q[1], q[2], q[3].key))
-        added = f if kind == 0 else f.sub
-        sub = _csgl_search(rel, fa | {(y, added)}, fc, _lplus(pending, _ANTE_RANK, y, added),
-                           counter, fired | {(kind, x, y, f)}, fuel, dead_end)
-        name = "4L" if kind == 0 else "boxL"
-        return (name, _LAP, x, y, f.sub, sub) if sub is not None else None
-
-    # boxR expansion with the blocking condition; eager and sequential
-    for x, f in sorted((p for p in fc if type(p[1]) is Box), key=labeled_key):
-        if any(a == x and (y, f) in fa and (y, f.sub) in fc for a, y in rel):
-            continue  # blocked
-        y = counter[0]
-        counter[0] += 1
-        sub = _csgl_search(rel | {(x, y)}, fa | {(y, f)},
-                           fc.difference({(x, f)}) | {(y, f.sub)},
-                           _lplus(pending, _CONS_RANK, y, f.sub),
-                           counter, fired, fuel, dead_end)
-        return ("boxR", _LFP, x, y, f.sub, sub) if sub is not None else None
-    # a leaf where no rule applies; a failing search reaches exactly one,
-    # since no CSGL node tries a second premise after one has failed
-    dead_end[0] = (rel, fa, fc)
-    return None
+def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dead_end: list):
+    """Search from the tree sequent `rel; fa |- set(fc)` over integer
+    labels, changing `rel` and `fa` in place.  `counter` holds the proof-global
+    fresh-label counter, `fuel` the fuel left and `dead_end` the dead end,
+    each in a one-element list.  A branch's `fired` records the
+    propagations already performed on it, so a decomposed propagation
+    result is never re-derived (re-firing is redundant by admissible
+    contraction).  Returns a skeleton tuple or None."""
+    n, fresh = fuel[0], counter[0]
+    pending = sorted([(_ANTE_RANK[type(f)], x, f.key, f) for x, f in fa if type(f) in _ANTE_RANK])
+    # the root's consequent goes on as if a rule had added it
+    side, other, ranks, adds = set(), fa, _CONS_RANK, fc
+    fc, shared = side, set()
+    # a frame is [chain, x, f, saved state, left skeleton] for orL on x: f
+    fired, chain, stack = set(), [], []
+    while True:
+        for p in adds:  # the labeled formulas this node's rule put on `side`
+            if p not in side:
+                side.add(p)
+                r = ranks.get(type(p[1]))
+                if r is not None:
+                    insort(pending, (r, p[0], p[1].key, p[1]))
+                elif p in other:  # id closes on a shared atom or box only
+                    shared.add(p)
+        n -= 1
+        if n < 0:
+            raise FuelExhausted()
+        if shared:
+            x, g = min(shared, key=labeled_key)
+            sk = ("id1" if type(g) is not Box else "id2", _LP, x, g)
+        elif pending:
+            rank, x, _, f = pending.pop(0)
+            if rank == 0:
+                fa.remove((x, f))
+                chain.append(("negL", _LP, x, f))
+                side, other, ranks, adds = fc, fa, _CONS_RANK, ((x, f.sub),)
+            elif rank == 1:
+                fc.remove((x, f))
+                chain.append(("negR", _LP, x, f))
+                side, other, ranks, adds = fa, fc, _ANTE_RANK, ((x, f.sub),)
+            elif rank == 2:
+                fc.remove((x, f))
+                chain.append(("orR", _LP, x, f))
+                side, other, ranks, adds = fc, fa, _CONS_RANK, ((x, f.left), (x, f.right))
+            else:  # orL: the left premise takes this state, the right one a copy
+                fa.remove((x, f))
+                stack.append([chain, x, f, (rel.copy(), fa.copy(), fc.copy(), pending.copy(),
+                                            fired.copy()), None])
+                chain = []
+                side, other, ranks, adds = fa, fc, _ANTE_RANK, ((x, f.left),)
+            continue
+        else:
+            # no local rule applies, so `pending` is empty from here on
+            # propagation to a fixpoint: 4L then boxL, first not-yet-fired candidate
+            props = []
+            for x, f in fa:
+                if type(f) is Box:
+                    for a, y in rel:
+                        if a == x:
+                            if (0, x, y, f) not in fired and (y, f) not in fa:
+                                props.append((0, x, y, f))
+                            if (1, x, y, f) not in fired and (y, f.sub) not in fa:
+                                props.append((1, x, y, f))
+            if props:
+                prop = kind, x, y, f = min(props, key=lambda q: (q[0], q[1], q[2], q[3].key))
+                fired.add(prop)
+                chain.append(("4L" if kind == 0 else "boxL", _LAP, x, y, f.sub))
+                side, other, ranks, adds = fa, fc, _ANTE_RANK, ((y, f if kind == 0 else f.sub),)
+                continue
+            # boxR expansion with the blocking condition; eager and sequential
+            for x, f in sorted((p for p in fc if type(p[1]) is Box), key=labeled_key):
+                if any(a == x and (y, f) in fa and (y, f.sub) in fc for a, y in rel):
+                    continue  # blocked
+                y, fresh = fresh, fresh + 1
+                rel.add((x, y))
+                fa.add((y, f))  # at a fresh label, so it closes no id
+                fc.remove((x, f))
+                chain.append(("boxR", _LFP, x, y, f.sub))
+                side, other, ranks, adds = fc, fa, _CONS_RANK, ((y, f.sub),)
+                break
+            else:
+                # a leaf where no rule applies; a failing search reaches
+                # exactly one, since a premise is tried only after all
+                # before it have closed
+                dead_end[0] = (frozenset(rel), frozenset(fa), frozenset(fc))
+                fuel[0], counter[0] = n, fresh
+                return None
+            continue
+        # an id leaf closed this branch
+        while True:
+            for step in reversed(chain):
+                sk = step + (sk,)
+            if not stack:
+                fuel[0], counter[0] = n, fresh
+                return sk
+            frame = stack[-1]
+            chain = frame[0]
+            if frame[4] is None:  # the left premise of an orL closed
+                frame[4] = sk
+                rel, fa, fc, pending, fired = frame[3]
+                shared, chain = set(), []
+                side, other, ranks, adds = fa, fc, _ANTE_RANK, ((frame[1], frame[2].right),)
+                break
+            stack.pop()
+            sk = ("orL", _LP, frame[1], frame[2], frame[4], sk)
 
 
 def decide_csgl(s: LabeledSequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -315,13 +374,12 @@ def decide_csgl(s: LabeledSequent, cfg: SearchConfig = SearchConfig()) -> Search
     tree_root(s)  # validates the tree shape
     labels = sorted(s.labels())
     to_int = {lab: i for i, lab in enumerate(labels)}
-    rel = frozenset((to_int[a], to_int[b]) for a, b in s.rel)
-    fa = frozenset((to_int[x], f) for x, f in s.ante)
-    fc = frozenset((to_int[x], f) for x, f in s.cons)
+    rel = {(to_int[a], to_int[b]) for a, b in s.rel}
+    fa = {(to_int[x], f) for x, f in s.ante}
+    fc = [(to_int[x], f) for x, f in s.cons]
     dead_end = [None]
     counter = [len(labels)]
-    sk = _csgl_search(rel, fa, fc, _csgl_pending(fa, fc), counter, frozenset(),
-                      [cfg.fuel], dead_end)
+    sk = _csgl_search(rel, fa, fc, counter, [cfg.fuel], dead_end)
     if sk is not None:
         return SearchResult(True, proof=_replay(sk, s, "csgl", _label_names(to_int, counter[0])))
     hint = _flat_hint(s) if cfg.oracle_hint else None

@@ -1,0 +1,208 @@
+"""GLseq and CSGL proof search as they were before they ran on an explicit
+stack: a reference that tests/test_search.py and tests/totality_sweep.py
+compare `glproof.search` against (`glseq_outcomes`, `csgl_outcomes`).
+
+Each node is one recursive call, and each call builds its state anew as
+frozensets: both sides, `pending`, and in CSGL `rel` and `fired`.  The code
+is the former `search._glseq_search` and `search._csgl_search` with their
+pending helpers.  `glproof.search` must return the same skeleton tuples,
+record the same dead ends, spend the same fuel and, in CSGL, take the same
+fresh labels; the recursion here costs one Python frame per level of the
+branch, so these fail near depth 1,000.
+"""
+
+from glproof.formula import Box, Not, Or
+from glproof.search import _GP, _LAP, _LFP, _LP, _P, FuelExhausted, _csgl_search, _glseq_search
+from glproof.sequents import GentzenSequent, LabeledSequent, formula_key, labeled_key
+
+_ANTE_RANK = {Not: 0, Or: 3}
+_CONS_RANK = {Not: 1, Or: 2}
+
+
+def glseq_pending(fa, fc) -> frozenset:
+    return frozenset(
+        [(_ANTE_RANK[type(f)], f.key, f) for f in fa if type(f) in _ANTE_RANK]
+        + [(_CONS_RANK[type(f)], f.key, f) for f in fc if type(f) in _CONS_RANK])
+
+
+def _plus(pending, ranks, f):
+    """`pending` with the entry of `f` if it is a Not or an Or."""
+    r = ranks.get(type(f))
+    return pending if r is None else pending | {(r, f.key, f)}
+
+
+def glseq_search(fa, fc, pending, fuel, dead_end):
+    """Search on set-sequents; `pending` holds `(rank, key, formula)` for
+    each Not/Or formula of `fa` and `fc`.  Returns a skeleton tuple or None."""
+    fuel[0] -= 1
+    if fuel[0] < 0:
+        raise FuelExhausted()
+    shared = fa & fc
+    if shared:
+        return ("id", _P, min(shared, key=formula_key))
+    if pending:
+        entry = min(pending)
+        rank, _, f = entry
+        rest = pending - {entry}
+        if rank == 0:
+            sub = glseq_search(fa - {f}, fc | {f.sub}, _plus(rest, _CONS_RANK, f.sub),
+                               fuel, dead_end)
+            return ("negL", _P, f, sub) if sub is not None else None
+        if rank == 1:
+            sub = glseq_search(fa | {f.sub}, fc - {f}, _plus(rest, _ANTE_RANK, f.sub),
+                               fuel, dead_end)
+            return ("negR", _P, f, sub) if sub is not None else None
+        if rank == 2:
+            more = _plus(_plus(rest, _CONS_RANK, f.left), _CONS_RANK, f.right)
+            sub = glseq_search(fa, fc.difference({f}) | {f.left, f.right}, more,
+                               fuel, dead_end)
+            return ("orR", _P, f, sub) if sub is not None else None
+        fa = fa - {f}
+        left = glseq_search(fa | {f.left}, fc, _plus(rest, _ANTE_RANK, f.left), fuel, dead_end)
+        if left is None:
+            return None
+        right = glseq_search(fa | {f.right}, fc, _plus(rest, _ANTE_RANK, f.right),
+                             fuel, dead_end)
+        return ("orL", _P, f, left, right) if right is not None else None
+    # modal choices, left to right over the consequent order
+    boxes = sorted((g for g in fc if type(g) is Box), key=formula_key)
+    if not boxes:  # a leaf where no rule applies; the first one is the dead end
+        if dead_end[0] is None:
+            dead_end[0] = (fa, fc)
+        return None
+    gamma = tuple(sorted((g.sub for g in fa if type(g) is Box), key=formula_key))
+    for f in boxes:
+        fa2 = frozenset(Box(g) for g in gamma) | frozenset(gamma) | {f}
+        fc2 = frozenset((f.sub,))
+        sub = glseq_search(fa2, fc2, glseq_pending(fa2, fc2), fuel, dead_end)
+        if sub is not None:
+            return ("boxGL", _GP, gamma, f.sub, sub)
+    return None
+
+
+def csgl_pending(fa, fc) -> frozenset:
+    return frozenset(
+        [(_ANTE_RANK[type(f)], x, f.key, f) for x, f in fa if type(f) in _ANTE_RANK]
+        + [(_CONS_RANK[type(f)], x, f.key, f) for x, f in fc if type(f) in _CONS_RANK])
+
+
+def _lplus(pending, ranks, x, f):
+    """`pending` with the entry of `f` at `x` if it is a Not or an Or."""
+    r = ranks.get(type(f))
+    return pending if r is None else pending | {(r, x, f.key, f)}
+
+
+def csgl_search(rel, fa, fc, pending, counter, fired, fuel, dead_end):
+    """States use integer labels; `pending` holds `(rank, label, key,
+    formula)` for each Not/Or formula of `fa` and `fc`; `counter` is the
+    proof-global fresh-label counter (mutable one-element list); `fired`
+    records propagations already performed on this branch, so a decomposed
+    propagation result is never re-derived (re-firing is redundant by
+    admissible contraction).  Returns a skeleton tuple or None."""
+    fuel[0] -= 1
+    if fuel[0] < 0:
+        raise FuelExhausted()
+    shared = fa & fc
+    if shared:
+        hit = min((p for p in shared if type(p[1]) is not Not and type(p[1]) is not Or),
+                  key=labeled_key, default=None)
+        if hit is not None:
+            x, g = hit
+            return ("id1" if type(g) is not Box else "id2", _LP, x, g)
+
+    if pending:
+        entry = min(pending)
+        rank, x, _, f = entry
+        rest = pending - {entry}
+        p = (x, f)
+        if rank == 0:
+            sub = csgl_search(rel, fa - {p}, fc | {(x, f.sub)},
+                              _lplus(rest, _CONS_RANK, x, f.sub), counter, fired, fuel, dead_end)
+            return ("negL", _LP, x, f, sub) if sub is not None else None
+        if rank == 1:
+            sub = csgl_search(rel, fa | {(x, f.sub)}, fc - {p},
+                              _lplus(rest, _ANTE_RANK, x, f.sub), counter, fired, fuel, dead_end)
+            return ("negR", _LP, x, f, sub) if sub is not None else None
+        if rank == 2:
+            more = _lplus(_lplus(rest, _CONS_RANK, x, f.left), _CONS_RANK, x, f.right)
+            sub = csgl_search(rel, fa, fc.difference({p}) | {(x, f.left), (x, f.right)}, more,
+                              counter, fired, fuel, dead_end)
+            return ("orR", _LP, x, f, sub) if sub is not None else None
+        fa = fa - {p}
+        left = csgl_search(rel, fa | {(x, f.left)}, fc, _lplus(rest, _ANTE_RANK, x, f.left),
+                           counter, fired, fuel, dead_end)
+        if left is None:
+            return None
+        right = csgl_search(rel, fa | {(x, f.right)}, fc, _lplus(rest, _ANTE_RANK, x, f.right),
+                            counter, fired, fuel, dead_end)
+        return ("orL", _LP, x, f, left, right) if right is not None else None
+
+    # no local rule applies, so `pending` is empty from here on
+    # propagation to a fixpoint: 4L then boxL, first not-yet-fired candidate
+    props = []
+    for x, f in fa:
+        if type(f) is Box:
+            for a, y in rel:
+                if a == x:
+                    if (0, x, y, f) not in fired and (y, f) not in fa:
+                        props.append((0, x, y, f))
+                    if (1, x, y, f) not in fired and (y, f.sub) not in fa:
+                        props.append((1, x, y, f))
+    if props:
+        kind, x, y, f = min(props, key=lambda q: (q[0], q[1], q[2], q[3].key))
+        added = f if kind == 0 else f.sub
+        sub = csgl_search(rel, fa | {(y, added)}, fc, _lplus(pending, _ANTE_RANK, y, added),
+                          counter, fired | {(kind, x, y, f)}, fuel, dead_end)
+        name = "4L" if kind == 0 else "boxL"
+        return (name, _LAP, x, y, f.sub, sub) if sub is not None else None
+
+    # boxR expansion with the blocking condition; eager and sequential
+    for x, f in sorted((p for p in fc if type(p[1]) is Box), key=labeled_key):
+        if any(a == x and (y, f) in fa and (y, f.sub) in fc for a, y in rel):
+            continue  # blocked
+        y = counter[0]
+        counter[0] += 1
+        sub = csgl_search(rel | {(x, y)}, fa | {(y, f)},
+                          fc.difference({(x, f)}) | {(y, f.sub)},
+                          _lplus(pending, _CONS_RANK, y, f.sub),
+                          counter, fired, fuel, dead_end)
+        return ("boxR", _LFP, x, y, f.sub, sub) if sub is not None else None
+    # a leaf where no rule applies; a failing search reaches exactly one,
+    # since no CSGL node tries a second premise after one has failed
+    dead_end[0] = (rel, fa, fc)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Comparison with glproof.search
+
+def _outcome(search, fuel: int):
+    """`(skeleton, dead end, fuel left)` of `search(fuel, dead_end)`, or
+    "FuelExhausted"."""
+    left, dead_end = [fuel], [None]
+    try:
+        sk = search(left, dead_end)
+    except FuelExhausted:
+        return "FuelExhausted"
+    return sk, dead_end[0], left[0]
+
+
+def glseq_outcomes(s: GentzenSequent, fuel: int = 100000) -> tuple:
+    """The reference's outcome of GLseq search on `s`, then glproof's."""
+    fa, fc = frozenset(s.ante), frozenset(s.cons)
+    return (_outcome(lambda *a: glseq_search(fa, fc, glseq_pending(fa, fc), *a), fuel),
+            _outcome(lambda *a: _glseq_search(set(fa), set(fc), *a), fuel))
+
+
+def csgl_outcomes(s: LabeledSequent, fuel: int = 100000) -> tuple:
+    """The reference's outcome of CSGL search on `s`, then glproof's, each
+    with the fresh-label counter it ends at; labels are numbered as
+    `search.decide_csgl` numbers them."""
+    to_int = {lab: i for i, lab in enumerate(sorted(s.labels()))}
+    rel = frozenset((to_int[a], to_int[b]) for a, b in s.rel)
+    fa = frozenset((to_int[x], f) for x, f in s.ante)
+    fc = frozenset((to_int[x], f) for x, f in s.cons)
+    ref, new = [len(to_int)], [len(to_int)]
+    return ((_outcome(lambda *a: csgl_search(rel, fa, fc, csgl_pending(fa, fc), ref, frozenset(),
+                                              *a), fuel), ref[0]),
+            (_outcome(lambda *a: _csgl_search(set(rel), set(fa), set(fc), new, *a), fuel), new[0]))

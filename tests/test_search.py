@@ -37,6 +37,7 @@ from glproof.search import (
 from glproof.semantics import oracle_validity
 from glproof.sequents import GentzenSequent, LabeledSequent, NotATree, tree_root
 from glproof.transform import _RuleNode
+from search_reference import csgl_outcomes, glseq_outcomes
 
 CFG = SearchConfig(oracle_hint=False)
 DATA = Path(__file__).parent / "data"
@@ -223,6 +224,21 @@ def test_determinism():
     assert c == d
 
 
+def test_csgl_search_runs_on_a_stack():
+    # a proof about 1,000 levels high; one Python frame per level fails
+    r = prove_formula(pf("[]" * 45 + "(p | ~p)"), "csgl", CFG)
+    assert r.proved and check_csgl(r.proof).accepted
+
+
+def test_glseq_search_runs_on_a_stack():
+    # built by hand, since the parser recurses on formula depth
+    f = Or(pf("p"), pf("~p"))
+    for _ in range(2000):
+        f = Not(f)
+    r = prove_formula(f, "glseq", CFG)
+    assert r.proved and check_glseq(r.proof).accepted
+
+
 def test_fuel_exhausted_distinct():
     with pytest.raises(FuelExhausted):
         prove_formula(pf("[]([]p -> p) -> []p"), "csgl", SearchConfig(fuel=2, oracle_hint=False))
@@ -402,3 +418,18 @@ def test_csgl_dead_end_is_saturated():
                 assert any((y, f) in ante and (y, f.sub) in cons
                            for y in succ.get(x, ())), str(s)
     assert failed > 200
+
+
+# The explicit-stack searches against the recursive ones they replaced
+# (tests/search_reference.py): the same skeletons, dead ends, fuel left and
+# CSGL fresh-label counters.
+
+def test_searches_match_the_recursive_reference():
+    rng = random.Random(24)
+    formulas = list(enumerate_formulas(("p", "q"), 4))
+    assert len(formulas) == 3290
+    formulas += [random_formula(rng, ("p", "q", "r"), rng.randint(6, 14)) for _ in range(500)]
+    gentzen = gentzen_inputs() + [GentzenSequent((), (f,)) for f in formulas]
+    tree = tree_inputs() + [LabeledSequent((), (), (("x", f),)) for f in formulas]
+    assert [str(s) for s in gentzen if len(set(glseq_outcomes(s))) != 1] == []
+    assert [str(s) for s in tree if len(set(csgl_outcomes(s))) != 1] == []

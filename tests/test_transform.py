@@ -339,13 +339,6 @@ def test_admit_contraction_through_principal():
     assert check_glseq(out).accepted
 
 
-def test_admit_rejects_lngl_contraction():
-    g = parse_lns("p, p |- p")
-    base = Proof("lngl", "id1", g, (), {"principal": P})
-    with pytest.raises(NotApplicable):
-        contract(base, "ante", P)
-
-
 def test_contract_refuses_lngl_and_a_bad_side():
     # contraction is admitted in the Gentzen calculi only
     base = Proof("lngl", "id1", parse_lns("p, p |- p"), (), {"principal": P})

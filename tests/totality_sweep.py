@@ -6,11 +6,14 @@ CSGL search, the five passes, and every stage's checker.
 The theorems are the formulas the oracle finds valid: 65,380 of the 259,674
 formulas with at most 6 connectives.  Each must be proved by CSGL search, and
 each pass's output must be accepted by its stage's checkers (the `STAGES`
-table of tests/test_pipeline.py) and conclude |- x: f.  Runs one process per
-core; prints one line per failure (formula, stage, reason), then the counts,
-the time and the peak RSS of this process and of its largest worker, and
-exits 1 when anything fails.  It takes about a minute on 2 cores, so
-pytest does not collect it (the file name has no `test_`).
+table of tests/test_pipeline.py) and conclude |- x: f.  GLseq and CSGL search
+must also return, on |- f and |- x: f, what the recursive searches of
+tests/search_reference.py return (skeleton, dead end, fuel left and fresh
+labels).  Runs one process per core; prints one line per failure (formula,
+stage, reason) and per reference mismatch (formula, calculus), then the
+counts, the time and the peak RSS of this process and of its largest worker,
+and exits 1 when anything fails or mismatches.  It takes about half a minute
+on 2 cores, so pytest does not collect it (the file name has no `test_`).
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from glproof.checkers import check_csgl  # noqa: E402
 from glproof.formula import enumerate_formulas, print_formula  # noqa: E402
 from glproof.search import SearchConfig, prove_formula  # noqa: E402
 from glproof.semantics import oracle_validity  # noqa: E402
+from glproof.sequents import GentzenSequent, LabeledSequent  # noqa: E402
 from glproof.transform import run_pass  # noqa: E402
+from search_reference import csgl_outcomes, glseq_outcomes  # noqa: E402
 from test_pipeline import STAGES  # noqa: E402
 
 CFG = SearchConfig(oracle_hint=False)
@@ -55,11 +60,19 @@ def failure(f) -> str | None:
     return None
 
 
-def sweep_part(args: tuple[int, int]) -> tuple[int, list[str]]:
-    """Every `parts`-th formula from `part` on: the theorem count and the
-    failure lines."""
+def mismatches(f) -> list[str]:
+    """The calculi whose search on `f` differs from the reference."""
+    return [calculus for calculus, outcomes in (
+        ("glseq", glseq_outcomes(GentzenSequent((), (f,)))),
+        ("csgl", csgl_outcomes(LabeledSequent((), (), (("x", f),)))))
+        if outcomes[0] != outcomes[1]]
+
+
+def sweep_part(args: tuple[int, int]) -> tuple[int, list[str], list[str]]:
+    """Every `parts`-th formula from `part` on: the theorem count, the
+    failure lines and the reference mismatch lines."""
     part, parts = args
-    theorems, lines = 0, []
+    theorems, lines, mismatched = 0, [], []
     for i, f in enumerate(enumerate_formulas(("p", "q"), CONNECTIVES)):
         if i % parts != part or not oracle_validity(f).valid:
             continue
@@ -67,7 +80,8 @@ def sweep_part(args: tuple[int, int]) -> tuple[int, list[str]]:
         reason = failure(f)
         if reason is not None:
             lines.append(f"{print_formula(f)}\t{reason}")
-    return theorems, lines
+        mismatched += [f"{print_formula(f)}\treference mismatch in {c}" for c in mismatches(f)]
+    return theorems, lines, mismatched
 
 
 def main() -> int:
@@ -75,17 +89,19 @@ def main() -> int:
     parts = max(1, multiprocessing.cpu_count())
     with multiprocessing.get_context("spawn").Pool(parts) as pool:
         results = pool.map(sweep_part, [(k, parts) for k in range(parts)])
-    theorems = sum(n for n, _ in results)
-    lines = sorted(line for _, part in results for line in part)
-    for line in lines:
+    theorems = sum(n for n, _, _ in results)
+    lines = sorted(line for _, part, _ in results for line in part)
+    mismatched = sorted(line for _, _, part in results for line in part)
+    for line in lines + mismatched:
         print(line)
     # ru_maxrss is in KiB; the pool's workers have all been waited for here
     own, worker = (resource.getrusage(who).ru_maxrss / 1024
                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     print(f"theorems {theorems}, failures {len(lines)}, "
+          f"reference mismatches {len(mismatched)}, "
           f"{time.monotonic() - start:.1f} s on {parts} processes, "
           f"peak RSS {own:.1f} MB here and {worker:.1f} MB in the largest worker")
-    return 1 if lines else 0
+    return 1 if lines or mismatched else 0
 
 
 if __name__ == "__main__":
