@@ -88,6 +88,7 @@ from .transform import (
     permute_down,
     prove_general_id,
     run_pass,
+    run_pipeline,
     to_end_active,
     unfold_glcirc,
     weaken,

@@ -34,16 +34,7 @@ from .render import (
 from .search import FuelExhausted, SearchConfig, prove_formula
 from .semantics import BadModel, ModelBound, oracle_validity, parse_model, print_model
 from .sequents import NotATree, format_address
-from .transform import PASSES, TransformError, run_pass
-
-PIPELINE = (
-    ("csgl", None),
-    ("end-active", "end-active"),
-    ("lngl", "linearize"),
-    ("normal", "normalize"),
-    ("glseq", "to-glseq"),
-    ("g3gl", "to-g3gl"),
-)
+from .transform import PASSES, TransformError, run_pass, run_pipeline
 
 
 def _read_formula(arg: str):
@@ -288,17 +279,11 @@ def _pipeline(args, stdout) -> int:
     f = _read_formula(args.formula)
     if args.emit_trace:
         os.makedirs(args.emit_trace, exist_ok=True)  # a bad path fails before any work
-    cfg = SearchConfig(fuel=args.fuel, oracle_hint=False)
-    result = prove_formula(f, "csgl", cfg)
+    result = prove_formula(f, "csgl", SearchConfig(fuel=args.fuel, oracle_hint=False))
     if not result.proved:
         print(f"NotProved\t.\tsaturated at: {result.saturated}", file=stdout)
         return 1
-    stages = []
-    proof = result.proof
-    stages.append(("csgl", proof, None))
-    for stage_name, pass_name in PIPELINE[1:]:
-        proof, report = run_pass(pass_name, proof)
-        stages.append((stage_name, proof, report))
+    stages = [("csgl", result.proof, None), *run_pipeline(result.proof)]
     for i, (stage_name, proof, report) in enumerate(stages, start=1):
         report_line = report.line() if report else f"decide: concludes {proof.conclusion}"
         print(f"stage {i} {stage_name}: {report_line}", file=stdout)

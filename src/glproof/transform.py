@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from .formula import Atom, Box, Formula, Not
 from .rules import (INITIAL_RULES, LOCAL_RULE_OF, LOCAL_RULES, PROPAGATION_RULES, RULES_OF,
@@ -381,20 +381,21 @@ def _strengthen(p: Proof, item):
                                  lambda q, goal: _strengthen(q, item)))
 
 
-def to_end_active(p: Proof, stats: Optional[dict] = None) -> Proof:
+def to_end_active(p: Proof) -> Proof:
     """Restructure a CSGL proof of |- x: f so that every rule application is
     end-active: bottom-most offenders are permuted downward, non-end-active
     initial rules are pushed down over the rules below them."""
+    return _end_active(p)[0]
+
+
+def _end_active(p: Proof) -> tuple[Proof, int]:
     c = p.conclusion
     if c.rel or c.ante or len(c.cons) != 1:
         raise NotEndActive("end-activation needs a conclusion of the form |- x: f")
     proof = p
     budget = None  # counted from p when the first failure shows
     permutations = 0
-    while True:
-        failures = end_active_report(proof).failures
-        if not failures:
-            break
+    while failures := end_active_report(proof).failures:
         if budget is None:
             budget = p.node_count() ** 2 * 4 + 64
         budget -= 1
@@ -432,9 +433,7 @@ def to_end_active(p: Proof, stats: Optional[dict] = None) -> Proof:
             raise InternalNonTermination(
                 f"no permutation available for {node.rule} at {addr}"
             )
-    if stats is not None:
-        stats["permutations"] = permutations
-    return proof
+    return proof, permutations
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +523,7 @@ def _lowest_mover(boxr: _RuleNode) -> Optional[Address]:
     return min((f.address for f in block_violations(boxr)), key=order, default=None)
 
 
-def normalize_lngl(p: Proof, stats: Optional[dict] = None) -> Proof:
+def normalize_lngl(p: Proof) -> Proof:
     """Settle each modal block inside its own boxR's subproof, in pre-order:
     move the lowest 4L block violation down, or when there is none the
     lowest boxL one, until the block has the complete-block shape.  A proof
@@ -536,6 +535,10 @@ def normalize_lngl(p: Proof, stats: Optional[dict] = None) -> Proof:
     the lowest violation until it settles, and a move makes none lower, so
     each picked rule goes all the way down.  Every conclusion is then
     derived once, top-down from p's."""
+    return _normalize(p)[0]
+
+
+def _normalize(p: Proof) -> tuple[Proof, int]:
     permutations = 0
     if not normal_form_report(p).accepted:
         tree, count = _rule_tree(p)
@@ -570,9 +573,7 @@ def normalize_lngl(p: Proof, stats: Optional[dict] = None) -> Proof:
             raise NotApplicable(f"normalization cannot re-derive its moves: {e}") from e
         if not normal_form_report(p).accepted:
             raise InternalNonTermination("normalization missed a block violation")
-    if stats is not None:
-        stats["permutations"] = permutations
-    return p
+    return p, permutations
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +765,7 @@ def _graft_once(tree: Proof, links: dict) -> tuple[Proof, dict]:
 
 class PassReport:
     """A pass's input and output proofs.  The sizes (one walk per proof) and
-    the printed conclusions are computed when first read."""
+    the printed output conclusion are computed when first read."""
 
     def __init__(self, pass_name: str, proof_in: Proof, proof_out: Proof, permutations: int = 0):
         self.pass_name = pass_name
@@ -780,7 +781,6 @@ class PassReport:
     height_in = property(lambda self: self._sizes[1])
     nodes_out = property(lambda self: self._sizes[2])
     height_out = property(lambda self: self._sizes[3])
-    input_conclusion = cached_property(lambda self: str(self.proof_in.conclusion))
     output_conclusion = cached_property(lambda self: str(self.proof_out.conclusion))
 
     def line(self) -> str:
@@ -791,15 +791,20 @@ class PassReport:
         )
 
 
-# each pass: its input calculus and its function
+# each pass: its input calculus, and its function of the proof, which returns
+# the output proof or, for a pass that permutes rules, it and the permutations
 PASSES = {
-    "end-active": ("csgl", to_end_active),
-    "linearize": ("csgl", lambda p, stats: linearize(p)),
-    "normalize": ("lngl", normalize_lngl),
-    "to-glseq": ("lngl", lambda p, stats: lngl_to_glseq(p)),
-    "to-g3gl": ("glseq", lambda p, stats: glseq_to_g3gl(p)),
-    "embed-g3gl": ("csgl", lambda p, stats: csgl_to_g3gl_embed(p)),
+    "end-active": ("csgl", _end_active),
+    "linearize": ("csgl", linearize),
+    "normalize": ("lngl", _normalize),
+    "to-glseq": ("lngl", lngl_to_glseq),
+    "to-g3gl": ("glseq", glseq_to_g3gl),
+    "embed-g3gl": ("csgl", csgl_to_g3gl_embed),
 }
+
+# the stages after CSGL search, in order: each stage's name and its pass
+PIPELINE = (("end-active", "end-active"), ("lngl", "linearize"), ("normal", "normalize"),
+            ("glseq", "to-glseq"), ("g3gl", "to-g3gl"))
 
 
 def run_pass(name: str, proof: Proof) -> tuple[Proof, PassReport]:
@@ -808,6 +813,13 @@ def run_pass(name: str, proof: Proof) -> tuple[Proof, PassReport]:
     calculus, fn = PASSES[name]
     if getattr(proof, "calculus", None) != calculus:
         raise NotApplicable(f"{name} takes a {calculus} proof")
-    stats: dict = {}
-    out = fn(proof, stats)
-    return out, PassReport(name, proof, out, stats.get("permutations", 0))
+    out = fn(proof)
+    out, permutations = out if isinstance(out, tuple) else (out, 0)
+    return out, PassReport(name, proof, out, permutations)
+
+
+def run_pipeline(proof: Proof) -> Iterator[tuple[str, Proof, PassReport]]:
+    """Yield (stage, proof, report) for each stage of PIPELINE, from a CSGL proof."""
+    for stage, name in PIPELINE:
+        proof, report = run_pass(name, proof)
+        yield stage, proof, report

@@ -97,4 +97,4 @@ def glseq_to_g3gl(p: Proof) -> Proof:
 
 
 # the `to-g3gl` entry of `transform.PASSES` that runs this translation
-PASS = ("glseq", lambda p, stats: glseq_to_g3gl(p))
+PASS = ("glseq", glseq_to_g3gl)

@@ -33,20 +33,19 @@ from glproof.checkers import (
     check_g3gl,
     check_glcirc,
     check_glseq,
-    check_lngl,
     end_active_report,
     normal_form_report,
 )
 from glproof.transform import (
     apply_inverse,
-    glseq_to_g3gl,
     linearize,
-    lngl_to_glseq,
     normalize_lngl,
+    run_pipeline,
     to_end_active,
     unfold_glcirc,
     weaken,
 )
+from test_pipeline import STAGE_CHECKS
 
 CFG = SearchConfig(oracle_hint=False)
 P, Q = Atom("p"), Atom("q")
@@ -70,32 +69,12 @@ CORPUS = [
     pf("[][]p -> [][][]p"),                  # 4 at []p
 ]
 
-STAGE_CHECKS = {
-    "csgl": lambda p: check_csgl(p),
-    "end-active": lambda p: CheckBoth(check_csgl(p), end_active_report(p)),
-    "lngl": lambda p: check_lngl(p),
-    "normal": lambda p: CheckBoth(check_lngl(p), normal_form_report(p)),
-    "glseq": lambda p: check_glseq(p),
-    "g3gl": lambda p: check_g3gl(p, "extended"),
-}
 
-
-class CheckBoth:
-    def __init__(self, a, b):
-        self.accepted = a.accepted and b.accepted
-        self.failures = a.failures + b.failures
-
-
-def run_pipeline(f):
+def checked_stages(f):
     """All six stages; returns [(stage, proof)] with every stage checked."""
     r = prove_formula(f, "csgl", CFG)
     assert r.proved, f"corpus formula not proved: {print_formula(f)}"
-    stages = [("csgl", r.proof)]
-    stages.append(("end-active", to_end_active(stages[-1][1])))
-    stages.append(("lngl", linearize(stages[-1][1])))
-    stages.append(("normal", normalize_lngl(stages[-1][1])))
-    stages.append(("glseq", lngl_to_glseq(stages[-1][1])))
-    stages.append(("g3gl", glseq_to_g3gl(stages[-1][1])))
+    stages = [("csgl", r.proof)] + [(stage, p) for stage, p, _ in run_pipeline(r.proof)]
     for name, proof in stages:
         report = STAGE_CHECKS[name](proof)
         assert report.accepted, (name, [str(x) for x in report.failures])
@@ -105,7 +84,7 @@ def run_pipeline(f):
 def test_acceptance_1_end_to_end_pipeline():
     t0 = time.time()
     for f in CORPUS:
-        stages = run_pipeline(f)
+        stages = checked_stages(f)
         final = stages[-1][1]
         assert final.conclusion == pls(f" |- x: {print_formula(f)}")
     elapsed = time.time() - t0
@@ -232,7 +211,7 @@ def test_acceptance_5_normal_form():
 def test_acceptance_6_soundness_audit():
     audited = 0
     for f in CORPUS:
-        for name, proof in run_pipeline(f):
+        for name, proof in checked_stages(f):
             c = proof.conclusion
             if isinstance(c, GentzenSequent):
                 assert oracle_validity(gentzen_interpretation(c)).valid, (name, c)

@@ -39,7 +39,7 @@ from glproof.sequents import (
     relabel_proof,
     tree_root,
 )
-from glproof.transform import to_end_active
+from glproof.transform import run_pipeline, to_end_active
 from glproof.checkers import (
     Failure,
     check_csgl,
@@ -830,8 +830,6 @@ def _mutants(p, rng):
 def _stage_proofs(count, seed):
     """(checker, proof) for every stage of `count` seeded theorems, with the
     GLseq stages also checked in K4seq and the G3GL stage in strict G3GL."""
-    from glproof.transform import glseq_to_g3gl, linearize, lngl_to_glseq, normalize_lngl
-
     rng = random.Random(seed)
     n = 0
     while n < count:
@@ -839,14 +837,10 @@ def _stage_proofs(count, seed):
         if not r.proved:
             continue
         n += 1
-        csgl = r.proof
-        end_active = to_end_active(csgl)
-        lngl = linearize(end_active)
-        normal = normalize_lngl(lngl)
-        glseq = lngl_to_glseq(normal)
-        g3gl = glseq_to_g3gl(glseq)
-        yield from (("csgl", csgl), ("csgl", end_active), ("lngl", lngl), ("lngl", normal),
-                    ("glseq", glseq), ("k4seq", glseq.retag("k4seq")),
+        proofs = {stage: p for stage, p, _ in run_pipeline(r.proof)}
+        glseq, g3gl = proofs["glseq"], proofs["g3gl"]
+        yield from (("csgl", r.proof), ("csgl", proofs["end-active"]), ("lngl", proofs["lngl"]),
+                    ("lngl", proofs["normal"]), ("glseq", glseq), ("k4seq", glseq.retag("k4seq")),
                     ("g3glext", g3gl), ("g3gl", g3gl.retag("g3gl")))
 
 

@@ -13,6 +13,7 @@ from glproof.cli import run
 from glproof.formula import Atom, ParseError
 from glproof.proofio import SequentSyntaxError, parse_labeled_sequent, parse_proof, print_proof
 from glproof.sequents import CyclicDerivation, LabeledSequent, Proof
+from glproof.transform import PASSES, NotApplicable, run_pass
 
 
 def invoke(*argv):
@@ -365,6 +366,13 @@ def test_transform_rejects_wrong_calculus(tmp_path):
         code, out2, _ = invoke("transform", "--pass", pass_name, str(src))
         assert code == 1
         assert out2 == f"NotApplicable\t.\t{pass_name} takes a {wants} proof\n"
+    # in the library, every pass rejects a proof of another calculus
+    csgl = parse_proof(out)
+    for pass_name, (wants, _) in PASSES.items():
+        other = csgl.retag("glseq") if wants == "csgl" else csgl
+        with pytest.raises(NotApplicable) as e:
+            run_pass(pass_name, other)
+        assert str(e.value) == f"{pass_name} takes a {wants} proof"
 
 
 def test_transform_rejects_unchecked_proof(tmp_path):

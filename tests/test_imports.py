@@ -5,8 +5,7 @@ and every parameter of a function is read in its body.
 public names.  A name counts as used when it is read anywhere in the module,
 in code or in an annotation, including one written as a string.  A parameter
 counts as read when its name is loaded anywhere in the function's body,
-nested functions included.  Lambdas are left out: each adapts a callee to a
-calling protocol, whose parameters it need not read.
+nested functions included; lambdas are checked as functions are.
 """
 
 import ast
@@ -72,21 +71,35 @@ def test_the_check_sees_an_unused_import():
 UNREAD_PARAMETERS = {
     ("cli.py", "run", "stdin"): "perfbench calls run(argv, None, out, err) positionally",
     ("transform.py", "twice", "goal"): "a walker step takes (premise, goal), as _rederive calls it",
+    ("transform.py", "_contract.<lambda>", "goal"): "a walker step, as twice is",
+    ("transform.py", "_strengthen.<lambda>", "goal"): "a walker step, as twice is",
 }
 
 
 def unread_parameters(source: str) -> list[tuple[str, str, int]]:
-    """(function, parameter, line) for each parameter of a `def` that its
-    body never reads."""
+    """(function, parameter, line) for each parameter of a `def` or a lambda
+    that its body never reads.  A lambda is named `f.<lambda>` after the
+    function f that holds it, and `<lambda>` outside every function."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        a = node.args
-        params = a.posonlyargs + a.args + a.kwonlyargs + [v for v in (a.vararg, a.kwarg) if v]
-        read = {n.id for stmt in node.body for n in ast.walk(stmt)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        found += [(node.name, q.arg, q.lineno) for q in params if q.arg not in read]
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Lambda):
+                name = f"{owner}.<lambda>" if owner else "<lambda>"
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+            else:
+                visit(child, owner)
+                continue
+            a = child.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [v for v in (a.vararg, a.kwarg) if v]
+            body = child.body if isinstance(child.body, list) else [child.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found.extend((name, q.arg, q.lineno) for q in params if q.arg not in read)
+            visit(child, name)
+
+    visit(ast.parse(source), "")
     return found
 
 
@@ -108,4 +121,4 @@ def test_the_check_sees_an_unread_parameter():
               "h = lambda x, y: x\n")
     # b is only assigned, and the lambda's y is not looked at
     assert unread_parameters(source) == [("f", "b", 1), ("f", "c", 1), ("f", "args", 1),
-                                         ("g", "e", 2)]
+                                         ("g", "e", 2), ("<lambda>", "y", 6)]

@@ -3,7 +3,8 @@
 tests/data/normal_golden.json holds, for the 278-permutation theorem and the
 first 150 glseq-proved theorems of random_formula(random.Random(1),
 ("p", "q", "r"), 6..14), the sha256 of the printed output of `to_end_active`
-and of `normalize_lngl`, their permutation counts, and the sha256 of the
+and of `normalize_lngl`, the permutation counts that `run_pass` reports
+for those two passes, and the sha256 of the
 `normal_form_report` failure lines of the linearized proof.
 """
 
@@ -16,7 +17,7 @@ from glproof.checkers import block_violations, normal_form_report
 from glproof.formula import parse_formula, print_formula, random_formula
 from glproof.proofio import print_proof
 from glproof.search import SearchConfig, prove_formula
-from glproof.transform import linearize, normalize_lngl, to_end_active
+from glproof.transform import linearize, normalize_lngl, run_pass, to_end_active
 
 CFG = SearchConfig(oracle_hint=False)
 GOLDEN = Path(__file__).parent / "data" / "normal_golden.json"
@@ -41,15 +42,14 @@ def test_normal_form_passes_golden():
     golden = json.loads(GOLDEN.read_text())
     got = {}
     for f in _golden_inputs():
-        ea_stats, nf_stats = {}, {}
-        ea = to_end_active(prove_formula(f, "csgl", CFG).proof, ea_stats)
+        ea, ea_report = run_pass("end-active", prove_formula(f, "csgl", CFG).proof)
         lp = linearize(ea)
-        nf = normalize_lngl(lp, nf_stats)
+        nf, nf_report = run_pass("normalize", lp)
         got[print_formula(f)] = {
             "end_active": _sha(print_proof(ea)),
-            "end_active_permutations": ea_stats["permutations"],
+            "end_active_permutations": ea_report.permutations,
             "normal": _sha(print_proof(nf)),
-            "normal_permutations": nf_stats["permutations"],
+            "normal_permutations": nf_report.permutations,
             "linearized_report": _sha("".join(f"{x}\n" for x in normal_form_report(lp).failures)),
         }
     assert list(got) == list(golden)

@@ -44,7 +44,7 @@ from glproof.rules import derive
 from glproof.search import SearchConfig, prove_formula
 from glproof.sequents import (LabeledSequent, LinearNestedSequent, Proof, formula_key,
                               labeled_key, rebuild, relabel_proof)
-from glproof.transform import run_pass
+from glproof.transform import run_pass, run_pipeline
 
 CFG = SearchConfig(oracle_hint=False)
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden.json"
@@ -147,13 +147,15 @@ def test_pipeline_regressions(formula):
     assert out.getvalue().splitlines()[5].startswith("stage 6 g3gl:")
 
 
-STAGES = (
-    ("end-active", lambda p: check_csgl(p).accepted and end_active_report(p).accepted),
-    ("linearize", lambda p: check_lngl(p).accepted),
-    ("normalize", lambda p: check_lngl(p).accepted and normal_form_report(p).accepted),
-    ("to-glseq", lambda p: check_glseq(p).accepted),
-    ("to-g3gl", lambda p: check_g3gl(p, "extended").accepted),
-)
+# each stage's checkers, as one report: the first that rejects, or the last
+STAGE_CHECKS = {
+    "csgl": check_csgl,
+    "end-active": lambda p: check_csgl(p) and end_active_report(p),
+    "lngl": check_lngl,
+    "normal": lambda p: check_lngl(p) and normal_form_report(p),
+    "glseq": check_glseq,
+    "g3gl": lambda p: check_g3gl(p, "extended"),
+}
 
 
 def _canonical(s) -> bool:
@@ -191,10 +193,9 @@ def test_pipeline_totality_seeded_theorems(monkeypatch):
         proof = prove_formula(f, "csgl", CFG).proof
         _assert_canonical(proof, f)
         assert check_csgl(proof).accepted, print_formula(f)
-        for name, accepts in STAGES:
-            proof, _ = run_pass(name, proof)
+        for stage, proof, _ in run_pipeline(proof):
             _assert_canonical(proof, f)
-            assert accepts(proof), (name, print_formula(f))
+            assert STAGE_CHECKS[stage](proof).accepted, (stage, print_formula(f))
         assert str(proof.conclusion) == f"|- x: {print_formula(f)}"
     assert derived and all(_canonical(s) for s in derived)
 
@@ -205,9 +206,9 @@ def _digest(proof) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _seeded_glseq_proofs(n=300) -> dict:
-    """`{formula: (four sha256 prefixes, to-glseq output)}` for n seeded
-    CSGL-proved theorems: the printed proof after each pass up to to-glseq,
-    in pipeline order, and the last of those proofs."""
+    """`{formula: (four sha256 prefixes, glseq stage proof)}` for n seeded
+    CSGL-proved theorems: the printed proof of each stage from end-active to
+    glseq, in pipeline order, and the last of those proofs."""
     rng = random.Random(29)
     got = {}
     while len(got) < n:
@@ -215,10 +216,11 @@ def _seeded_glseq_proofs(n=300) -> dict:
         r = prove_formula(f, "csgl", CFG)
         if not r.proved or print_formula(f) in got:
             continue
-        proof, digests = r.proof, []
-        for name, _ in STAGES[:-1]:
-            proof, _ = run_pass(name, proof)
+        digests = []
+        for stage, proof, _ in run_pipeline(r.proof):
             digests.append(_digest(proof))
+            if stage == "glseq":
+                break
         got[print_formula(f)] = (digests, proof)
     return got
 
@@ -280,11 +282,9 @@ def test_stage_proofs_derive_top_down():
         if not r.proved:
             continue
         n += 1
-        stages = [("csgl", r.proof)]
-        for name, _ in STAGES:
-            stages.append((name, run_pass(name, stages[-1][1])[0]))
-        for name, p in stages:
-            assert derive(p.calculus, p, p.conclusion, parts) == p, (name, print_formula(f))
+        stages = [("csgl", r.proof)] + [(stage, p) for stage, p, _ in run_pipeline(r.proof)]
+        for stage, p in stages:
+            assert derive(p.calculus, p, p.conclusion, parts) == p, (stage, print_formula(f))
 
 
 @pytest.mark.parametrize("prefix", ["~" * 900, "[]" * 40, "[]" * 45],
@@ -298,7 +298,6 @@ def test_pipeline_deep_theorems(prefix):
     f = parse_formula(text)
     proof = prove_formula(f, "csgl", CFG).proof
     assert check_csgl(proof).accepted
-    for name, accepts in STAGES:
-        proof, _ = run_pass(name, proof)
-        assert accepts(proof), name
+    for stage, proof, _ in run_pipeline(proof):
+        assert STAGE_CHECKS[stage](proof).accepted, stage
     assert str(proof.conclusion) == f"|- x: {print_formula(f)}"

@@ -521,13 +521,13 @@ def test_end_active_one_permutation():
     assert check_csgl(base).accepted
     assert not end_active_report(base).accepted
 
-    stats = {}
-    out = to_end_active(base, stats)
+    out, report = run_pass("end-active", base)
+    assert out == to_end_active(base)
     assert out.conclusion == base.conclusion
     assert str(out.conclusion) == str(base.conclusion)
     assert end_active_report(out).accepted
     assert check_csgl(out).accepted
-    assert stats["permutations"] == 1
+    assert report.permutations == 1
 
 
 def test_end_active_counts_nodes_only_for_a_failure(monkeypatch):
@@ -563,11 +563,10 @@ def test_end_active_two_permutations():
     base = Proof("csgl", "orR", c0, (n1,), {"label": "x", "principal": pf("[](p | ~p) | ~~q")})
     assert check_csgl(base).accepted
 
-    stats = {}
-    out = to_end_active(base, stats)
+    out, report = run_pass("end-active", base)
     assert end_active_report(out).accepted
     assert out.conclusion == base.conclusion
-    assert stats["permutations"] == 2
+    assert report.permutations == 2
 
 
 def test_end_active_pushes_initial_rules():
@@ -778,11 +777,10 @@ def test_normalize_agrees_with_normalization_by_exchange():
     for f in formulas:
         base = linearize(to_end_active(csgl_proof(f)))
         text = print_proof(base)
-        stats = {}
-        out = normalize_lngl(base, stats)
+        out, report = run_pass("normalize", base)
         ref, permutations = _normalize_by_exchange(base)
         assert print_proof(out) == print_proof(ref), print_formula(f)
-        assert stats["permutations"] == permutations, print_formula(f)
+        assert report.permutations == permutations, print_formula(f)
         # the moves touch nothing of the input
         assert print_proof(base) == text, print_formula(f)
         # a proof already in normal form comes back as it is
@@ -1121,6 +1119,12 @@ def test_to_g3gl_on_a_deep_glseq_proof():
         assert _reindex_labels(out) == out, n
 
 
+def test_run_pass_rejects_an_unknown_pass():
+    with pytest.raises(NotApplicable) as e:
+        run_pass("no-such-pass", csgl_proof(LOB))
+    assert str(e.value) == "unknown pass no-such-pass"
+
+
 def test_pass_report_is_measured_only_when_read(monkeypatch):
     base = csgl_proof(LOB)
     walks = []
@@ -1132,11 +1136,10 @@ def test_pass_report_is_measured_only_when_read(monkeypatch):
     assert (report.nodes_in, report.height_in) == size(base)
     assert (report.nodes_out, report.height_out) == size(out)
     assert walks == ["size", "size"]
-    assert report.input_conclusion == to_str(base.conclusion)
     assert report.line() == report.line() == (
         f"embed-g3gl: nodes 9->9, height 7->7, permutations 0, "
         f"concludes {to_str(out.conclusion)}")
-    assert walks == ["size", "size", "str", "str"]
+    assert walks == ["size", "size", "str"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ CSGL search, the five passes, and every stage's checker.
     python3 tests/totality_sweep.py
 
 The theorems are the formulas the oracle finds valid: 65,380 of the 259,674
-formulas with at most 6 connectives.  Each must be proved by CSGL search, and
-each pass's output must be accepted by its stage's checkers (the `STAGES`
-table of tests/test_pipeline.py) and conclude |- x: f.  GLseq and CSGL search
-must also return, on |- f and |- x: f, what the recursive searches of
-tests/search_reference.py return (skeleton, dead end, fuel left and fresh
-labels).  Runs one process per core; prints one line per failure (formula,
+formulas with at most 6 connectives.  Each must be proved by CSGL search,
+each stage that `transform.run_pipeline` makes from its proof must be
+accepted by the stage's checkers (the `STAGE_CHECKS` table of
+tests/test_pipeline.py), and the last stage must conclude |- x: f.  GLseq
+and CSGL search must also return, on |- f and |- x: f, what the recursive
+searches of tests/search_reference.py return (skeleton, dead end, fuel left
+and fresh labels).  Runs one process per core; prints one line per failure (formula,
 stage, reason) and per reference mismatch (formula, calculus), then the
 counts, the time and the peak RSS of this process and of its largest worker,
 and exits 1 when anything fails or mismatches.  It takes about half a minute
@@ -26,14 +27,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from glproof.checkers import check_csgl  # noqa: E402
 from glproof.formula import enumerate_formulas, print_formula  # noqa: E402
 from glproof.search import SearchConfig, prove_formula  # noqa: E402
 from glproof.semantics import oracle_validity  # noqa: E402
 from glproof.sequents import GentzenSequent, LabeledSequent  # noqa: E402
-from glproof.transform import run_pass  # noqa: E402
+from glproof.transform import PIPELINE, run_pipeline  # noqa: E402
 from search_reference import csgl_outcomes, glseq_outcomes  # noqa: E402
-from test_pipeline import STAGES  # noqa: E402
+from test_pipeline import STAGE_CHECKS  # noqa: E402
 
 CFG = SearchConfig(oracle_hint=False)
 CONNECTIVES = 6
@@ -47,11 +47,12 @@ def failure(f) -> str | None:
         if not r.proved:
             return "csgl\tnot proved"
         proof = r.proof
-        if not check_csgl(proof).accepted:
+        if not STAGE_CHECKS["csgl"](proof):
             return "csgl\trejected"
-        for stage, accepts in STAGES:
-            proof, _ = run_pass(stage, proof)
-            if not accepts(proof):
+        stages = run_pipeline(proof)
+        for stage, _ in PIPELINE:  # named before its pass runs, for the report
+            _, proof, _ = next(stages)
+            if not STAGE_CHECKS[stage](proof):
                 return f"{stage}\trejected"
         if str(proof.conclusion) != f"|- x: {print_formula(f)}":
             return f"{stage}\tconcludes {proof.conclusion}"
