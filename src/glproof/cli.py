@@ -37,6 +37,10 @@ from .sequents import NotATree, format_address
 from .transform import PASSES, TransformError, run_pass, run_pipeline
 
 
+# what a pass's output must satisfy beyond its calculus's rules
+PROMISES = {"end-active": end_active_report, "normalize": normal_form_report}
+
+
 def _read_formula(arg: str):
     if arg.startswith("@"):
         with open(arg[1:]) as fh:
@@ -137,11 +141,11 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
         except SystemExit as e:  # argparse, after --help or a usage error
             stdout.write(parser_out.getvalue())
             code = 2 if e.code not in (0, None) else 0
-        except FuelExhausted:
-            print("FuelExhausted\t.\tsearch ran out of fuel", file=stdout)
+        except FuelExhausted as e:
+            print(f"FuelExhausted\t.\t{e}", file=stdout)
             code = 1
         except TransformError as e:
-            print(f"{type(e).__name__}\t.\t{e}", file=stdout)
+            print(f"{type(e).__name__}\t{format_address(e.address)}\t{e}", file=stdout)
             code = 1
         stdout.flush()
         return code
@@ -209,6 +213,15 @@ def _dispatch(args, stdout, stderr) -> int:
             _report_lines(checked, stdout)
             return 1
         out, report = run_pass(args.pass_name, proof)
+        checked = check_proof(out)
+        if checked.accepted and args.pass_name in PROMISES:
+            checked = PROMISES[args.pass_name](out)
+        if not checked.accepted:
+            print("rejected", file=stdout)
+            for f in checked.failures:
+                print(f"{f.token()}\t{format_address(f.address)}\t{args.pass_name} output: "
+                      f"{f.message}", file=stdout)
+            return 1
         text = print_proof(out)
         if args.output:
             with open(args.output, "w") as fh:

@@ -31,15 +31,19 @@ looks only at the formulas the rule added.
 
 Both searches run on an explicit stack, so a branch's height costs no
 Python recursion.  Each branch owns one mutable state: the two sides as
-sets, `pending`, and in CSGL also `rel` and the propagations `fired` on the
-branch.  A one-premise rule (negL, negR, orR, and in CSGL 4L, boxL and boxR)
-changes that state in place and appends its skeleton head to the branch's
-chain.  orL hands the state to its left premise and saves a copy for the
-right one, which runs only after the left one closes.  Each boxGL premise
-of GLseq starts a fresh state, one consequent box at a time in
-`formula_key` order.  A suspended orL or boxGL waits in a frame on the
-stack with its chain; when a branch closes, its skeleton is wrapped in its
-chain's heads and handed to the frame below.
+sets, `pending`, and in CSGL also `rel` and `cands`, the sorted list of
+4L/boxL propagations not yet fired on the branch.  Boxes never leave the
+antecedent and edges never leave `rel`, so a propagation's entry goes in
+once, when its box or its edge arrives, and leaves when it fires; a
+propagation node takes the first entry whose product is new, and no node
+scans the sides for candidates.  A one-premise rule (negL, negR, orR, and
+in CSGL 4L, boxL and boxR) changes that state in place and appends its
+skeleton head to the branch's chain.  orL hands the state to its left
+premise and saves a copy for the right one, which runs only after the left
+one closes.  Each boxGL premise of GLseq starts a fresh state, one
+consequent box at a time in `formula_key` order.  A suspended orL or boxGL
+waits in a frame on the stack with its chain; when a branch closes, its
+skeleton is wrapped in its chain's heads and handed to the frame below.
 
 Dead ends: the first state at which a failing search gives up is a leaf,
 because an interior node fails only after a premise has failed first.  So
@@ -77,7 +81,14 @@ from .semantics import OracleVerdict, gentzen_interpretation, oracle_validity
 
 
 class FuelExhausted(Exception):
-    pass
+    """A search spent its whole budget of `nodes` nodes."""
+
+    def __init__(self, nodes: int):
+        super().__init__(nodes)
+        self.nodes = nodes
+
+    def __str__(self) -> str:
+        return f"search ran out of fuel after {self.nodes} nodes"
 
 
 class SearchConfig:
@@ -175,7 +186,7 @@ def _glseq_search(fa: set, fc: Iterable, fuel: list, dead_end: list):
                     shared.add(g)
         n -= 1
         if n < 0:
-            raise FuelExhausted()
+            raise FuelExhausted(fuel[0])
         if shared:
             sk = ("id", _P, min(shared, key=formula_key))
         elif pending:
@@ -266,29 +277,41 @@ def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dea
     """Search from the tree sequent `rel; fa |- set(fc)` over integer
     labels, changing `rel` and `fa` in place.  `counter` holds the proof-global
     fresh-label counter, `fuel` the fuel left and `dead_end` the dead end,
-    each in a one-element list.  A branch's `fired` records the
-    propagations already performed on it, so a decomposed propagation
+    each in a one-element list.  A branch's `cands` lists, sorted, the 4L
+    (kind 0) and boxL (kind 1) propagations `(kind, x, y, key, f)` it has
+    not fired, one for each box `x: f` of `fa` and edge `xRy` of `rel`:
+    boxes never leave `fa` nor edges `rel`, so each is inserted once, when
+    its box or edge arrives.  A propagation node fires, and deletes, the
+    first entry whose product is not in `fa`, so a decomposed propagation
     result is never re-derived (re-firing is redundant by admissible
     contraction).  Returns a skeleton tuple or None."""
     n, fresh = fuel[0], counter[0]
     pending = sorted([(_ANTE_RANK[type(f)], x, f.key, f) for x, f in fa if type(f) in _ANTE_RANK])
+    cands = sorted([(kind, x, y, f.key, f) for x, f in fa if type(f) is Box
+                    for a, y in rel if a == x for kind in (0, 1)])
     # the root's consequent goes on as if a rule had added it
     side, other, ranks, adds = set(), fa, _CONS_RANK, fc
     fc, shared = side, set()
     # a frame is [chain, x, f, saved state, left skeleton] for orL on x: f
-    fired, chain, stack = set(), [], []
+    chain, stack = [], []
     while True:
         for p in adds:  # the labeled formulas this node's rule put on `side`
             if p not in side:
                 side.add(p)
-                r = ranks.get(type(p[1]))
+                x, f = p
+                r = ranks.get(type(f))
                 if r is not None:
-                    insort(pending, (r, p[0], p[1].key, p[1]))
+                    insort(pending, (r, x, f.key, f))
                 elif p in other:  # id closes on a shared atom or box only
                     shared.add(p)
+                elif type(f) is Box and side is fa:  # a shared box needs none: id closes
+                    for a, y in rel:
+                        if a == x:
+                            insort(cands, (0, x, y, f.key, f))
+                            insort(cands, (1, x, y, f.key, f))
         n -= 1
         if n < 0:
-            raise FuelExhausted()
+            raise FuelExhausted(fuel[0])
         if shared:
             x, g = min(shared, key=labeled_key)
             sk = ("id1" if type(g) is not Box else "id2", _LP, x, g)
@@ -309,46 +332,43 @@ def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dea
             else:  # orL: the left premise takes this state, the right one a copy
                 fa.remove((x, f))
                 stack.append([chain, x, f, (rel.copy(), fa.copy(), fc.copy(), pending.copy(),
-                                            fired.copy()), None])
+                                            cands.copy()), None])
                 chain = []
                 side, other, ranks, adds = fa, fc, _ANTE_RANK, ((x, f.left),)
             continue
         else:
             # no local rule applies, so `pending` is empty from here on
-            # propagation to a fixpoint: 4L then boxL, first not-yet-fired candidate
-            props = []
-            for x, f in fa:
-                if type(f) is Box:
-                    for a, y in rel:
-                        if a == x:
-                            if (0, x, y, f) not in fired and (y, f) not in fa:
-                                props.append((0, x, y, f))
-                            if (1, x, y, f) not in fired and (y, f.sub) not in fa:
-                                props.append((1, x, y, f))
-            if props:
-                prop = kind, x, y, f = min(props, key=lambda q: (q[0], q[1], q[2], q[3].key))
-                fired.add(prop)
-                chain.append(("4L" if kind == 0 else "boxL", _LAP, x, y, f.sub))
-                side, other, ranks, adds = fa, fc, _ANTE_RANK, ((y, f if kind == 0 else f.sub),)
-                continue
-            # boxR expansion with the blocking condition; eager and sequential
-            for x, f in sorted((p for p in fc if type(p[1]) is Box), key=labeled_key):
-                if any(a == x and (y, f) in fa and (y, f.sub) in fc for a, y in rel):
-                    continue  # blocked
-                y, fresh = fresh, fresh + 1
-                rel.add((x, y))
-                fa.add((y, f))  # at a fresh label, so it closes no id
-                fc.remove((x, f))
-                chain.append(("boxR", _LFP, x, y, f.sub))
-                side, other, ranks, adds = fc, fa, _CONS_RANK, ((y, f.sub),)
-                break
+            # propagation to a fixpoint: 4L then boxL, first candidate with a new product
+            for i, (kind, x, y, _, f) in enumerate(cands):
+                g = f if kind == 0 else f.sub
+                if (y, g) not in fa:
+                    del cands[i]
+                    chain.append(("4L" if kind == 0 else "boxL", _LAP, x, y, f.sub))
+                    side, other, ranks, adds = fa, fc, _ANTE_RANK, ((y, g),)
+                    break
             else:
-                # a leaf where no rule applies; a failing search reaches
-                # exactly one, since a premise is tried only after all
-                # before it have closed
-                dead_end[0] = (frozenset(rel), frozenset(fa), frozenset(fc))
-                fuel[0], counter[0] = n, fresh
-                return None
+                # boxR expansion with the blocking condition; eager and sequential
+                for x, f in sorted((p for p in fc if type(p[1]) is Box), key=labeled_key):
+                    if any(a == x and (y, f) in fa and (y, f.sub) in fc for a, y in rel):
+                        continue  # blocked
+                    y, fresh = fresh, fresh + 1
+                    rel.add((x, y))
+                    for a, g in fa:  # the new edge's propagations
+                        if a == x and type(g) is Box:
+                            insort(cands, (0, x, y, g.key, g))
+                            insort(cands, (1, x, y, g.key, g))
+                    fa.add((y, f))  # at a fresh label, so it closes no id and has no edge
+                    fc.remove((x, f))
+                    chain.append(("boxR", _LFP, x, y, f.sub))
+                    side, other, ranks, adds = fc, fa, _CONS_RANK, ((y, f.sub),)
+                    break
+                else:
+                    # a leaf where no rule applies; a failing search reaches
+                    # exactly one, since a premise is tried only after all
+                    # before it have closed
+                    dead_end[0] = (frozenset(rel), frozenset(fa), frozenset(fc))
+                    fuel[0], counter[0] = n, fresh
+                    return None
             continue
         # an id leaf closed this branch
         while True:
@@ -361,7 +381,7 @@ def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dea
             chain = frame[0]
             if frame[4] is None:  # the left premise of an orL closed
                 frame[4] = sk
-                rel, fa, fc, pending, fired = frame[3]
+                rel, fa, fc, pending, cands = frame[3]
                 shared, chain = set(), []
                 side, other, ranks, adds = fa, fc, _ANTE_RANK, ((frame[1], frame[2].right),)
                 break

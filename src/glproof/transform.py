@@ -49,7 +49,12 @@ from .checkers import (BLOCK_BELOW, block_violations, end_active_report, node_en
 
 
 class TransformError(Exception):
-    pass
+    """A pass failed.  `address` is the node it failed at, in the proof it
+    was rewriting; the root's, (), when no deeper node is to blame."""
+
+    def __init__(self, message: str, address: Address = ()):
+        super().__init__(message)
+        self.address = address
 
 
 class NotApplicable(TransformError):
@@ -410,7 +415,7 @@ def _end_active(p: Proof) -> tuple[Proof, int]:
             try:
                 premises_of(proof.calculus, node.rule, node.meta, parent.conclusion)
             except RuleError as e:
-                raise InternalNonTermination(f"cannot push {node.rule} down: {e}") from e
+                raise InternalNonTermination(f"cannot push {node.rule} down: {e}", addr) from e
             pushed = Proof(proof.calculus, node.rule, parent.conclusion, (), dict(node.meta))
             proof = proof.replace_at(parent_addr, pushed)
             permutations += 1
@@ -430,9 +435,7 @@ def _end_active(p: Proof) -> tuple[Proof, int]:
                     continue
                 except NotApplicable:
                     pass
-            raise InternalNonTermination(
-                f"no permutation available for {node.rule} at {addr}"
-            )
+            raise InternalNonTermination(f"no permutation available for {node.rule}", addr)
     return proof, permutations
 
 

@@ -3,7 +3,10 @@ stack: a reference that tests/test_search.py and tests/totality_sweep.py
 compare `glproof.search` against (`glseq_outcomes`, `csgl_outcomes`).
 
 Each node is one recursive call, and each call builds its state anew as
-frozensets: both sides, `pending`, and in CSGL `rel` and `fired`.  The code
+frozensets: both sides, `pending`, and in CSGL `rel` and `fired`, the
+propagations fired on the branch; each CSGL propagation node rescans every
+box and edge for the least one not fired, where `glproof.search` keeps its
+unfired propagations in a sorted list.  The code
 is the former `search._glseq_search` and `search._csgl_search` with their
 pending helpers.  `glproof.search` must return the same skeleton tuples,
 record the same dead ends, spend the same fuel and, in CSGL, take the same
@@ -14,6 +17,11 @@ branch, so these fail near depth 1,000.
 from glproof.formula import Box, Not, Or
 from glproof.search import _GP, _LAP, _LFP, _LP, _P, FuelExhausted, _csgl_search, _glseq_search
 from glproof.sequents import GentzenSequent, LabeledSequent, formula_key, labeled_key
+
+
+class OutOfFuel(Exception):
+    """The reference's fuel ran out; `glproof.search` raises FuelExhausted."""
+
 
 _ANTE_RANK = {Not: 0, Or: 3}
 _CONS_RANK = {Not: 1, Or: 2}
@@ -36,7 +44,7 @@ def glseq_search(fa, fc, pending, fuel, dead_end):
     each Not/Or formula of `fa` and `fc`.  Returns a skeleton tuple or None."""
     fuel[0] -= 1
     if fuel[0] < 0:
-        raise FuelExhausted()
+        raise OutOfFuel()
     shared = fa & fc
     if shared:
         return ("id", _P, min(shared, key=formula_key))
@@ -101,7 +109,7 @@ def csgl_search(rel, fa, fc, pending, counter, fired, fuel, dead_end):
     admissible contraction).  Returns a skeleton tuple or None."""
     fuel[0] -= 1
     if fuel[0] < 0:
-        raise FuelExhausted()
+        raise OutOfFuel()
     shared = fa & fc
     if shared:
         hit = min((p for p in shared if type(p[1]) is not Not and type(p[1]) is not Or),
@@ -182,7 +190,7 @@ def _outcome(search, fuel: int):
     left, dead_end = [fuel], [None]
     try:
         sk = search(left, dead_end)
-    except FuelExhausted:
+    except (OutOfFuel, FuelExhausted):
         return "FuelExhausted"
     return sk, dead_end[0], left[0]
 

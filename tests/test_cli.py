@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glproof.cli import run
-from glproof.formula import Atom, ParseError
+from glproof import transform
+from glproof.formula import Atom, ParseError, parse_formula
 from glproof.proofio import SequentSyntaxError, parse_labeled_sequent, parse_proof, print_proof
 from glproof.sequents import CyclicDerivation, LabeledSequent, Proof
 from glproof.transform import PASSES, NotApplicable, run_pass
+from test_transform import _boxl_into_fresh_label, _build
 
 
 def invoke(*argv):
@@ -181,7 +183,7 @@ def test_fuel_below_one_is_a_usage_error(argv):
     assert "argument --fuel: must be an integer of at least 1" in err
     # 1 is a fuel; running out of it stays the documented failure, exit 1
     code, out, _ = invoke(argv[0], "--fuel", "1", "p | ~p")
-    assert (code, out) == (1, "FuelExhausted\t.\tsearch ran out of fuel\n")
+    assert (code, out) == (1, "FuelExhausted\t.\tsearch ran out of fuel after 1 nodes\n")
 
 
 def test_emit_trace_onto_a_file_fails_before_search(tmp_path):
@@ -387,6 +389,49 @@ def test_transform_rejects_unchecked_proof(tmp_path):
     lines = out2.splitlines()
     assert lines[0] == "rejected"
     assert lines[1].startswith("SchemaMismatch\t0/0/0\t")
+
+
+
+def test_transform_checks_its_output_before_writing_it(tmp_path, monkeypatch):
+    code, out, _ = invoke("decide", "--calculus", "csgl", LOB)
+    src, dst = tmp_path / "lob.glp", tmp_path / "out.glp"
+    src.write_text(out)
+    # on success, stdout is the pass's output as it was before the check
+    code, out2, _ = invoke("transform", "--pass", "end-active", str(src))
+    assert (code, out2) == (0, print_proof(run_pass("end-active", parse_proof(out))[0]))
+    # an output that breaks its calculus's rules
+    broken = parse_proof(out.replace('phi="p"', 'phi="q"', 1))
+    monkeypatch.setitem(transform.PASSES, "end-active", ("csgl", lambda p: broken))
+    code, out2, _ = invoke("transform", "--pass", "end-active", "-o", str(dst), str(src))
+    lines = out2.splitlines()
+    assert (code, lines[0]) == (1, "rejected") and not dst.exists()
+    assert lines[1].startswith("SchemaMismatch\t") and "\tend-active output: " in lines[1]
+    # an output that checks but is not what the pass promises
+    steps, concls = _boxl_into_fresh_label("s")
+    leaf = Proof("csgl", "id2", concls[-1], (), {"label": "x", "principal": parse_formula("[]q")})
+    not_end_active = _build(steps, concls, leaf)
+    monkeypatch.setitem(transform.PASSES, "end-active", ("csgl", lambda p: not_end_active))
+    code, out2, _ = invoke("transform", "--pass", "end-active", str(src))
+    lines = out2.splitlines()
+    assert (code, lines[0]) == (1, "rejected")
+    assert lines[1].startswith("NotEndActive") and "\tend-active output: " in lines[1]
+    # and the normal form, for normalize
+    monkeypatch.setitem(transform.PASSES, "normalize", ("csgl", lambda p: not_end_active))
+    code, out2, _ = invoke("transform", "--pass", "normalize", str(src))
+    assert (code, out2.splitlines()[0]) == (1, "rejected")
+    assert "\tnormalize output: " in out2
+
+
+def test_pass_failure_names_its_node(tmp_path):
+    # boxL at 0/0/0/0/0/0/0 feeds the id above it and cannot cross the boxR
+    # below it, so end-activation fails there
+    steps, concls = _boxl_into_fresh_label("q")
+    leaf = Proof("csgl", "id1", concls[-1], (), {"label": "y", "principal": parse_formula("q")})
+    src = tmp_path / "stuck.glp"
+    src.write_text(print_proof(_build(steps, concls, leaf)))
+    code, out, _ = invoke("transform", "--pass", "end-active", str(src))
+    assert (code, out) == (1, "InternalNonTermination\t0/0/0/0/0/0/0\t"
+                              "no permutation available for boxL\n")
 
 
 def _malformed_file(tmp_path, name):

@@ -101,6 +101,23 @@ def tree_inputs(n=150):
     return out
 
 
+def branching_tree_inputs(n=150):
+    """Seeded tree sequents whose root has two or more children and whose
+    inner labels each hold a box, so propagations run along several edges
+    of one label and down more than one level."""
+    rng = random.Random(26)
+    out = []
+    for _ in range(n):
+        labels = rng.sample(("x", "y", "y0", "y1", "y2", "w", "z"), rng.randint(3, 6))
+        rel = [(labels[0], labels[1]), (labels[0], labels[2])]
+        rel += [(labels[rng.randrange(i)], labels[i]) for i in range(3, len(labels))]
+        ante = [(a, Box(_side_formula(rng))) for a in dict.fromkeys(a for a, _ in rel)]
+        ante += [(rng.choice(labels), _side_formula(rng)) for _ in range(rng.randint(0, 2))]
+        cons = [(rng.choice(labels), _side_formula(rng)) for _ in range(rng.randint(1, 3))]
+        out.append(LabeledSequent(rel, ante, cons))
+    return out
+
+
 def search_digest(r):
     """`"<proved> <sha256>"` of the printed proof or the saturated sequent."""
     text = print_proof(r.proof) if r.proved else str(r.saturated)
@@ -431,5 +448,14 @@ def test_searches_match_the_recursive_reference():
     formulas += [random_formula(rng, ("p", "q", "r"), rng.randint(6, 14)) for _ in range(500)]
     gentzen = gentzen_inputs() + [GentzenSequent((), (f,)) for f in formulas]
     tree = tree_inputs() + [LabeledSequent((), (), (("x", f),)) for f in formulas]
+    # where CSGL search's list of unfired 4L/boxL propagations matters: long
+    # chains of labels (the reference overflows near k = 45), several edges
+    # from one boxed label, and larger formulas, whose orL branches each
+    # restore their own list
+    tree += [pls(f"|- x: {'[]' * k}(p | ~p)") for k in (10, 20, 30, 40)]
+    tree += branching_tree_inputs()
+    tree += [LabeledSequent((), (), (("x", random_formula(rng, ("p", "q", "r"),
+                                                        rng.randint(12, 16))),))
+             for _ in range(300)]
     assert [str(s) for s in gentzen if len(set(glseq_outcomes(s))) != 1] == []
     assert [str(s) for s in tree if len(set(csgl_outcomes(s))) != 1] == []
