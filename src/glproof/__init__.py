@@ -81,6 +81,7 @@ from .transform import (
     apply_inverse,
     contract,
     csgl_to_g3gl_embed,
+    g3gl_to_csgl,
     glseq_to_g3gl,
     linearize,
     lngl_to_glseq,

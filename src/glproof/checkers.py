@@ -286,7 +286,7 @@ def check_k4seq(p: Proof) -> CheckReport:
 
 def check_g3gl(p: Proof, mode: str = "strict") -> CheckReport:
     """mode: 'strict' (labeled rules only) or 'extended' (plus the admitted
-    rules 4L and w, checkable as explicit nodes)."""
+    rule 4L, which to-g3gl writes, checkable as an explicit node)."""
     if mode not in ("strict", "extended"):
         raise ValueError("mode must be 'strict' or 'extended'")
     if mode == "strict":

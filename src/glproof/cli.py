@@ -41,6 +41,14 @@ from .transform import PASSES, TransformError, run_pass, run_pipeline
 PROMISES = {"end-active": end_active_report, "normalize": normal_form_report}
 
 
+def output_report(pass_name: str, proof) -> CheckReport:
+    """The checker of the proof's calculus, then what `pass_name` promises."""
+    report = check_proof(proof)
+    if report.accepted and pass_name in PROMISES:
+        report = PROMISES[pass_name](proof)
+    return report
+
+
 def _read_formula(arg: str):
     if arg.startswith("@"):
         with open(arg[1:]) as fh:
@@ -59,9 +67,15 @@ def _at_least_one(text: str) -> int:
     return n
 
 
-def _report_lines(report: CheckReport, out) -> None:
+def _report_lines(report: CheckReport, out, about: str = "") -> None:
     for f in report.failures:
-        print(str(f), file=out)
+        print(f"{f.token()}\t{format_address(f.address)}\t{about}{f.message}", file=out)
+
+
+def _rejected(report: CheckReport, out, about: str = "") -> int:
+    print("rejected", file=out)
+    _report_lines(report, out, about)
+    return 1
 
 
 def _report_json(report: CheckReport) -> dict:
@@ -209,19 +223,10 @@ def _dispatch(args, stdout, stderr) -> int:
             proof = parse_proof(fh.read())
         checked = check_proof(proof)
         if not checked.accepted:
-            print("rejected", file=stdout)
-            _report_lines(checked, stdout)
-            return 1
+            return _rejected(checked, stdout)
         out, report = run_pass(args.pass_name, proof)
-        checked = check_proof(out)
-        if checked.accepted and args.pass_name in PROMISES:
-            checked = PROMISES[args.pass_name](out)
-        if not checked.accepted:
-            print("rejected", file=stdout)
-            for f in checked.failures:
-                print(f"{f.token()}\t{format_address(f.address)}\t{args.pass_name} output: "
-                      f"{f.message}", file=stdout)
-            return 1
+        if not (checked := output_report(args.pass_name, out)).accepted:
+            return _rejected(checked, stdout, f"{args.pass_name} output: ")
         text = print_proof(out)
         if args.output:
             with open(args.output, "w") as fh:
@@ -297,6 +302,10 @@ def _pipeline(args, stdout) -> int:
         print(f"NotProved\t.\tsaturated at: {result.saturated}", file=stdout)
         return 1
     stages = [("csgl", result.proof, None), *run_pipeline(result.proof)]
+    for _, proof, report in stages:
+        pass_name = report.pass_name if report else "decide"
+        if not (checked := output_report(pass_name, proof)).accepted:
+            return _rejected(checked, stdout, f"{pass_name} output: ")
     for i, (stage_name, proof, report) in enumerate(stages, start=1):
         report_line = report.line() if report else f"decide: concludes {proof.conclusion}"
         print(f"stage {i} {stage_name}: {report_line}", file=stdout)

@@ -20,6 +20,7 @@ keyed formula is keyed.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterator
 
 
@@ -258,6 +259,10 @@ def parse_formula(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Printing
 
+_PRINT_CACHE = 4096  # texts kept: a proof prints its few formulas once per sequent
+
+
+@lru_cache(maxsize=_PRINT_CACHE)
 def print_formula(f: Formula) -> str:
     """Minimal-parentheses rendering; parse_formula(print_formula(f)) == f."""
     return _render(f, 0)

@@ -19,7 +19,7 @@ RULE_TEX = {
     "negL": r"\neg L", "negR": r"\neg R", "orL": r"\lor L", "orR": r"\lor R",
     "boxL": r"\Box L", "boxR": r"\Box R", "boxGL": r"\Box_{GL}", "box4": r"\Box_4",
     "id": r"id", "id1": r"id_1", "id2": r"id_2", "ir": r"ir", "tr": r"tr",
-    "4L": r"4L", "w": r"w", OPEN: r"\circ",
+    "4L": r"4L", OPEN: r"\circ",
 }
 
 

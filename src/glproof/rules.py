@@ -18,7 +18,6 @@ from .sequents import (
     Sequent,
     insert_sorted,
     mset_contains,
-    mset_diff,
     mset_remove,
     trampoline,
 )
@@ -58,7 +57,7 @@ RULES_OF = {
     "csgl": ("id1", "id2", "negL", "negR", "orL", "orR", "boxL", "boxR", "4L"),
     "lngl": ("id1", "id2", "negL", "negR", "orL", "orR", "boxL", "boxR", "4L"),
 }
-EXTENDED_EXTRA = ("4L", "w")
+EXTENDED_EXTRA = ("4L",)
 RULES_OF["g3glext"] = RULES_OF["g3gl"] + EXTENDED_EXTRA
 
 
@@ -181,17 +180,6 @@ def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledS
                 c.rel | {(x, y)},
                 insert_sorted(c.ante, ((y, Box(phi)),)),
                 insert_sorted(mset_remove(c.cons, (x, Box(phi))), ((y, phi),)),
-            )
-        ]
-    if rule == "w":
-        added = meta["added"]
-        if not added.rel <= c.rel:
-            raise RuleError(SCHEMA_MISMATCH, "w added relational atoms not in conclusion")
-        if not mset_contains(c.ante, added.ante) or not mset_contains(c.cons, added.cons):
-            raise RuleError(SCHEMA_MISMATCH, "w added formulas not in conclusion")
-        return [
-            LabeledSequent.of_sorted(
-                c.rel - added.rel, mset_diff(c.ante, added.ante), mset_diff(c.cons, added.cons)
             )
         ]
     raise RuleError(UNKNOWN_RULE, f"unknown labeled rule {rule}")

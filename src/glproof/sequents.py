@@ -529,20 +529,18 @@ def rebuild(proof: Proof, make) -> Proof:
 
 def relabel_proof(proof: Proof, mapping: dict[Label, Label]) -> Proof:
     """Apply a label renaming to every sequent and every label-valued meta
-    entry.  A renaming that merges a `w` node's added relational atom with
-    one its premise holds leaves a node the `w` schema rejects."""
-
-    def ren_seq(s):
-        return s.rename(mapping) if isinstance(s, LabeledSequent) else s
+    entry.  A renaming that merges two labels of a sequent can leave a node
+    its schema rejects, such as a boxR whose fresh label is no longer
+    fresh."""
 
     def make(node: Proof, prems: tuple) -> Proof:
         meta = dict(node.meta)
         for key in LABEL_KEYS:
             if key in meta:
                 meta[key] = mapping.get(meta[key], meta[key])
-        if "added" in meta:
-            meta["added"] = ren_seq(meta["added"])
-        return Proof(node.calculus, node.rule, ren_seq(node.conclusion), prems, meta)
+        c = node.conclusion
+        c = c.rename(mapping) if isinstance(c, LabeledSequent) else c
+        return Proof(node.calculus, node.rule, c, prems, meta)
 
     return rebuild(proof, make)
 

@@ -11,8 +11,8 @@ The passes map checked proofs to checked proofs on the CSGL proofs that
 search makes for every theorem of `tests/totality_sweep.py`.  They are not
 yet total functions from checked proofs to checked proofs: on CSGL proofs
 that search did not make, `to_end_active` can fail.  ROADMAP.md, item 1,
-measured 40 failures among 1,000 random-strategy proofs: 36 outputs with
-a `FreshnessViolation` and 4 `InternalNonTermination`s.
+measured 40 failures among 1,000 random-strategy proofs: 35 outputs with
+a `FreshnessViolation` and 5 `InternalNonTermination`s.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .sequents import (
     Proof,
     formula_key,
     fresh_label,
-    mset_diff,
     mset_remove,
     project_chain,
     proof_labels,
@@ -110,6 +109,27 @@ def _rederive(p: Proof, target, step):
     return Proof(p.calculus, p.rule, target, tuple(subs), meta)
 
 
+class _RuleNode:
+    """A node of a rule tree: rules and metas without conclusions, with a
+    premise list that moves can rewire."""
+
+    __slots__ = ("rule", "meta", "premises")
+
+    def __init__(self, rule: str, meta: dict, premises: Optional[list] = None):
+        self.rule = rule
+        self.meta = meta
+        self.premises: list[_RuleNode] = [] if premises is None else premises
+
+
+def _derive(calculus: str, tree: _RuleNode, conclusion, failing: str) -> Proof:
+    """`rules.derive` on a rule tree; a rule that does not apply raises
+    NotApplicable, its message prefixed with `failing`."""
+    try:
+        return derive(calculus, tree, conclusion, lambda n: (n.rule, n.meta, n.premises))
+    except RuleError as e:
+        raise NotApplicable(f"{failing}: {e}") from e
+
+
 def _drop(s, side: str, item):
     """s with one occurrence of `item` removed from `side`."""
     if item not in getattr(s, side):
@@ -125,28 +145,32 @@ def _drop(s, side: str, item):
 # Generalized identity
 
 def prove_general_id(calculus: str, goal, principal) -> Proof:
-    """A proof of a sequent carrying `principal` on both sides, built by
-    structural induction; id1/id2 (or Gentzen id) close the base cases.
-    Labeled calculi take principal=(label, formula)."""
-    return trampoline(_general_id(calculus, goal, principal))
+    """A proof of `goal`, which carries `principal` on both sides (labeled
+    calculi take principal=(label, formula))."""
+    return _derive(calculus, _general_id(calculus, principal), goal,
+                   "the general identity does not apply")
 
 
-def _general_id(calculus: str, goal, principal):
+def _general_id(calculus: str, principal) -> _RuleNode:
+    """The rule tree of the general identity, by structural induction on the
+    formula: a `~` or `|` is decomposed on the right, then on the left, and
+    id1/id2 (or Gentzen id) close the base cases."""
     labeled = calculus in LABELED
     label, f = principal if labeled else (None, principal)
-    meta = {"label": label, "principal": f} if labeled else {"principal": f}
-    lower = LOCAL_RULE_OF.get((type(f), False))
-    if calculus in GENTZEN or lower is None:
-        rule = "id" if calculus in GENTZEN else "id1" if isinstance(f, Atom) else "id2"
-        _schema(calculus, rule, meta, goal)
-        return Proof(calculus, rule, goal, (), meta)
-    upper = LOCAL_RULE_OF[type(f), True]
-    (mid,) = _schema(calculus, lower, meta, goal)
-    subs = yield tuple(
-        _general_id(calculus, top, (label, g) if labeled else g)
-        for top, g in zip(_schema(calculus, upper, meta, mid), _parts(f))
-    )
-    return Proof(calculus, lower, goal, (Proof(calculus, upper, mid, subs, dict(meta)),), meta)
+    top: list[_RuleNode] = []
+    stack = [(f, top)]
+    while stack:
+        g, out = stack.pop()
+        meta = {"label": label, "principal": g} if labeled else {"principal": g}
+        lower = None if calculus in GENTZEN else LOCAL_RULE_OF.get((type(g), False))
+        if lower is None:
+            rule = "id" if calculus in GENTZEN else "id1" if isinstance(g, Atom) else "id2"
+            out.append(_RuleNode(rule, meta))
+        else:
+            upper = _RuleNode(LOCAL_RULE_OF[type(g), True], dict(meta))
+            out.append(_RuleNode(lower, meta, [upper]))
+            stack.extend((h, upper.premises) for h in reversed(_parts(g)))
+    return top[0]
 
 
 def _parts(f: Formula) -> tuple:
@@ -487,31 +511,15 @@ def linearize(p: Proof) -> Proof:
 # ---------------------------------------------------------------------------
 # Normalization of LNGL proofs
 
-class _RuleNode:
-    """A node of a rule tree: a proof's rules and metas without conclusions,
-    with a premise list that moves can rewire."""
-
-    __slots__ = ("rule", "meta", "premises")
-
-    def __init__(self, rule: str, meta: dict):
-        self.rule = rule
-        self.meta = meta
-        self.premises: list[_RuleNode] = []
-
-
 def _rule_tree(p: Proof) -> tuple[_RuleNode, int]:
-    """p's rule tree, and its node count."""
-    root = _RuleNode(p.rule, p.meta)
-    stack = [(p, root)]
-    count = 0
-    while stack:
-        node, copy = stack.pop()
-        count += 1
+    """p's rule tree, with copies of its metas, and its node count."""
+    root = _RuleNode(p.rule, dict(p.meta))
+    queue = [(p, root)]
+    for node, copy in queue:  # breadth-first: the loop reads what it appends
         for q in node.premises:
-            sub = _RuleNode(q.rule, q.meta)
-            copy.premises.append(sub)
-            stack.append((q, sub))
-    return root, count
+            copy.premises.append(_RuleNode(q.rule, dict(q.meta)))
+            queue.append((q, copy.premises[-1]))
+    return root, len(queue)
 
 
 def _lowest_mover(boxr: _RuleNode) -> Optional[Address]:
@@ -569,11 +577,7 @@ def _normalize(p: Proof) -> tuple[Proof, int]:
                     path[-1].premises[addr[d - 1]] = mover
                     permutations += 1
             stack.extend(reversed(node.premises))
-        try:
-            p = derive(p.calculus, tree, p.conclusion,
-                       lambda n: (n.rule, dict(n.meta), n.premises))
-        except RuleError as e:
-            raise NotApplicable(f"normalization cannot re-derive its moves: {e}") from e
+        p = _derive(p.calculus, tree, p.conclusion, "normalization cannot re-derive its moves")
         if not normal_form_report(p).accepted:
             raise InternalNonTermination("normalization missed a block violation")
     return p, permutations
@@ -636,7 +640,7 @@ def _g3gl_label_names(p: Proof):
     """The labels `glseq_to_g3gl` creates for p, one per boxGL in pre-order,
     named y0, y1, ... in breadth-first order of first occurrence.  A template
     rooted at G3GL depth d introduces its label in the boxR's premise at
-    d + 2 and puts its premise at d + 3 + 2|gamma|; every other node has its
+    d + 1 and puts its premise at d + 1 + 2|gamma|; every other node has its
     premises one level down and introduces none.  Two births at one depth
     come from templates neither above the other, so their left-to-right
     order is the pre-order of their boxGLs."""
@@ -645,8 +649,8 @@ def _g3gl_label_names(p: Proof):
     while stack:
         node, d = stack.pop()
         if node.rule == "boxGL":
-            births.append((d + 2, len(births)))
-            stack.append((node.premises[0], d + 3 + 2 * len(node.meta["gamma"])))
+            births.append((d + 1, len(births)))
+            stack.append((node.premises[0], d + 1 + 2 * len(node.meta["gamma"])))
         else:
             stack.extend((q, d + 1) for q in reversed(node.premises))
     names = [""] * len(births)
@@ -656,60 +660,52 @@ def _g3gl_label_names(p: Proof):
 
 
 def glseq_to_g3gl(p: Proof) -> Proof:
-    """Label a Gentzen proof: Gamma |- Delta becomes x:Gamma |- x:Delta.
-    Each boxGL at label x becomes the template (w; boxL block; 4L block;
-    boxR; w) over the extended labeled calculus, whose blocks and boxR sit
-    at x and whose boxR creates the premise's label.  The root keeps the
-    label x; the labels the templates create are named y0, y1, ... in
-    breadth-first order of their first occurrence in the output."""
+    """Label a Gentzen proof: Gamma |- Delta becomes x:Gamma |- x:Delta.  A
+    boxGL at label x becomes the rule tree (boxL block; 4L block; boxR) at
+    x, whose boxR creates the premise's label, y0, y1, ... in breadth-first
+    order of first occurrence.  Each conclusion is derived once, top-down,
+    with its whole context, so the output is a CSGL proof too."""
     names = _g3gl_label_names(p)
-
-    def lab_seq(s: GentzenSequent, lab: str) -> LabeledSequent:
-        # one label throughout, so the sides keep their order
-        return LabeledSequent.of_sorted(frozenset(), tuple((lab, g) for g in s.ante),
-                                        tuple((lab, g) for g in s.cons))
-
-    def trans(node: Proof, lab: str):
-        goal = lab_seq(node.conclusion, lab)
+    top: list[_RuleNode] = []
+    stack = [(p, "x", top)]
+    while stack:
+        node, lab, out = stack.pop()
         if node.rule == "id":
-            w = node.meta.get("principal")
-            if w is None:
-                w = min(set(node.conclusion.ante) & set(node.conclusion.cons),
-                        key=formula_key)
-            return (yield _general_id("g3glext", goal, (lab, w)))
-        if node.rule in LOCAL_RULES:
-            return Proof("g3glext", node.rule, goal,
-                         (yield tuple(trans(q, lab) for q in node.premises)),
-                         {"label": lab, "principal": node.meta["principal"]})
-        if node.rule == "boxGL":
-            gamma = tuple(node.meta["gamma"])
-            phi = node.meta["phi"]
+            c = node.conclusion
+            w = node.meta.get("principal") or min(set(c.ante) & set(c.cons), key=formula_key)
+            out.append(_general_id("g3glext", (lab, w)))
+        elif node.rule in LOCAL_RULES:
+            out.append(_RuleNode(node.rule, {"label": lab, "principal": node.meta["principal"]}))
+            stack.extend((q, lab, out[-1].premises) for q in reversed(node.premises))
+        elif node.rule == "boxGL":
             u = next(names)
-            sub = yield trans(node.premises[0], u)
-            added = LabeledSequent(((lab, u),), tuple((lab, Box(g)) for g in gamma), ())
-            c = sub.conclusion
-            w1_concl = LabeledSequent(c.rel | added.rel, c.ante + added.ante, c.cons)
-            cur = Proof("g3glext", "w", w1_concl, (sub,), {"added": added})
-            for rule, parts in (("boxL", gamma), ("4L", [Box(g) for g in gamma])):
-                for g, part in zip(gamma, parts):
-                    concl = _drop(cur.conclusion, "ante", (u, part))
-                    cur = Proof("g3glext", rule, concl, (cur,), {"label": lab, "aux": u, "phi": g})
-            boxr_concl = LabeledSequent((), tuple((lab, Box(g)) for g in gamma),
-                                        ((lab, Box(phi)),))
-            cur = Proof("g3glext", "boxR", boxr_concl, (cur,),
-                        {"label": lab, "fresh": u, "phi": phi})
-            added2 = LabeledSequent.of_sorted(
-                frozenset(), mset_diff(goal.ante, boxr_concl.ante),
-                mset_diff(goal.cons, boxr_concl.cons))
-            return Proof("g3glext", "w", goal, (cur,), {"added": added2})
-        raise NotApplicable(f"translation does not handle {node.rule}")
-
-    return trampoline(trans(p, "x"))
+            cur = _RuleNode("boxR", {"label": lab, "fresh": u, "phi": node.meta["phi"]})
+            out.append(cur)
+            for rule in ("4L", "boxL"):
+                for g in reversed(node.meta["gamma"]):
+                    cur.premises.append(_RuleNode(rule, {"label": lab, "aux": u, "phi": g}))
+                    cur = cur.premises[0]
+            stack.append((node.premises[0], u, cur.premises))
+        else:
+            raise NotApplicable(f"translation does not handle {node.rule}")
+    c = p.conclusion
+    # one label throughout, so the sides keep their order
+    root = LabeledSequent.of_sorted(frozenset(), tuple(("x", g) for g in c.ante),
+                                    tuple(("x", g) for g in c.cons))
+    return _derive("g3glext", top[0], root, "translation cannot derive its templates")
 
 
 def csgl_to_g3gl_embed(p: Proof) -> Proof:
     """Every CSGL rule is a rule of the extended labeled calculus."""
     return p.retag("g3glext")
+
+
+def g3gl_to_csgl(p: Proof) -> Proof:
+    """Retag p as CSGL, or fail at its first `ir` or `tr`, which CSGL lacks."""
+    for addr, node in p.nodes():
+        if node.rule not in RULES_OF["csgl"]:
+            raise NotApplicable(f"{node.rule} is not a CSGL rule", addr)
+    return p.retag("csgl")
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +799,7 @@ PASSES = {
     "to-glseq": ("lngl", lngl_to_glseq),
     "to-g3gl": ("glseq", glseq_to_g3gl),
     "embed-g3gl": ("csgl", csgl_to_g3gl_embed),
+    "to-csgl": ("g3glext", g3gl_to_csgl),
 }
 
 # the stages after CSGL search, in order: each stage's name and its pass

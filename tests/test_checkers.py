@@ -179,11 +179,12 @@ def test_g3gl_ir_tr():
 
 
 def test_g3gl_strict_rejects_extended_rules():
-    c = pls("x: p, x: q |- x: p")
+    c = pls("xRy; x: []p |- y: []p")
     node = Proof(
-        "g3gl", "w", c,
-        (Proof("g3gl", "id1", pls("x: p |- x: p"), (), {"label": "x", "principal": P}),),
-        {"added": pls("x: q |- ")},
+        "g3gl", "4L", c,
+        (Proof("g3gl", "id2", pls("xRy; x: []p, y: []p |- y: []p"), (),
+               {"label": "y", "principal": pf("[]p")}),),
+        {"label": "x", "aux": "y", "phi": P},
     )
     assert "UnknownRuleInStrictMode" in codes(check_g3gl(node, "strict"))
     assert check_g3gl(node.retag("g3glext"), "extended").accepted
@@ -209,13 +210,15 @@ def test_boxgl_template_extended():
         rules.append(node.rule)
         node = node.premises[0]
     rules.append(node.rule)
-    # bottom-up: w, boxR, 4L block, boxL block, w, then the id
-    assert rules[:5] == ["w", "boxR", "4L", "boxL", "w"]
-    boxr = out.premises[0]
+    # bottom-up: boxR, 4L block, boxL block, then the id; no node drops
+    # the context
+    assert rules == ["boxR", "4L", "boxL", "id1"]
+    boxr = out
     assert boxr.meta == {"label": "x", "fresh": "y0", "phi": q}
     assert [n.meta["label"] for n in (boxr.premises[0], boxr.premises[0].premises[0])] == ["x"] * 2
     assert check_g3gl(out, "extended").accepted
     assert out.conclusion == pls("x: s, x: []q |- x: []q, x: r")
+    assert node.conclusion == pls("xRy0; x: s, x: []q, y0: q, y0: []q, y0: []q |- x: r, y0: q")
 
 
 # ---------------------------------------------------------------------------

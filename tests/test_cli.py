@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from glproof.cli import run
 from glproof import transform
+import g3gl_reference
 from glproof.formula import Atom, ParseError, parse_formula
 from glproof.proofio import SequentSyntaxError, parse_labeled_sequent, parse_proof, print_proof
-from glproof.sequents import CyclicDerivation, LabeledSequent, Proof
+from glproof.rules import derive
+from glproof.sequents import CyclicDerivation, Proof
 from glproof.transform import PASSES, NotApplicable, run_pass
 from test_transform import _boxl_into_fresh_label, _build
 
@@ -107,6 +109,7 @@ _UNPRODUCED = {
     "cut": ('x: p |- x: p', 'label=x principal="q"',
             ['x: p |- x: p, x: q', 'x: p, x: q |- x: p']),
     "sub": ('x: p |- x: p', 'x=x y=y', ['x: p |- x: p']),
+    "w": ('x: p, x: q |- x: p', 'added="x: q |- "', ['x: p |- x: p']),
 }
 
 
@@ -422,6 +425,47 @@ def test_transform_checks_its_output_before_writing_it(tmp_path, monkeypatch):
     assert "\tnormalize output: " in out2
 
 
+def test_to_csgl_retags_a_stage_six_proof(tmp_path):
+    assert invoke("pipeline", LOB, "--emit-trace", str(tmp_path))[0] == 0
+    dst = tmp_path / "csgl.glp"
+    code, _, err = invoke("transform", "--pass", "to-csgl", "-o", str(dst),
+                          str(tmp_path / "06-g3gl.glp"))
+    assert code == 0 and err.startswith("to-csgl: ")
+    assert dst.read_text().startswith("calculus: csgl\n")
+    assert invoke("check", "--end-active", str(dst)) == (0, "accepted\n", "")
+
+
+def test_to_csgl_refuses_a_rule_csgl_lacks(tmp_path):
+    # a tr node above the root: the G3GL proof checks, and to-csgl names it
+    tree = ("negR", {"label": "x", "principal": parse_formula("~q")},
+            [("tr", {"x": "x", "y": "y", "z": "z"},
+              [("boxL", {"label": "x", "aux": "z", "phi": Atom("p")},
+                [("id1", {"label": "z", "principal": Atom("p")}, [])])])])
+    proof = derive("g3glext", tree, parse_labeled_sequent("xRy; yRz; x: []p |- z: p, x: ~q"),
+                   lambda n: n)
+    src = tmp_path / "tr.glp"
+    src.write_text(print_proof(proof))
+    assert invoke("check", str(src))[0] == 0
+    code, out, _ = invoke("transform", "--pass", "to-csgl", str(src))
+    assert (code, out) == (1, "NotApplicable\t0\ttr is not a CSGL rule\n")
+
+
+def test_pipeline_checks_every_stage_before_it_prints(tmp_path, monkeypatch):
+    trace = tmp_path / "trace"
+    code, out, _ = invoke("pipeline", LOB)
+    assert code == 0
+    # a to-g3gl that still writes w nodes: stage 6 is rejected, and no stage
+    # line, proof or stage file is written
+    monkeypatch.setitem(transform.PASSES, "to-g3gl", g3gl_reference.W_PASS)
+    for argv in ([LOB], [LOB, "--emit-trace", str(trace)]):
+        code, out, _ = invoke("pipeline", *argv)
+        lines = out.splitlines()
+        assert (code, lines[0]) == (1, "rejected")
+        assert lines[1].startswith("UnknownRule\t") and "\tto-g3gl output: " in lines[1]
+        assert all("\tto-g3gl output: " in line for line in lines[1:])
+    assert list(trace.iterdir()) == []
+
+
 def test_pass_failure_names_its_node(tmp_path):
     # boxL at 0/0/0/0/0/0/0 feeds the id above it and cannot cross the boxR
     # below it, so end-activation fails there
@@ -560,20 +604,22 @@ def test_deeply_nested_proof_is_checked(tmp_path):
 
 
 def test_deep_valid_proof_checks_renders_and_round_trips(tmp_path):
-    # 3,000 weakenings by the empty sequent over id1
-    c = parse_labeled_sequent("x: p |- x: p")
-    proof = Proof("g3glext", "id1", c, (), {"label": "x", "principal": Atom("p")})
-    for _ in range(3000):
-        proof = Proof("g3glext", "w", c, (proof,), {"added": LabeledSequent()})
+    # 1,200 boxL nodes over id1; each adds y: p, so the antecedent grows by
+    # one item a level
+    p = Atom("p")
+    tree = ("id1", {"label": "y", "principal": p}, [])
+    for _ in range(1200):
+        tree = ("boxL", {"label": "x", "aux": "y", "phi": p}, [tree])
+    proof = derive("g3glext", tree, parse_labeled_sequent("xRy; x: []p |- y: p"), lambda n: n)
+    assert proof.height() == 1200
     text = print_proof(proof)
-    assert 'added="|-"' in text
     assert print_proof(parse_proof(text)) == text
     path = tmp_path / "deep.glp"
     path.write_text(text)
     assert invoke("check", str(path)) == (0, "accepted\n", "")
     for fmt in ("text", "dot", "latex"):
         code, out, err = invoke("render", "--format", fmt, str(path))
-        assert code == 0 and err == "" and out.count("\n") > 3000
+        assert code == 0 and err == "" and out.count("\n") > 1200
 
 
 # well-formed formulas, and token soup with stray characters

@@ -11,8 +11,18 @@ seeded theorems (tests/data/stage_digest_golden.json).
 Those three files were recorded when to-g3gl built each boxGL template at a
 label of its own and renamed it with an (x/y) node; they are checked with
 that translation, kept in g3gl_reference.py, in place of the pass.  The
-digests of today's to-g3gl output are in tests/data/g3gl_golden.json, and
-the two translations are compared on the 300 theorems up to labels.
+digests in tests/data/g3gl_golden.json were recorded when to-g3gl built the
+template at the current label between two `w` nodes, and are checked with
+that translation, kept beside the first.  The digests of today's to-g3gl
+output, which has no `w` node, are in tests/data/g3gl_wfree_golden.json.
+The three translations are compared on the 300 theorems up to labels.
+
+The pipeline command checks every stage before it prints; the references
+write `sub` and `w` nodes, rules glproof no longer has, so the tests that
+run one in the pipeline skip the check of stage 6 and compare its bytes.
+
+Running the pipeline again from to-csgl of stage 6 gives the same GLseq
+and G3GL stages: the translation cycle is a fixpoint.
 """
 
 import functools
@@ -28,12 +38,13 @@ from pathlib import Path
 import pytest
 
 import g3gl_reference
-from glproof import checkers, transform
+from glproof import checkers, cli, transform
 from glproof.checkers import (
     check_csgl,
     check_g3gl,
     check_glseq,
     check_lngl,
+    CheckReport,
     end_active_report,
     normal_form_report,
 )
@@ -51,19 +62,38 @@ GOLDEN = Path(__file__).parent / "data" / "pipeline_golden.json"
 STAGE_GOLDEN = Path(__file__).parent / "data" / "stage_golden.json"
 STAGE_DIGEST_GOLDEN = Path(__file__).parent / "data" / "stage_digest_golden.json"
 G3GL_GOLDEN = Path(__file__).parent / "data" / "g3gl_golden.json"
+WFREE_GOLDEN = Path(__file__).parent / "data" / "g3gl_wfree_golden.json"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 TESTS = str(Path(__file__).resolve().parent)
+
+
+def _reference(monkeypatch, pass_entry):
+    """Run `pass_entry` as to-g3gl, with its stage unchecked."""
+    monkeypatch.setitem(transform.PASSES, "to-g3gl", pass_entry)
+    check = cli.output_report
+    monkeypatch.setattr(cli, "output_report", lambda name, p: (
+        CheckReport(True) if name == "to-g3gl" else check(name, p)))
 
 
 @pytest.fixture
 def reference_to_g3gl(monkeypatch):
     """The to-g3gl pass as it was when the first three golden files were
     recorded."""
-    monkeypatch.setitem(transform.PASSES, "to-g3gl", g3gl_reference.PASS)
+    _reference(monkeypatch, g3gl_reference.SUB_PASS)
+
+
+@pytest.fixture
+def w_reference_to_g3gl(monkeypatch):
+    """The to-g3gl pass as it was when G3GL_GOLDEN was recorded."""
+    _reference(monkeypatch, g3gl_reference.W_PASS)
 
 
 def _g3gl_golden(part: str) -> dict:
     return json.loads(G3GL_GOLDEN.read_text())[part]
+
+
+def _wfree_golden(part: str) -> dict:
+    return json.loads(WFREE_GOLDEN.read_text())[part]
 
 
 def _pipeline_digest(formula: str) -> str:
@@ -78,8 +108,15 @@ def test_pipeline_golden_output(reference_to_g3gl):
     assert not drifted, f"pipeline stdout changed for {drifted}"
 
 
-def test_pipeline_g3gl_golden_output():
+def test_pipeline_g3gl_golden_output(w_reference_to_g3gl):
     golden = _g3gl_golden("pipeline")
+    assert list(golden) == list(json.loads(GOLDEN.read_text()))
+    drifted = [f for f, digest in golden.items() if _pipeline_digest(f) != digest]
+    assert not drifted, f"pipeline stdout changed for {drifted}"
+
+
+def test_pipeline_wfree_golden_output():
+    golden = _wfree_golden("pipeline")
     assert list(golden) == list(json.loads(GOLDEN.read_text()))
     drifted = [f for f, digest in golden.items() if _pipeline_digest(f) != digest]
     assert not drifted, f"pipeline stdout changed for {drifted}"
@@ -100,39 +137,54 @@ def test_stage_files_golden(tmp_path, reference_to_g3gl):
         assert _stage_files(tmp_path / str(i), f) == digests, f"stage files changed for {f}"
 
 
-def test_stage_files_g3gl_golden(tmp_path):
+def _assert_stage_six(tmp_path, g3gl: dict) -> None:
     # the first five stage files are the ones recorded in STAGE_GOLDEN
     golden = json.loads(STAGE_GOLDEN.read_text())
-    g3gl = _g3gl_golden("stage_file")
     assert list(g3gl) == list(golden)
     for i, (f, digests) in enumerate(golden.items()):
         want = dict(digests, **{"06-g3gl.glp": g3gl[f]})
         assert _stage_files(tmp_path / str(i), f) == want, f"stage files changed for {f}"
 
 
+def test_stage_files_g3gl_golden(tmp_path, w_reference_to_g3gl):
+    _assert_stage_six(tmp_path, _g3gl_golden("stage_file"))
+
+
+def test_stage_files_wfree_golden(tmp_path):
+    _assert_stage_six(tmp_path, _wfree_golden("stage_file"))
+
+
 @pytest.mark.parametrize("hashseed", ["0", "12345"])
 def test_pipeline_golden_output_any_hash_seed(hashseed):
-    # today's stdout, then the stdout with the reference translation
+    # today's stdout, then the stdout with each reference translation, its
+    # stage unchecked
     script = (
         "import hashlib, io, json, sys\n"
         "sys.path.insert(0, sys.argv[2])\n"
         "import g3gl_reference\n"
-        "from glproof import transform\n"
-        "from glproof.cli import run\n"
+        "from glproof import cli, transform\n"
+        "from glproof.checkers import CheckReport\n"
         "def digests():\n"
         "    for f in json.load(open(sys.argv[1])):\n"
         "        out = io.StringIO()\n"
-        "        run(['pipeline', f], stdout=out, stderr=io.StringIO())\n"
+        "        cli.run(['pipeline', f], stdout=out, stderr=io.StringIO())\n"
         "        print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
         "digests()\n"
-        "transform.PASSES['to-g3gl'] = g3gl_reference.PASS\n"
+        "check = cli.output_report\n"
+        "cli.output_report = lambda name, p: (\n"
+        "    CheckReport(True) if name == 'to-g3gl' else check(name, p))\n"
+        "transform.PASSES['to-g3gl'] = g3gl_reference.W_PASS\n"
+        "digests()\n"
+        "transform.PASSES['to-g3gl'] = g3gl_reference.SUB_PASS\n"
         "digests()\n"
     )
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=SRC)
     res = subprocess.run([sys.executable, "-c", script, str(GOLDEN), TESTS], env=env,
                          capture_output=True, text=True, check=True)
     golden = json.loads(GOLDEN.read_text())
-    assert res.stdout.split() == list(_g3gl_golden("pipeline").values()) + list(golden.values())
+    assert res.stdout.split() == (list(_wfree_golden("pipeline").values())
+                                  + list(_g3gl_golden("pipeline").values())
+                                  + list(golden.values()))
 
 
 @pytest.mark.parametrize("formula", [
@@ -154,7 +206,9 @@ STAGE_CHECKS = {
     "lngl": check_lngl,
     "normal": lambda p: check_lngl(p) and normal_form_report(p),
     "glseq": check_glseq,
-    "g3gl": lambda p: check_g3gl(p, "extended"),
+    # stage 6 is also an end-active CSGL proof
+    "g3gl": lambda p: (check_g3gl(p, "extended")
+                       and STAGE_CHECKS["end-active"](p.retag("csgl"))),
 }
 
 
@@ -236,26 +290,43 @@ def test_stage_digest_golden():
     assert not drifted, f"stage output changed for {drifted}"
 
 
-def test_stage_digest_g3gl_golden():
-    golden = _g3gl_golden("stage_digest")
-    got = {f: _digest(run_pass("to-g3gl", p)[0]) for f, (_, p) in _seeded_glseq_proofs().items()}
+def _assert_digests(golden: dict, to_g3gl) -> None:
+    got = {f: _digest(to_g3gl(p)) for f, (_, p) in _seeded_glseq_proofs().items()}
     assert list(got) == list(golden)
     drifted = [f for f, d in golden.items() if got[f] != d]
     assert not drifted, f"to-g3gl output changed for {drifted}"
+
+
+def test_stage_digest_g3gl_golden():
+    _assert_digests(_g3gl_golden("stage_digest"), g3gl_reference.glseq_to_g3gl_w)
+
+
+def test_stage_digest_wfree_golden():
+    _assert_digests(_wfree_golden("stage_digest"), lambda p: run_pass("to-g3gl", p)[0])
+
+
+def _relabel(p: Proof, mapping: dict) -> Proof:
+    """`relabel_proof`, with the sequent that each `w` node adds renamed too."""
+    def make(node: Proof, prems: tuple) -> Proof:
+        meta = dict(node.meta)
+        if "added" in meta:
+            meta["added"] = meta["added"].rename(mapping)
+        return Proof(node.calculus, node.rule, node.conclusion, prems, meta)
+    return rebuild(relabel_proof(p, mapping), make)
 
 
 def _boxr_labels_by_index(p: Proof) -> Proof:
     """p with each boxR's fresh label renamed b<i>, i its boxR's pre-order
     index."""
     fresh = [n.meta["fresh"] for _, n in p.nodes() if n.rule == "boxR"]
-    return relabel_proof(p, {y: f"b{i}" for i, y in enumerate(fresh)})
+    return _relabel(p, {y: f"b{i}" for i, y in enumerate(fresh)})
 
 
 def _without_sub(p: Proof) -> Proof:
     """p with each (x/y) node replaced by its premise, relabeled y -> x."""
     def make(node: Proof, prems: tuple) -> Proof:
         if node.rule == "sub":
-            return relabel_proof(prems[0], {node.meta["y"]: node.meta["x"]})
+            return _relabel(prems[0], {node.meta["y"]: node.meta["x"]})
         return Proof(node.calculus, node.rule, node.conclusion, prems, dict(node.meta))
     return rebuild(p, make)
 
@@ -266,25 +337,66 @@ def test_to_g3gl_is_the_reference_without_its_sub_nodes():
     # nothing else but the names of the labels
     for f, (_, p) in _seeded_glseq_proofs().items():
         ref = _boxr_labels_by_index(_without_sub(g3gl_reference.glseq_to_g3gl(p)))
-        out = _boxr_labels_by_index(run_pass("to-g3gl", p)[0])
+        out = _boxr_labels_by_index(g3gl_reference.glseq_to_g3gl_w(p))
         assert print_proof(out) == print_proof(ref), f
+
+
+def _skip_w(node: Proof) -> tuple:
+    """The rule, meta and premises of the first node at or above `node` that
+    is not a `w` node."""
+    while node.rule == "w":
+        (node,) = node.premises
+    return node.rule, dict(node.meta), node.premises
+
+
+def test_to_g3gl_is_the_w_reference_without_its_w_nodes():
+    # a `w` node only drops context that no rule above it reads: deriving
+    # the rules of the reference's output without its `w` nodes, top-down
+    # from its conclusion, is today's output up to the names of the labels
+    for f, (_, p) in _seeded_glseq_proofs().items():
+        ref = g3gl_reference.glseq_to_g3gl_w(p)
+        derived = _boxr_labels_by_index(derive("g3glext", ref, ref.conclusion, _skip_w))
+        out = _boxr_labels_by_index(run_pass("to-g3gl", p)[0])
+        assert print_proof(out) == print_proof(derived), f
+
+
+@functools.lru_cache(maxsize=None)
+def _seeded_csgl_proofs(n=200) -> tuple:
+    """(formula, CSGL search proof) for n seeded CSGL-proved theorems."""
+    rng = random.Random(3)
+    got = []
+    while len(got) < n:
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(6, 14))
+        r = prove_formula(f, "csgl", CFG)
+        if r.proved:
+            got.append((f, r.proof))
+    return tuple(got)
 
 
 def test_stage_proofs_derive_top_down():
     # every rule of every stage has a top-down schema: each stage proof is
     # what `derive` builds from its own rules and its conclusion
     parts = lambda n: (n.rule, dict(n.meta), n.premises)
-    rng = random.Random(3)
-    n = 0
-    while n < 200:
-        f = random_formula(rng, ("p", "q", "r"), rng.randint(6, 14))
-        r = prove_formula(f, "csgl", CFG)
-        if not r.proved:
-            continue
-        n += 1
-        stages = [("csgl", r.proof)] + [(stage, p) for stage, p, _ in run_pipeline(r.proof)]
+    for f, proof in _seeded_csgl_proofs():
+        stages = [("csgl", proof)] + [(stage, p) for stage, p, _ in run_pipeline(proof)]
         for stage, p in stages:
             assert derive(p.calculus, p, p.conclusion, parts) == p, (stage, print_formula(f))
+
+
+def test_translation_cycle_is_a_fixpoint():
+    # stage 6 retagged as CSGL is an end-active CSGL proof; the pipeline run
+    # from it gives the first run's GLseq and G3GL stages byte for byte, and
+    # its stage 6 retags to the same CSGL proof.  Its LNGL and normal stages
+    # may differ: the retagged proof is not the one search made.
+    for f, proof in _seeded_csgl_proofs():
+        first = {stage: p for stage, p, _ in run_pipeline(proof)}
+        cycled, _ = run_pass("to-csgl", first["g3gl"])
+        assert STAGE_CHECKS["end-active"](cycled), print_formula(f)
+        again = {stage: p for stage, p, _ in run_pipeline(cycled)}
+        for stage in ("glseq", "g3gl"):
+            same = print_proof(again[stage]) == print_proof(first[stage])
+            assert same, (stage, print_formula(f))
+        assert run_pass("to-csgl", again["g3gl"])[0] == cycled, print_formula(f)
 
 
 @pytest.mark.parametrize("prefix", ["~" * 900, "[]" * 40, "[]" * 45],

@@ -404,11 +404,6 @@ def test_invert_not_applicable():
     for p, m in ((csgl, meta), (csgl_to_g3gl_embed(csgl), meta), (lngl, {"phi": Q})):
         with pytest.raises(NotApplicable, match=f"no inversion for boxR in {p.calculus}"):
             apply_inverse("boxR", 0, p, m)
-    # nor is a formula that a w node adds
-    prem = Proof("g3glext", "id1", pls("x: p |- x: p"), (), {"label": "x", "principal": P})
-    w = Proof("g3glext", "w", pls("x: p, x: ~q |- x: p"), (prem,), {"added": pls("x: ~q |- ")})
-    with pytest.raises(NotApplicable, match="w does not apply"):
-        apply_inverse("negL", 0, w, {"label": "x", "principal": pf("~q")})
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +869,7 @@ def test_glseq_to_g3gl_corpus():
 
 def _to_g3gl_outputs(rng, n):
     """to-g3gl outputs of n seeded theorems whose GLseq proof has a boxGL,
-    so each has at least one (x/y) node."""
+    so each has at least one boxR node."""
     while n:
         f = random_formula(rng, ("p", "q", "r"), rng.randint(4, 12))
         r = prove_formula(f, "glseq", CFG)

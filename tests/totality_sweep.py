@@ -7,8 +7,11 @@ The theorems are the formulas the oracle finds valid: 65,380 of the 259,674
 formulas with at most 6 connectives.  Each must be proved by CSGL search,
 each stage that `transform.run_pipeline` makes from its proof must be
 accepted by the stage's checkers (the `STAGE_CHECKS` table of
-tests/test_pipeline.py), and the last stage must conclude |- x: f.  GLseq
-and CSGL search must also return, on |- f and |- x: f, what the recursive
+tests/test_pipeline.py), and the last stage must conclude |- x: f.  The
+translation cycle must close: the pipeline run again from `to-csgl` of
+stage 6 must give the same GLseq and G3GL stages byte for byte, and its
+stage 6 must retag to the same CSGL proof.  GLseq and CSGL search must also
+return, on |- f and |- x: f, what the recursive
 searches of tests/search_reference.py return (skeleton, dead end, fuel left
 and fresh labels).  Runs one process per core; prints one line per failure (formula,
 stage, reason) and per reference mismatch (formula, calculus), then the
@@ -28,19 +31,24 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from glproof.formula import enumerate_formulas, print_formula  # noqa: E402
+from glproof.proofio import print_proof  # noqa: E402
 from glproof.search import SearchConfig, prove_formula  # noqa: E402
 from glproof.semantics import oracle_validity  # noqa: E402
 from glproof.sequents import GentzenSequent, LabeledSequent  # noqa: E402
-from glproof.transform import PIPELINE, run_pipeline  # noqa: E402
+from glproof.transform import PIPELINE, run_pass, run_pipeline  # noqa: E402
 from search_reference import csgl_outcomes, glseq_outcomes  # noqa: E402
 from test_pipeline import STAGE_CHECKS  # noqa: E402
 
 CFG = SearchConfig(oracle_hint=False)
 CONNECTIVES = 6
+# the stages that the pipeline run from to-csgl of stage 6 must reproduce;
+# its LNGL and normal stages may differ, since search did not make its input
+CYCLE_STAGES = ("glseq", "g3gl")
 
 
 def failure(f) -> str | None:
-    """Why `f` fails the pipeline, or None."""
+    """Why `f` fails the pipeline or the translation cycle, or None.  A
+    stage of the second run is reported as `cycle <stage>`."""
     stage = "csgl"
     try:
         r = prove_formula(f, "csgl", CFG)
@@ -49,13 +57,27 @@ def failure(f) -> str | None:
         proof = r.proof
         if not STAGE_CHECKS["csgl"](proof):
             return "csgl\trejected"
+        first = {}
         stages = run_pipeline(proof)
         for stage, _ in PIPELINE:  # named before its pass runs, for the report
             _, proof, _ = next(stages)
             if not STAGE_CHECKS[stage](proof):
                 return f"{stage}\trejected"
+            if stage in CYCLE_STAGES:
+                first[stage] = print_proof(proof)
         if str(proof.conclusion) != f"|- x: {print_formula(f)}":
             return f"{stage}\tconcludes {proof.conclusion}"
+        stage = "cycle to-csgl"
+        cycled, _ = run_pass("to-csgl", proof)
+        stages = run_pipeline(cycled)
+        for name, _ in PIPELINE:
+            stage = f"cycle {name}"
+            _, proof, _ = next(stages)
+            if name in CYCLE_STAGES and print_proof(proof) != first[name]:
+                return f"{stage}\tdiffers from the first run"
+        stage = "cycle to-csgl"
+        if run_pass("to-csgl", proof)[0] != cycled:
+            return f"{stage}\tdiffers from the first run"
     except Exception as e:  # every failure is reported, and the sweep goes on
         return f"{stage}\t{type(e).__name__}: {e}"
     return None
