@@ -22,6 +22,7 @@ from .proofio import (
     parse_proof,
     parse_labeled_sequent,
     print_proof,
+    write_proof,
 )
 from .render import (
     render_model_dot,
@@ -195,7 +196,7 @@ def _dispatch(args, stdout, stderr) -> int:
                     }
             _print_json(doc, stdout)
         elif result.proved:
-            stdout.write(print_proof(result.proof))
+            write_proof(result.proof, stdout)
         else:
             print(f"NotProved\t.\tsaturated at: {result.saturated}", file=stdout)
             if result.hint is not None and not result.hint.valid:
@@ -227,12 +228,11 @@ def _dispatch(args, stdout, stderr) -> int:
         out, report = run_pass(args.pass_name, proof)
         if not (checked := output_report(args.pass_name, out)).accepted:
             return _rejected(checked, stdout, f"{args.pass_name} output: ")
-        text = print_proof(out)
         if args.output:
             with open(args.output, "w") as fh:
-                fh.write(text)
+                write_proof(out, fh)
         else:
-            stdout.write(text)
+            write_proof(out, stdout)
         print(report.line(), file=stderr)
         return 0
 
@@ -313,10 +313,10 @@ def _pipeline(args, stdout) -> int:
         for i, (stage_name, proof, _) in enumerate(stages, start=1):
             path = os.path.join(args.emit_trace, f"{i:02d}-{stage_name}.glp")
             with open(path, "w") as fh:
-                fh.write(print_proof(proof))
+                write_proof(proof, fh)
         print(f"trace written to {args.emit_trace}", file=stdout)
     else:
-        stdout.write(print_proof(stages[-1][1]))
+        write_proof(stages[-1][1], stdout)
     return 0
 
 

@@ -8,7 +8,9 @@ Open leaves of cyclic derivations serialize as
 
 from __future__ import annotations
 
+import io
 import re
+from typing import Optional
 
 from .formula import Formula, parse_formula, print_formula
 from .sequents import (
@@ -235,38 +237,49 @@ def _address(text: str) -> Address:
         raise SequentSyntaxError(f"bad node address {text!r}") from None
 
 
-def print_proof(obj) -> str:
-    """Serialize a Proof or CyclicDerivation to the proof file format."""
+def _node_line(head: str, node: Proof, link: str = "") -> str:
+    """`(head (concl ...)`, then `link` and the meta term, if there is one."""
+    meta = _encode_meta(node.meta)
+    meta_part = f" (meta {meta})" if meta else ""
+    return f"({head} (concl {_quote(str(node.conclusion))}){link}{meta_part}"
+
+
+def write_proof(obj, out) -> None:
+    """Write a Proof or CyclicDerivation in the proof file format to the text
+    stream `out`, each line as soon as it is made, so the file is never
+    held in memory whole."""
     if isinstance(obj, CyclicDerivation):
-        header = "calculus: glcirc"
+        out.write("calculus: glcirc\n")
         root = obj.derivation
         backlinks = obj.backlinks
     else:
-        header = f"calculus: {obj.calculus}"
+        out.write(f"calculus: {obj.calculus}\n")
         root = obj
         backlinks = {}
 
-    lines = [header]
-
-    def emit(node: Proof, addr: Address, indent: int):
-        pad = "  " * indent
-        concl = _quote(str(node.conclusion))
-        meta = _encode_meta(node.meta)
-        meta_part = f" (meta {meta})" if meta else ""
+    # a node waits for its premises holding no text: a chain's conclusions
+    # can be most of the file, and the addresses are needed for backlinks only
+    def emit(node: Proof, addr: Optional[Address], indent: int):
         if node.rule == OPEN:
             target = backlinks.get(addr)
             link = "" if target is None else f" (backlink {format_address(target)})"
-            lines.append(f"{pad}(open (concl {concl}){link}{meta_part})")
-            return
-        if node.premises:
-            lines.append(f"{pad}(rule {node.rule} (concl {concl}){meta_part} (prems")
-            yield tuple(emit(prem, addr + (i,), indent + 1) for i, prem in enumerate(node.premises))
-            lines.append(f"{pad}))")
+            out.write(f"{'  ' * indent}{_node_line('open', node, link)})\n")
+        elif node.premises:
+            out.write(f"{'  ' * indent}{_node_line('rule ' + node.rule, node)} (prems\n")
+            yield tuple(emit(prem, None if addr is None else addr + (i,), indent + 1)
+                        for i, prem in enumerate(node.premises))
+            out.write(f"{'  ' * indent}))\n")
         else:
-            lines.append(f"{pad}(rule {node.rule} (concl {concl}){meta_part} (prems))")
+            out.write(f"{'  ' * indent}{_node_line('rule ' + node.rule, node)} (prems))\n")
 
-    trampoline(emit(root, (), 0))
-    return "\n".join(lines) + "\n"
+    trampoline(emit(root, () if backlinks else None, 0))
+
+
+def print_proof(obj) -> str:
+    """The text `write_proof` writes for a Proof or CyclicDerivation."""
+    buf = io.StringIO()
+    write_proof(obj, buf)
+    return buf.getvalue()
 
 
 def _once(given: set, head: str, where: str) -> None:

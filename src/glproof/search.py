@@ -37,13 +37,19 @@ antecedent and edges never leave `rel`, so a propagation's entry goes in
 once, when its box or its edge arrives, and leaves when it fires; a
 propagation node takes the first entry whose product is new, and no node
 scans the sides for candidates.  A one-premise rule (negL, negR, orR, and
-in CSGL 4L, boxL and boxR) changes that state in place and appends its
-skeleton head to the branch's chain.  orL hands the state to its left
-premise and saves a copy for the right one, which runs only after the left
-one closes.  Each boxGL premise of GLseq starts a fresh state, one
-consequent box at a time in `formula_key` order.  A suspended orL or boxGL
-waits in a frame on the stack with its chain; when a branch closes, its
-skeleton is wrapped in its chain's heads and handed to the frame below.
+in CSGL 4L, boxL and boxR) changes that state in place.  orL hands the
+state to its left premise and saves a copy for the right one, which runs
+only after the left one closes.  Each boxGL premise of GLseq starts a
+fresh state, one consequent box at a time in `formula_key` order.
+
+The proof is written as it is found, one record per rule instance appended
+to a single list in preorder (see `_replay`).  A suspended orL waits on the
+stack with its record's index and its saved state; when its left premise
+closes, its record gets the index where the right premise's records begin,
+and the frame leaves the stack.  A suspended boxGL waits with the list's
+length before its premise; a premise that fails is cut off the list there
+before the next one is tried.  CSGL never backtracks: its first failing
+leaf fails the whole search.
 
 Dead ends: the first state at which a failing search gives up is a leaf,
 because an interior node fails only after a premise has failed first.  So
@@ -54,7 +60,7 @@ has fired or adds nothing new (a boxL product that is a Not or an Or was
 decomposed on the branch), and every boxed consequent is blocked.
 
 Fuel (`FuelExhausted`) is the backstop.  Emitted proofs are multiset-based:
-the search skeleton is replayed over the original multisets, and any slack
+the search's records are replayed over the original multisets, and any slack
 left by dropped duplicates is absorbed by id and the modal rules, whose
 contexts are arbitrary.
 """
@@ -126,28 +132,44 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 # Replay: every premise comes from the rule schema
 #
-# A skeleton is a flat tuple (rule, meta keys, *meta values, *subskeletons).
-# A search that runs out of fuel can hold ~100k successful subskeletons at
-# once; a meta dict per skeleton would add ~20 MB there, so dicts are built
-# only on replay.
+# A search writes its proof into one flat list, one record per rule
+# instance, in preorder.  A record is a run of slots: the rule name, then its
+# meta values in the key order `_META_KEYS` gives the rule; an orL record has
+# one slot more, the index where its right premise's record begins.  Every
+# other premise begins right after its rule's record.  A search that runs out
+# of fuel holds ~100k records at once, so a record costs no object of its own
+# (~30 B in all, against ~80 B for a tuple), and meta dicts are built only on
+# replay.
 
-_P, _GP = ("principal",), ("gamma", "phi")
-_LP, _LAP, _LFP = ("label", "principal"), ("label", "aux", "phi"), ("label", "fresh", "phi")
+_P, _LP, _LAP = ("principal",), ("label", "principal"), ("label", "aux", "phi")
+_META_KEYS = {
+    "glseq": {**dict.fromkeys(("id", "negL", "negR", "orR", "orL"), _P),
+              "boxGL": ("gamma", "phi")},
+    "csgl": {**dict.fromkeys(("id1", "id2", "negL", "negR", "orR", "orL"), _LP),
+             "4L": _LAP, "boxL": _LAP, "boxR": ("label", "fresh", "phi")},
+}
+_LEAVES = ("id", "id1", "id2")
 
 
-def _replay(sk, seq: Sequent, calculus: str, names: Optional[dict] = None) -> Proof:
-    """Re-derive a search skeleton over the original multisets; `names` maps
-    CSGL's integer state labels to label names."""
-    def parts(sk):
-        n = 2 + len(sk[1])
-        meta = dict(zip(sk[1], sk[2:n]))
+def _replay(recs: list, seq: Sequent, calculus: str, names: Optional[dict] = None) -> Proof:
+    """Re-derive a search's records over the original multisets; `names`
+    maps CSGL's integer state labels to label names."""
+    keys = _META_KEYS[calculus]
+
+    def parts(i: int):
+        rule = recs[i]
+        k = keys.get(rule, ())
+        j = i + 1 + len(k)  # where the record's meta values end
+        meta = dict(zip(k, recs[i + 1:j]))
         if names is not None:
             for key in LABEL_KEYS:
                 if key in meta:
                     meta[key] = names[meta[key]]
-        return sk[0], meta, sk[n:]
+        if rule in _LEAVES:
+            return rule, meta, ()
+        return rule, meta, (j + 1, recs[j]) if rule == "orL" else (j,)
 
-    return derive(calculus, sk, seq, parts)
+    return derive(calculus, 0, seq, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +187,16 @@ _CONS_RANK = {Not: 1, Or: 2}
 def _glseq_search(fa: set, fc: Iterable, fuel: list, dead_end: list):
     """Search from the set-sequent `fa |- set(fc)`, changing `fa` in place;
     `fuel` holds the fuel left and `dead_end` the first dead end, each in a
-    one-element list.  Returns a skeleton tuple or None."""
+    one-element list.  Returns the proof's records or None."""
     n = fuel[0]
     pending = sorted([(_ANTE_RANK[type(f)], f.key, f) for f in fa if type(f) in _ANTE_RANK])
     # the root's consequent goes on as if a rule had added it
     side, other, ranks, adds = set(), fa, _CONS_RANK, fc
     fc, shared = side, set()
-    # a frame is [chain, f, saved state, left skeleton] for orL on f, and
-    # [chain, gamma, boxes left, antecedent without the box, its pending
-    # entries, box tried] for boxGL
-    chain, stack = [], []
+    # a frame is (record index, saved state) for an orL whose left premise
+    # runs, and (list length before the premise, gamma, boxes left,
+    # antecedent without the box, its pending entries) for boxGL
+    recs, stack = [], []
     while True:
         for g in adds:  # the formulas this node's rule put on `side`
             if g not in side:
@@ -188,25 +210,26 @@ def _glseq_search(fa: set, fc: Iterable, fuel: list, dead_end: list):
         if n < 0:
             raise FuelExhausted(fuel[0])
         if shared:
-            sk = ("id", _P, min(shared, key=formula_key))
+            recs += "id", min(shared, key=formula_key)
+            closed = True
         elif pending:
             rank, _, f = pending.pop(0)
             if rank == 0:
                 fa.remove(f)
-                chain.append(("negL", _P, f))
+                recs += "negL", f
                 side, other, ranks, adds = fc, fa, _CONS_RANK, (f.sub,)
             elif rank == 1:
                 fc.remove(f)
-                chain.append(("negR", _P, f))
+                recs += "negR", f
                 side, other, ranks, adds = fa, fc, _ANTE_RANK, (f.sub,)
             elif rank == 2:
                 fc.remove(f)
-                chain.append(("orR", _P, f))
+                recs += "orR", f
                 side, other, ranks, adds = fc, fa, _CONS_RANK, (f.left, f.right)
             else:  # orL: the left premise takes this state, the right one a copy
                 fa.remove(f)
-                stack.append([chain, f, (fa.copy(), fc.copy(), pending.copy()), None])
-                chain = []
+                stack.append((len(recs), (fa.copy(), fc.copy(), pending.copy())))
+                recs += "orL", f, None
                 side, other, ranks, adds = fa, fc, _ANTE_RANK, (f.left,)
             continue
         else:
@@ -218,48 +241,42 @@ def _glseq_search(fa: set, fc: Iterable, fuel: list, dead_end: list):
                 gamma = tuple(sorted((g.sub for g in boxed), key=formula_key))
                 entries = sorted((_ANTE_RANK[type(g)], g.key, g) for g in gamma
                                  if type(g) in _ANTE_RANK)
-                stack.append([chain, gamma, iter(boxes), {*boxed, *gamma}, entries, None])
+                stack.append((len(recs), gamma, iter(boxes), {*boxed, *gamma}, entries))
             elif dead_end[0] is None:  # a leaf where no rule applies
                 dead_end[0] = (frozenset(fa), frozenset(fc))
-            sk = None
-        # this branch closed with skeleton `sk`, or failed if it is None
-        while True:
-            if sk is not None:
-                for step in reversed(chain):
-                    sk = step + (sk,)
-            if not stack:
-                fuel[0] = n
-                return sk
-            frame = stack[-1]
-            chain = frame[0]
-            if len(frame) == 4:  # orL
-                if sk is not None:
-                    if frame[3] is None:  # the left premise closed: run the right one
-                        frame[3] = sk
-                        fa, fc, pending = frame[2]
-                        shared, chain = set(), []
-                        side, other, ranks, adds = fa, fc, _ANTE_RANK, (frame[1].right,)
-                        break
-                    sk = ("orL", _P, frame[1], frame[3], sk)
-            elif sk is not None:
-                sk = ("boxGL", _GP, frame[1], frame[5].sub, sk)
-            else:  # a fresh state for the next boxGL premise
-                f = frame[5] = next(frame[2], None)
+            closed = False
+        # this branch closed, or failed if `closed` is false
+        while stack:
+            frame = stack.pop()
+            if len(frame) == 2:  # orL
+                if closed:  # the left premise closed: run the right one
+                    i, (fa, fc, pending) = frame
+                    recs[i + 2] = len(recs)
+                    shared = set()
+                    side, other, ranks, adds = fa, fc, _ANTE_RANK, (recs[i + 1].right,)
+                    break
+            elif not closed:  # a fresh state for the next boxGL premise
+                del recs[frame[0]:]
+                f = next(frame[2], None)
                 if f is not None:
+                    stack.append(frame)
+                    recs += "boxGL", frame[1], f.sub
                     fa, fc, pending = set(frame[3]), set(), frame[4].copy()
                     fa.add(f)
-                    shared, chain = set(), []
+                    shared = set()
                     side, other, ranks, adds = fc, fa, _CONS_RANK, (f.sub,)
                     break
-            stack.pop()
+        else:
+            fuel[0] = n
+            return recs if closed else None
 
 
 def decide_glseq(s: GentzenSequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Backward decision procedure for the Gentzen calculus."""
     dead_end = [None]
-    sk = _glseq_search(set(s.ante), s.cons, [cfg.fuel], dead_end)
-    if sk is not None:
-        return SearchResult(True, proof=_replay(sk, s, "glseq"))
+    recs = _glseq_search(set(s.ante), s.cons, [cfg.fuel], dead_end)
+    if recs is not None:
+        return SearchResult(True, proof=_replay(recs, s, "glseq"))
     hint = oracle_validity(_query_formula(s)) if cfg.oracle_hint else None
     return SearchResult(False, hint=hint, build=lambda: GentzenSequent(*dead_end[0]))
 
@@ -284,7 +301,7 @@ def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dea
     its box or edge arrives.  A propagation node fires, and deletes, the
     first entry whose product is not in `fa`, so a decomposed propagation
     result is never re-derived (re-firing is redundant by admissible
-    contraction).  Returns a skeleton tuple or None."""
+    contraction).  Returns the proof's records or None."""
     n, fresh = fuel[0], counter[0]
     pending = sorted([(_ANTE_RANK[type(f)], x, f.key, f) for x, f in fa if type(f) in _ANTE_RANK])
     cands = sorted([(kind, x, y, f.key, f) for x, f in fa if type(f) is Box
@@ -292,8 +309,8 @@ def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dea
     # the root's consequent goes on as if a rule had added it
     side, other, ranks, adds = set(), fa, _CONS_RANK, fc
     fc, shared = side, set()
-    # a frame is [chain, x, f, saved state, left skeleton] for orL on x: f
-    chain, stack = [], []
+    # a frame is (record index, saved state) for an orL whose left premise runs
+    recs, stack = [], []
     while True:
         for p in adds:  # the labeled formulas this node's rule put on `side`
             if p not in side:
@@ -314,26 +331,26 @@ def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dea
             raise FuelExhausted(fuel[0])
         if shared:
             x, g = min(shared, key=labeled_key)
-            sk = ("id1" if type(g) is not Box else "id2", _LP, x, g)
+            recs += ("id1" if type(g) is not Box else "id2"), x, g
         elif pending:
             rank, x, _, f = pending.pop(0)
             if rank == 0:
                 fa.remove((x, f))
-                chain.append(("negL", _LP, x, f))
+                recs += "negL", x, f
                 side, other, ranks, adds = fc, fa, _CONS_RANK, ((x, f.sub),)
             elif rank == 1:
                 fc.remove((x, f))
-                chain.append(("negR", _LP, x, f))
+                recs += "negR", x, f
                 side, other, ranks, adds = fa, fc, _ANTE_RANK, ((x, f.sub),)
             elif rank == 2:
                 fc.remove((x, f))
-                chain.append(("orR", _LP, x, f))
+                recs += "orR", x, f
                 side, other, ranks, adds = fc, fa, _CONS_RANK, ((x, f.left), (x, f.right))
             else:  # orL: the left premise takes this state, the right one a copy
                 fa.remove((x, f))
-                stack.append([chain, x, f, (rel.copy(), fa.copy(), fc.copy(), pending.copy(),
-                                            cands.copy()), None])
-                chain = []
+                stack.append((len(recs), (rel.copy(), fa.copy(), fc.copy(), pending.copy(),
+                                          cands.copy())))
+                recs += "orL", x, f, None
                 side, other, ranks, adds = fa, fc, _ANTE_RANK, ((x, f.left),)
             continue
         else:
@@ -343,7 +360,7 @@ def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dea
                 g = f if kind == 0 else f.sub
                 if (y, g) not in fa:
                     del cands[i]
-                    chain.append(("4L" if kind == 0 else "boxL", _LAP, x, y, f.sub))
+                    recs += ("4L" if kind == 0 else "boxL"), x, y, f.sub
                     side, other, ranks, adds = fa, fc, _ANTE_RANK, ((y, g),)
                     break
             else:
@@ -359,7 +376,7 @@ def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dea
                             insort(cands, (1, x, y, g.key, g))
                     fa.add((y, f))  # at a fresh label, so it closes no id and has no edge
                     fc.remove((x, f))
-                    chain.append(("boxR", _LFP, x, y, f.sub))
+                    recs += "boxR", x, y, f.sub
                     side, other, ranks, adds = fc, fa, _CONS_RANK, ((y, f.sub),)
                     break
                 else:
@@ -370,23 +387,16 @@ def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dea
                     fuel[0], counter[0] = n, fresh
                     return None
             continue
-        # an id leaf closed this branch
-        while True:
-            for step in reversed(chain):
-                sk = step + (sk,)
-            if not stack:
-                fuel[0], counter[0] = n, fresh
-                return sk
-            frame = stack[-1]
-            chain = frame[0]
-            if frame[4] is None:  # the left premise of an orL closed
-                frame[4] = sk
-                rel, fa, fc, pending, cands = frame[3]
-                shared, chain = set(), []
-                side, other, ranks, adds = fa, fc, _ANTE_RANK, ((frame[1], frame[2].right),)
-                break
-            stack.pop()
-            sk = ("orL", _LP, frame[1], frame[2], frame[4], sk)
+        # an id leaf closed this branch, and with it the left premise of the
+        # innermost suspended orL: run its right one
+        if not stack:
+            fuel[0], counter[0] = n, fresh
+            return recs
+        i, (rel, fa, fc, pending, cands) = stack.pop()
+        recs[i + 3] = len(recs)
+        x, f = recs[i + 1], recs[i + 2]
+        shared = set()
+        side, other, ranks, adds = fa, fc, _ANTE_RANK, ((x, f.right),)
 
 
 def decide_csgl(s: LabeledSequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -399,9 +409,9 @@ def decide_csgl(s: LabeledSequent, cfg: SearchConfig = SearchConfig()) -> Search
     fc = [(to_int[x], f) for x, f in s.cons]
     dead_end = [None]
     counter = [len(labels)]
-    sk = _csgl_search(rel, fa, fc, counter, [cfg.fuel], dead_end)
-    if sk is not None:
-        return SearchResult(True, proof=_replay(sk, s, "csgl", _label_names(to_int, counter[0])))
+    recs = _csgl_search(rel, fa, fc, counter, [cfg.fuel], dead_end)
+    if recs is not None:
+        return SearchResult(True, proof=_replay(recs, s, "csgl", _label_names(to_int, counter[0])))
     hint = _flat_hint(s) if cfg.oracle_hint else None
     return SearchResult(False, hint=hint, build=lambda: _labeled_from_state(
         dead_end[0], _label_names(to_int, counter[0])))

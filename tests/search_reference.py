@@ -8,14 +8,17 @@ propagations fired on the branch; each CSGL propagation node rescans every
 box and edge for the least one not fired, where `glproof.search` keeps its
 unfired propagations in a sorted list.  The code
 is the former `search._glseq_search` and `search._csgl_search` with their
-pending helpers.  `glproof.search` must return the same skeleton tuples,
-record the same dead ends, spend the same fuel and, in CSGL, take the same
-fresh labels; the recursion here costs one Python frame per level of the
-branch, so these fail near depth 1,000.
+pending helpers, and they return a proof as a skeleton: a nested tuple
+(rule, meta keys, *meta values, *premise skeletons).  `glproof.search`
+writes a proof as a flat preorder list of records instead; `skeleton` turns
+that into a skeleton, and the searches must agree on it, record the same
+dead ends, spend the same fuel and, in CSGL, take the same fresh labels.
+The recursion here costs one Python frame per level of the branch, so
+these fail near depth 1,000.
 """
 
 from glproof.formula import Box, Not, Or
-from glproof.search import _GP, _LAP, _LFP, _LP, _P, FuelExhausted, _csgl_search, _glseq_search
+from glproof.search import _LEAVES, _META_KEYS, FuelExhausted, _csgl_search, _glseq_search
 from glproof.sequents import GentzenSequent, LabeledSequent, formula_key, labeled_key
 
 
@@ -23,6 +26,8 @@ class OutOfFuel(Exception):
     """The reference's fuel ran out; `glproof.search` raises FuelExhausted."""
 
 
+_P, _GP = ("principal",), ("gamma", "phi")
+_LP, _LAP, _LFP = ("label", "principal"), ("label", "aux", "phi"), ("label", "fresh", "phi")
 _ANTE_RANK = {Not: 0, Or: 3}
 _CONS_RANK = {Not: 1, Or: 2}
 
@@ -184,14 +189,42 @@ def csgl_search(rel, fa, fc, pending, counter, fired, fuel, dead_end):
 # ---------------------------------------------------------------------------
 # Comparison with glproof.search
 
-def _outcome(search, fuel: int):
+def skeleton(recs: list, calculus: str) -> tuple:
+    """The skeleton of a `glproof.search` record list.  The records are cut
+    apart front to back, then folded last to first on an explicit stack of
+    `(first slot, skeleton)` pairs, so a rule finds its premises' skeletons
+    on top, the left one first.  An orL record's last slot must name where
+    its right premise's record begins, and the list must hold exactly one
+    proof."""
+    keys, starts, i = _META_KEYS[calculus], [], 0
+    while i < len(recs):
+        starts.append(i)
+        i += 1 + len(keys[recs[i]]) + (recs[i] == "orL")
+    assert i == len(recs), i
+    stack = []
+    for i in reversed(starts):
+        rule = recs[i]
+        k = keys[rule]
+        j = i + 1 + len(k)
+        prems = () if rule in _LEAVES else (j + 1, recs[j]) if rule == "orL" else (j,)
+        subs = [stack.pop() for _ in prems]
+        assert tuple(start for start, _ in subs) == prems, (rule, i)
+        stack.append((i, (rule, k, *recs[i + 1:j], *(sk for _, sk in subs))))
+    assert len(stack) == 1, len(stack)
+    return stack[0][1]
+
+
+def _outcome(search, fuel: int, calculus=None):
     """`(skeleton, dead end, fuel left)` of `search(fuel, dead_end)`, or
-    "FuelExhausted"."""
+    "FuelExhausted"; with `calculus`, the search returns records, and their
+    skeleton stands in for them."""
     left, dead_end = [fuel], [None]
     try:
         sk = search(left, dead_end)
     except (OutOfFuel, FuelExhausted):
         return "FuelExhausted"
+    if calculus is not None and sk is not None:
+        sk = skeleton(sk, calculus)
     return sk, dead_end[0], left[0]
 
 
@@ -199,7 +232,7 @@ def glseq_outcomes(s: GentzenSequent, fuel: int = 100000) -> tuple:
     """The reference's outcome of GLseq search on `s`, then glproof's."""
     fa, fc = frozenset(s.ante), frozenset(s.cons)
     return (_outcome(lambda *a: glseq_search(fa, fc, glseq_pending(fa, fc), *a), fuel),
-            _outcome(lambda *a: _glseq_search(set(fa), set(fc), *a), fuel))
+            _outcome(lambda *a: _glseq_search(set(fa), set(fc), *a), fuel, "glseq"))
 
 
 def csgl_outcomes(s: LabeledSequent, fuel: int = 100000) -> tuple:
@@ -213,4 +246,5 @@ def csgl_outcomes(s: LabeledSequent, fuel: int = 100000) -> tuple:
     ref, new = [len(to_int)], [len(to_int)]
     return ((_outcome(lambda *a: csgl_search(rel, fa, fc, csgl_pending(fa, fc), ref, frozenset(),
                                               *a), fuel), ref[0]),
-            (_outcome(lambda *a: _csgl_search(set(rel), set(fa), set(fc), new, *a), fuel), new[0]))
+            (_outcome(lambda *a: _csgl_search(set(rel), set(fa), set(fc), new, *a), fuel, "csgl"),
+             new[0]))

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,17 +26,18 @@ from glproof.proofio import (
     print_proof,
 )
 from glproof.checkers import check_csgl, check_glseq
-from glproof.rules import WRONG_PREMISE_COUNT, RuleError, derive
+from glproof.rules import SCHEMA_MISMATCH, UNKNOWN_RULE, WRONG_PREMISE_COUNT, RuleError, derive
 from glproof.search import (
     FuelExhausted,
     SearchConfig,
+    _glseq_search,
     _replay,
     decide_csgl,
     decide_glseq,
     prove_formula,
 )
 from glproof.semantics import oracle_validity
-from glproof.sequents import GentzenSequent, LabeledSequent, NotATree, tree_root
+from glproof.sequents import GentzenSequent, LabeledSequent, NotATree, formula_key, tree_root
 from glproof.transform import _RuleNode
 from search_reference import csgl_outcomes, glseq_outcomes
 
@@ -207,21 +209,24 @@ def test_multiset_inputs_replay():
 
 
 def test_replay_rejects_a_skeleton_with_the_wrong_premise_count():
-    # a skeleton is (rule, meta keys, meta values..., premise skeletons...)
-    p = pf("p")
-    leaf = ("id", ("principal",), p)
+    # records: the rule name, then its meta values, in one flat preorder list
+    p, np = pf("p"), pf("~p")
     goal = pgs("p |- p, ~p")
-    assert _replay(("negR", ("principal",), pf("~p"), leaf), goal, "glseq").rule == "negR"
-    for sk in (("negR", ("principal",), pf("~p")),
-               ("negR", ("principal",), pf("~p"), leaf, leaf)):
+    assert _replay(["negR", np, "id", p], goal, "glseq").rule == "negR"
+    for recs, code in ((["negR", pf("~q"), "id", p], SCHEMA_MISMATCH),  # not in the goal
+                       (["negL", np, "id", p], SCHEMA_MISMATCH),  # on the wrong side
+                       (["negR"], SCHEMA_MISMATCH),  # no principal
+                       (["id", np], SCHEMA_MISMATCH),  # not on both sides
+                       (["boxR", np, "id", p], UNKNOWN_RULE)):  # not a glseq rule
         with pytest.raises(RuleError) as e:
-            _replay(sk, goal, "glseq")
-        assert e.value.code == WRONG_PREMISE_COUNT
-    with pytest.raises(RuleError) as e:
-        _replay(("id", ("principal",), p, leaf), pgs("p |- p"), "glseq")
-    assert e.value.code == WRONG_PREMISE_COUNT
-    # the same deriver on the other node shape: a rule tree node whose
-    # premise list misses its one premise
+            _replay(recs, goal, "glseq")
+        assert e.value.code == code, recs
+    with pytest.raises(RuleError) as e:  # x: []p is not in the consequent
+        _replay(["boxR", 0, 1, p, "id1", 1, p], pls("x: p |- x: p, x: ~p"), "csgl",
+                {0: "x", 1: "y0"})
+    assert e.value.code == SCHEMA_MISMATCH
+    # the wrong premise count, which records cannot express, on the other
+    # node shape: a rule tree node whose premise list misses its one premise
     node = _RuleNode("negR", {"principal": pf("~p")})
     parts = lambda n: (n.rule, dict(n.meta), n.premises)
     with pytest.raises(RuleError) as e:
@@ -259,6 +264,35 @@ def test_glseq_search_runs_on_a_stack():
 def test_fuel_exhausted_distinct():
     with pytest.raises(FuelExhausted):
         prove_formula(pf("[]([]p -> p) -> []p"), "csgl", SearchConfig(fuel=2, oracle_hint=False))
+
+
+def test_csgl_search_of_the_fuel_blowup_keeps_little():
+    # the `pipeline` benchmark's KNOWN_FUEL_BLOWUP: a theorem whose CSGL search
+    # spends all 100,000 nodes.  Its ~100k records are runs of slots in one
+    # list, ~3.7 MB; a tuple per rule instance made 8 MB.
+    f = pf("[]([](q | ([][](~(~p | r) | r) | [][]p)) | (~[](r | r) | ~(q | p)))")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FuelExhausted) as e:
+            prove_formula(f, "csgl", CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.nodes == 100000
+    assert peak < 5_000_000
+
+
+def test_glseq_search_cuts_a_failed_boxgl_premise_off_its_records():
+    # the premise of [](p | ~(p | r)), tried first, fails after its orL's left
+    # premise closes; that of [](~~p | ~p) proves, and only its records stay
+    s = pgs("|- [](p | ~(p | r)), [](~~p | ~p)")
+    assert min(s.cons, key=formula_key) == pf("[](p | ~(p | r))")
+    ref, new = glseq_outcomes(s)
+    assert ref == new and new[1] is not None  # the first premise's dead end
+    recs = _glseq_search(set(), s.cons, [1000], [None])
+    assert recs[:3] == ["boxGL", (), pf("~~p | ~p")] and "orL" not in recs
+    r = decide_glseq(s, CFG)
+    assert r.proved and check_glseq(r.proof).accepted
 
 
 def test_boxgl_grows_the_antecedent_boxes():
