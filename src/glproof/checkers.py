@@ -1,12 +1,18 @@
 """Deterministic proof validation for all six formalisms.
 
-Checking reconstructs every node's premises from (rule, meta, conclusion)
-and compares; it never searches.  Reports carry stable reason codes with
-node addresses so the CLI can emit machine-readable failure lines.  An
-accepted proof needs none of them, so each checker first takes a lean walk
-that only decides acceptance; the diagnosing walk, which lists every
-failure, runs only when the lean walk finds one.  The two shape reports do
-the same.
+Checking compares every node's premises with the ones its schema gives
+for (rule, meta, conclusion); it never searches.  Reports carry stable
+reason codes with node addresses so the CLI can emit machine-readable
+failure lines.  An accepted proof needs none of them, so each checker first
+takes a lean walk that only decides acceptance; the diagnosing walk, which
+lists every failure, runs only when the lean walk finds one.  The two shape
+reports do the same.
+
+The lean walk takes a node's schema premises from the goals `rules.derive`
+recorded on it, when it has them, and reconstructs them with `premises_of`
+only on a node built some other way (parsed, projected, hand-built or
+retagged); that is sound because nodes are never mutated.  The diagnosing
+walk always reconstructs.
 
 Tree preservation: every CSGL rule maps a tree sequent to tree sequents.
 Local rules, boxL and 4L add formulas at labels already in the tree, and
@@ -197,11 +203,13 @@ def _check_nodes(
 def _accepts(proof: Proof, calculi: frozenset, rules: frozenset, shape: type,
              tree: bool, fresh: bool) -> bool:
     """The lean walk: whether no node of `proof` fails, with no addresses or
-    messages.  Per node: the calculus, shape and rule guard, one
-    `premises_of`, one `==` per premise and, with `fresh`, the boxR fresh
-    label against those already seen; under `tree`,
-    `tree_root` on the root only, since an accepted proof's premises are all
-    the ones the schema derives.  It stops at the first failing node."""
+    messages.  Per node: the calculus, shape and rule guard; the schema's
+    premises, the node's recorded goals when `derive` built it, else one
+    `premises_of`; one `is`-then-`==` per premise, so a child wired to the
+    wrong goal is still rejected; and, with `fresh`, the boxR fresh label
+    against those already seen.  Under `tree`, `tree_root` on the root only,
+    since an accepted proof's premises are all the ones the schema derives.
+    It stops at the first failing node."""
     open_ok = OPEN in rules
     seen: set[str] = set()
     stack = [proof]
@@ -215,14 +223,17 @@ def _accepts(proof: Proof, calculi: frozenset, rules: frozenset, shape: type,
         c = node.conclusion
         if node.calculus not in calculi or not isinstance(c, shape) or rule not in rules:
             return False
-        try:
-            expected = premises_of(node.calculus, rule, node.meta, c)
-        except RuleError:
-            return False
+        expected = node.goals
+        if expected is None:
+            try:
+                expected = premises_of(node.calculus, rule, node.meta, c)
+            except RuleError:
+                return False
         if len(expected) != len(prems):
             return False
         for want, q in zip(expected, prems):
-            if want != q.conclusion:
+            got = q.conclusion
+            if want is not got and want != got:
                 return False
         if fresh and rule == "boxR" and isinstance(c, LabeledSequent):
             y = node.meta.get("fresh")

@@ -4,7 +4,8 @@ Every rule application carries enough metadata (principal formula, labels,
 box partition, fresh label) that its premises are a function of the
 conclusion.  Checking therefore never searches; it reconstructs and compares.
 `derive` runs the schemas top-down over a tree of rule instances, giving
-each node its conclusion.
+each node its conclusion and recording the premises it derived, so that
+checking a derived node need not reconstruct them.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def _labeled_premises(rule: str, meta: dict, c: LabeledSequent) -> list[LabeledS
         phi = meta["phi"]
         if (x, Box(phi)) not in c.cons:
             raise RuleError(SCHEMA_MISMATCH, f"boxR principal {x}:[]{phi} not in consequent")
-        if y in c.labels():
+        if c.has_label(y):
             raise RuleError(FRESHNESS_VIOLATION, f"label {y} occurs in the conclusion", detail=y)
         return [
             LabeledSequent.of_sorted(
@@ -240,7 +241,10 @@ def derive(calculus: str, tree, conclusion: Sequent, parts) -> Proof:
     """The proof with the rules of `tree` that concludes `conclusion`: each
     premise's conclusion is derived from its parent's by `premises_of`, once,
     top-down.  `parts(node)` gives a node's rule, its meta and its children;
-    a node with the wrong number of children raises `WrongPremiseCount`."""
+    a node with the wrong number of children raises `WrongPremiseCount`.
+    Each node records its goals, the premise conclusions `premises_of`
+    returned for it (a leaf the shared empty tuple), so that a checker need
+    not derive them again; its premises conclude those very objects."""
     def walk(node, seq: Sequent):
         rule, meta, children = parts(node)
         goals = premises_of(calculus, rule, meta, seq)
@@ -248,6 +252,8 @@ def derive(calculus: str, tree, conclusion: Sequent, parts) -> Proof:
             raise RuleError(WRONG_PREMISE_COUNT,
                             f"{rule} needs {len(goals)} premises, found {len(children)}")
         prems = yield tuple(map(walk, children, goals))
-        return Proof(calculus, rule, seq, prems, meta)
+        proof = Proof(calculus, rule, seq, prems, meta)
+        proof.goals = goals or ()
+        return proof
 
     return trampoline(walk(tree, conclusion))

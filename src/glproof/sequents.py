@@ -20,7 +20,7 @@ trampoline; walkers yield each other.
 
 from __future__ import annotations
 
-from bisect import insort_right
+from bisect import bisect_left, insort_right
 from operator import attrgetter, itemgetter
 from typing import Iterable, Union
 
@@ -174,6 +174,18 @@ class LabeledSequent:
             labs.add(x)
             labs.add(y)
         return frozenset(labs)
+
+    def has_label(self, x: Label) -> bool:
+        """Whether `x in self.labels()`, without building the set: the sides
+        are sorted by label, so each is one bisection."""
+        for pair in self.rel:
+            if x in pair:
+                return True
+        for side in (self.ante, self.cons):
+            i = bisect_left(side, x, key=label_of)
+            if i < len(side) and side[i][0] == x:
+                return True
+        return False
 
     def ante_at(self, x: Label) -> tuple[Formula, ...]:
         return tuple(f for lab, f in self.ante if lab == x)
@@ -390,9 +402,15 @@ LABEL_KEYS = ("label", "aux", "fresh", "x", "y", "z")
 class Proof:
     """Finite rule-application tree; `meta` pins the instance data that makes
     premise reconstruction deterministic (principals, partitions, fresh labels).
-    Proofs compare by value, node by node; no recursion."""
+    Proofs compare by value, node by node; no recursion.
 
-    __slots__ = ("calculus", "rule", "conclusion", "premises", "meta")
+    A node is never mutated once built: no field is assigned and no `meta`
+    is changed in place; a pass that changes a node builds a new one.
+    `goals` is what `rules.premises_of` returned for the node, recorded by
+    `rules.derive`, the one place that sets it; it is None on every node
+    built any other way.  It takes no part in equality."""
+
+    __slots__ = ("calculus", "rule", "conclusion", "premises", "meta", "goals")
 
     def __init__(self, calculus: str, rule: str, conclusion: Sequent,
                  premises: tuple[Proof, ...] = (), meta: dict | None = None):
@@ -401,6 +419,7 @@ class Proof:
         self.conclusion = conclusion
         self.premises = premises
         self.meta = {} if meta is None else meta
+        self.goals = None
 
     def __eq__(self, other) -> bool:
         if type(other) is not Proof:

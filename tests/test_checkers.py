@@ -131,10 +131,20 @@ def test_g3gl_id1():
 
 
 def test_g3gl_freshness_violation():
-    concl = pls("x: q |- x: []p")
-    meta = {"label": "x", "fresh": "x", "phi": P}  # x occurs in the conclusion
-    node = Proof("g3gl", "boxR", concl, (Proof("g3gl", "id1", concl, (), {}),), meta)
-    assert ("FreshnessViolation", "x") in details(check_g3gl(node, "strict"))
+    for concl, fresh in [
+        ("x: q |- x: []p", "x"),        # the principal's label
+        ("xRy; x: q |- x: []p", "y"),   # in the relation only
+        ("y: r, x: q |- x: []p", "y"),  # in the antecedent only
+        ("x: q |- x: []p, y: r", "y"),  # in the consequent only
+    ]:
+        concl = pls(concl)
+        assert concl.has_label(fresh) and not concl.has_label("z")
+        meta = {"label": "x", "fresh": fresh, "phi": P}  # fresh occurs in the conclusion
+        node = Proof("g3gl", "boxR", concl, (Proof("g3gl", "id1", concl, (), {}),), meta)
+        report = check_g3gl(node, "strict")
+        assert ("FreshnessViolation", fresh) in details(report)
+        line = f"FreshnessViolation({fresh})\t.\tlabel {fresh} occurs in the conclusion"
+        assert line in map(str, report.failures)
 
 
 def _boxr_branch(concl):
@@ -795,12 +805,14 @@ def _mutants(p, rng):
     """(kind, mutant) pairs: each changes one thing of `p`."""
     nodes = list(p.nodes())
 
-    def at(addr, **change):
+    def at(addr, goals=None, **change):
         node = p.at(addr)
         fields = dict(calculus=node.calculus, rule=node.rule, conclusion=node.conclusion,
                       premises=node.premises, meta=dict(node.meta))
         fields.update(change)
-        return p.replace_at(addr, Proof(**fields)) if addr else Proof(**fields)
+        new = Proof(**fields)
+        new.goals = goals
+        return p.replace_at(addr, new)
 
     for _ in range(3):
         addr, node = rng.choice(nodes)
@@ -816,11 +828,13 @@ def _mutants(p, rng):
         if inner:
             addr, node = rng.choice(inner)
             i = rng.randrange(len(node.premises))
-            yield "drop", at(addr, premises=node.premises[:i] + node.premises[i + 1:])
+            # the premises change, the goals `derive` recorded do not: what a
+            # derive that wired a child to the wrong goal would build
+            yield "drop", at(addr, node.goals, premises=node.premises[:i] + node.premises[i + 1:])
             if len(node.premises) > 1:
-                yield "swap", at(addr, premises=node.premises[::-1])
+                yield "swap", at(addr, node.goals, premises=node.premises[::-1])
             elif node.premises[0].premises:
-                yield "swap", at(addr, premises=node.premises[0].premises[:1])
+                yield "swap", at(addr, node.goals, premises=node.premises[0].premises[:1])
     if isinstance(p.conclusion, LabeledSequent):
         reuse = _fresh_reuse(p, rng)
         if reuse is not None:

@@ -44,6 +44,7 @@ from glproof.checkers import (
     check_g3gl,
     check_glseq,
     check_lngl,
+    check_proof,
     CheckReport,
     end_active_report,
     normal_form_report,
@@ -51,7 +52,7 @@ from glproof.checkers import (
 from glproof.cli import run
 from glproof.formula import parse_formula, print_formula, random_formula
 from glproof.proofio import print_proof
-from glproof.rules import derive
+from glproof.rules import derive, premises_of
 from glproof.search import SearchConfig, prove_formula
 from glproof.sequents import (LabeledSequent, LinearNestedSequent, Proof, formula_key,
                               labeled_key, rebuild, relabel_proof)
@@ -381,6 +382,40 @@ def test_stage_proofs_derive_top_down():
         stages = [("csgl", proof)] + [(stage, p) for stage, p, _ in run_pipeline(proof)]
         for stage, p in stages:
             assert derive(p.calculus, p, p.conclusion, parts) == p, (stage, print_formula(f))
+
+
+def _without_goals(p: Proof) -> Proof:
+    """p with every node rebuilt, so none carries the goals `derive` records."""
+    return rebuild(p, lambda n, prems: Proof(n.calculus, n.rule, n.conclusion, prems, n.meta))
+
+
+def _derived_nodes(p: Proof) -> list:
+    return [node for _, node in p.nodes() if node.goals is not None]
+
+
+def test_recorded_goals_change_no_verdict():
+    # the lean walk reads a derived node's recorded goals instead of calling
+    # premises_of; each goal is what premises_of derives, its premise
+    # concludes that very object, and with every goal stripped each checker
+    # says the same
+    derived = dict.fromkeys(("csgl", "end-active", "g3gl"), 0)
+    for f, proof in _seeded_csgl_proofs():
+        stages = [("csgl", proof)] + [(stage, p) for stage, p, _ in run_pipeline(proof)]
+        stages.append(("to-csgl", run_pass("to-csgl", stages[-1][1])[0]))
+        for stage, p in stages:
+            nodes = _derived_nodes(p)
+            if stage in derived:
+                derived[stage] += len(nodes)
+            for node in nodes:
+                assert list(node.goals) == premises_of(node.calculus, node.rule, node.meta,
+                                                       node.conclusion), (stage, print_formula(f))
+                assert len(node.goals) == len(node.premises)
+                assert all(g is q.conclusion for g, q in zip(node.goals, node.premises))
+            bare = _without_goals(p)
+            assert not _derived_nodes(bare) and bare == p
+            got, want = check_proof(p), check_proof(bare)
+            assert (got.accepted, got.failures) == (want.accepted, want.failures), stage
+    assert all(derived.values()), derived
 
 
 def test_translation_cycle_is_a_fixpoint():

@@ -10,13 +10,16 @@ accepted by the stage's checkers (the `STAGE_CHECKS` table of
 tests/test_pipeline.py), and the last stage must conclude |- x: f.  The
 translation cycle must close: the pipeline run again from `to-csgl` of
 stage 6 must give the same GLseq and G3GL stages byte for byte, and its
-stage 6 must retag to the same CSGL proof.  GLseq and CSGL search must also
-return, on |- f and |- x: f, what the recursive
-searches of tests/search_reference.py return (skeleton, dead end, fuel left
-and fresh labels).  Runs one process per core; prints one line per failure (formula,
+stage 6 must retag to the same CSGL proof.  Each stage of the first run is
+also checked with the goals `rules.derive` recorded on its nodes stripped:
+the checkers must say the same of it, and every recorded goal must be what
+`premises_of` derives, else the stage is reported as `goals <stage>`.
+GLseq and CSGL search must also return, on |- f and |- x: f, what the
+recursive searches of tests/search_reference.py return (skeleton, dead end,
+fuel left and fresh labels).  Runs one process per core; prints one line per failure (formula,
 stage, reason) and per reference mismatch (formula, calculus), then the
 counts, the time and the peak RSS of this process and of its largest worker,
-and exits 1 when anything fails or mismatches.  It takes about half a minute
+and exits 1 when anything fails or mismatches.  It takes about 50 seconds
 on 2 cores, so pytest does not collect it (the file name has no `test_`).
 """
 
@@ -32,18 +35,29 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from glproof.formula import enumerate_formulas, print_formula  # noqa: E402
 from glproof.proofio import print_proof  # noqa: E402
+from glproof.rules import premises_of  # noqa: E402
 from glproof.search import SearchConfig, prove_formula  # noqa: E402
 from glproof.semantics import oracle_validity  # noqa: E402
 from glproof.sequents import GentzenSequent, LabeledSequent  # noqa: E402
 from glproof.transform import PIPELINE, run_pass, run_pipeline  # noqa: E402
 from search_reference import csgl_outcomes, glseq_outcomes  # noqa: E402
-from test_pipeline import STAGE_CHECKS  # noqa: E402
+from test_pipeline import STAGE_CHECKS, _without_goals  # noqa: E402
 
 CFG = SearchConfig(oracle_hint=False)
 CONNECTIVES = 6
 # the stages that the pipeline run from to-csgl of stage 6 must reproduce;
 # its LNGL and normal stages may differ, since search did not make its input
 CYCLE_STAGES = ("glseq", "g3gl")
+
+
+def goals_disagree(stage: str, proof) -> bool:
+    """Whether the checks of `stage` say something else of `proof` without
+    its recorded goals, or a recorded goal is not the schema's premise."""
+    got, bare = STAGE_CHECKS[stage](proof), STAGE_CHECKS[stage](_without_goals(proof))
+    if got.accepted != bare.accepted or got.failures != bare.failures:
+        return True
+    return any(node.goals is not None and list(node.goals) != premises_of(
+        node.calculus, node.rule, node.meta, node.conclusion) for _, node in proof.nodes())
 
 
 def failure(f) -> str | None:
@@ -57,12 +71,16 @@ def failure(f) -> str | None:
         proof = r.proof
         if not STAGE_CHECKS["csgl"](proof):
             return "csgl\trejected"
+        if goals_disagree("csgl", proof):
+            return "goals csgl\tdiffers without recorded goals"
         first = {}
         stages = run_pipeline(proof)
         for stage, _ in PIPELINE:  # named before its pass runs, for the report
             _, proof, _ = next(stages)
             if not STAGE_CHECKS[stage](proof):
                 return f"{stage}\trejected"
+            if goals_disagree(stage, proof):
+                return f"goals {stage}\tdiffers without recorded goals"
             if stage in CYCLE_STAGES:
                 first[stage] = print_proof(proof)
         if str(proof.conclusion) != f"|- x: {print_formula(f)}":
