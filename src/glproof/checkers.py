@@ -29,6 +29,7 @@ from .rules import (
     BLOCK_VIOLATION,
     CALCULUS_MISMATCH,
     EXTENDED_EXTRA,
+    INTERNAL_ERROR,
     LINT_NO_BOX_ON_CYCLE,
     NON_END_APPLICATION,
     NOT_A_TREE,
@@ -193,11 +194,13 @@ def _check_nodes(
     fresh: bool = False,
 ) -> list[Failure]:
     """Every failure of `proof`, as `_diagnose_nodes` lists them: none when
-    the lean walk accepts it, else the diagnosing walk's list."""
+    the lean walk accepts it, else the diagnosing walk's list, or when that
+    is empty (the walks disagree) one `InternalError` at the root."""
     if _accepts(proof, frozenset(expected_calculus), frozenset(allowed),
                 SEQUENT_OF[expected_calculus[0]], tree, fresh):
         return []
-    return _diagnose_nodes(proof, expected_calculus, allowed, strict_reject, tree, fresh)
+    return _diagnose_nodes(proof, expected_calculus, allowed, strict_reject, tree, fresh) or [
+        Failure((), INTERNAL_ERROR, "the lean and the diagnosing walks disagree")]
 
 
 def _accepts(proof: Proof, calculi: frozenset, rules: frozenset, shape: type,

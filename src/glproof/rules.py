@@ -37,6 +37,7 @@ OPEN_LEAF = "OpenLeaf"
 LINT_NO_BOX_ON_CYCLE = "LintNoBoxOnCycle"
 BLOCK_VIOLATION = "BlockViolation"
 CALCULUS_MISMATCH = "CalculusMismatch"
+INTERNAL_ERROR = "InternalError"
 
 
 class RuleError(Exception):

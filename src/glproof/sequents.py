@@ -261,11 +261,6 @@ class LinearNestedSequent:
     def replace_end(self, *tail: GentzenSequent) -> "LinearNestedSequent":
         return LinearNestedSequent(self.components[:-1] + tail)
 
-    def replace_at(self, i: int, comp: GentzenSequent) -> "LinearNestedSequent":
-        comps = list(self.components)
-        comps[i] = comp
-        return LinearNestedSequent(comps)
-
 
 Sequent = Union[GentzenSequent, LabeledSequent, LinearNestedSequent]
 

@@ -6,6 +6,8 @@ formula, in the Gentzen calculi only), height-preserving rule inversion,
 rule permutation, end-activation, linearization into LNGL, normalization,
 the translation into the Gentzen calculus, the labeled-calculus embedding
 of Gentzen proofs, and the bounded unfolder for cyclic derivations.
+Linearization, normalization, the translation into G3GL and the general
+identity each derive one rule tree, once, with `rules.derive`.
 
 The passes map checked proofs to checked proofs on the CSGL proofs that
 search makes for every theorem of `tests/totality_sweep.py`.  They are not
@@ -468,44 +470,41 @@ def _end_active(p: Proof) -> tuple[Proof, int]:
 
 def linearize(p: Proof) -> Proof:
     """Shed the tree structure of an end-active CSGL proof, keeping one
-    root-to-leaf path per branch; output is an LNGL proof of the projection."""
+    root-to-leaf path per branch: an LNGL proof of the projection of p's
+    conclusion on the root path of its end, the label the kept leaf ends
+    at.  A leaf's end is its label; a boxR is kept when the end is its fresh
+    label, which its own label then replaces; any other rule is kept when
+    every premise ends at its label (the aux of 4L and boxL).  The kept
+    rules are derived once, top-down, so a dropped boxR's principal rides
+    through the subproof above it."""
     # checked up front: `lin` drops sibling subtrees unseen, so it cannot
     # find every rule application that is not end-active
     if not end_active_report(p).accepted:
         raise NotEndActive("linearization needs an end-active proof")
 
     def lin(node: Proof):
-        c = node.conclusion
         rule = node.rule
         if rule == "boxR":
-            x, y, phi = node.meta["label"], node.meta["fresh"], node.meta["phi"]
-            chain, lp = yield lin(node.premises[0])
-            if chain[-1] == y:
-                new_chain = chain[:-1]
-                concl = project_chain(c, new_chain)
-                return new_chain, Proof("lngl", "boxR", concl, (lp,), {"phi": phi})
-            if x in chain:
-                i = chain.index(x)
-                lc = lp.conclusion
-                return chain, weaken(lp, lc.replace_at(i, lc.components[i].with_cons(Box(phi))))
-            return chain, lp
+            end, sub = yield lin(node.premises[0])
+            if end != node.meta["fresh"]:
+                return end, sub
+            return node.meta["label"], _RuleNode("boxR", {"phi": node.meta["phi"]}, [sub])
         if rule not in RULES_OF["csgl"]:
             raise NotApplicable(f"linearization does not handle rule {rule}")
-        # every other rule acts at one label: keep it where that label ends
-        # the chain of each premise, drop it otherwise
         x = node.meta["aux" if rule in PROPAGATION_RULES else "label"]
-        chain = root_path(c, x) if not node.premises else None
         subs = []
         for q in node.premises:
-            sub_chain, lq = yield lin(q)
-            if sub_chain[-1] != x:
-                return sub_chain, lq
-            chain = chain or sub_chain
-            subs.append(lq)
+            end, sub = yield lin(q)
+            if end != x:
+                return end, sub
+            subs.append(sub)
         meta = {k: v for k, v in node.meta.items() if k not in ("label", "aux")}
-        return chain, Proof("lngl", rule, project_chain(c, chain), tuple(subs), meta)
+        return x, _RuleNode(rule, meta, subs)
 
-    return trampoline(lin(p))[1]
+    end, tree = trampoline(lin(p))
+    c = p.conclusion
+    return _derive("lngl", tree, project_chain(c, root_path(c, end)),
+                   "linearization cannot derive its kept rules")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from glproof.proofio import (
 from glproof.rules import (
     CALCULUS_MISMATCH,
     FRESHNESS_VIOLATION,
+    INTERNAL_ERROR,
     NON_END_APPLICATION,
     NOT_A_TREE,
     OPEN_LEAF,
@@ -883,6 +884,32 @@ def test_checkers_agree_with_the_diagnosing_walk_on_mutants(diagnosed):
     assert NON_END_APPLICATION in kinds[("lngl", "conclusion")]
     # the strict checker rejects G3GLext's own rules by their own code
     assert UNKNOWN_RULE_STRICT in kinds[("g3gl", "rule")]
+
+
+def _stages_of(text: str) -> dict:
+    proof = prove_formula(pf(text), "csgl", CFG).proof
+    return dict([("csgl", proof)] + [(stage, p) for stage, p, _ in run_pipeline(proof)])
+
+
+def test_walks_that_disagree_reject_with_an_internal_error(diagnosed):
+    # a derived orL whose recorded goals are reversed: the lean walk reads
+    # them and rejects, the diagnosing walk recomputes them and finds no
+    # failure; the proof is rejected at the root for that disagreement
+    forged = set()
+    for stage in ("csgl", "end-active", "lngl", "normal", "glseq", "g3gl"):
+        p = _stages_of("(p | q) -> (q | p)")[stage]  # a fresh run: stages share nodes
+        node = next((n for _, n in p.nodes() if n.rule == "orL" and n.goals is not None), None)
+        if node is None:
+            continue
+        assert node.goals[0] != node.goals[1]
+        node.goals = node.goals[::-1]
+        diagnosed.clear()
+        report = check_proof(p)
+        assert not report.accepted, stage
+        assert [(f.address, f.code) for f in report.failures] == [((), INTERNAL_ERROR)], stage
+        assert diagnosed == [p]
+        forged.add(stage)
+    assert forged >= {"csgl", "end-active", "lngl", "normal", "g3gl"}, forged
 
 
 def test_glcirc_agrees_with_the_diagnosing_walk_on_mutants(diagnosed):

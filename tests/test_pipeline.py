@@ -38,7 +38,8 @@ from pathlib import Path
 import pytest
 
 import g3gl_reference
-from glproof import checkers, cli, transform
+import linearize_reference
+from glproof import checkers, cli, rules, transform
 from glproof.checkers import (
     check_csgl,
     check_g3gl,
@@ -398,7 +399,7 @@ def test_recorded_goals_change_no_verdict():
     # premises_of; each goal is what premises_of derives, its premise
     # concludes that very object, and with every goal stripped each checker
     # says the same
-    derived = dict.fromkeys(("csgl", "end-active", "g3gl"), 0)
+    derived = dict.fromkeys(("csgl", "end-active", "lngl", "normal", "g3gl"), 0)
     for f, proof in _seeded_csgl_proofs():
         stages = [("csgl", proof)] + [(stage, p) for stage, p, _ in run_pipeline(proof)]
         stages.append(("to-csgl", run_pass("to-csgl", stages[-1][1])[0]))
@@ -406,6 +407,9 @@ def test_recorded_goals_change_no_verdict():
             nodes = _derived_nodes(p)
             if stage in derived:
                 derived[stage] += len(nodes)
+            if stage == "lngl":
+                # linearize derives every node it outputs
+                assert len(nodes) == p.node_count(), print_formula(f)
             for node in nodes:
                 assert list(node.goals) == premises_of(node.calculus, node.rule, node.meta,
                                                        node.conclusion), (stage, print_formula(f))
@@ -416,6 +420,41 @@ def test_recorded_goals_change_no_verdict():
             got, want = check_proof(p), check_proof(bare)
             assert (got.accepted, got.failures) == (want.accepted, want.failures), stage
     assert all(derived.values()), derived
+
+
+def _nested_drops(k: int) -> tuple:
+    """(f, f's end-active CSGL proof) for f = `[]r | [](...)` nested k times
+    around `p | ~p`: linearization drops each level's boxR on `[]r`, whose
+    label is on the chain."""
+    text = "p | ~p"
+    for _ in range(k):
+        text = f"[]r | []({text})"
+    f = parse_formula(text)
+    return f, run_pass("end-active", prove_formula(f, "csgl", CFG).proof)[0]
+
+
+def test_linearize_equals_the_projecting_reference():
+    # the rule tree derived once gives the proof that projecting every node
+    # and weakening at each dropped boxR gave
+    inputs = [(f, run_pass("end-active", p)[0]) for f, p in _seeded_csgl_proofs()]
+    for f, p in inputs + [_nested_drops(k) for k in range(2, 6)]:
+        got, want = transform.linearize(p), linearize_reference.linearize(p)
+        assert got == want, print_formula(f)
+        assert print_proof(got) == print_proof(want), print_formula(f)
+
+
+def test_linearize_derives_each_output_node_once(monkeypatch):
+    # one premises_of call per output node, however deep the dropped boxRs
+    # nest: no subproof is derived twice
+    calls = []
+    schema = rules.premises_of
+    for module in (rules, transform, checkers):
+        monkeypatch.setattr(module, "premises_of", lambda *args: calls.append(1) or schema(*args))
+    for k in range(2, 6):
+        _, p = _nested_drops(k)
+        calls.clear()
+        out = transform.linearize(p)
+        assert len(calls) == out.node_count(), k
 
 
 def test_translation_cycle_is_a_fixpoint():

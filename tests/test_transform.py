@@ -9,12 +9,13 @@ from glproof.proofio import (
     parse_lns,
     print_proof,
 )
-from glproof.rules import premises_of
+from glproof.rules import derive, premises_of
 from glproof.search import SearchConfig, prove_formula
 from glproof.sequents import (
     CyclicDerivation,
     GentzenSequent,
     LabeledSequent,
+    LinearNestedSequent,
     NotATree,
     Proof,
     relabel_proof,
@@ -221,7 +222,8 @@ def _weaken_by_additions(p: Proof, **adds) -> Proof:
     elif p.calculus == "lngl":
         i = adds.get("component", len(c) - 1)
         comp = c.components[i]
-        target = c.replace_at(i, GentzenSequent(comp.ante + add_a, comp.cons + add_c))
+        target = LinearNestedSequent(c.components[:i] + (
+            GentzenSequent(comp.ante + add_a, comp.cons + add_c),) + c.components[i + 1:])
     elif p.calculus in GENTZEN:
         target = GentzenSequent(c.ante + add_a, c.cons + add_c)
     else:
@@ -251,7 +253,8 @@ def _additions_target(p: Proof, **adds):
         return GentzenSequent(c.ante + ante, c.cons + cons)
     i = adds.get("component", len(c) - 1)
     comp = c.components[i]
-    return c.replace_at(i, GentzenSequent(comp.ante + ante, comp.cons + cons))
+    return LinearNestedSequent(c.components[:i] + (
+        GentzenSequent(comp.ante + ante, comp.cons + cons),) + c.components[i + 1:])
 
 
 def _weakening_inputs(rng):
@@ -823,6 +826,28 @@ def test_lngl_to_glseq_modal_block_partition():
     assert out.rule == "boxGL"
     assert sorted(str(g) for g in out.meta["gamma"]) == ["a", "b", "c"]
     assert out.premises[0].conclusion == pgs("[]a, []b, []c, a, b, c, []b |- b")
+
+
+def test_lngl_to_glseq_contracts_a_repeated_boxl():
+    # two boxLs of []~~a in one block, each copy decomposed by negL/negR:
+    # the conclusion supplies one []~~a, so to-glseq contracts the extra
+    # ~~a after the local rules took both copies apart, which no top-down
+    # derivation can undo; the box partition keeps one copy
+    a, nna, na = Atom("a"), pf("~~a"), pf("~a")
+    rules = [("boxR", {"phi": a}), ("boxL", {"phi": nna}), ("boxL", {"phi": nna}),
+             ("negL", {"principal": nna}), ("negR", {"principal": na}),
+             ("negL", {"principal": nna}), ("negR", {"principal": na}),
+             ("id1", {"principal": a})]
+    tree = ()
+    for rule, meta in reversed(rules):
+        tree = (rule, meta, [tree] if tree else [])
+    base = derive("lngl", tree, parse_lns("[]~~a |- []a"), lambda n: n)
+    assert check_lngl(base).accepted and normal_form_report(base).accepted
+
+    out = lngl_to_glseq(base)
+    assert check_glseq(out).accepted
+    assert out.conclusion == pgs("[]~~a |- []a")
+    assert out.rule == "boxGL" and out.meta["gamma"] == (nna,)
 
 
 def test_lngl_to_glseq_rejects_non_normal():

@@ -14,6 +14,9 @@ stage 6 must retag to the same CSGL proof.  Each stage of the first run is
 also checked with the goals `rules.derive` recorded on its nodes stripped:
 the checkers must say the same of it, and every recorded goal must be what
 `premises_of` derives, else the stage is reported as `goals <stage>`.
+The LNGL stage must equal what the projecting linearization of
+tests/linearize_reference.py makes, else it is reported as `reference
+linearize`.
 GLseq and CSGL search must also return, on |- f and |- x: f, what the
 recursive searches of tests/search_reference.py return (skeleton, dead end,
 fuel left and fresh labels).  Runs one process per core; prints one line per failure (formula,
@@ -40,6 +43,7 @@ from glproof.search import SearchConfig, prove_formula  # noqa: E402
 from glproof.semantics import oracle_validity  # noqa: E402
 from glproof.sequents import GentzenSequent, LabeledSequent  # noqa: E402
 from glproof.transform import PIPELINE, run_pass, run_pipeline  # noqa: E402
+from linearize_reference import linearize as reference_linearize  # noqa: E402
 from search_reference import csgl_outcomes, glseq_outcomes  # noqa: E402
 from test_pipeline import STAGE_CHECKS, _without_goals  # noqa: E402
 
@@ -76,9 +80,12 @@ def failure(f) -> str | None:
         first = {}
         stages = run_pipeline(proof)
         for stage, _ in PIPELINE:  # named before its pass runs, for the report
+            source = proof
             _, proof, _ = next(stages)
             if not STAGE_CHECKS[stage](proof):
                 return f"{stage}\trejected"
+            if stage == "lngl" and reference_linearize(source) != proof:
+                return "reference linearize\tdiffers from the projecting linearization"
             if goals_disagree(stage, proof):
                 return f"goals {stage}\tdiffers without recorded goals"
             if stage in CYCLE_STAGES:
