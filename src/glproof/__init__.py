@@ -79,7 +79,6 @@ from .transform import (
     PassReport,
     ShapeViolation,
     apply_inverse,
-    contract,
     csgl_to_g3gl_embed,
     g3gl_to_csgl,
     glseq_to_g3gl,

@@ -1,20 +1,20 @@
 """Constructive proof transformations between the formalisms.
 
-The module holds the admitted rules, each dissolved into the proof by its
-own function (`weaken` in every calculus; `contract`, whose item is a
-formula, in the Gentzen calculi only), height-preserving rule inversion,
-rule permutation, end-activation, linearization into LNGL, normalization,
-the translation into the Gentzen calculus, the labeled-calculus embedding
-of Gentzen proofs, and the bounded unfolder for cyclic derivations.
-Linearization, normalization, the translation into G3GL and the general
-identity each derive one rule tree, once, with `rules.derive`.
+The module holds the admitted weakening, dissolved into the proof by
+`weaken` in every calculus, height-preserving rule inversion, rule
+permutation, end-activation, linearization into LNGL, normalization, the
+translation into the Gentzen calculus GLseq, which contracts on its rule
+tree, the labeled-calculus embedding of Gentzen proofs, and the bounded
+unfolder for cyclic derivations.  Linearization, normalization, the
+translations into GLseq and G3GL and the general identity each derive one
+rule tree, once, with `rules.derive`.
 
 The passes map checked proofs to checked proofs on the CSGL proofs that
 search makes for every theorem of `tests/totality_sweep.py`.  They are not
 yet total functions from checked proofs to checked proofs: on CSGL proofs
 that search did not make, `to_end_active` can fail.  ROADMAP.md, item 1,
-measured 40 failures among 1,000 random-strategy proofs: 35 outputs with
-a `FreshnessViolation` and 5 `InternalNonTermination`s.
+measured 47 failures among 1,000 random-strategy proofs: 39 outputs with
+a `FreshnessViolation` and 8 `InternalNonTermination`s.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 
 from .formula import Atom, Box, Formula, Not
 from .rules import (INITIAL_RULES, LOCAL_RULE_OF, LOCAL_RULES, PROPAGATION_RULES, RULES_OF,
-                    RuleError, derive, local_premises, premises_of)
+                    RuleError, derive, premises_of)
 from .sequents import (
     OPEN,
     Address,
@@ -132,15 +132,12 @@ def _derive(calculus: str, tree: _RuleNode, conclusion, failing: str) -> Proof:
         raise NotApplicable(f"{failing}: {e}") from e
 
 
-def _drop(s, side: str, item):
-    """s with one occurrence of `item` removed from `side`."""
-    if item not in getattr(s, side):
-        raise NotApplicable(f"{item} is not in the {side} of {s}")
-    ante = mset_remove(s.ante, item) if side == "ante" else s.ante
-    cons = mset_remove(s.cons, item) if side == "cons" else s.cons
-    if isinstance(s, LabeledSequent):
-        return LabeledSequent.of_sorted(s.rel, ante, cons)
-    return GentzenSequent.of_sorted(ante, cons)
+def _drop(s: LabeledSequent, item) -> LabeledSequent:
+    """s with one occurrence of the labeled formula `item` removed from its
+    antecedent."""
+    if item not in s.ante:
+        raise NotApplicable(f"{item} is not in the antecedent of {s}")
+    return LabeledSequent.of_sorted(s.rel, mset_remove(s.ante, item), s.cons)
 
 
 # ---------------------------------------------------------------------------
@@ -224,56 +221,6 @@ def _avoid_fresh(root: Proof, labels):
         return Proof(p.calculus, p.rule, p.conclusion, prems, dict(p.meta))
 
     return (yield walk(root))
-
-
-# ---------------------------------------------------------------------------
-# Hp-admissible contraction
-
-def contract(p: Proof, side: str, item) -> Proof:
-    """Admissible contraction in the Gentzen calculi, dissolved into the
-    proof: a proof of p's conclusion with one occurrence of the formula
-    `item` removed from `side`, "ante" or "cons".  Height never increases.
-    A proof in any other calculus raises NotApplicable."""
-    if p.calculus not in GENTZEN:
-        raise NotApplicable(
-            f"contraction is admitted only in the Gentzen calculi, not in {p.calculus}")
-    if side not in ("ante", "cons"):
-        raise NotApplicable(f"contraction needs the side 'ante' or 'cons', not {side!r}")
-    return trampoline(_contract(p, side, item))
-
-
-def _contract(p: Proof, side: str, item):
-    """Walker: a proof of p's conclusion with one occurrence of `item` removed
-    from `side`; standard induction using inversion on the remaining copy."""
-    calculus = p.calculus
-    target = _drop(p.conclusion, side, item)
-    f = p.meta.get("principal")
-    if p.rule in LOCAL_RULES and item == f and side == ("ante" if p.rule.endswith("L") else "cons"):
-        # one copy is decomposed here: invert the other, contract the parts
-        # the schema adds to each premise
-        alone = ((item,), ()) if side == "ante" else ((), (item,))
-        subs = []
-        for i, (ante, cons) in enumerate(local_premises(p.rule, f, None, *alone, lambda *s: s)):
-            sub = apply_inverse(p.rule, i, p.premises[i], dict(p.meta))
-            for part_side, part in [("ante", g) for g in ante] + [("cons", g) for g in cons]:
-                sub = yield _contract(sub, part_side, part)
-            subs.append(sub)
-        return Proof(calculus, p.rule, target, tuple(subs), dict(p.meta))
-
-    if p.rule in ("boxGL", "box4") and side == "ante" and isinstance(item, Box):
-        gamma = tuple(p.meta["gamma"])
-        if gamma.count(item.sub) > target.ante.count(item):
-            # both copies sat inside the box partition: drop one from it
-            # and contract the premise
-            p = Proof(calculus, p.rule, p.conclusion, p.premises,
-                      {"gamma": mset_remove(gamma, item.sub), "phi": p.meta["phi"]})
-            def twice(q: Proof, goal):
-                return (yield _contract((yield _contract(q, "ante", item)), "ante", item.sub))
-            return (yield from _rederive(p, target, twice))
-
-    # context case (also a copy in an absorbed context): the item rides
-    # through every premise that reads it
-    return (yield from _rederive(p, target, lambda q, goal: _contract(q, side, item)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +355,7 @@ def _strengthen(p: Proof, item):
         p.rule in PROPAGATION_RULES and (m["label"], Box(m["phi"])) == item
     ):
         raise NotApplicable(f"{p.rule} uses {item}")
-    return (yield from _rederive(p, _drop(p.conclusion, "ante", item),
+    return (yield from _rederive(p, _drop(p.conclusion, item),
                                  lambda q, goal: _strengthen(q, item)))
 
 
@@ -586,50 +533,84 @@ def _normalize(p: Proof) -> tuple[Proof, int]:
 # LNGL (normal form) to GLseq
 
 def lngl_to_glseq(p: Proof) -> Proof:
-    """Translate a normal-form LNGL proof componentwise: local steps map to
-    their end components, each modal block maps to weakening then boxGL.
-    A block violation is a 4L or boxL outside the prefix of its modal block,
-    which `trans` reaches as a rule outside a modal block: NotNormalForm."""
-
-    def trans(node: Proof):
+    """Translate a normal-form LNGL proof componentwise into one GLseq rule
+    tree: a local rule maps to the same rule on the end component, id1 and
+    id2 to id, and each modal block to one boxGL, whose gamma holds each
+    formula max(4L count, boxL count) times, clipped to the boxes that the
+    block's end component supplies.  A block that clips leaves copies that
+    no boxGL premise supplies; `_contract_tree` takes them out of the tree.
+    Every conclusion is then derived once, top-down, so each boxGL premise
+    carries the whole box partition.  A block violation is a 4L or boxL
+    outside the prefix of its modal block, which the walk reaches as a rule
+    outside a modal block: NotNormalForm."""
+    top: list[_RuleNode] = []
+    stack = [(p, top)]
+    clips = False
+    while stack:
+        node, out = stack.pop()
         rule = node.rule
-        end = node.conclusion.end
         if rule in LOCAL_RULES or rule in ("id1", "id2"):
-            # the same rule on the end component; id1 and id2 are instances of id
-            return Proof("glseq", "id" if rule in ("id1", "id2") else rule, end,
-                         (yield tuple(map(trans, node.premises))),
-                         {"principal": node.meta["principal"]})
-        if rule == "boxR":
-            phi = node.meta["phi"]
+            # id1 and id2 are instances of id
+            out.append(_RuleNode("id" if rule in ("id1", "id2") else rule,
+                                 {"principal": node.meta["principal"]}))
+            stack.extend((q, out[-1].premises) for q in reversed(node.premises))
+        elif rule == "boxR":
             cur = node.premises[0]
-            from_4l: list[Formula] = []
-            while cur.rule == "4L":
-                from_4l.append(cur.meta["phi"])
-                cur = cur.premises[0]
-            from_boxl: list[Formula] = []
-            while cur.rule == "boxL":
-                from_boxl.append(cur.meta["phi"])
-                cur = cur.premises[0]
-            sub = yield trans(cur)
-            a, b = Counter(from_4l), Counter(from_boxl)
-            avail = Counter(g.sub for g in end.ante if isinstance(g, Box))
-            # clip multiplicities to what the conclusion can supply
-            sub2 = sub
-            for g in sorted(set(a) | set(b), key=formula_key):
-                for _ in range(a[g] - min(a[g], avail[g])):
-                    sub2 = yield _contract(sub2, "ante", Box(g))
-                for _ in range(b[g] - min(b[g], avail[g])):
-                    sub2 = yield _contract(sub2, "ante", g)
-                a[g] = min(a[g], avail[g])
-                b[g] = min(b[g], avail[g])
-            gamma = Counter({g: max(a[g], b[g]) for g in set(a) | set(b)})
-            gamma_t = tuple(sorted(gamma.elements(), key=formula_key))
-            target = premises_of("glseq", "boxGL", {"gamma": gamma_t, "phi": phi}, end)[0]
-            return Proof("glseq", "boxGL", end, (weaken(sub2, target),),
-                         {"gamma": gamma_t, "phi": phi})
-        raise NotNormalForm(f"unexpected {rule} outside a modal block")
+            from_4l, from_boxl = Counter(), Counter()
+            for prefix, count in (("4L", from_4l), ("boxL", from_boxl)):
+                while cur.rule == prefix:
+                    count[cur.meta["phi"]] += 1
+                    cur = cur.premises[0]
+            most = from_4l | from_boxl
+            gamma = _supplied(most, node.conclusion.end)
+            clips = clips or len(gamma) < most.total()
+            out.append(_RuleNode("boxGL", {"gamma": gamma, "phi": node.meta["phi"]}))
+            stack.append((cur, out[-1].premises))
+        else:
+            raise NotNormalForm(f"unexpected {rule} outside a modal block")
+    tree, end = top[0], p.conclusion.end
+    if clips:
+        tree = _contract_tree(tree, end)
+    return _derive("glseq", tree, end, "translation cannot derive its rules")
 
-    return trampoline(trans(p))
+
+def _supplied(gamma: Counter, conclusion: GentzenSequent) -> tuple:
+    """The multiset gamma clipped to the boxes that conclusion's antecedent
+    supplies, in canonical order."""
+    boxes = Counter(g.sub for g in conclusion.ante if isinstance(g, Box))
+    return tuple(sorted((gamma & boxes).elements(), key=formula_key))
+
+
+def _contract_tree(tree: _RuleNode, conclusion: GentzenSequent) -> _RuleNode:
+    """Admissible contraction on a GLseq rule tree: the tree with the copies
+    that `conclusion` and the box partitions no longer supply taken out.
+    Walking top-down, each boxGL keeps the gamma copies its antecedent
+    supplies, and a local rule whose principal is not on its side gives way
+    to its premise i, i the branch of the nearest lower application of the
+    same rule on the same principal (inversion of that application)."""
+    top = [tree]
+    # (list holding the node, its index there, its sequent, the branch each
+    # (rule, principal) took lower down in its block)
+    stack = [(top, 0, conclusion, {})]
+    while stack:
+        slot, i, seq, taken = stack.pop()
+        node = slot[i]
+        while node.rule in LOCAL_RULES:
+            key = node.rule, node.meta["principal"]
+            if key not in taken or key[1] in (seq.ante if node.rule[-1] == "L" else seq.cons):
+                break
+            node = slot[i] = node.premises[taken[key]]
+        if node.rule == "boxGL":
+            gamma = _supplied(Counter(node.meta["gamma"]), seq)
+            if len(gamma) < len(node.meta["gamma"]):
+                node = slot[i] = _RuleNode("boxGL", {"gamma": gamma, "phi": node.meta["phi"]},
+                                           node.premises)
+        goals = _schema("glseq", node.rule, node.meta, seq)
+        local = node.rule in LOCAL_RULES
+        for j, goal in enumerate(goals[:len(node.premises)]):  # derive reports a miscount
+            above = {**taken, (node.rule, node.meta["principal"]): j} if local else {}
+            stack.append((node.premises, j, goal, above))
+    return top[0]
 
 
 # ---------------------------------------------------------------------------

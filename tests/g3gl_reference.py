@@ -87,7 +87,7 @@ def glseq_to_g3gl(p: Proof) -> Proof:
             cur = Proof("g3glext", "w", w1_concl, (sub,), {"added": added})
             for rule, parts in (("boxL", gamma), ("4L", [Box(g) for g in gamma])):
                 for g, part in zip(gamma, parts):
-                    concl = _drop(cur.conclusion, "ante", (u, part))
+                    concl = _drop(cur.conclusion, (u, part))
                     cur = Proof("g3glext", rule, concl, (cur,), {"label": y, "aux": u, "phi": g})
             boxr_concl = LabeledSequent((), tuple((y, Box(g)) for g in gamma),
                                         ((y, Box(phi)),))
@@ -164,7 +164,7 @@ def glseq_to_g3gl_w(p: Proof) -> Proof:
             cur = Proof("g3glext", "w", w1_concl, (sub,), {"added": added})
             for rule, parts in (("boxL", gamma), ("4L", [Box(g) for g in gamma])):
                 for g, part in zip(gamma, parts):
-                    concl = _drop(cur.conclusion, "ante", (u, part))
+                    concl = _drop(cur.conclusion, (u, part))
                     cur = Proof("g3glext", rule, concl, (cur,), {"label": lab, "aux": u, "phi": g})
             boxr_concl = LabeledSequent((), tuple((lab, Box(g)) for g in gamma),
                                         ((lab, Box(phi)),))

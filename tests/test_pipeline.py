@@ -39,6 +39,7 @@ import pytest
 
 import g3gl_reference
 import linearize_reference
+import lngl_to_glseq_reference
 from glproof import checkers, cli, rules, transform
 from glproof.checkers import (
     check_csgl,
@@ -58,6 +59,7 @@ from glproof.search import SearchConfig, prove_formula
 from glproof.sequents import (LabeledSequent, LinearNestedSequent, Proof, formula_key,
                               labeled_key, rebuild, relabel_proof)
 from glproof.transform import run_pass, run_pipeline
+from test_transform import GAMMA_TRIMMING
 
 CFG = SearchConfig(oracle_hint=False)
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden.json"
@@ -399,7 +401,7 @@ def test_recorded_goals_change_no_verdict():
     # premises_of; each goal is what premises_of derives, its premise
     # concludes that very object, and with every goal stripped each checker
     # says the same
-    derived = dict.fromkeys(("csgl", "end-active", "lngl", "normal", "g3gl"), 0)
+    derived = dict.fromkeys(("csgl", "end-active", "lngl", "normal", "glseq", "g3gl"), 0)
     for f, proof in _seeded_csgl_proofs():
         stages = [("csgl", proof)] + [(stage, p) for stage, p, _ in run_pipeline(proof)]
         stages.append(("to-csgl", run_pass("to-csgl", stages[-1][1])[0]))
@@ -407,9 +409,9 @@ def test_recorded_goals_change_no_verdict():
             nodes = _derived_nodes(p)
             if stage in derived:
                 derived[stage] += len(nodes)
-            if stage == "lngl":
-                # linearize derives every node it outputs
-                assert len(nodes) == p.node_count(), print_formula(f)
+            if stage in ("lngl", "glseq"):
+                # linearize and to-glseq derive every node they output
+                assert len(nodes) == p.node_count(), (stage, print_formula(f))
             for node in nodes:
                 assert list(node.goals) == premises_of(node.calculus, node.rule, node.meta,
                                                        node.conclusion), (stage, print_formula(f))
@@ -455,6 +457,55 @@ def test_linearize_derives_each_output_node_once(monkeypatch):
         calls.clear()
         out = transform.linearize(p)
         assert len(calls) == out.node_count(), k
+
+
+# the theorems whose to-glseq clips a block: its end component supplies
+# fewer boxes than its 4L or boxL copies
+CLIPPING = ("[]~(p | r) | ~[]~~~[]q", "[]~~~(r | p) | ~[]~[]~q")
+
+
+@functools.lru_cache(maxsize=None)
+def _normal_stages() -> tuple:
+    """(formula, normal-stage LNGL proof) for the seeded theorems, then for
+    the clipping theorems and the gamma-trimming ones."""
+    inputs = [(f, p) for f, p in _seeded_csgl_proofs()]
+    inputs += [(parse_formula(t), prove_formula(parse_formula(t), "csgl", CFG).proof)
+               for t in CLIPPING + GAMMA_TRIMMING]
+    for name in ("end-active", "linearize", "normalize"):
+        inputs = [(f, run_pass(name, p)[0]) for f, p in inputs]
+    return tuple(inputs)
+
+
+def test_to_glseq_equals_the_contracting_reference():
+    # the rule tree, contracted on the tree where a block clips and derived
+    # once, gives the proof that contracting and weakening proofs gave
+    for f, p in _normal_stages():
+        got, want = transform.lngl_to_glseq(p), lngl_to_glseq_reference.lngl_to_glseq(p)
+        assert got == want, print_formula(f)
+        assert print_proof(got) == print_proof(want), print_formula(f)
+
+
+def test_to_glseq_derives_each_output_node_once(monkeypatch):
+    # where no block clips, one premises_of call per output node: no
+    # subproof above a boxGL is derived twice
+    inputs = _normal_stages()
+    calls, contracted = [], []
+    schema = rules.premises_of
+    for module in (rules, transform, checkers):
+        monkeypatch.setattr(module, "premises_of", lambda *args: calls.append(1) or schema(*args))
+    contract_tree = transform._contract_tree
+    monkeypatch.setattr(transform, "_contract_tree",
+                        lambda *args: contracted.append(1) or contract_tree(*args))
+    whole = modal = 0
+    for f, p in inputs:
+        calls.clear()
+        contracted.clear()
+        out = transform.lngl_to_glseq(p)
+        if not contracted:
+            assert len(calls) == out.node_count(), print_formula(f)
+            whole += 1
+            modal += any(q.rule == "boxGL" for _, q in out.nodes())
+    assert whole >= 150 and modal >= 100, (whole, modal)
 
 
 def test_translation_cycle_is_a_fixpoint():

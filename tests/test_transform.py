@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import lngl_to_glseq_reference
+from glproof import transform
 from glproof.formula import Atom, Box, Not, Or, parse_formula as pf, print_formula, random_formula
 from glproof.proofio import (
     parse_gentzen_sequent as pgs,
@@ -52,7 +54,6 @@ from glproof.transform import (
     _exchange,
     _rederive,
     apply_inverse,
-    contract,
     csgl_to_g3gl_embed,
     glseq_to_g3gl,
     linearize,
@@ -317,42 +318,71 @@ def test_weaken_to_a_target_agrees_with_weakening_by_additions():
     assert absorbed >= 20 and renamed >= 20 and shape >= 20, (absorbed, renamed, shape)
 
 
-def test_admit_contraction_cases():
-    gbase = prove_formula(LOB, "glseq", CFG).proof
-    gdup = weaken(gbase, gbase.conclusion.with_ante(pf("[]p")))
-    gdup2 = weaken(gdup, gdup.conclusion.with_ante(pf("[]p")))
-    gout = contract(gdup2, "ante", pf("[]p"))
-    assert check_glseq(gout).accepted
-    assert gout.height() <= gdup2.height()
+# the theorems whose to-glseq contraction trims an inner boxGL's gamma: both
+# copies of a formula sit in its box partition, and a lower block supplies
+# one box
+GAMMA_TRIMMING = ("[]~(p | ~r) | ~[]~[](~(~r | p) | []q)",
+                  "[]~~(r | q | ~(p | p)) | ~[]~(r | [][]r)",
+                  "[]([](~(p | r) | [][]([](q | q) | p)) | ~[][]q)")
+
+
+def _rule_tree_nodes(tree) -> list:
+    nodes, stack = [], [tree]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(nodes[-1].premises)
+    return nodes
+
+
+def test_admit_contraction_cases(monkeypatch):
+    # contraction on to-glseq's rule tree drops a gamma copy from an inner
+    # boxGL whose antecedent supplies one box fewer, and the output is the
+    # one the former contraction on proofs gave
+    trimmed = []
+    contract_tree = transform._contract_tree
+
+    def spy(tree, conclusion):
+        # a boxGL whose gamma loses a copy is the one new node of the output
+        before = _rule_tree_nodes(tree)
+        ids = set(map(id, before))
+        out = contract_tree(tree, conclusion)
+        trimmed.extend(n for n in _rule_tree_nodes(out) if id(n) not in ids)
+        assert all(n.rule == "boxGL" for n in trimmed)
+        return out
+
+    monkeypatch.setattr(transform, "_contract_tree", spy)
+    for text in GAMMA_TRIMMING:
+        trimmed.clear()
+        base = normalize_lngl(linearize(to_end_active(csgl_proof(pf(text)))))
+        out = lngl_to_glseq(base)
+        assert trimmed, text
+        assert check_glseq(out).accepted
+        want = lngl_to_glseq_reference.lngl_to_glseq(base)
+        assert out == want and print_proof(out) == print_proof(want), text
 
 
 def test_admit_contraction_through_principal():
-    # contract a disjunction that the last rule decomposes: the other copy
-    # is inverted in each premise
-    f = pf("p | q")
-    goal = pgs("p | q, p | q |- p, q")
-    m = {"principal": f}
-    prems = tuple(Proof("glseq", "id", c, (), {"principal": g})
-                  for c, g in zip(premises_of("glseq", "orL", m, goal), (P, Q)))
-    p = Proof("glseq", "orL", goal, prems, m)
-    assert check_glseq(p).accepted
-    out = contract(p, "ante", f)
-    assert out.conclusion == pgs("p | q |- p, q")
-    assert out.height() <= p.height()
+    # two boxL copies of p | q in a block whose end component supplies one
+    # box, each decomposed by an orL: the lower orL keeps its principal,
+    # and in each branch the upper one gives way to the premise the lower
+    # one took (inversion)
+    pq = pf("p | q")
+    leaf = lambda a: ("id1", {"principal": a}, [])
+    upper = lambda a, b: ("orL", {"principal": pq}, [leaf(a), leaf(b)])
+    tree = ("boxR", {"phi": pf("q | p")}, [
+        ("boxL", {"phi": pq}, [("boxL", {"phi": pq}, [("orR", {"principal": pf("q | p")}, [
+            ("orL", {"principal": pq}, [upper(P, P), upper(Q, Q)])])])])])
+    base = derive("lngl", tree, parse_lns("[](p | q) |- [](q | p)"), lambda n: n)
+    assert check_lngl(base).accepted and normal_form_report(base).accepted
+
+    out = lngl_to_glseq(base)
     assert check_glseq(out).accepted
-
-
-def test_contract_refuses_lngl_and_a_bad_side():
-    # contraction is admitted in the Gentzen calculi only
-    base = Proof("lngl", "id1", parse_lns("p, p |- p"), (), {"principal": P})
-    labeled = prove_general_id("csgl", pls("x: p, x: p |- x: p"), ("x", P))
-    for p, item in ((base, P), (labeled, ("x", P)), (labeled.retag("g3glext"), ("x", P))):
-        with pytest.raises(NotApplicable, match=f"not in {p.calculus}"):
-            contract(p, "ante", item)
-    dup = prove_general_id("glseq", pgs("p, p |- p"), P)
-    with pytest.raises(NotApplicable, match="'left'"):
-        contract(dup, "left", P)
-    assert contract(dup, "ante", P).conclusion == pgs("p |- p")
+    assert out.conclusion == pgs("[](p | q) |- [](q | p)")
+    assert out.rule == "boxGL" and out.meta["gamma"] == (pq,)
+    assert [n.rule for _, n in out.nodes()] == ["boxGL", "orR", "orL", "id", "id"]
+    assert [n.meta["principal"] for _, n in out.nodes() if n.rule == "id"] == [P, Q]
+    want = lngl_to_glseq_reference.lngl_to_glseq(base)
+    assert out == want and print_proof(out) == print_proof(want)
 
 
 # ---------------------------------------------------------------------------
@@ -830,9 +860,10 @@ def test_lngl_to_glseq_modal_block_partition():
 
 def test_lngl_to_glseq_contracts_a_repeated_boxl():
     # two boxLs of []~~a in one block, each copy decomposed by negL/negR:
-    # the conclusion supplies one []~~a, so to-glseq contracts the extra
-    # ~~a after the local rules took both copies apart, which no top-down
-    # derivation can undo; the box partition keeps one copy
+    # the conclusion supplies one []~~a, so the box partition keeps one
+    # copy, and the contraction on to-glseq's rule tree makes the upper
+    # negL and negR give way to their premises: the lower ones already took
+    # that copy apart
     a, nna, na = Atom("a"), pf("~~a"), pf("~a")
     rules = [("boxR", {"phi": a}), ("boxL", {"phi": nna}), ("boxL", {"phi": nna}),
              ("negL", {"principal": nna}), ("negR", {"principal": na}),

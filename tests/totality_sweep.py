@@ -16,7 +16,9 @@ the checkers must say the same of it, and every recorded goal must be what
 `premises_of` derives, else the stage is reported as `goals <stage>`.
 The LNGL stage must equal what the projecting linearization of
 tests/linearize_reference.py makes, else it is reported as `reference
-linearize`.
+linearize`; the GLseq stage must equal what the contracting translation of
+tests/lngl_to_glseq_reference.py makes, else it is reported as `reference
+to-glseq`.
 GLseq and CSGL search must also return, on |- f and |- x: f, what the
 recursive searches of tests/search_reference.py return (skeleton, dead end,
 fuel left and fresh labels).  Runs one process per core; prints one line per failure (formula,
@@ -44,6 +46,7 @@ from glproof.semantics import oracle_validity  # noqa: E402
 from glproof.sequents import GentzenSequent, LabeledSequent  # noqa: E402
 from glproof.transform import PIPELINE, run_pass, run_pipeline  # noqa: E402
 from linearize_reference import linearize as reference_linearize  # noqa: E402
+from lngl_to_glseq_reference import lngl_to_glseq as reference_to_glseq  # noqa: E402
 from search_reference import csgl_outcomes, glseq_outcomes  # noqa: E402
 from test_pipeline import STAGE_CHECKS, _without_goals  # noqa: E402
 
@@ -86,6 +89,8 @@ def failure(f) -> str | None:
                 return f"{stage}\trejected"
             if stage == "lngl" and reference_linearize(source) != proof:
                 return "reference linearize\tdiffers from the projecting linearization"
+            if stage == "glseq" and reference_to_glseq(source) != proof:
+                return "reference to-glseq\tdiffers from the contracting translation"
             if goals_disagree(stage, proof):
                 return f"goals {stage}\tdiffers without recorded goals"
             if stage in CYCLE_STAGES:
