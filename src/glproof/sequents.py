@@ -468,16 +468,6 @@ class Proof:
             for i in range(len(node.premises) - 1, -1, -1):
                 stack.append((addr + (i,), node.premises[i]))
 
-    def replace_at(self, addr: Address, new: "Proof") -> "Proof":
-        path = [self]
-        for i in addr[:-1]:
-            path.append(path[-1].premises[i])
-        for node, i in zip(reversed(path), reversed(addr)):
-            prems = list(node.premises)
-            prems[i] = new
-            new = Proof(node.calculus, node.rule, node.conclusion, tuple(prems), dict(node.meta))
-        return new
-
     def retag(self, calculus: str) -> "Proof":
         return rebuild(self, lambda node, prems: Proof(
             calculus, node.rule, node.conclusion, prems, dict(node.meta)))
@@ -539,32 +529,6 @@ def rebuild(proof: Proof, make) -> Proof:
         return make(node, (yield tuple(map(walk, node.premises))))
 
     return trampoline(walk(proof))
-
-
-def relabel_proof(proof: Proof, mapping: dict[Label, Label]) -> Proof:
-    """Apply a label renaming to every sequent and every label-valued meta
-    entry.  A renaming that merges two labels of a sequent can leave a node
-    its schema rejects, such as a boxR whose fresh label is no longer
-    fresh."""
-
-    def make(node: Proof, prems: tuple) -> Proof:
-        meta = dict(node.meta)
-        for key in LABEL_KEYS:
-            if key in meta:
-                meta[key] = mapping.get(meta[key], meta[key])
-        c = node.conclusion
-        c = c.rename(mapping) if isinstance(c, LabeledSequent) else c
-        return Proof(node.calculus, node.rule, c, prems, meta)
-
-    return rebuild(proof, make)
-
-
-def proof_labels(proof: Proof) -> set[Label]:
-    labs: set[Label] = set()
-    for _, node in proof.nodes():
-        if isinstance(node.conclusion, LabeledSequent):
-            labs |= node.conclusion.labels()
-    return labs
 
 
 def fresh_label(used: set[Label], stem: str = "y") -> Label:

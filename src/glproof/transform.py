@@ -5,16 +5,18 @@ The module holds the admitted weakening, dissolved into the proof by
 permutation, end-activation, linearization into LNGL, normalization, the
 translation into the Gentzen calculus GLseq, which contracts on its rule
 tree, the labeled-calculus embedding of Gentzen proofs, and the bounded
-unfolder for cyclic derivations.  Linearization, normalization, the
-translations into GLseq and G3GL and the general identity each derive one
-rule tree, once, with `rules.derive`.
+unfolder for cyclic derivations.  Every pass and lemma but the unfolder
+builds a rule tree, rules and metas without conclusions, and derives it
+with `rules.derive`: once, or in end-activation once per move.
 
 The passes map checked proofs to checked proofs on the CSGL proofs that
 search makes for every theorem of `tests/totality_sweep.py`.  They are not
 yet total functions from checked proofs to checked proofs: on CSGL proofs
-that search did not make, `to_end_active` can fail.  ROADMAP.md, item 1,
-measured 47 failures among 1,000 random-strategy proofs: 39 outputs with
-a `FreshnessViolation` and 8 `InternalNonTermination`s.
+that search did not make, `to_end_active` can fail.  On the random-strategy
+proofs of `tests/random_proofs.py` for the first 1,000 theorems drawn at
+`random.Random(5)`, it raises `InternalNonTermination` on 6 (3 at `boxL`,
+3 at `4L`; ROADMAP.md, item 19), and every other output passes each stage's
+checks through every later pass.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .formula import Atom, Box, Formula, Not
 from .rules import (INITIAL_RULES, LOCAL_RULE_OF, LOCAL_RULES, PROPAGATION_RULES, RULES_OF,
                     RuleError, derive, premises_of)
 from .sequents import (
+    LABEL_KEYS,
     OPEN,
     Address,
     CyclicDerivation,
@@ -36,11 +39,8 @@ from .sequents import (
     Proof,
     formula_key,
     fresh_label,
-    mset_remove,
     project_chain,
-    proof_labels,
     rebuild,
-    relabel_proof,
     root_path,
     trampoline,
     tree_root,
@@ -87,28 +87,13 @@ GENTZEN = ("glseq", "k4seq")
 
 
 # ---------------------------------------------------------------------------
-# Re-derivation: every transform below takes its premises from the schemas
+# Rule trees: every pass and lemma below builds one and derives it
 
 def _schema(calculus: str, rule: str, meta: dict, conclusion) -> list:
     try:
         return premises_of(calculus, rule, meta, conclusion)
     except RuleError as e:
         raise NotApplicable(f"{rule} does not apply: {e}") from e
-
-
-def _rederive(p: Proof, target, step):
-    """Walker: p's rule instance applied at the conclusion `target`.  A
-    premise whose conclusion does not change is kept, every other one is
-    rebuilt by the walker `step(premise, new_conclusion)`."""
-    meta = dict(p.meta)
-    goals = _schema(p.calculus, p.rule, meta, target)
-    subs = []
-    for q, goal in zip(p.premises, goals):
-        sub = q if q.conclusion == goal else (yield step(q, goal))
-        if sub.conclusion != goal:
-            raise NotApplicable(f"{p.rule} misaligned a premise")
-        subs.append(sub)
-    return Proof(p.calculus, p.rule, target, tuple(subs), meta)
 
 
 class _RuleNode:
@@ -132,12 +117,66 @@ def _derive(calculus: str, tree: _RuleNode, conclusion, failing: str) -> Proof:
         raise NotApplicable(f"{failing}: {e}") from e
 
 
-def _drop(s: LabeledSequent, item) -> LabeledSequent:
-    """s with one occurrence of the labeled formula `item` removed from its
-    antecedent."""
-    if item not in s.ante:
-        raise NotApplicable(f"{item} is not in the antecedent of {s}")
-    return LabeledSequent.of_sorted(s.rel, mset_remove(s.ante, item), s.cons)
+def _rule_tree(p: Proof) -> tuple[_RuleNode, int]:
+    """p's rule tree, with copies of its metas, and its node count."""
+    root = _RuleNode(p.rule, dict(p.meta))
+    queue = [(p, root)]
+    for node, copy in queue:  # breadth-first: the loop reads what it appends
+        for q in node.premises:
+            copy.premises.append(_RuleNode(q.rule, dict(q.meta)))
+            queue.append((q, copy.premises[-1]))
+    return root, len(queue)
+
+
+def _at(tree: _RuleNode, addr: Address) -> _RuleNode:
+    for i in addr:
+        tree = tree.premises[i]
+    return tree
+
+
+def _replaced(tree: _RuleNode, addr: Address, new: _RuleNode) -> _RuleNode:
+    """tree with its node at `addr` replaced by `new`, in place below the root."""
+    if not addr:
+        return new
+    _at(tree, addr[:-1]).premises[addr[-1]] = new
+    return tree
+
+
+def _fresh_apart(tree: _RuleNode, conclusion, taken: set) -> Optional[_RuleNode]:
+    """tree, which derives a proof of `conclusion`, with each boxR whose fresh
+    label lies in `taken` given, in pre-order, a label used nowhere in that
+    proof nor in `taken`; the renaming holds in the boxR's premise, and a
+    label kept joins `taken`.  Renamed nodes are replaced by copies, in
+    place; None when no label changes."""
+    used = None
+    top = [tree]
+    stack = [(top, 0, {})]
+    while stack:
+        slot, i, mapping = stack.pop()
+        node = slot[i]
+        meta = node.meta
+        if mapping:
+            meta = {k: mapping.get(v, v) if k in LABEL_KEYS else v for k, v in meta.items()}
+        if node.rule == "boxR" and (y := meta["fresh"]) not in taken:
+            taken.add(y)
+        elif node.rule == "boxR":
+            if used is None:
+                # a proof's labels are its conclusion's and its boxRs' fresh labels
+                used, walk = taken | conclusion.labels(), [tree]
+                while walk:
+                    n = walk.pop()
+                    if n.rule == "boxR":
+                        used.add(n.meta["fresh"])
+                    walk.extend(n.premises)
+            z = fresh_label(used)
+            used.add(z)
+            meta = dict(meta, fresh=z)
+            # the renamings so far, then y to z
+            mapping = {y: z, **{k: z if v == y else v for k, v in mapping.items()}}
+        if meta is not node.meta:
+            node = slot[i] = _RuleNode(node.rule, meta, node.premises)
+        stack.extend((node.premises, j, mapping) for j in range(len(node.premises) - 1, -1, -1))
+    return None if used is None else top[0]
 
 
 # ---------------------------------------------------------------------------
@@ -181,97 +220,99 @@ def _parts(f: Formula) -> tuple:
 
 def weaken(p: Proof, target) -> Proof:
     """Admissible weakening, dissolved into the proof (no w node appears): a
-    proof of `target`, a conclusion that contains p's.  Every node is
-    re-derived at its weakened conclusion; a premise that does not change
-    (the boxGL/box4 premise) is kept.  A boxR fresh label that occurs in a
-    labeled target is renamed first.  A target without a formula that some
-    rule of p uses raises NotApplicable.
+    proof of `target`, a conclusion that contains p's.  p's rule tree is
+    derived at the target, so the height is p's.  A boxR fresh label that
+    occurs in a labeled target is renamed first.  A target without a formula
+    that some rule of p uses raises NotApplicable.
     """
-    if p.calculus in LABELED:
-        p = trampoline(_avoid_fresh(p, target.labels()))
+    return _derive(p.calculus, _weakened(p, target), target, "weakening cannot derive a rule")
+
+
+def _weakened(p: Proof, target) -> _RuleNode:
+    """p's rule tree, for a proof of `target`: on a labeled proof, each boxR
+    fresh label that lies in the target is renamed, in pre-order, to one that
+    occurs nowhere else in p or in the target."""
     if p.calculus == "csgl":
-        # every goal re-derived from a tree target is a tree (tree preservation)
+        # every goal derived from a tree target is a tree (tree preservation)
         try:
             tree_root(target)
         except NotATree as e:
             raise ShapeViolation(f"weakening breaks the tree shape: {e}") from e
-
-    step = lambda q, goal: _rederive(q, goal, step)
-    return trampoline(step(p, target))
-
-
-def _avoid_fresh(root: Proof, labels):
-    """Walker: root with every boxR fresh label that lies in `labels` renamed
-    to one that occurs nowhere else in the proof or in `labels`, so that no
-    two boxRs share a fresh label."""
-    used: set = set()  # filled at the first rename
-
-    def walk(p: Proof):
-        y = p.meta.get("fresh") if p.rule == "boxR" else None
-        if y in labels:
-            if not used:
-                used.update(proof_labels(root), labels)
-            z = fresh_label(used)
-            used.add(z)
-            p = Proof(p.calculus, p.rule, p.conclusion,
-                      (relabel_proof(p.premises[0], {y: z}),), dict(p.meta, fresh=z))
-        prems = yield tuple(map(walk, p.premises))
-        if all(a is b for a, b in zip(prems, p.premises)):
-            return p
-        return Proof(p.calculus, p.rule, p.conclusion, prems, dict(p.meta))
-
-    return (yield walk(root))
+    tree = _rule_tree(p)[0]
+    if p.calculus not in LABELED:
+        return tree
+    return _fresh_apart(tree, p.conclusion, set(target.labels())) or tree
 
 
 # ---------------------------------------------------------------------------
 # Hp-invertibility
-
-_W_BACKED = {"4L", "boxL", "tr"}
-
 
 def apply_inverse(rule: str, i: int, p: Proof, meta: dict) -> Proof:
     """A proof of the i-th premise of the given rule instance, whose
     conclusion is p's conclusion: the local rules, and the rules whose
     premise only adds to the conclusion, invert; every other rule (`boxR`,
     `boxGL`, `box4`) raises NotApplicable."""
-    calculus = p.calculus
-    goals = _schema(calculus, rule, meta, p.conclusion)
+    tree, target = _inverse(rule, i, p, meta)
+    return _derive(p.calculus, tree, target, f"inversion of {rule} cannot derive a rule")
+
+
+def _inverse(rule: str, i: int, p: Proof, meta: dict) -> tuple[_RuleNode, object]:
+    """The rule tree of `apply_inverse(rule, i, p, meta)`, and its conclusion."""
+    goals = _schema(p.calculus, rule, meta, p.conclusion)
     if not 0 <= i < len(goals):
         raise NotApplicable(f"{rule} has no premise {i}")
     target = goals[i]
-
-    if rule in _W_BACKED:
-        return weaken(p, target)
+    if rule in PROPAGATION_RULES or rule == "tr":
+        return _weakened(p, target), target
     if rule in LOCAL_RULES:
-        return trampoline(_invert(rule, i, p, meta, target))
-    raise NotApplicable(f"no inversion for {rule} in {calculus}")
+        return _inverted(rule, i, p, meta, target), target
+    raise NotApplicable(f"no inversion for {rule} in {p.calculus}")
 
 
-def _invert(rule: str, i: int, p: Proof, meta: dict, target):
-    """Walker: p re-derived at `target`; the inverted instance itself gives
-    way to its i-th premise."""
-    if p.rule == rule and all(p.meta.get(k) == v for k, v in meta.items()):
-        return p.premises[i]
-    if p.premises:
-        return (yield from _rederive(p, target, lambda q, goal: _invert(rule, i, q, meta, goal)))
-    # initial rules survive unless the witness was the inverted principal
-    try:
-        return trampoline(_rederive(p, target, None))
-    except NotApplicable:
-        pass
-    if p.calculus in GENTZEN and p.rule == "id":
-        # general id destroyed: rebuild around the decomposed witness
-        w = p.meta.get("principal") or next(iter(set(p.conclusion.ante) & set(p.conclusion.cons)))
-        return _rebuild_gentzen_id(p.calculus, target, w)
-    raise NotApplicable("inversion destroyed an initial sequent")
+def _inverted(rule: str, i: int, p: Proof, meta: dict, target) -> _RuleNode:
+    """The rule tree of a proof of `target`, p's conclusion with the local
+    rule instance (rule, meta) inverted.  Walking p top-down, it tracks the
+    sequent with `premises_of` and builds no proof: on each branch, the
+    lowest application of the instance gives way to its premise i, and a
+    premise whose conclusion does not change (a boxGL premise) is kept.  An
+    initial rule whose witness the inversion destroyed fails, but a Gentzen
+    id is rebuilt around the decomposed witness."""
+    calculus = p.calculus
+    top: list = [None]
+    stack = [(p, target, top, 0)]
+    while stack:
+        node, seq, slot, k = stack.pop()
+        if node.rule == rule and all(node.meta.get(key) == v for key, v in meta.items()):
+            slot[k] = _rule_tree(node.premises[i])[0]
+        elif node.premises:
+            new = slot[k] = _RuleNode(node.rule, dict(node.meta))
+            for q, goal in zip(node.premises, _schema(calculus, node.rule, node.meta, seq)):
+                if q.conclusion == goal:
+                    new.premises.append(_rule_tree(q)[0])
+                else:
+                    new.premises.append(None)
+                    stack.append((q, goal, new.premises, len(new.premises) - 1))
+        else:
+            try:
+                premises_of(calculus, node.rule, node.meta, seq)
+                slot[k] = _RuleNode(node.rule, dict(node.meta))
+            except RuleError:
+                if calculus not in GENTZEN or node.rule != "id":
+                    raise NotApplicable("inversion destroyed an initial sequent") from None
+                c = node.conclusion
+                w = node.meta.get("principal") or next(iter(set(c.ante) & set(c.cons)))
+                slot[k] = _gentzen_id(calculus, seq, w)
+    return top[0]
 
 
-def _rebuild_gentzen_id(calculus: str, target: GentzenSequent, w: Formula) -> Proof:
+def _gentzen_id(calculus: str, target: GentzenSequent, w: Formula) -> _RuleNode:
+    """The rule tree of a proof of `target`, whose general id lost its
+    witness w on one side: id on a shared formula if there is one, else w's
+    surviving copy decomposed, each premise closed on the part of w it
+    shares."""
     shared = set(target.ante) & set(target.cons)
     if shared:
-        return Proof(calculus, "id", target, (), {"principal": min(shared, key=formula_key)})
-    # the witness was decomposed on one side: decompose the surviving copy and
-    # close each premise on the part of the witness it shares
+        return _RuleNode("id", {"principal": min(shared, key=formula_key)})
     rule = LOCAL_RULE_OF.get((type(w), w in target.ante))
     if rule is None:
         raise NotApplicable("cannot rebuild the initial sequent after inversion")
@@ -281,83 +322,72 @@ def _rebuild_gentzen_id(calculus: str, target: GentzenSequent, w: Formula) -> Pr
         part = next((g for g in _parts(w) if g in prem.ante and g in prem.cons), None)
         if part is None:
             raise NotApplicable("cannot rebuild the initial sequent after inversion")
-        subs.append(prove_general_id(calculus, prem, part))
-    return Proof(calculus, rule, target, tuple(subs), meta)
+        subs.append(_general_id(calculus, part))
+    return _RuleNode(rule, meta, subs)
 
 
 # ---------------------------------------------------------------------------
 # Rule permutation
 
-def _exchange(proof: Proof, addr: Address) -> Proof:
-    """Permute the rule at `addr` below its parent, per the four permutation
-    shapes (inverses patch the sibling premises of a binary parent)."""
-    if not addr:
-        raise NotPermutable("the root has nothing below it")
-    parent = proof.at(addr[:-1])
-    child = proof.at(addr)
-    j = addr[-1]
-    calculus = parent.calculus
-    r, mr = child.rule, child.meta
-    rp, mrp = parent.rule, parent.meta
-    final = parent.conclusion
-    try:
-        low_targets = premises_of(calculus, r, mr, final)
-    except RuleError as e:
-        raise NotPermutable(f"{r} does not apply at the lower sequent: {e}") from e
-    new_uppers = []
-    for i, tgt in enumerate(low_targets):
-        try:
-            upper_targets = premises_of(calculus, rp, mrp, tgt)
-        except RuleError as e:
-            raise NotPermutable(f"{rp} does not apply above: {e}") from e
-        prems = []
-        for k, tgt2 in enumerate(upper_targets):
-            if k == j:
-                sub = child.premises[i]
-            else:
-                sub = apply_inverse(r, i, parent.premises[k], dict(mr))
-            if sub.conclusion != tgt2:
-                raise NotPermutable("permutation shapes do not align")
-            prems.append(sub)
-        new_uppers.append(Proof(calculus, rp, tgt, tuple(prems), dict(mrp)))
-    new_node = Proof(calculus, r, final, tuple(new_uppers), dict(mr))
-    return proof.replace_at(addr[:-1], new_node)
-
-
 def permute_down(p: Proof, addr: Address) -> Proof:
     """Permute a non-end-active local or propagation rule below the end-active
-    rule immediately under it (CSGL)."""
-    if p.calculus != "csgl":
+    rule immediately under it (CSGL): one exchange on p's rule tree, derived
+    once.  A boxR that the exchange copies keeps its fresh label in its
+    first copy; the others get labels used nowhere else in the proof."""
+    tree = _exchange(_rule_tree(p)[0], p, addr)
+    tree = _fresh_apart(tree, p.conclusion, set()) or tree
+    return _derive(p.calculus, tree, p.conclusion, "permutation cannot derive its rules")
+
+
+def _exchange(tree: _RuleNode, proof: Proof, addr: Address) -> _RuleNode:
+    """tree, the rule tree of the CSGL proof `proof`, with the rule at `addr`
+    permuted below the end-active rule under it, per the four permutation
+    shapes: the rule takes its parent's place, and above its premise i sits
+    a copy of the parent whose premise in the rule's place is the rule's
+    premise i and whose other premises are the parent's, inverted at premise
+    i of the rule.  A boxR among the copied rules keeps its fresh label in
+    each copy.  The tree changes only when the exchange succeeds."""
+    if proof.calculus != "csgl":
         raise NotPermutable("permute_down operates on CSGL proofs")
-    node = p.at(addr)
-    if node.rule not in LOCAL_RULES and node.rule not in PROPAGATION_RULES:
-        raise NotPermutable(f"{node.rule} is not a local or propagation rule")
-    if node_end_active(node):
+    child = proof.at(addr)
+    r, mr = child.rule, child.meta
+    if r not in LOCAL_RULES and r not in PROPAGATION_RULES:
+        raise NotPermutable(f"{r} is not a local or propagation rule")
+    if node_end_active(child):
         raise NotPermutable("the rule is already end-active")
     if not addr:
         raise NotPermutable("the root has nothing below it")
-    parent = p.at(addr[:-1])
+    parent, j = proof.at(addr[:-1]), addr[-1]
     if parent.rule in INITIAL_RULES:
         raise NotPermutable("the rule below is initial")
     if not node_end_active(parent):
         raise NotPermutable("the rule below is not end-active")
-    return _exchange(p, addr)
+    try:
+        low_targets = premises_of("csgl", r, mr, parent.conclusion)
+    except RuleError as e:
+        raise NotPermutable(f"{r} does not apply at the lower sequent: {e}") from e
+    above = _at(tree, addr).premises
+    uppers = []
+    for i, tgt in enumerate(low_targets):
+        try:
+            upper_targets = premises_of("csgl", parent.rule, parent.meta, tgt)
+        except RuleError as e:
+            raise NotPermutable(f"{parent.rule} does not apply above: {e}") from e
+        prems = []
+        for k, tgt2 in enumerate(upper_targets):
+            if k == j:
+                sub, concl = above[i], child.premises[i].conclusion
+            else:
+                sub, concl = _inverse(r, i, parent.premises[k], mr)
+            if concl != tgt2:
+                raise NotPermutable("permutation shapes do not align")
+            prems.append(sub)
+        uppers.append(_RuleNode(parent.rule, dict(parent.meta), prems))
+    return _replaced(tree, addr[:-1], _RuleNode(r, dict(mr), uppers))
 
 
 # ---------------------------------------------------------------------------
 # End-activation
-
-def _strengthen(p: Proof, item):
-    """Walker: drop an antecedent labeled formula nowhere used in the
-    subproof; NotApplicable when it is a witness or principal somewhere."""
-    m = p.meta
-    if (m.get("label"), m.get("principal")) == item or (
-        p.rule in PROPAGATION_RULES and (m["label"], Box(m["phi"])) == item
-    ):
-        raise NotApplicable(f"{p.rule} uses {item}")
-    return (yield from _rederive(p, _drop(p.conclusion, item),
-                                 lambda q, goal: _strengthen(q, item)))
-
 
 def to_end_active(p: Proof) -> Proof:
     """Restructure a CSGL proof of |- x: f so that every rule application is
@@ -367,48 +397,55 @@ def to_end_active(p: Proof) -> Proof:
 
 
 def _end_active(p: Proof) -> tuple[Proof, int]:
+    """Moves on one rule tree: each round derives it, once, and makes one
+    move at the lowest rule that is not end-active.  A proof already
+    end-active is returned as it is."""
     c = p.conclusion
     if c.rel or c.ante or len(c.cons) != 1:
         raise NotEndActive("end-activation needs a conclusion of the form |- x: f")
-    proof = p
-    budget = None  # counted from p when the first failure shows
+    proof, tree = p, None
+    budget = 0  # counted from p when the first failure shows
     permutations = 0
     while failures := end_active_report(proof).failures:
-        if budget is None:
-            budget = p.node_count() ** 2 * 4 + 64
+        if tree is None:
+            tree, budget = _rule_tree(p)[0], p.node_count() ** 2 * 4 + 64
         budget -= 1
         if budget < 0:
             raise InternalNonTermination("end-activation exceeded its permutation budget")
         addr = min((f.address for f in failures), key=lambda a: (len(a), a))
         node = proof.at(addr)
+        dropped = False
         if node.rule in INITIAL_RULES:
             # push the initial rule down over the rule below it
-            parent_addr = addr[:-1]
-            parent = proof.at(parent_addr)
             try:
-                premises_of(proof.calculus, node.rule, node.meta, parent.conclusion)
+                premises_of(proof.calculus, node.rule, node.meta, proof.at(addr[:-1]).conclusion)
             except RuleError as e:
                 raise InternalNonTermination(f"cannot push {node.rule} down: {e}", addr) from e
-            pushed = Proof(proof.calculus, node.rule, parent.conclusion, (), dict(node.meta))
-            proof = proof.replace_at(parent_addr, pushed)
-            permutations += 1
-            continue
+            tree = _replaced(tree, addr[:-1], _at(tree, addr))
+        else:
+            try:
+                tree = _exchange(tree, proof, addr)
+            except NotPermutable:
+                # a propagation whose auxiliary is the fresh label of the boxR
+                # right below it cannot cross that boxR: drop it, unless a
+                # rule above reads its product, which the derive below finds
+                if node.rule not in PROPAGATION_RULES:
+                    raise InternalNonTermination(f"no permutation available for {node.rule}",
+                                                 addr) from None
+                tree = _replaced(tree, addr, _at(tree, addr).premises[0])
+                dropped = True
+        permutations += 1
         try:
-            proof = permute_down(proof, addr)
-            permutations += 1
-        except NotPermutable:
-            # propagation whose auxiliary is the fresh label of the boxR right
-            # below it cannot cross that boxR; drop it if its product is unused
-            if node.rule in PROPAGATION_RULES:
-                phi = node.meta["phi"]
-                added = (node.meta["aux"], Box(phi) if node.rule == "4L" else phi)
-                try:
-                    proof = proof.replace_at(addr, trampoline(_strengthen(node.premises[0], added)))
-                    permutations += 1
-                    continue
-                except NotApplicable:
-                    pass
-            raise InternalNonTermination(f"no permutation available for {node.rule}", addr)
+            proof = _derive(proof.calculus, tree, c, "end-activation cannot derive its moves")
+        except NotApplicable as e:
+            if not dropped:
+                raise
+            raise InternalNonTermination(f"no permutation available for {node.rule}", addr) from e
+    # a fresh label copied by an exchange stays with its first boxR in
+    # pre-order; the others are renamed only now, since a later move can
+    # delete any copy, the first one too
+    if tree is not None and (renamed := _fresh_apart(tree, c, set())) is not None:
+        proof = _derive(proof.calculus, renamed, c, "end-activation cannot derive its moves")
     return proof, permutations
 
 
@@ -456,17 +493,6 @@ def linearize(p: Proof) -> Proof:
 
 # ---------------------------------------------------------------------------
 # Normalization of LNGL proofs
-
-def _rule_tree(p: Proof) -> tuple[_RuleNode, int]:
-    """p's rule tree, with copies of its metas, and its node count."""
-    root = _RuleNode(p.rule, dict(p.meta))
-    queue = [(p, root)]
-    for node, copy in queue:  # breadth-first: the loop reads what it appends
-        for q in node.premises:
-            copy.premises.append(_RuleNode(q.rule, dict(q.meta)))
-            queue.append((q, copy.premises[-1]))
-    return root, len(queue)
-
 
 def _lowest_mover(boxr: _RuleNode) -> Optional[Address]:
     """The address in boxr's block of the lowest 4L block violation by

@@ -24,7 +24,8 @@ from glproof.formula import Box
 from glproof.rules import LOCAL_RULES
 from glproof.sequents import (GentzenSequent, LabeledSequent, Proof, formula_key, mset_diff,
                               trampoline)
-from glproof.transform import NotApplicable, _drop, prove_general_id
+from glproof.transform import NotApplicable, prove_general_id
+from rederive_reference import _drop
 
 
 def _g3gl_label_names(p: Proof):

@@ -13,7 +13,8 @@ from glproof.checkers import end_active_report
 from glproof.formula import Box
 from glproof.rules import PROPAGATION_RULES, RULES_OF
 from glproof.sequents import Proof, project_chain, root_path, trampoline
-from glproof.transform import NotApplicable, NotEndActive, weaken
+from glproof.transform import NotApplicable, NotEndActive
+from rederive_reference import weaken
 
 
 def linearize(p: Proof) -> Proof:

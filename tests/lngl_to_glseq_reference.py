@@ -15,7 +15,8 @@ from collections import Counter
 from glproof.formula import Box, Formula
 from glproof.rules import LOCAL_RULES, local_premises, premises_of
 from glproof.sequents import GentzenSequent, Proof, formula_key, mset_remove, trampoline
-from glproof.transform import NotApplicable, NotNormalForm, _rederive, apply_inverse, weaken
+from glproof.transform import NotApplicable, NotNormalForm
+from rederive_reference import _rederive, apply_inverse, weaken
 
 
 def _drop(s: GentzenSequent, side: str, item) -> GentzenSequent:

@@ -37,9 +37,9 @@ from glproof.sequents import (
     format_address,
     mset_remove,
     rebuild,
-    relabel_proof,
     tree_root,
 )
+from rederive_reference import relabel_proof, replace_at
 from glproof.transform import run_pipeline, to_end_active
 from glproof.checkers import (
     Failure,
@@ -171,8 +171,6 @@ def test_g3gl_global_freshness_lint():
     rep = check_g3gl(proof, "strict")
     assert ("FreshnessViolation", "y") in details(rep)
     # with distinct fresh labels the same proof is accepted
-    from glproof.sequents import relabel_proof
-
     fixed = Proof(
         "g3gl", "orL", c0,
         (_boxr_branch(b1), relabel_proof(_boxr_branch(b2), {"y": "z"})),
@@ -452,8 +450,8 @@ def test_mutation_resistance():
         for r in others:
             if r == node.rule:
                 continue
-            mutant = base.replace_at(
-                addr, Proof(node.calculus, r, node.conclusion, node.premises, dict(node.meta))
+            mutant = replace_at(
+                base, addr, Proof(node.calculus, r, node.conclusion, node.premises, dict(node.meta))
             )
             rep = check_csgl(mutant)
             assert (not rep.accepted) or mutant.conclusion == conclusion
@@ -461,8 +459,8 @@ def test_mutation_resistance():
     # delete a premise everywhere possible
     for addr, node in base.nodes():
         if node.premises:
-            mutant = base.replace_at(
-                addr, Proof(node.calculus, node.rule, node.conclusion,
+            mutant = replace_at(
+                base, addr, Proof(node.calculus, node.rule, node.conclusion,
                             node.premises[1:], dict(node.meta))
             )
             rep = check_csgl(mutant)
@@ -473,8 +471,8 @@ def test_mutation_resistance():
         if node.rule == "boxR":
             meta = dict(node.meta)
             meta["fresh"] = "zz"
-            mutant = base.replace_at(
-                addr, Proof(node.calculus, node.rule, node.conclusion, node.premises, meta)
+            mutant = replace_at(
+                base, addr, Proof(node.calculus, node.rule, node.conclusion, node.premises, meta)
             )
             rep = check_csgl(mutant)
             assert (not rep.accepted) or mutant.conclusion == conclusion
@@ -550,7 +548,7 @@ def test_check_csgl_matches_tree_root_on_every_node(monkeypatch):
         addrs = [a for a, _ in proof.nodes()]
         for kind in kinds:
             addr = rng.choice(addrs)
-            mutant = proof.replace_at(addr, _mutate(proof.at(addr), kind, rng))
+            mutant = replace_at(proof, addr, _mutate(proof.at(addr), kind, rng))
             failures = check_csgl(mutant).failures
             assert failures == _reference_csgl_failures(mutant), (kind, addr)
             if failures:
@@ -799,7 +797,7 @@ def _fresh_reuse(p, rng):
     a, b = rng.choice(pairs)
     node = p.at(b)
     renamed = relabel_proof(node, {node.meta["fresh"]: p.at(a).meta["fresh"]})
-    return p.replace_at(b, renamed)
+    return replace_at(p, b, renamed)
 
 
 def _mutants(p, rng):
@@ -813,7 +811,7 @@ def _mutants(p, rng):
         fields.update(change)
         new = Proof(**fields)
         new.goals = goals
-        return p.replace_at(addr, new)
+        return replace_at(p, addr, new)
 
     for _ in range(3):
         addr, node = rng.choice(nodes)

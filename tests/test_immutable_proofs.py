@@ -13,7 +13,7 @@ fails on
 - an in-place change of a `.meta` mapping: item assignment or `del`, or a
   call of `update`, `pop`, `popitem`, `setdefault` or `clear`, on
   `<expr>.meta` or on a name bound to one (`m = node.meta`).  A copy such
-  as `relabel_proof`'s `meta = dict(node.meta)` is a new dict and stays
+  as `transform._rule_tree`'s `dict(q.meta)` is a new dict and stays
   free to change.
 """
 

@@ -70,8 +70,6 @@ def test_the_check_sees_an_unused_import():
 # (module, function, parameter): why the parameter stays unread
 UNREAD_PARAMETERS = {
     ("cli.py", "run", "stdin"): "perfbench calls run(argv, None, out, err) positionally",
-    ("transform.py", "_strengthen.<lambda>", "goal"):
-        "a walker step takes (premise, goal), as _rederive calls it",
 }
 
 

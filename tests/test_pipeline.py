@@ -57,8 +57,9 @@ from glproof.proofio import print_proof
 from glproof.rules import derive, premises_of
 from glproof.search import SearchConfig, prove_formula
 from glproof.sequents import (LabeledSequent, LinearNestedSequent, Proof, formula_key,
-                              labeled_key, rebuild, relabel_proof)
+                              labeled_key, rebuild)
 from glproof.transform import run_pass, run_pipeline
+from rederive_reference import relabel_proof
 from test_transform import GAMMA_TRIMMING
 
 CFG = SearchConfig(oracle_hint=False)

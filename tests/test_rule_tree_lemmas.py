@@ -1,0 +1,158 @@
+"""Weakening, inversion, permutation and end-activation on rule trees agree
+with the former Proof-level walkers of tests/rederive_reference.py.
+
+An outcome is the printed proof, or the class of the error raised.  Where
+the reference raises, the transform must raise the same class; where it
+returns a proof, the transform must return an equal one, which prints
+identically.  The one exception is end-activation on a proof whose
+reference output reuses a `boxR` fresh label, which the transform renames.
+"""
+
+import random
+
+import rederive_reference as reference
+from random_proofs import csgl_sample
+from test_acceptance import _sample_proofs
+from test_pipeline import STAGE_CHECKS
+from test_transform import (CORPUS, _additions_target, _id2_above_a_pointless_boxr,
+                            _negr_above_boxr, _negr_above_boxr_csgl, _negr_above_orr,
+                            _read_propagation, _two_permutations, _unread_propagation,
+                            _weakening_inputs, csgl_proof)
+from glproof.checkers import check_csgl, end_active_report
+from glproof.formula import Atom, Box, parse_formula as pf, print_formula
+from glproof.proofio import parse_gentzen_sequent as pgs, parse_labeled_sequent as pls, print_proof
+from glproof.sequents import Proof
+from glproof.rules import LOCAL_RULES, PROPAGATION_RULES, derive
+from glproof.transform import (PIPELINE, TransformError, _end_active, apply_inverse, permute_down,
+                               run_pass, weaken)
+
+P, Q = Atom("p"), Atom("q")
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except TransformError as e:
+        return type(e).__name__
+    proof, permutations = out if isinstance(out, tuple) else (out, None)
+    return proof, print_proof(proof), permutations
+
+
+def _agree(new, ref, *args):
+    got, want = _outcome(new, *args), _outcome(ref, *args)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got[0] == want[0] and got[1:] == want[1:]
+    return got
+
+
+def _inversions(p: Proof):
+    """(rule, i, meta) for every premise i of p's root rule, when it inverts."""
+    if p.rule in LOCAL_RULES or p.rule in PROPAGATION_RULES:
+        for i in range(len(p.premises)):
+            yield p.rule, i, dict(p.meta)
+
+
+def _weakenings():
+    """(proof, target): acceptance 3's 200 proofs at its targets, and the
+    seeded weakening inputs of test_transform."""
+    for p in _sample_proofs(200):
+        if p.calculus == "glseq":
+            yield p, p.conclusion.with_ante(Box(Q)).with_cons(Q)
+        else:
+            yield p, p.conclusion.with_ante(("x", Box(Q))).with_cons(("x", Q))
+    for p, adds in _weakening_inputs(random.Random(11)):
+        yield p, _additions_target(p, **adds)
+
+
+def test_weaken_and_apply_inverse_agree_with_the_reference():
+    kinds = {"weaken": 0, "weaken raises": 0, "inverse": 0, "inverse raises": 0}
+    for p, target in _weakenings():
+        got = _agree(weaken, reference.weaken, p, target)
+        kinds["weaken raises" if isinstance(got, str) else "weaken"] += 1
+        for rule, i, meta in _inversions(p):
+            got = _agree(apply_inverse, reference.apply_inverse, rule, i, p, meta)
+            kinds["inverse raises" if isinstance(got, str) else "inverse"] += 1
+    assert kinds["weaken"] >= 1000 and kinds["inverse"] >= 200, kinds
+    assert kinds["weaken raises"] >= 20, kinds
+
+
+def test_inversion_keeps_a_premise_whose_conclusion_does_not_change():
+    # the boxGL premise does not read its context, so inverting the orL
+    # below it keeps the premise's own orL on the same principal
+    pq, qp = pf("p | q"), pf("q | p")
+    ids = [("id", {"principal": a}, []) for a in (P, Q)]
+    tree = ("boxGL", {"gamma": (pq,), "phi": qp}, [
+        ("orR", {"principal": qp}, [("orL", {"principal": pq}, ids)])])
+    base = derive("glseq", tree, pgs("p | q, [](p | q) |- [](q | p)"), lambda n: n)
+    out = _agree(apply_inverse, reference.apply_inverse, "orL", 0, base, {"principal": pq})[0]
+    assert out.conclusion == pgs("p, [](p | q) |- [](q | p)")
+    assert out.premises[0] == base.premises[0]
+
+
+def _end_activation_fixtures():
+    """The CSGL proofs that test_transform's end-activation and permutation
+    tests start from.  (test_permute_clash_detected builds its own; both
+    versions refuse it with NotPermutable, as that test checks.)"""
+    return [_negr_above_orr(), _negr_above_boxr(), _negr_above_boxr_csgl(),
+            _two_permutations(), _id2_above_a_pointless_boxr(), _unread_propagation(),
+            _read_propagation(), Proof("csgl", "id1", pls("x: p |- x: p"), (),
+                                       {"label": "x", "principal": P}),
+            *map(csgl_proof, CORPUS)]
+
+
+def test_end_activation_fixtures_agree_with_the_reference():
+    permuted = raised = 0
+    for base in _end_activation_fixtures():
+        got = _agree(_end_active, reference._end_active, base)
+        raised += isinstance(got, str)
+        for addr, _ in base.nodes():
+            got = _agree(permute_down, reference.permute_down, base, addr)
+            permuted += not isinstance(got, str)
+    assert permuted == 4 and raised == 4, (permuted, raised)
+
+
+def test_every_output_node_carries_goals():
+    p = csgl_proof(CORPUS[0])
+    base = _negr_above_boxr_csgl()
+    outputs = [weaken(p, p.conclusion.with_ante(("x", Q))),
+               apply_inverse(p.rule, 0, p, dict(p.meta)),
+               permute_down(_negr_above_orr(), (0,))]
+    out, permutations = _end_active(base)
+    assert permutations > 0
+    for proof in outputs + [out]:
+        assert all(node.goals is not None for _, node in proof.nodes())
+
+
+def test_random_csgl_proofs_end_activate_like_the_reference():
+    # random-strategy proofs, which search never makes: where the reference
+    # output is checked the outputs are equal, and where it reuses a fresh
+    # label the output is renamed; no proof fails that the reference passes,
+    # every output is checked, and the later passes run on it with every
+    # stage checked
+    counts = {"not end-active": 0, "equal": 0, "renamed": 0, "reference refuses": 0}
+    for f, p in csgl_sample(5, 300):
+        counts["not end-active"] += not end_active_report(p).accepted
+        want, got = _outcome(reference._end_active, p), _outcome(_end_active, p)
+        if isinstance(want, str):
+            counts["reference refuses"] += 1
+            if isinstance(got, str):
+                continue
+        assert not isinstance(got, str), (print_formula(f), got)
+        out = got[0]
+        assert STAGE_CHECKS["end-active"](out).accepted, print_formula(f)
+        if isinstance(want, str):
+            pass
+        elif check_csgl(want[0]).accepted:
+            assert out == want[0] and got[1:] == want[1:], print_formula(f)
+            counts["equal"] += 1
+        else:
+            assert got[2] == want[2], print_formula(f)
+            counts["renamed"] += 1
+        for stage, name in PIPELINE[1:]:
+            out = run_pass(name, out)[0]
+            assert STAGE_CHECKS[stage](out).accepted, (stage, print_formula(f))
+    assert counts["not end-active"] >= 100 and counts["renamed"] >= 5, counts
+

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import lngl_to_glseq_reference
+from rederive_reference import _avoid_fresh, _exchange, _rederive, relabel_proof, replace_at
 from glproof import transform
 from glproof.formula import Atom, Box, Not, Or, parse_formula as pf, print_formula, random_formula
 from glproof.proofio import (
@@ -20,7 +21,6 @@ from glproof.sequents import (
     LinearNestedSequent,
     NotATree,
     Proof,
-    relabel_proof,
     trampoline,
     tree_root,
 )
@@ -50,9 +50,6 @@ from glproof.transform import (
     NotPermutable,
     ShapeViolation,
     TransformError,
-    _avoid_fresh,
-    _exchange,
-    _rederive,
     apply_inverse,
     csgl_to_g3gl_embed,
     glseq_to_g3gl,
@@ -571,7 +568,7 @@ def test_end_active_counts_nodes_only_for_a_failure(monkeypatch):
     assert counted == [base]
 
 
-def test_end_active_two_permutations():
+def _two_permutations():
     tau = pf("p | ~p")
     c0 = pls(" |- x: [](p | ~p) | ~~q")
     (c1,) = premises_of("csgl", "orR", {"label": "x", "principal": pf("[](p | ~p) | ~~q")}, c0)
@@ -588,7 +585,11 @@ def test_end_active_two_permutations():
     n3 = Proof("csgl", "negR", c3, (n4,), m_negx)
     n2 = Proof("csgl", "orR", c2, (n3,), m_orry)
     n1 = Proof("csgl", "boxR", c1, (n2,), m_boxr)
-    base = Proof("csgl", "orR", c0, (n1,), {"label": "x", "principal": pf("[](p | ~p) | ~~q")})
+    return Proof("csgl", "orR", c0, (n1,), {"label": "x", "principal": pf("[](p | ~p) | ~~q")})
+
+
+def test_end_active_two_permutations():
+    base = _two_permutations()
     assert check_csgl(base).accepted
 
     out, report = run_pass("end-active", base)
@@ -597,9 +598,7 @@ def test_end_active_two_permutations():
     assert report.permutations == 2
 
 
-def test_end_active_pushes_initial_rules():
-    # an id2 whose witness label is not a leaf at its node is pushed down,
-    # deleting the pointless boxR expansion under it
+def _id2_above_a_pointless_boxr():
     c0 = pls(" |- x: ~[]q | ([]q | []r)")
     m_or1 = {"label": "x", "principal": pf("~[]q | ([]q | []r)")}
     (c1,) = premises_of("csgl", "orR", m_or1, c0)
@@ -614,7 +613,13 @@ def test_end_active_pushes_initial_rules():
     n4 = Proof("csgl", "boxR", c3, (leaf,), m_boxr)
     n3 = Proof("csgl", "negR", c2, (n4,), m_neg)
     n2 = Proof("csgl", "orR", c1, (n3,), m_or2)
-    base = Proof("csgl", "orR", c0, (n2,), m_or1)
+    return Proof("csgl", "orR", c0, (n2,), m_or1)
+
+
+def test_end_active_pushes_initial_rules():
+    # an id2 whose witness label is not a leaf at its node is pushed down,
+    # deleting the pointless boxR expansion under it
+    base = _id2_above_a_pointless_boxr()
     assert check_csgl(base).accepted
     assert not end_active_report(base).accepted  # id2 witness x has child y
 
@@ -1072,10 +1077,20 @@ def _build(steps, concls, leaf):
     return node
 
 
-def test_end_active_drops_unused_propagation():
+def _unread_propagation():
     steps, concls = _boxl_into_fresh_label("s")
     leaf = Proof("csgl", "id2", concls[-1], (), {"label": "x", "principal": pf("[]q")})
-    base = _build(steps, concls, leaf)
+    return _build(steps, concls, leaf)
+
+
+def _read_propagation():
+    steps, concls = _boxl_into_fresh_label("q")
+    leaf = Proof("csgl", "id1", concls[-1], (), {"label": "y", "principal": Q})
+    return _build(steps, concls, leaf)
+
+
+def test_end_active_drops_unused_propagation():
+    base = _unread_propagation()
     assert check_csgl(base).accepted and not end_active_report(base).accepted
     out = to_end_active(base)
     assert out.conclusion == base.conclusion
@@ -1084,9 +1099,7 @@ def test_end_active_drops_unused_propagation():
 
 
 def test_end_active_keeps_used_propagation():
-    steps, concls = _boxl_into_fresh_label("q")
-    leaf = Proof("csgl", "id1", concls[-1], (), {"label": "y", "principal": Q})
-    base = _build(steps, concls, leaf)
+    base = _read_propagation()
     assert check_csgl(base).accepted and not end_active_report(base).accepted
     with pytest.raises(InternalNonTermination):
         to_end_active(base)
@@ -1256,7 +1269,7 @@ def _shape_mutants(p, rng, rules):
             key = rng.choice(["label", "aux"])
             meta[key] = rng.choice(sorted(node.conclusion.labels()))
         new = Proof(node.calculus, rule, node.conclusion, node.premises, meta)
-        yield p.replace_at(addr, new) if addr else new
+        yield replace_at(p, addr, new) if addr else new
 
 
 _SHAPE_RULES = ("id1", "id2", "negL", "negR", "orL", "orR", "4L", "boxL", "boxR", "open")
