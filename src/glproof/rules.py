@@ -20,7 +20,6 @@ from .sequents import (
     insert_sorted,
     mset_contains,
     mset_remove,
-    trampoline,
 )
 
 # Failure codes (stable identifiers surfaced by the CLI)
@@ -245,16 +244,36 @@ def derive(calculus: str, tree, conclusion: Sequent, parts) -> Proof:
     a node with the wrong number of children raises `WrongPremiseCount`.
     Each node records its goals, the premise conclusions `premises_of`
     returned for it (a leaf the shared empty tuple), so that a checker need
-    not derive them again; its premises conclude those very objects."""
-    def walk(node, seq: Sequent):
+    not derive them again; its premises conclude those very objects.
+
+    Two passes, no recursion: the first visits the nodes in pre-order on an
+    explicit stack, so the first node to fail is the first in pre-order; the
+    second builds them in reverse pre-order, where a node's premises are the
+    last ones built, its first premise last of all."""
+    nodes = []
+    stack = [(tree, conclusion)]
+    push = stack.append
+    while stack:
+        node, seq = stack.pop()
         rule, meta, children = parts(node)
         goals = premises_of(calculus, rule, meta, seq)
-        if len(goals) != len(children):
+        n = len(goals)
+        if n != len(children):
             raise RuleError(WRONG_PREMISE_COUNT,
-                            f"{rule} needs {len(goals)} premises, found {len(children)}")
-        prems = yield tuple(map(walk, children, goals))
-        proof = Proof(calculus, rule, seq, prems, meta)
-        proof.goals = goals or ()
-        return proof
-
-    return trampoline(walk(tree, conclusion))
+                            f"{rule} needs {n} premises, found {len(children)}")
+        nodes.append((rule, seq, meta, goals))
+        while n:
+            n -= 1
+            push((children[n], goals[n]))
+    built = []
+    pop = built.pop
+    for rule, seq, meta, goals in reversed(nodes):
+        if not goals:
+            proof = Proof(calculus, rule, seq, (), meta)
+            proof.goals = ()
+        else:
+            proof = Proof(calculus, rule, seq,
+                          (pop(),) if len(goals) == 1 else tuple([pop() for _ in goals]), meta)
+            proof.goals = goals
+        built.append(proof)
+    return built[0]

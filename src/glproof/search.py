@@ -42,11 +42,28 @@ state to its left premise and saves a copy for the right one, which runs
 only after the left one closes.  Each boxGL premise of GLseq starts a
 fresh state, one consequent box at a time in `formula_key` order.
 
+Relevance (CSGL): an orL on `x: A | B` whose left premise closed without
+reading `x: A` needs no right premise, and CSGL search does not search it
+(dependency-directed backjumping, as in tableau reasoners, here without any
+backtracking).  A read is a record whose rule needs `x: A` in the
+antecedent: a negL or orL with principal `x: A`, an id1 or id2 with witness
+`x: A`, or a 4L or boxL whose box is `x: A`.  No other rule's schema looks
+at an antecedent formula it does not name, so the left premise's records,
+replayed over the orL's conclusion, where `x: A | B` stands in place of
+`x: A`, derive the same rules with `x: A | B` as an idle context formula.
+Skipping is therefore sound, and it changes no verdict but one: a search
+that ran out of fuel in right premises may now prove its theorem.  Against
+a search that tries every right premise, the records, the fuel spent, the
+numbering of fresh labels (and so their names) and the proof differ on
+theorems, and the dead end of a failing search may carry other fresh-label
+numbers.  GLseq search keeps every right premise.
+
 The proof is written as it is found, one record per rule instance appended
 to a single list in preorder (see `_replay`).  A suspended orL waits on the
-stack with its record's index and its saved state; when its left premise
-closes, its record gets the index where the right premise's records begin,
-and the frame leaves the stack.  A suspended boxGL waits with the list's
+stack with its record's index and its saved state (in CSGL, also the count
+of reads of its left disjunct); when its left premise closes, its record
+gets the index where the right premise's records begin, or -1 where CSGL
+skips the right premise, and the frame leaves the stack.  A suspended boxGL waits with the list's
 length before its premise; a premise that fails is cut off the list there
 before the next one is tried.  CSGL never backtracks: its first failing
 leaf fails the whole search.
@@ -135,8 +152,10 @@ class SearchResult:
 # A search writes its proof into one flat list, one record per rule
 # instance, in preorder.  A record is a run of slots: the rule name, then its
 # meta values in the key order `_META_KEYS` gives the rule; an orL record has
-# one slot more, the index where its right premise's record begins.  Every
-# other premise begins right after its rule's record.  A search that runs out
+# one slot more, the index where its right premise's record begins, or -1
+# where CSGL search skipped the right premise (its left premise then proves
+# the orL's conclusion, and replay derives it there).  Every other premise
+# begins right after its rule's record.  A search that runs out
 # of fuel holds ~100k records at once, so a record costs no object of its own
 # (~30 B in all, against ~80 B for a tuple), and meta dicts are built only on
 # replay.
@@ -157,9 +176,13 @@ def _replay(recs: list, seq: Sequent, calculus: str, names: Optional[dict] = Non
     keys = _META_KEYS[calculus]
 
     def parts(i: int):
-        rule = recs[i]
-        k = keys.get(rule, ())
-        j = i + 1 + len(k)  # where the record's meta values end
+        while True:
+            rule = recs[i]
+            k = keys.get(rule, ())
+            j = i + 1 + len(k)  # where the record's meta values end
+            if rule != "orL" or recs[j] != -1:
+                break
+            i = j + 1  # a skipped orL: its left premise proves its conclusion
         meta = dict(zip(k, recs[i + 1:j]))
         if names is not None:
             for key in LABEL_KEYS:
@@ -301,15 +324,23 @@ def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dea
     its box or edge arrives.  A propagation node fires, and deletes, the
     first entry whose product is not in `fa`, so a decomposed propagation
     result is never re-derived (re-firing is redundant by admissible
-    contraction).  Returns the proof's records or None."""
+    contraction).  `reads` counts the records that read each antecedent
+    labeled formula that is the left disjunct of a suspended orL: one whose
+    left premise closes without a read of it skips its right premise.  Only
+    the reads after the orL matter, so its count starts there and ends with
+    the outermost orL that watches it.  Returns the proof's records or
+    None."""
     n, fresh = fuel[0], counter[0]
+    reads: dict = {}
     pending = sorted([(_ANTE_RANK[type(f)], x, f.key, f) for x, f in fa if type(f) in _ANTE_RANK])
     cands = sorted([(kind, x, y, f.key, f) for x, f in fa if type(f) is Box
                     for a, y in rel if a == x for kind in (0, 1)])
     # the root's consequent goes on as if a rule had added it
     side, other, ranks, adds = set(), fa, _CONS_RANK, fc
     fc, shared = side, set()
-    # a frame is (record index, saved state) for an orL whose left premise runs
+    # a frame is (record index, its left disjunct, that formula's count of
+    # reads or None if it had none, saved state) for an orL whose left
+    # premise runs
     recs, stack = [], []
     while True:
         for p in adds:  # the labeled formulas this node's rule put on `side`
@@ -330,12 +361,18 @@ def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dea
         if n < 0:
             raise FuelExhausted(fuel[0])
         if shared:
-            x, g = min(shared, key=labeled_key)
+            p = min(shared, key=labeled_key)
+            if reads and p in reads:
+                reads[p] += 1
+            x, g = p
             recs += ("id1" if type(g) is not Box else "id2"), x, g
         elif pending:
             rank, x, _, f = pending.pop(0)
             if rank == 0:
-                fa.remove((x, f))
+                p = (x, f)
+                fa.remove(p)
+                if reads and p in reads:
+                    reads[p] += 1
                 recs += "negL", x, f
                 side, other, ranks, adds = fc, fa, _CONS_RANK, ((x, f.sub),)
             elif rank == 1:
@@ -347,9 +384,14 @@ def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dea
                 recs += "orR", x, f
                 side, other, ranks, adds = fc, fa, _CONS_RANK, ((x, f.left), (x, f.right))
             else:  # orL: the left premise takes this state, the right one a copy
-                fa.remove((x, f))
-                stack.append((len(recs), (rel.copy(), fa.copy(), fc.copy(), pending.copy(),
-                                          cands.copy())))
+                p = (x, f)
+                fa.remove(p)
+                if reads and p in reads:
+                    reads[p] += 1
+                left = (x, f.left)
+                stack.append((len(recs), left, reads.get(left),
+                              (rel.copy(), fa.copy(), fc.copy(), pending.copy(), cands.copy())))
+                reads.setdefault(left, 0)
                 recs += "orL", x, f, None
                 side, other, ranks, adds = fa, fc, _ANTE_RANK, ((x, f.left),)
             continue
@@ -360,6 +402,8 @@ def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dea
                 g = f if kind == 0 else f.sub
                 if (y, g) not in fa:
                     del cands[i]
+                    if reads and (x, f) in reads:
+                        reads[x, f] += 1
                     recs += ("4L" if kind == 0 else "boxL"), x, y, f.sub
                     side, other, ranks, adds = fa, fc, _ANTE_RANK, ((y, g),)
                     break
@@ -388,15 +432,22 @@ def _csgl_search(rel: set, fa: set, fc: Iterable, counter: list, fuel: list, dea
                     return None
             continue
         # an id leaf closed this branch, and with it the left premise of the
-        # innermost suspended orL: run its right one
-        if not stack:
+        # innermost suspended orL: run its right one, unless nothing in the
+        # left premise read its left disjunct, so that it proves the orL's
+        # conclusion too; then the orL closed, and so did the next one's left
+        while stack:
+            i, left, before, state = stack.pop()
+            if (reads.pop(left) if before is None else reads[left]) == (before or 0):
+                recs[i + 3] = -1
+                continue
+            recs[i + 3] = len(recs)
+            rel, fa, fc, pending, cands = state
+            shared = set()
+            side, other, ranks, adds = fa, fc, _ANTE_RANK, ((left[0], recs[i + 2].right),)
+            break
+        else:
             fuel[0], counter[0] = n, fresh
             return recs
-        i, (rel, fa, fc, pending, cands) = stack.pop()
-        recs[i + 3] = len(recs)
-        x, f = recs[i + 1], recs[i + 2]
-        shared = set()
-        side, other, ranks, adds = fa, fc, _ANTE_RANK, ((x, f.right),)
 
 
 def decide_csgl(s: LabeledSequent, cfg: SearchConfig = SearchConfig()) -> SearchResult:

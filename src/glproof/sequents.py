@@ -15,7 +15,10 @@ generator run by `trampoline`.  Where a recursive function would call itself,
 a walker yields the sub-walk (or a tuple of sub-walks) and is sent back its
 result (or the tuple of results).  Sub-walks run in the order yielded, on one
 explicit stack, so proof height costs no recursion.  Public functions run the
-trampoline; walkers yield each other.
+trampoline; walkers yield each other.  `rules.derive`, which builds every
+proof a pass makes, is no walker but a plain loop of two passes: its
+sub-walks run in pre-order on one list, and the nodes are built in reverse
+pre-order, so it makes no generator per node.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
     python3 tests/deep_probe.py [--no-cli] [K ...]
 
 The inputs are `[]`×k `(p | ~p)` for each K (30, 45 and 60 by default),
-then the blow-up theorem of the `pipeline` benchmark's census, whose CSGL
-search runs out of its 100,000 nodes of fuel.  For each input it prints:
+then the blow-up theorem of the `pipeline` benchmark's census, on which a
+CSGL search that tries every orL right premise runs out of its 100,000
+nodes of fuel; CSGL search skips the right premises that it does not need
+and proves it.  For each input it prints:
 - `search`: CSGL search of `|- x: f` in this process (`search._csgl_search`,
   without replay): the nodes it spent, its best wall time of 3 runs, and
   the peak that tracemalloc traces during one more run;

@@ -5,7 +5,11 @@ first 150 glseq-proved theorems of random_formula(random.Random(1),
 ("p", "q", "r"), 6..14), the sha256 of the printed output of `to_end_active`
 and of `normalize_lngl`, the permutation counts that `run_pass` reports
 for those two passes, and the sha256 of the
-`normal_form_report` failure lines of the linearized proof.
+`normal_form_report` failure lines of the linearized proof.  It was recorded
+on the proofs of the eager CSGL search, which searched every orL right
+premise, and is checked on them (`search_reference.eager_prove_csgl`);
+tests/data/normal_relevance_golden.json holds the same on today's search
+proofs.
 """
 
 import hashlib
@@ -18,9 +22,11 @@ from glproof.formula import parse_formula, print_formula, random_formula
 from glproof.proofio import print_proof
 from glproof.search import SearchConfig, prove_formula
 from glproof.transform import linearize, normalize_lngl, run_pass, to_end_active
+from search_reference import eager_prove_csgl
 
 CFG = SearchConfig(oracle_hint=False)
 GOLDEN = Path(__file__).parent / "data" / "normal_golden.json"
+RELEVANCE_GOLDEN = Path(__file__).parent / "data" / "normal_relevance_golden.json"
 
 
 def _sha(text: str) -> str:
@@ -38,11 +44,10 @@ def _golden_inputs():
             yield f
 
 
-def test_normal_form_passes_golden():
-    golden = json.loads(GOLDEN.read_text())
+def normal_form_digests(prove) -> dict:
     got = {}
     for f in _golden_inputs():
-        ea, ea_report = run_pass("end-active", prove_formula(f, "csgl", CFG).proof)
+        ea, ea_report = run_pass("end-active", prove(f, CFG).proof)
         lp = linearize(ea)
         nf, nf_report = run_pass("normalize", lp)
         got[print_formula(f)] = {
@@ -52,14 +57,29 @@ def test_normal_form_passes_golden():
             "normal_permutations": nf_report.permutations,
             "linearized_report": _sha("".join(f"{x}\n" for x in normal_form_report(lp).failures)),
         }
+    return got
+
+
+def _assert_golden(got: dict, golden: dict) -> None:
     assert list(got) == list(golden)
     drifted = [f for f in golden if got[f] != golden[f]]
     assert not drifted, f"normal-form pass output changed for {drifted}"
 
 
+def test_normal_form_passes_golden():
+    _assert_golden(normal_form_digests(eager_prove_csgl), json.loads(GOLDEN.read_text()))
+
+
+def test_normal_form_passes_relevance_golden():
+    _assert_golden(normal_form_digests(lambda f, cfg: prove_formula(f, "csgl", cfg)),
+                   json.loads(RELEVANCE_GOLDEN.read_text()))
+
+
 def test_normal_form_report_lists_each_block_violation_in_pre_order():
+    # the eager search's proof: CSGL search skips the orL right premise
+    # that holds the second violation of each pair
     f = parse_formula("[]~(r | r) | ~[]~[]r")
-    lp = linearize(to_end_active(prove_formula(f, "csgl", CFG).proof))
+    lp = linearize(to_end_active(eager_prove_csgl(f, CFG).proof))
     # the boxRs in pre-order; the report lists their blocks' violations in turn
     boxrs = [(a, n) for a, n in lp.nodes() if n.rule == "boxR"]
     per_block = [block_violations(n, a) for a, n in boxrs]

@@ -16,6 +16,11 @@ template at the current label between two `w` nodes, and are checked with
 that translation, kept beside the first.  The digests of today's to-g3gl
 output, which has no `w` node, are in tests/data/g3gl_wfree_golden.json.
 The three translations are compared on the 300 theorems up to labels.
+The 300 theorems' digests in those files were recorded on the proofs of the
+eager CSGL search, which searched every orL right premise; they are checked
+on its proofs (`search_reference.eager_prove_csgl`).  The five digests of
+today's search proofs, to-g3gl's last, are in
+tests/data/stage_digest_relevance_golden.json.
 
 The pipeline command checks every stage before it prints; the references
 write `sub` and `w` nodes, rules glproof no longer has, so the tests that
@@ -60,6 +65,7 @@ from glproof.sequents import (LabeledSequent, LinearNestedSequent, Proof, formul
                               labeled_key, rebuild)
 from glproof.transform import run_pass, run_pipeline
 from rederive_reference import relabel_proof
+from search_reference import eager_prove_csgl
 from test_transform import GAMMA_TRIMMING
 
 CFG = SearchConfig(oracle_hint=False)
@@ -68,6 +74,7 @@ STAGE_GOLDEN = Path(__file__).parent / "data" / "stage_golden.json"
 STAGE_DIGEST_GOLDEN = Path(__file__).parent / "data" / "stage_digest_golden.json"
 G3GL_GOLDEN = Path(__file__).parent / "data" / "g3gl_golden.json"
 WFREE_GOLDEN = Path(__file__).parent / "data" / "g3gl_wfree_golden.json"
+STAGE_RELEVANCE_GOLDEN = Path(__file__).parent / "data" / "stage_digest_relevance_golden.json"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 TESTS = str(Path(__file__).resolve().parent)
 
@@ -263,16 +270,21 @@ def _digest(proof) -> str:
     return hashlib.sha256(print_proof(proof).encode()).hexdigest()[:16]
 
 
+def _prove_csgl(f, cfg):
+    return prove_formula(f, "csgl", cfg)
+
+
 @functools.lru_cache(maxsize=None)
-def _seeded_glseq_proofs(n=300) -> dict:
+def _seeded_glseq_proofs(n=300, prove=_prove_csgl) -> dict:
     """`{formula: (four sha256 prefixes, glseq stage proof)}` for n seeded
     CSGL-proved theorems: the printed proof of each stage from end-active to
-    glseq, in pipeline order, and the last of those proofs."""
+    glseq, in pipeline order, and the last of those proofs.  `prove` is the
+    CSGL search."""
     rng = random.Random(29)
     got = {}
     while len(got) < n:
         f = random_formula(rng, ("p", "q", "r"), rng.randint(4, 14))
-        r = prove_formula(f, "csgl", CFG)
+        r = prove(f, CFG)
         if not r.proved or print_formula(f) in got:
             continue
         digests = []
@@ -286,17 +298,20 @@ def _seeded_glseq_proofs(n=300) -> dict:
 
 def test_stage_digest_golden():
     # every pass's printed output on seeded theorems beyond the corpus; the
-    # five digests name the first pass whose output drifted
+    # five digests name the first pass whose output drifted.  This file and
+    # the next two were recorded on the proofs of the eager CSGL search, so
+    # they are checked with it
     golden = json.loads(STAGE_DIGEST_GOLDEN.read_text())
     got = {f: " ".join(digests + [_digest(g3gl_reference.glseq_to_g3gl(p))])
-           for f, (digests, p) in _seeded_glseq_proofs().items()}
+           for f, (digests, p) in _seeded_glseq_proofs(prove=eager_prove_csgl).items()}
     assert list(got) == list(golden)
     drifted = [f for f, d in golden.items() if got[f] != d]
     assert not drifted, f"stage output changed for {drifted}"
 
 
 def _assert_digests(golden: dict, to_g3gl) -> None:
-    got = {f: _digest(to_g3gl(p)) for f, (_, p) in _seeded_glseq_proofs().items()}
+    got = {f: _digest(to_g3gl(p))
+           for f, (_, p) in _seeded_glseq_proofs(prove=eager_prove_csgl).items()}
     assert list(got) == list(golden)
     drifted = [f for f, d in golden.items() if got[f] != d]
     assert not drifted, f"to-g3gl output changed for {drifted}"
@@ -308,6 +323,23 @@ def test_stage_digest_g3gl_golden():
 
 def test_stage_digest_wfree_golden():
     _assert_digests(_wfree_golden("stage_digest"), lambda p: run_pass("to-g3gl", p)[0])
+
+
+def stage_relevance_digests() -> dict:
+    """The five digests of each seeded theorem, today's to-g3gl last, on the
+    proofs of CSGL search."""
+    return {f: " ".join(digests + [_digest(run_pass("to-g3gl", p)[0])])
+            for f, (digests, p) in _seeded_glseq_proofs().items()}
+
+
+def test_stage_digest_relevance_golden():
+    # the same theorems on the proofs of CSGL search, which skips the orL
+    # right premises that their left premises made unnecessary
+    golden = json.loads(STAGE_RELEVANCE_GOLDEN.read_text())
+    got = stage_relevance_digests()
+    assert list(got) == list(golden)
+    drifted = [f for f, d in golden.items() if got[f] != d]
+    assert not drifted, f"stage output changed for {drifted}"
 
 
 def _relabel(p: Proof, mapping: dict) -> Proof:
@@ -460,17 +492,19 @@ def test_linearize_derives_each_output_node_once(monkeypatch):
         assert len(calls) == out.node_count(), k
 
 
-# the theorems whose to-glseq clips a block: its end component supplies
-# fewer boxes than its 4L or boxL copies
+# the theorems whose to-glseq clips a block on the eager search's proofs:
+# its end component supplies fewer boxes than its 4L or boxL copies
 CLIPPING = ("[]~(p | r) | ~[]~~~[]q", "[]~~~(r | p) | ~[]~[]~q")
 
 
 @functools.lru_cache(maxsize=None)
 def _normal_stages() -> tuple:
     """(formula, normal-stage LNGL proof) for the seeded theorems, then for
-    the clipping theorems and the gamma-trimming ones."""
+    the clipping theorems and the gamma-trimming ones; those two take the
+    eager search's proofs, since CSGL search skips the orL right premises
+    where they clip or trim."""
     inputs = [(f, p) for f, p in _seeded_csgl_proofs()]
-    inputs += [(parse_formula(t), prove_formula(parse_formula(t), "csgl", CFG).proof)
+    inputs += [(parse_formula(t), eager_prove_csgl(parse_formula(t), CFG).proof)
                for t in CLIPPING + GAMMA_TRIMMING]
     for name in ("end-active", "linearize", "normalize"):
         inputs = [(f, run_pass(name, p)[0]) for f, p in inputs]

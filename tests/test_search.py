@@ -25,7 +25,7 @@ from glproof.proofio import (
     parse_labeled_sequent as pls,
     print_proof,
 )
-from glproof.checkers import check_csgl, check_glseq
+from glproof.checkers import check_csgl, check_glseq, end_active_report
 from glproof.rules import SCHEMA_MISMATCH, UNKNOWN_RULE, WRONG_PREMISE_COUNT, RuleError, derive
 from glproof.search import (
     FuelExhausted,
@@ -38,13 +38,15 @@ from glproof.search import (
 )
 from glproof.semantics import oracle_validity
 from glproof.sequents import GentzenSequent, LabeledSequent, NotATree, formula_key, tree_root
-from glproof.transform import _RuleNode
-from search_reference import csgl_outcomes, glseq_outcomes
+from glproof.transform import _RuleNode, run_pipeline
+from search_reference import csgl_outcomes, eager_decide_csgl, eager_prove_csgl, glseq_outcomes
+from test_pipeline import STAGE_CHECKS
 
 CFG = SearchConfig(oracle_hint=False)
 DATA = Path(__file__).parent / "data"
 DECIDE_GOLDEN = DATA / "decide_golden.json"
 SEQUENT_GOLDEN = DATA / "search_sequent_golden.json"
+SEQUENT_RELEVANCE_GOLDEN = DATA / "search_sequent_relevance_golden.json"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -126,22 +128,36 @@ def search_digest(r):
     return f"{int(r.proved)} {hashlib.sha256(text.encode()).hexdigest()}"
 
 
-def sequent_digests():
-    return {
-        "glseq": {str(s): search_digest(decide_glseq(s, CFG)) for s in gentzen_inputs()},
-        "csgl": {str(s): search_digest(decide_csgl(s, CFG)) for s in tree_inputs()},
-    }
+def csgl_sequent_digests(decide=decide_csgl):
+    return {str(s): search_digest(decide(s, CFG)) for s in tree_inputs()}
 
 
 def test_search_sequent_golden():
     # how each search first reads an arbitrary sequent: several formulas per
-    # side in GLseq, several labels and relational atoms in CSGL
+    # side in GLseq, several labels and relational atoms in CSGL.  The CSGL
+    # digests were recorded before CSGL search skipped the orL right
+    # premises that their left premises made unnecessary, so the eager
+    # search of search_reference.py is checked against them
     golden = json.loads(SEQUENT_GOLDEN.read_text())
-    got = sequent_digests()
+    got = {"glseq": {str(s): search_digest(decide_glseq(s, CFG)) for s in gentzen_inputs()},
+           "csgl": csgl_sequent_digests(eager_decide_csgl)}
     for calculus in ("glseq", "csgl"):
         assert list(got[calculus]) == list(golden[calculus])
         drifted = [s for s, d in golden[calculus].items() if got[calculus][s] != d]
         assert not drifted, f"{calculus} search output changed for {drifted}"
+
+
+def test_search_sequent_relevance_golden():
+    # CSGL search's own digests of the same tree sequents; they differ from
+    # the eager ones only where search skips a right premise, on theorems
+    golden = json.loads(SEQUENT_RELEVANCE_GOLDEN.read_text())
+    eager = json.loads(SEQUENT_GOLDEN.read_text())["csgl"]
+    got = csgl_sequent_digests()
+    assert list(got) == list(golden) == list(eager)
+    drifted = [s for s, d in golden.items() if got[s] != d]
+    assert not drifted, f"csgl search output changed for {drifted}"
+    changed = [s for s in golden if golden[s] != eager[s]]
+    assert changed and all(golden[s][0] == eager[s][0] == "1" for s in changed)
 
 
 @pytest.mark.parametrize("hashseed", ["0", "12345"])
@@ -267,10 +283,10 @@ def test_fuel_exhausted_distinct():
 
 
 def test_csgl_search_of_the_fuel_blowup_keeps_little():
-    # the `pipeline` benchmark's KNOWN_FUEL_BLOWUP: a theorem whose CSGL search
-    # spends all 100,000 nodes.  Its ~100k records are runs of slots in one
-    # list, ~3.7 MB; a tuple per rule instance made 8 MB.
-    f = pf("[]([](q | ([][](~(~p | r) | r) | [][]p)) | (~[](r | r) | ~(q | p)))")
+    # FUEL_BLOWUP: a theorem whose CSGL search spends all 100,000 nodes.  Its
+    # ~100k records are runs of slots in one list, ~3.7 MB; a tuple per rule
+    # instance made 8 MB.  The bound also covers the counts of reads.
+    f = pf(FUEL_BLOWUP)
     tracemalloc.start()
     try:
         with pytest.raises(FuelExhausted) as e:
@@ -382,9 +398,13 @@ LEAST_FUEL = [
     ("[](r | r | [][]~q)", 11, 16, False),
     ("[]~(~[][][]~~(p | r) | ~[]q)", 23, 36, False),
 ]
-# perfbench/workloads.py: GLseq proves it at once, CSGL search spends its
-# whole default fuel on it.
+# perfbench/workloads.py: GLseq proves it at once.  The eager CSGL search
+# spent its whole default fuel on it, because almost all of its nodes lay in
+# orL right premises that the left premise had made unnecessary.
 KNOWN_FUEL_BLOWUP = "[]([](q | ([][](~(~p | r) | r) | [][]p)) | (~[](r | r) | ~(q | p)))"
+# a theorem on which CSGL search (and GLseq search) still spends its whole
+# default fuel
+FUEL_BLOWUP = "[]([]r | [][]([][][][][]([](q | ~q) | ~~[]p) | p | r))"
 
 
 def test_least_fuel_covers_the_corpus():
@@ -407,7 +427,15 @@ def test_known_fuel_blowup():
     with pytest.raises(FuelExhausted):
         prove_formula(f, "glseq", SearchConfig(fuel=1173, oracle_hint=False))
     with pytest.raises(FuelExhausted):
-        prove_formula(f, "csgl", CFG)
+        eager_prove_csgl(f, CFG)
+    r = prove_formula(f, "csgl", CFG)
+    assert r.proved and r.proof.node_count() == 1612
+    assert STAGE_CHECKS["csgl"](r.proof).accepted
+    stages = list(run_pipeline(r.proof))
+    assert [stage for stage, _, _ in stages] == [
+        "end-active", "lngl", "normal", "glseq", "g3gl"]
+    for stage, proof, _ in stages:
+        assert STAGE_CHECKS[stage](proof).accepted, stage
 
 
 # The dead-end invariant: a failed search records its saturated sequent at a
@@ -493,3 +521,43 @@ def test_searches_match_the_recursive_reference():
              for _ in range(300)]
     assert [str(s) for s in gentzen if len(set(glseq_outcomes(s))) != 1] == []
     assert [str(s) for s in tree if len(set(csgl_outcomes(s))) != 1] == []
+    # the eager CSGL search, which searches every orL right premise, against
+    # the reference without the relevance rule
+    assert [str(s) for s in tree if len(set(csgl_outcomes(s, relevant=False))) != 1] == []
+
+
+# The relevance rule: an orL whose left premise closed without reading its
+# left disjunct skips its right premise, and the left premise's proof is
+# derived at the orL's conclusion.
+
+def _csgl_outcome(prove, f):
+    try:
+        return prove(f)
+    except FuelExhausted:
+        return None
+
+
+def test_relevance_keeps_proofs_checked_and_verdicts():
+    rng = random.Random(3)  # the theorems of test_pipeline's _seeded_csgl_proofs
+    theorems = []
+    while len(theorems) < 200:
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(6, 14))
+        if prove_formula(f, "csgl", CFG).proved:
+            theorems.append(f)
+    chains = [pf("[]" * k + "(p | ~p)") for k in range(10, 41)]
+    rng = random.Random(33)
+    drawn = [random_formula(rng, ("p", "q", "r"), rng.randint(6, 14)) for _ in range(300)]
+    smaller = 0
+    for f in theorems + chains + drawn:
+        new = _csgl_outcome(lambda g: prove_formula(g, "csgl", CFG), f)
+        ref = _csgl_outcome(lambda g: eager_prove_csgl(g, CFG), f)
+        assert new is not None or ref is None, print_formula(f)
+        if ref is not None:
+            assert new.proved == ref.proved, print_formula(f)
+        if new is not None and new.proved:
+            assert check_csgl(new.proof).accepted, print_formula(f)
+            assert end_active_report(new.proof).accepted, print_formula(f)
+            if ref is not None:
+                assert new.proof.node_count() <= ref.proof.node_count(), print_formula(f)
+                smaller += new.proof.node_count() < ref.proof.node_count()
+    assert smaller >= 20

@@ -21,10 +21,15 @@ tests/lngl_to_glseq_reference.py makes, else it is reported as `reference
 to-glseq`.
 GLseq and CSGL search must also return, on |- f and |- x: f, what the
 recursive searches of tests/search_reference.py return (skeleton, dead end,
-fuel left and fresh labels).  Runs one process per core; prints one line per failure (formula,
+fuel left and fresh labels), and so must the eager CSGL search of that file,
+which searches every orL right premise, and the recursive one without the
+relevance rule (reported as `csgl eager`).  The eager search must prove no
+theorem that CSGL search does not, and its proof must have no fewer nodes
+(`csgl eager`).  Runs one process per core; prints one line per failure (formula,
 stage, reason) and per reference mismatch (formula, calculus), then the
-counts, the time and the peak RSS of this process and of its largest worker,
-and exits 1 when anything fails or mismatches.  It takes about 50 seconds
+counts, the nodes of the CSGL proofs of search and of the eager search, the
+time and the peak RSS of this process and of its largest worker, and exits
+1 when anything fails or mismatches.  It takes about 50 seconds
 on 2 cores, so pytest does not collect it (the file name has no `test_`).
 """
 
@@ -47,7 +52,7 @@ from glproof.sequents import GentzenSequent, LabeledSequent  # noqa: E402
 from glproof.transform import PIPELINE, run_pass, run_pipeline  # noqa: E402
 from linearize_reference import linearize as reference_linearize  # noqa: E402
 from lngl_to_glseq_reference import lngl_to_glseq as reference_to_glseq  # noqa: E402
-from search_reference import csgl_outcomes, glseq_outcomes  # noqa: E402
+from search_reference import csgl_outcomes, eager_prove_csgl, glseq_outcomes  # noqa: E402
 from test_pipeline import STAGE_CHECKS, _without_goals  # noqa: E402
 
 CFG = SearchConfig(oracle_hint=False)
@@ -115,17 +120,30 @@ def failure(f) -> str | None:
 
 def mismatches(f) -> list[str]:
     """The calculi whose search on `f` differs from the reference."""
+    s = LabeledSequent((), (), (("x", f),))
     return [calculus for calculus, outcomes in (
         ("glseq", glseq_outcomes(GentzenSequent((), (f,)))),
-        ("csgl", csgl_outcomes(LabeledSequent((), (), (("x", f),)))))
+        ("csgl", csgl_outcomes(s)),
+        ("csgl eager", csgl_outcomes(s, relevant=False)))
         if outcomes[0] != outcomes[1]]
 
 
-def sweep_part(args: tuple[int, int]) -> tuple[int, list[str], list[str]]:
+def nodes(f) -> tuple[int, int]:
+    """The nodes of the CSGL proofs of search and of the eager search on
+    |- x: f, 0 for one that proves nothing; -1 for the eager one when it
+    proves what search does not, or in fewer nodes."""
+    r, eager = prove_formula(f, "csgl", CFG), eager_prove_csgl(f, CFG)
+    n = r.proof.node_count() if r.proved else 0
+    m = eager.proof.node_count() if eager.proved else 0
+    return n, (-1 if m and (not n or m < n) else m)
+
+
+def sweep_part(args: tuple[int, int]) -> tuple[int, list[str], list[str], int, int]:
     """Every `parts`-th formula from `part` on: the theorem count, the
-    failure lines and the reference mismatch lines."""
+    failure lines, the reference mismatch lines and the CSGL proof nodes of
+    search and of the eager search."""
     part, parts = args
-    theorems, lines, mismatched = 0, [], []
+    theorems, lines, mismatched, total, eager_total = 0, [], [], 0, 0
     for i, f in enumerate(enumerate_formulas(("p", "q"), CONNECTIVES)):
         if i % parts != part or not oracle_validity(f).valid:
             continue
@@ -133,8 +151,13 @@ def sweep_part(args: tuple[int, int]) -> tuple[int, list[str], list[str]]:
         reason = failure(f)
         if reason is not None:
             lines.append(f"{print_formula(f)}\t{reason}")
-        mismatched += [f"{print_formula(f)}\treference mismatch in {c}" for c in mismatches(f)]
-    return theorems, lines, mismatched
+        bad = mismatches(f)
+        n, m = nodes(f)
+        if m < 0:
+            bad.append("csgl eager")
+        total, eager_total = total + n, eager_total + max(m, 0)
+        mismatched += [f"{print_formula(f)}\treference mismatch in {c}" for c in bad]
+    return theorems, lines, mismatched, total, eager_total
 
 
 def main() -> int:
@@ -142,9 +165,9 @@ def main() -> int:
     parts = max(1, multiprocessing.cpu_count())
     with multiprocessing.get_context("spawn").Pool(parts) as pool:
         results = pool.map(sweep_part, [(k, parts) for k in range(parts)])
-    theorems = sum(n for n, _, _ in results)
-    lines = sorted(line for _, part, _ in results for line in part)
-    mismatched = sorted(line for _, _, part in results for line in part)
+    theorems = sum(r[0] for r in results)
+    lines = sorted(line for r in results for line in r[1])
+    mismatched = sorted(line for r in results for line in r[2])
     for line in lines + mismatched:
         print(line)
     # ru_maxrss is in KiB; the pool's workers have all been waited for here
@@ -152,6 +175,8 @@ def main() -> int:
                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     print(f"theorems {theorems}, failures {len(lines)}, "
           f"reference mismatches {len(mismatched)}, "
+          f"CSGL proof nodes {sum(r[3] for r in results):,} "
+          f"(eager search {sum(r[4] for r in results):,}), "
           f"{time.monotonic() - start:.1f} s on {parts} processes, "
           f"peak RSS {own:.1f} MB here and {worker:.1f} MB in the largest worker")
     return 1 if lines or mismatched else 0
