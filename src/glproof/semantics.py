@@ -17,7 +17,10 @@ skeleton, atoms and per-world rows), so verdicts share `Model` objects, and
 a `Model` is an immutable value.  Every countermodel the oracle reports, a
 shared one included, is re-verified with the plain evaluator `eval_formula`
 (memoized, on an explicit stack) before being returned.  The soundness
-audit's brute force (`enumerate_models`) builds its models uncached.
+audit's brute force (`labeled_sequent_valid` over `enumerate_models`) builds
+its models uncached and keeps one (world, subformula) memo per model, shared
+by all of that model's label assignments and formulas, so it evaluates each
+subformula at most once per world of each model.
 """
 
 from __future__ import annotations
@@ -82,15 +85,27 @@ class Model:
 def eval_formula(m: Model, w, f: Formula) -> bool:
     """Truth at a world per the usual clauses; box quantifies over successors.
 
-    A post-order on an explicit stack, memoized by (world, subformula): `|`
-    reads its right side only when its left side fails, and a box reads its
-    successors in order up to the first that fails, so formula depth costs
-    no Python recursion."""
-    succ, val = m._succ, m.valuation
-    if w not in succ:
+    Evaluated by `_eval` with a fresh (world, subformula) memo, so one call
+    reads each subformula at each world at most once; `labeled_sequent_valid`
+    instead keeps one memo per model for all its assignments."""
+    if w not in m._succ:
         raise UnknownWorld(w)
-    memo: dict[tuple, bool] = {}
+    return _eval(m, w, f, {})
+
+
+def _eval(m: Model, w, f: Formula, memo: dict) -> bool:
+    """Truth of f at w, reading and filling `memo`, a dict from (world,
+    subformula) to its truth in m, which a caller may share between calls on
+    the same model.
+
+    A post-order on an explicit stack: `|` reads its right side only when
+    its left side fails, and a box reads its successors in order up to the
+    first that fails, so formula depth costs no Python recursion."""
     top = (w, f)
+    v = memo.get(top)
+    if v is not None:
+        return v
+    succ, val = m._succ, m.valuation
     stack = [top]
     while stack:
         key = stack[-1]
@@ -443,24 +458,37 @@ def oracle_validity(f: Formula, bound: Optional[ModelBound] = None) -> OracleVer
 
 def eval_labeled_sequent(m: Model, assignment: dict[str, str], s: LabeledSequent) -> bool:
     """Satisfaction with one assignment: if all relational atoms and all
-    antecedent formulas hold, some consequent formula holds."""
+    antecedent formulas hold, some consequent formula holds.  Every label of
+    s must be assigned a world of m (`UnknownWorld` otherwise)."""
     for x in s.labels():
         if x not in assignment:
             raise UnknownWorld(f"assignment missing label {x}")
+        if assignment[x] not in m._succ:
+            raise UnknownWorld(f"label {x} assigned unknown world {assignment[x]}")
+    return _satisfies(m, assignment, s, {})
+
+
+def _satisfies(m: Model, assignment: dict[str, str], s: LabeledSequent, memo: dict) -> bool:
+    """`eval_labeled_sequent` on an assignment already known to cover s with
+    worlds of m, evaluating through `_eval` with the caller's memo."""
     for x, y in s.rel:
         if (assignment[x], assignment[y]) not in m.rel:
             return True
     for x, g in s.ante:
-        if not eval_formula(m, assignment[x], g):
+        if not _eval(m, assignment[x], g, memo):
             return True
-    return any(eval_formula(m, assignment[x], g) for x, g in s.cons)
+    return any(_eval(m, assignment[x], g, memo) for x, g in s.cons)
 
 
 def labeled_sequent_valid(
     s: LabeledSequent, bound: Optional[ModelBound] = None
 ) -> tuple[bool, Optional[tuple[Model, dict]]]:
     """Desk-scale validity of a labeled sequent: enumerate models within the
-    bound and all assignments; returns a falsifying pair when one exists."""
+    bound and all assignments; returns the first falsifying pair when one
+    exists.  Each assignment maps the sorted labels of s to worlds of the
+    model, so coverage needs no check per assignment, and all of a model's
+    assignments share one (world, subformula) memo: each subformula is
+    evaluated at most once per world of each model."""
     formulas = [g for _, g in s.ante] + [g for _, g in s.cons]
     boxed: set[Formula] = set()
     atom_names: set[str] = set()
@@ -478,9 +506,10 @@ def labeled_sequent_valid(
         bound = ModelBound(n, n, max(k + 1, 2))
     atoms = sorted(atom_names) or ["p0"]
     for model in enumerate_models(tuple(atoms), bound):
+        memo: dict[tuple, bool] = {}
         for assign in product(model.worlds, repeat=len(labels)):
             assignment = dict(zip(labels, assign))
-            if not eval_labeled_sequent(model, assignment, s):
+            if not _satisfies(model, assignment, s, memo):
                 return False, (model, assignment)
     return True, None
 

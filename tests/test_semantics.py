@@ -1,16 +1,18 @@
 import copy
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import labeled_valid_reference
 from glproof import semantics
 from glproof.formula import (
     Atom, Box, Not, Or, enumerate_formulas, implies, parse_formula, random_formula, subformulas,
 )
 from glproof.proofio import parse_labeled_sequent, parse_lns
-from glproof.search import SearchConfig, decide_glseq
+from glproof.search import SearchConfig, decide_glseq, prove_formula
 from glproof.semantics import (
     BadModel,
     Model,
@@ -26,7 +28,7 @@ from glproof.semantics import (
     parse_model,
     print_model,
 )
-from glproof.sequents import GentzenSequent, LinearNestedSequent
+from glproof.sequents import GentzenSequent, LabeledSequent, LinearNestedSequent
 
 LOB = parse_formula("[]([]p -> p) -> []p")
 CHAIN = Model(["w", "u"], [("w", "u")], {"p": ["u"]})
@@ -182,6 +184,85 @@ def test_labeled_sequent_valid():
     assert ok
     bad, witness = labeled_sequent_valid(parse_labeled_sequent("x: p |- y: p"))
     assert not bad and witness is not None
+
+
+def test_eval_labeled_sequent_rejects_an_unknown_world():
+    # p is false at w0, so either sequent holds at x before y is read
+    m = parse_model("worlds: w0 w1\nval p: w1\n")
+    for text in ("xRy; |- y: p", "x: p |- y: p"):
+        s = parse_labeled_sequent(text)
+        with pytest.raises(UnknownWorld, match="zz"):
+            eval_labeled_sequent(m, {"x": "w0", "y": "zz"}, s)
+        with pytest.raises(UnknownWorld, match="missing label y"):
+            eval_labeled_sequent(m, {"x": "w0"}, s)
+        assert eval_labeled_sequent(m, {"x": "w0", "y": "w0"}, s)
+
+
+def _audit_like_sequents(rng, n):
+    """Sequents built like the `audit` benchmark's labeled items from n
+    seeded theorems (`|- x: f`, `|- x: ~f`, `xRy; |- y: ~f` and up to two
+    relational conclusions of f's CSGL proof), plus `|- x: g` and
+    `xRy; x: g |- y: ~g` for n seeded random formulas g, valid or not."""
+    cfg = SearchConfig(oracle_hint=False)
+    out = []
+    theorems = 0
+    while theorems < n:
+        f = random_formula(rng, ("p", "q"), rng.randint(1, 4))
+        result = prove_formula(f, "csgl", cfg)
+        if not result.proved:
+            continue
+        theorems += 1
+        out += [LabeledSequent((), (), (("x", f),)),
+                LabeledSequent((), (), (("x", Not(f)),)),
+                LabeledSequent((("x", "y"),), (), (("y", Not(f)),))]
+        out += [c for c in (node.conclusion for _, node in result.proof.nodes()) if c.rel][:2]
+    for _ in range(n):
+        g = random_formula(rng, ("p", "q"), rng.randint(1, 4))
+        out += [LabeledSequent((), (), (("x", g),)),
+                LabeledSequent((("x", "y"),), (("x", g),), (("y", Not(g)),))]
+    return out
+
+
+def test_labeled_sequent_valid_matches_the_per_assignment_reference():
+    sequents = _audit_like_sequents(random.Random(34), 8)
+    assert any(s.rel for s in sequents) and any(not s.rel for s in sequents)
+    verdicts = set()
+    for s in sequents:
+        for bound in (None, ModelBound(3, 2, 2)):
+            got = labeled_sequent_valid(s, bound)
+            want = labeled_valid_reference.labeled_sequent_valid(s, bound)
+            assert got[0] == want[0], s
+            if not want[0]:
+                assert print_model(got[1][0]) == print_model(want[1][0]), s
+                assert got[1][1] == want[1][1], s
+            else:
+                assert got[1] is None
+            verdicts.add((bool(s.rel), want[0]))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_labeled_sequent_valid_evaluates_each_subformula_once_per_model_world(monkeypatch):
+    # every (model, world, subformula) entering a memo is one evaluation
+    evaluated = Counter()
+    models = []  # kept alive, so no two models share an id
+    reused = 0
+
+    def counting(m, w, f, memo):
+        nonlocal reused
+        models.append(m)
+        reused += (w, f) in memo
+        before = set(memo)
+        v = real(m, w, f, memo)
+        evaluated.update((id(m),) + key for key in memo.keys() - before)
+        return v
+
+    real = semantics._eval
+    monkeypatch.setattr(semantics, "_eval", counting)
+    s = parse_labeled_sequent("xRy; xRz; x: []p, z: q |- y: p | q, z: q")
+    assert labeled_sequent_valid(s, ModelBound(3, 3, 2)) == (True, None)
+    assert max(evaluated.values()) == 1
+    assert {w for _, w, _ in evaluated} == {"w0", "w1", "w2"}
+    assert reused > 0  # some assignment read what another one evaluated
 
 
 def test_lns_interpretation_single():
