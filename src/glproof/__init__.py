@@ -26,7 +26,6 @@ from .sequents import (
     NotATree,
     Proof,
     tree_root,
-    tree_view,
 )
 from .semantics import (
     Model,

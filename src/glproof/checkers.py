@@ -56,8 +56,6 @@ from .sequents import (
     Proof,
     SEQUENT_OF,
     format_address,
-    is_leaf,
-    is_pre_leaf,
     tree_root,
 )
 
@@ -399,17 +397,23 @@ def check_glcirc(d: CyclicDerivation) -> CheckReport:
 NOT_END_ACTIVE = "NotEndActive"
 
 
+# the rules judged end-active at their `label` alone: it must be a leaf
+_LEAF_RULES = frozenset(("id1", "id2") + LOCAL_RULES)
+
+
 def node_end_active(node: Proof) -> bool:
-    """End-activity of one rule application, judged in its conclusion."""
-    t = node.conclusion
+    """End-activity of one rule application, judged in its conclusion: a
+    leaf rule's label is a leaf; a propagation's `aux` is a leaf and its
+    `label` a pre-leaf, whose children are leaves."""
     rule = node.rule
-    if rule == "boxR":
+    if rule not in _LEAF_RULES and rule not in PROPAGATION_RULES:
         return True
-    if rule in ("id1", "id2") or rule in LOCAL_RULES:
-        return is_leaf(t, node.meta["label"])
-    if rule in PROPAGATION_RULES:
-        return is_pre_leaf(t, node.meta["label"]) and is_leaf(t, node.meta["aux"])
-    return True
+    rel = node.conclusion.rel
+    parents = {a for a, _ in rel}
+    x = node.meta["label"]
+    if rule in _LEAF_RULES:
+        return x not in parents
+    return node.meta["aux"] not in parents and not any(a == x and y in parents for a, y in rel)
 
 
 def _wrong_calculus(calculus: str, p, what: str) -> list[Failure]:
@@ -419,10 +423,6 @@ def _wrong_calculus(calculus: str, p, what: str) -> list[Failure]:
     if got == calculus:
         return []
     return [Failure((), CALCULUS_MISMATCH, f"{what} is defined on {calculus} proofs, not {got}")]
-
-
-# the rules judged end-active at their `label` alone, by `is_leaf`
-_LEAF_RULES = frozenset(("id1", "id2") + LOCAL_RULES)
 
 
 def _all_end_active(p: Proof) -> bool:

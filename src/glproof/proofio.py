@@ -223,8 +223,6 @@ def _decode_meta(pairs: list[str], formula) -> dict:
                 meta[key] = int(value)
             except ValueError:
                 raise SequentSyntaxError(f"{key} must be an integer, got {value!r}") from None
-        elif key == "target":
-            meta[key] = _gentzen(value, formula)
         else:
             meta[key] = value
     return meta

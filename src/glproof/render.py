@@ -8,10 +8,9 @@ from .sequents import (
     CyclicDerivation,
     LabeledSequent,
     Proof,
-    TreeView,
     format_address,
     trampoline,
-    tree_view,
+    tree_root,
 )
 from .semantics import Model
 
@@ -61,6 +60,9 @@ def render_proof_dot(obj) -> str:
 
     trampoline(walk(root, ()))
     for leaf, target in backlinks.items():
+        if target not in ids:  # a link to no node of the tree gets a node of its own
+            ids[target] = f"n{len(ids)}"
+            lines.append(f'  {ids[target]} [label="{format_address(target)}", style=dotted];')
         lines.append(f"  {ids[leaf]} -> {ids[target]} [style=dashed, constraint=false];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -97,30 +99,34 @@ def render_proof_latex(obj) -> str:
 
 
 def render_tree_sequent_dot(t: LabeledSequent) -> str:
-    view = tree_view(t)
+    root, kids = tree_root(t), {}  # each label's children, in label order
+    for x, y in sorted(t.rel):
+        kids.setdefault(x, []).append(y)
     lines = ["digraph treeseq {", '  node [shape=box, fontname="monospace"];']
 
-    def walk(v: TreeView, path: str):
+    def walk(x: str, path: str):
         name = f"t{path}"
-        lines.append(f'  {name} [label="{v.label}: {_dot_escape(str(v.sequent))}"];')
-        for i, c in enumerate(v.children):
-            yield walk(c, f"{path}_{i}")
+        lines.append(f'  {name} [label="{x}: {_dot_escape(str(t.flat_at(x)))}"];')
+        for i, y in enumerate(kids.get(x, ())):
+            yield walk(y, f"{path}_{i}")
             lines.append(f"  {name} -> t{path}_{i};")
 
-    trampoline(walk(view, "0"))
+    trampoline(walk(root, "0"))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def render_tree_sequent_text(t: LabeledSequent) -> str:
-    view = tree_view(t)
+    root, kids = tree_root(t), {}
+    for x, y in sorted(t.rel):
+        kids.setdefault(x, []).append(y)
     lines = []
 
-    def walk(v: TreeView, depth: int):
-        lines.append(f"{'  ' * depth}{v.label}: {v.sequent}")
-        yield tuple(walk(c, depth + 1) for c in v.children)
+    def walk(x: str, depth: int):
+        lines.append(f"{'  ' * depth}{x}: {t.flat_at(x)}")
+        yield tuple(walk(y, depth + 1) for y in kids.get(x, ()))
 
-    trampoline(walk(view, 0))
+    trampoline(walk(root, 0))
     return "\n".join(lines) + "\n"
 
 

@@ -11,16 +11,21 @@ one int whose bits range over all atom valuations, giving a table of the
 vectors that combination reaches and whether it falsifies the formula; every
 world of every skeleton with that combination reuses it.
 
-The model for a witnessed choice is built and validated once per process
+A model is built from two things: its skeleton's frame, the worlds
+w0, w1, ... in preorder with the ancestor relation (`_frame`, on an explicit
+stack), and one flat tuple of per-world atom rows in the same order.  The
+model for a witnessed choice is built and validated once per process
 (`_countermodel`, an LRU cache of up to `_COUNTERMODEL_CACHE` models keyed by
-skeleton, atoms and per-world rows), so verdicts share `Model` objects, and
-a `Model` is an immutable value.  Every countermodel the oracle reports, a
-shared one included, is re-verified with the plain evaluator `eval_formula`
-(memoized, on an explicit stack) before being returned.  The soundness
-audit's brute force (`labeled_sequent_valid` over `enumerate_models`) builds
-its models uncached and keeps one (world, subformula) memo per model, shared
-by all of that model's label assignments and formulas, so it evaluates each
-subformula at most once per world of each model.
+skeleton, atoms and rows), so verdicts share `Model` objects, and a `Model`
+is an immutable value.  Every countermodel the oracle reports, a shared one
+included, is re-verified with the plain evaluator `eval_formula` (memoized,
+on an explicit stack) before being returned.  The soundness audit's brute
+force (`labeled_sequent_valid` over `enumerate_models`) builds each
+skeleton's frame once, outside its loop over valuations, but still builds
+and validates one `Model` per valuation, uncached.  It keeps one (world,
+subformula) memo per model, shared by all of that model's label assignments
+and formulas, so it evaluates each subformula at most once per world of each
+model.
 """
 
 from __future__ import annotations
@@ -218,28 +223,28 @@ def _skeletons(n: int, depth: int, branch: int) -> tuple:
     return tuple(result)
 
 
-def _skeleton_model(shape, atom_names, profile_assignment, atom_positions) -> tuple[Model, str]:
-    """Materialize a skeleton plus per-node atom bits as a concrete model."""
-    names: list[str] = []
-    edges: set[tuple[str, str]] = set()
-    val: dict[str, set[str]] = {a: set() for a in atom_names}
+def _frame(shape) -> tuple[tuple[str, ...], frozenset]:
+    """The worlds w0, w1, ... of a skeleton, in preorder, and its relation,
+    the strict descendant order: every ancestor sees every world below it."""
+    worlds: list[str] = []
+    rel: list[tuple[str, str]] = []
+    stack = [(shape, ())]
+    while stack:
+        node, above = stack.pop()
+        w = f"w{len(worlds)}"
+        worlds.append(w)
+        rel.extend((u, w) for u in above)
+        below = above + (w,)
+        stack.extend((child, below) for child in reversed(node))
+    return tuple(worlds), frozenset(rel)
 
-    def build(node_shape, node_bits, above: tuple) -> str:
-        name = f"w{len(names)}"
-        names.append(name)
-        ab = node_bits[0]
-        for a, pos in atom_positions.items():
-            if (ab >> pos) & 1:
-                val[a].add(name)
-        # the relation is the strict descendant order: every ancestor sees it
-        edges.update((u, name) for u in above)
-        below = above + (name,)
-        for child_shape, child_bits in zip(node_shape, node_bits[1]):
-            build(child_shape, child_bits, below)
-        return name
 
-    root = build(shape, profile_assignment, ())
-    return Model(names, edges, val), root
+def _model(frame: tuple, atoms: tuple, rows) -> Model:
+    """The model on `frame` where world i makes `atoms[j]` true iff bit j of
+    `rows[i]` is set."""
+    worlds, rel = frame
+    return Model(worlds, rel, {a: [w for w, row in zip(worlds, rows) if row >> j & 1]
+                               for j, a in enumerate(atoms)})
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +408,11 @@ class _Tables:
         return got
 
     def assignment(self, shape, row: int, vecs: tuple) -> tuple:
-        """Per-node atom rows (row, children) for one witnessed choice."""
-        return (row, tuple(self.assignment(cs, *self.states(cs)[c])
-                           for cs, c in zip(shape, vecs)))
+        """The per-world atom rows, in preorder, of one witnessed choice."""
+        rows = (row,)
+        for cs, c in zip(shape, vecs):
+            rows += self.assignment(cs, *self.states(cs)[c])
+        return rows
 
 
 # Distinct countermodels kept per process.  Each entry holds one tree model
@@ -414,10 +421,10 @@ _COUNTERMODEL_CACHE = 1024
 
 
 @lru_cache(maxsize=_COUNTERMODEL_CACHE)
-def _countermodel(shape, atoms: tuple, rows) -> tuple[Model, str]:
-    """The model of a skeleton with per-node atom rows, and its root: built
-    and validated once, then shared by every verdict that finds it."""
-    return _skeleton_model(shape, atoms, rows, {a: i for i, a in enumerate(atoms)})
+def _countermodel(shape, atoms: tuple, rows: tuple) -> Model:
+    """The model of a skeleton with per-world atom rows, whose root is w0:
+    built and validated once, then shared by every verdict that finds it."""
+    return _model(_frame(shape), atoms, rows)
 
 
 def _low_bit(x: int) -> int:
@@ -443,8 +450,8 @@ def oracle_validity(f: Formula, bound: Optional[ModelBound] = None) -> OracleVer
                 row = tabs.table(r)[1]
                 if row < 0:
                     continue
-                model, root = _countermodel(shape, tabs.atoms,
-                                            tabs.assignment(shape, row, vecs))
+                model = _countermodel(shape, tabs.atoms, tabs.assignment(shape, row, vecs))
+                root = model.worlds[0]
                 if eval_formula(model, root, f):
                     raise AssertionError("oracle self-check failed: model does not refute")
                 return OracleVerdict(False, model, root, skeletons=tried,
@@ -515,31 +522,16 @@ def labeled_sequent_valid(
 
 
 def enumerate_models(atom_names: tuple[str, ...], bound: ModelBound) -> Iterator[Model]:
-    """All tree models within the bound, explicit valuations, deterministic order."""
+    """All tree models within the bound, explicit valuations, deterministic
+    order: by world count, then skeleton, then a bit string counting up,
+    whose a-bit chunks, lowest first, are the worlds' atom rows in preorder."""
     a = len(atom_names)
-    atom_pos = {name: i for i, name in enumerate(atom_names)}
+    mask = (1 << a) - 1
     for n in range(1, bound.max_worlds + 1):
         for shape in _skeletons(n, bound.max_depth, bound.max_branching):
+            frame = _frame(shape)
             for bits in range(1 << (a * n)):
-                assignment = _split_bits(shape, bits, a)
-                model, _ = _skeleton_model(shape, atom_names, assignment, atom_pos)
-                yield model
-
-
-def _split_bits(shape, bits, a):
-    """Distribute a flat bitstring over the tree in preorder."""
-
-    def take(node_shape, offset):
-        ab = (bits >> (offset * a)) & ((1 << a) - 1)
-        offset += 1
-        kids = []
-        for c in node_shape:
-            kid, offset = take(c, offset)
-            kids.append(kid)
-        return (ab, tuple(kids)), offset
-
-    node, _ = take(shape, 0)
-    return node
+                yield _model(frame, atom_names, [bits >> (i * a) & mask for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ rules then insert into sides already in order (`insert_sorted`, `with_ante`,
 `with_cons`) and build with `of_sorted`, which does not sort again.  A
 sequent computes its hash on the first `hash()` call, since most are built
 only to be compared.  Tree sequents reuse the labeled-sequent
-representation; validity is enforced by `tree_root`, which doubles as the
-tree validator.
+representation and have no other: `tree_root` validates one and returns its
+root, the relation gives each label's children, and `flat_at` the flat
+sequent at a label.
 
 Walkers: a walk that builds a node's result from its children's is a
 generator run by `trampoline`.  Where a recursive function would call itself,
@@ -190,15 +191,10 @@ class LabeledSequent:
                 return True
         return False
 
-    def ante_at(self, x: Label) -> tuple[Formula, ...]:
-        return tuple(f for lab, f in self.ante if lab == x)
-
-    def cons_at(self, x: Label) -> tuple[Formula, ...]:
-        return tuple(f for lab, f in self.cons if lab == x)
-
     def flat_at(self, x: Label) -> GentzenSequent:
-        # the items at one label keep their order
-        return GentzenSequent.of_sorted(self.ante_at(x), self.cons_at(x))
+        """The flat sequent of the items at label x, which keep their order."""
+        return GentzenSequent.of_sorted(tuple(f for lab, f in self.ante if lab == x),
+                                        tuple(f for lab, f in self.cons if lab == x))
 
     def with_rel(self, *pairs: tuple[Label, Label]) -> "LabeledSequent":
         return LabeledSequent.of_sorted(self.rel | set(pairs), self.ante, self.cons)
@@ -325,23 +321,6 @@ def tree_root(t: LabeledSequent) -> Label:
     return roots[0]
 
 
-def tree_children(t: LabeledSequent) -> dict[Label, list[Label]]:
-    kids: dict[Label, list[Label]] = {x: [] for x in t.labels()}
-    for x, y in t.rel:
-        kids[x].append(y)
-    for lst in kids.values():
-        lst.sort()
-    return kids
-
-
-def is_leaf(t: LabeledSequent, x: Label) -> bool:
-    return all(a != x for a, _ in t.rel)
-
-
-def is_pre_leaf(t: LabeledSequent, x: Label) -> bool:
-    return all(is_leaf(t, y) for a, y in t.rel if a == x)
-
-
 def root_path(t: LabeledSequent, x: Label) -> list[Label]:
     """The unique label path from the root down to x."""
     parent = {y: a for a, y in t.rel}
@@ -363,26 +342,6 @@ def project_chain(t: LabeledSequent, chain: list[Label]) -> LinearNestedSequent:
                 groups[x].append(f)
     return LinearNestedSequent([GentzenSequent.of_sorted(tuple(ante[x]), tuple(cons[x]))
                                 for x in chain])
-
-
-class TreeView:
-    __slots__ = ("label", "sequent", "children")
-
-    def __init__(self, label: Label, sequent: GentzenSequent, children: tuple[TreeView, ...]):
-        self.label = label
-        self.sequent = sequent
-        self.children = children
-
-
-def tree_view(t: LabeledSequent) -> TreeView:
-    """The recursive picture of a tree sequent as a tree of flat sequents."""
-    root = tree_root(t)
-    kids = tree_children(t)
-
-    def build(x: Label):
-        return TreeView(x, t.flat_at(x), (yield tuple(map(build, kids[x]))))
-
-    return trampoline(build(root))
 
 
 # ---------------------------------------------------------------------------

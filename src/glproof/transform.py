@@ -40,7 +40,6 @@ from .sequents import (
     formula_key,
     fresh_label,
     project_chain,
-    rebuild,
     root_path,
     trampoline,
     tree_root,
@@ -718,20 +717,16 @@ def g3gl_to_csgl(p: Proof) -> Proof:
 # Bounded unfolding of cyclic derivations
 
 def unfold_glcirc(d: CyclicDerivation, depth: int) -> Proof:
-    """Unfold every back-link `depth` times; the remaining open leaves carry
-    their (identical) back-link target sequents."""
+    """Unfold every back-link `depth` times: each linked open leaf is replaced
+    by a copy of the subtree its link names, and the copy's open leaves get
+    links of their own.  The open leaves left are kept as they are; in a
+    derivation that `check_glcirc` accepts, each concludes the sequent of
+    the node its back-link names."""
     tree = d.derivation
     links = dict(d.backlinks)
     for _ in range(depth):
         tree, links = _graft_once(tree, links)
-    # stamp the targets on what is left open
-    def finish(node: Proof, prems: tuple) -> Proof:
-        if node.rule == OPEN:
-            meta = dict(node.meta, target=node.conclusion)
-            return Proof(node.calculus, OPEN, node.conclusion, (), meta)
-        return Proof(node.calculus, node.rule, node.conclusion, prems, dict(node.meta))
-
-    return rebuild(tree, finish)
+    return tree
 
 
 def _graft_once(tree: Proof, links: dict) -> tuple[Proof, dict]:

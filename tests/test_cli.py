@@ -330,6 +330,24 @@ def test_render_formats(tmp_path):
     assert code == 0 and txt.startswith("[orR]")
 
 
+@pytest.mark.parametrize("body, link, leaf", [
+    ('(open (concl "p |- p") (backlink 3))', "3", 0),
+    ('(rule id (concl "p |- p") (prems (open (concl "p |- p") (backlink 0/7))))', "0/7", 1),
+])
+def test_render_dot_draws_a_dangling_backlink(tmp_path, body, link, leaf):
+    # a back-link to an address the derivation lacks goes to a node of its own
+    path = tmp_path / "dangling.glp"
+    path.write_text(f"calculus: glcirc\n{body}\n")
+    code, dot, err = invoke("render", "--format", "dot", str(path))
+    assert (code, err) == (0, "")
+    assert dot.splitlines()[-3:] == [
+        f'  n{leaf + 1} [label="{link}", style=dotted];',
+        f"  n{leaf} -> n{leaf + 1} [style=dashed, constraint=false];", "}"]
+    for fmt in ("text", "latex"):
+        code, out, _ = invoke("render", "--format", fmt, str(path))
+        assert code == 0 and link in out
+
+
 def test_render_model_and_sequent(tmp_path):
     model = tmp_path / "m.glm"
     model.write_text("worlds: w u\nrel: w<u\nval p: u\n")

@@ -1,14 +1,19 @@
 """Every name that a module of src/glproof imports is used in that module,
-and every parameter of a function is read in its body.
+every parameter of a function is read in its body, and every private
+function or method is named outside its own body.
 
 `__init__.py` is left out of the import check: its imports are the package's
 public names.  A name counts as used when it is read anywhere in the module,
 in code or in an annotation, including one written as a string.  A parameter
 counts as read when its name is loaded anywhere in the function's body,
-nested functions included; lambdas are checked as functions are.
+nested functions included; lambdas are checked as functions are.  A
+private (`_`-prefixed, non-dunder) function counts as named when any module
+of src/glproof reads its name, bare or as an attribute, outside the
+function's own body, so one that only calls itself counts as dead.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -119,3 +124,53 @@ def test_the_check_sees_an_unread_parameter():
     # b is only assigned, and the lambda's y is not looked at
     assert unread_parameters(source) == [("f", "b", 1), ("f", "c", 1), ("f", "args", 1),
                                          ("g", "e", 2), ("<lambda>", "y", 6)]
+
+
+def _references(nodes) -> Counter:
+    """How often each name is read as a bare name or an attribute in `nodes`
+    and everything under them."""
+    seen = Counter()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                seen[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                seen[node.attr] += 1
+    return seen
+
+
+def uncalled_private_functions(sources: dict[str, str]) -> list[str]:
+    """`module:name (line N)` for each private (`_`-prefixed, non-dunder)
+    function or method in `sources`, a map from module names to their text,
+    that no module names outside the function's own body."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    everywhere = _references(trees.values())
+    found = []
+    for module, tree in sorted(trees.items()):
+        for fn in ast.walk(tree):
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name.startswith("_") and not fn.name.endswith("__")
+                    and everywhere[fn.name] <= _references(fn.body)[fn.name]):
+                found.append(f"{module}:{fn.name} (line {fn.lineno})")
+    return found
+
+
+def test_every_private_function_is_named_elsewhere():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert uncalled_private_functions(sources) == []
+
+
+def test_the_check_sees_an_uncalled_private_function():
+    source = ("def _f():\n    return 1\n"
+              "def _g(n):\n    return _g(n - 1)\n"
+              "def _h():\n    pass\n"
+              "def f():\n    return _h()\n"
+              "class C:\n"
+              "    def __init__(self):\n        self._m()\n"
+              "    def _m(self):\n        pass\n"
+              "    def _n(self):\n        pass\n")
+    other = "from .a import C\nC()._n()\n"
+    assert uncalled_private_functions({"a.py": source}) == [
+        "a.py:_f (line 1)", "a.py:_g (line 3)", "a.py:_n (line 14)"]
+    assert uncalled_private_functions({"a.py": source, "b.py": other}) == [
+        "a.py:_f (line 1)", "a.py:_g (line 3)"]

@@ -9,9 +9,10 @@ The same lint covers all of `semantics`.  `eval_formula` and
 `lns_interpretation` do not recurse, nested functions included, so formula
 depth and sequent length cost no recursion there.  What recurses is bounded
 by the model, not the formula, and is exactly `MODEL_BOUNDED`:
-`_skeleton_model`'s `build` and `_Tables.assignment` (with `_Tables.states`
-and `combos`, which call each other) by model depth, `_split_bits`'s `take`
-by model depth, and `_skeletons` (with its `extend`) by world count.
+`_Tables.assignment` (with `_Tables.states` and `combos`, which call each
+other) by model depth, and `_skeletons` (with its `extend`) by world count.
+A model's frame is built on an explicit stack (`_frame`), and a valuation
+is one flat tuple of per-world rows, so neither recurses.
 
 `search` is linted too: both proof searches run on an explicit stack of
 frames, so a branch's height costs no recursion.  Out of scope, and still
@@ -28,7 +29,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "glproof"
 MODULES = ("sequents", "rules", "checkers", "transform", "proofio", "render", "search")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 SCOPES = FUNCTIONS + (ast.Lambda, ast.ClassDef)
-MODEL_BOUNDED = ("_skeletons", "extend", "build", "assignment", "states", "combos", "take")
+MODEL_BOUNDED = ("_skeletons", "extend", "assignment", "states", "combos")
 
 
 def _own_nodes(fn):

@@ -24,7 +24,6 @@ from glproof.sequents import (
     project_chain,
     root_path,
     tree_root,
-    tree_view,
 )
 
 
@@ -94,32 +93,6 @@ def test_project_chain_is_the_per_label_projection():
         repeated += len(set(items)) < len(items)
         empty += any(not t.flat_at(x).ante and not t.flat_at(x).cons for x in labels)
     assert min(repeated, empty, skipping) > 100, (repeated, empty, skipping)
-
-
-def _view_labels(v):
-    """The labels of a tree view, in pre-order."""
-    labels, stack = [], [v]
-    while stack:
-        v = stack.pop()
-        labels.append(v.label)
-        stack.extend(reversed(v.children))
-    return labels
-
-
-def test_tree_view():
-    flat = parse_labeled_sequent("x: p |- x: q")
-    v = tree_view(flat)
-    assert _view_labels(v) == ["x"] and not v.children
-
-    edge = parse_labeled_sequent("xRy; |-")
-    v2 = tree_view(edge)
-    assert _view_labels(v2) == ["x", "y"]
-    assert v2.sequent == GentzenSequent((), ())
-
-    t3 = parse_labeled_sequent("xRy; xRz; x: p |- z: q")
-    v3 = tree_view(t3)
-    assert v3.label == "x" and {c.label for c in v3.children} == {"y", "z"}
-    assert sorted(_view_labels(v3)) == sorted(t3.labels())
 
 
 def test_multiset_canonicalization():

@@ -1019,8 +1019,12 @@ def test_unfold_depth_zero():
     d = lob_cyclic()
     out = unfold_glcirc(d, 0)
     assert out.node_count() == d.derivation.node_count()
-    opens = [n for _, n in out.nodes() if n.rule == "open"]
-    assert len(opens) == 1 and opens[0].meta["target"] == opens[0].conclusion
+    opens = [(a, n) for a, n in out.nodes() if n.rule == "open"]
+    # each open leaf left concludes the sequent its back-link names
+    assert [a for a, _ in opens] == list(d.backlinks)
+    for addr, leaf in opens:
+        assert leaf.conclusion == out.at(d.backlinks[addr]).conclusion
+        assert leaf.meta == {}
 
 
 def test_unfold_depth_one_grows_by_cycle_length():
