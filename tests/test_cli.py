@@ -485,15 +485,30 @@ def test_pipeline_checks_every_stage_before_it_prints(tmp_path, monkeypatch):
 
 
 def test_pass_failure_names_its_node(tmp_path):
-    # boxL at 0/0/0/0/0/0/0 feeds the id above it and cannot cross the boxR
-    # below it, so end-activation fails there
+    # the boxL at 0/0/0/0/0/0/0 feeds the id above it and cannot cross the
+    # boxR below it, but the boxRs that make it no end-active rule are read
+    # by nothing: end-activation prunes them, and its output is checked
     steps, concls = _boxl_into_fresh_label("q")
     leaf = Proof("csgl", "id1", concls[-1], (), {"label": "y", "principal": parse_formula("q")})
     src = tmp_path / "stuck.glp"
     src.write_text(print_proof(_build(steps, concls, leaf)))
-    code, out, _ = invoke("transform", "--pass", "end-active", str(src))
-    assert (code, out) == (1, "InternalNonTermination\t0/0/0/0/0/0/0\t"
-                              "no permutation available for boxL\n")
+    code, out, err = invoke("transform", "--pass", "end-active", str(src))
+    assert code == 0 and err.startswith("end-active: nodes 9->7, ")
+    assert [n.rule for _, n in parse_proof(out).nodes()] == [
+        "orR", "orR", "orR", "negR", "boxR", "boxL", "id1"]
+    # a pass that fails names the node it failed at: to-csgl at a tr two
+    # levels up
+    tree = ("orR", {"label": "x", "principal": parse_formula("~q | r")},
+            [("negR", {"label": "x", "principal": parse_formula("~q")},
+              [("tr", {"x": "x", "y": "y", "z": "z"},
+                [("boxL", {"label": "x", "aux": "z", "phi": Atom("p")},
+                  [("id1", {"label": "z", "principal": Atom("p")}, [])])])])])
+    proof = derive("g3glext", tree, parse_labeled_sequent("xRy; yRz; x: []p |- z: p, x: ~q | r"),
+                   lambda n: n)
+    src = tmp_path / "tr.glp"
+    src.write_text(print_proof(proof))
+    code, out, _ = invoke("transform", "--pass", "to-csgl", str(src))
+    assert (code, out) == (1, "NotApplicable\t0/0\ttr is not a CSGL rule\n")
 
 
 def _malformed_file(tmp_path, name):

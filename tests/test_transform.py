@@ -518,8 +518,7 @@ def test_permute_clash_detected():
 def test_end_active_fixpoint_identity():
     base = csgl_proof(LOB)
     assert end_active_report(base).accepted
-    out = to_end_active(base)
-    assert out == base
+    assert to_end_active(base) is base
 
 
 def _negr_above_boxr_csgl():
@@ -543,8 +542,43 @@ def _negr_above_boxr_csgl():
     return Proof("csgl", "orR", c0, (n1,), {"label": "x", "principal": pf("[](p | ~p) | ~~q")})
 
 
+def _chain(conclusion, steps, leaf) -> Proof:
+    """The CSGL proof of `conclusion` whose rules, bottom-up, are the
+    (rule, meta) pairs `steps`, one above the other, closed by `leaf`."""
+    tree = (*leaf, [])
+    for rule, meta in reversed(steps):
+        tree = (rule, meta, [tree])
+    return derive("csgl", tree, conclusion, lambda n: n)
+
+
+def _negr_above_boxr_read():
+    # bottom-up: orR, boxR, negR(x) <- non-end-active, boxL(x, y), id1(y);
+    # the boxL reads the negR's x: []p and the boxR's edge
+    return _chain(pls(" |- x: []p | ~[]p"), [
+        ("orR", {"label": "x", "principal": pf("[]p | ~[]p")}),
+        ("boxR", {"label": "x", "fresh": "y", "phi": P}),
+        ("negR", {"label": "x", "principal": pf("~[]p")}),
+        ("boxL", {"label": "x", "aux": "y", "phi": P})], ("id1", {"label": "y", "principal": P}))
+
+
+def _principals(p):
+    return {(n.rule, n.meta.get("principal")) for _, n in p.nodes()}
+
+
+def test_end_active_prunes_an_unread_rule():
+    # the negR on x: ~~q adds x: ~q, which no rule above reads: pruning
+    # removes it, and no exchange is left to make
+    for base in (_negr_above_boxr_csgl(), _two_permutations()):
+        assert check_csgl(base).accepted and not end_active_report(base).accepted
+        out, report = run_pass("end-active", base)
+        assert ("negR", pf("~~q")) not in _principals(out)
+        assert out.conclusion == base.conclusion
+        assert check_csgl(out).accepted and end_active_report(out).accepted
+        assert report.permutations == 0 and report.nodes_out == report.nodes_in - 1
+
+
 def test_end_active_one_permutation():
-    base = _negr_above_boxr_csgl()
+    base = _negr_above_boxr_read()
     assert check_csgl(base).accepted
     assert not end_active_report(base).accepted
 
@@ -555,6 +589,7 @@ def test_end_active_one_permutation():
     assert end_active_report(out).accepted
     assert check_csgl(out).accepted
     assert report.permutations == 1
+    assert [n.rule for _, n in out.nodes()] == ["orR", "negR", "boxR", "boxL", "id1"]
 
 
 def test_end_active_counts_nodes_only_for_a_failure(monkeypatch):
@@ -590,14 +625,26 @@ def _two_permutations():
     return Proof("csgl", "orR", c0, (n1,), {"label": "x", "principal": pf("[](p | ~p) | ~~q")})
 
 
+def _two_permutations_read():
+    # bottom-up: orR, boxR, orR(y), negR(x) <- non-end-active, boxL(x, y),
+    # id1(y); the negR must cross the orR and then the boxR
+    return _chain(pls(" |- x: [](p | ~p) | ~[]p"), [
+        ("orR", {"label": "x", "principal": pf("[](p | ~p) | ~[]p")}),
+        ("boxR", {"label": "x", "fresh": "y", "phi": pf("p | ~p")}),
+        ("orR", {"label": "y", "principal": pf("p | ~p")}),
+        ("negR", {"label": "x", "principal": pf("~[]p")}),
+        ("boxL", {"label": "x", "aux": "y", "phi": P})], ("id1", {"label": "y", "principal": P}))
+
+
 def test_end_active_two_permutations():
-    base = _two_permutations()
+    base = _two_permutations_read()
     assert check_csgl(base).accepted
 
     out, report = run_pass("end-active", base)
-    assert end_active_report(out).accepted
+    assert end_active_report(out).accepted and check_csgl(out).accepted
     assert out.conclusion == base.conclusion
     assert report.permutations == 2
+    assert ("negR", pf("~[]p")) in _principals(out)
 
 
 def _id2_above_a_pointless_boxr():
@@ -618,9 +665,9 @@ def _id2_above_a_pointless_boxr():
     return Proof("csgl", "orR", c0, (n2,), m_or1)
 
 
-def test_end_active_pushes_initial_rules():
-    # an id2 whose witness label is not a leaf at its node is pushed down,
-    # deleting the pointless boxR expansion under it
+def test_end_active_prunes_a_boxr_under_an_initial_rule():
+    # the id2 reads nothing the boxR under it adds, so pruning deletes the
+    # pointless boxR expansion, and the id2 is end-active where it lands
     base = _id2_above_a_pointless_boxr()
     assert check_csgl(base).accepted
     assert not end_active_report(base).accepted  # id2 witness x has child y
@@ -1109,10 +1156,27 @@ def test_end_active_drops_unused_propagation():
 
 
 def test_end_active_keeps_used_propagation():
+    # the boxL feeds the id above it, so it stays; the boxRs at x and u that
+    # made x no pre-leaf are read by nothing and pruned, which makes it
+    # end-active
     base = _read_propagation()
     assert check_csgl(base).accepted and not end_active_report(base).accepted
-    with pytest.raises(InternalNonTermination):
-        to_end_active(base)
+    out, permutations = transform._end_active(base)
+    assert out.conclusion == base.conclusion
+    assert check_csgl(out).accepted and end_active_report(out).accepted
+    assert "boxL" in rules_in(out) and permutations == 0
+    assert [n.meta.get("fresh") for _, n in out.nodes() if n.rule == "boxR"] == ["y"]
+
+
+def test_end_active_names_the_rule_it_cannot_exchange(monkeypatch):
+    def refuse(tree, proof, addr):
+        raise NotPermutable("refused")
+
+    monkeypatch.setattr(transform, "_exchange", refuse)
+    with pytest.raises(InternalNonTermination) as e:
+        to_end_active(_negr_above_boxr_read())
+    assert e.value.address == (0, 0)
+    assert str(e.value) == "no permutation available for negR: refused"
 
 
 def test_invert_negl_rebuilds_destroyed_gentzen_id():

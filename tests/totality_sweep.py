@@ -25,12 +25,24 @@ fuel left and fresh labels), and so must the eager CSGL search of that file,
 which searches every orL right premise, and the recursive one without the
 relevance rule (reported as `csgl eager`).  The eager search must prove no
 theorem that CSGL search does not, and its proof must have no fewer nodes
-(`csgl eager`).  Runs one process per core; prints one line per failure (formula,
+(`csgl eager`).
+
+Proofs search does not make go through every pass too, each stage checked
+by its `STAGE_CHECKS` entry: one random-strategy proof of each theorem
+(`random_proofs.csgl_proof(f, i)`, i the formula's index in the
+enumeration), and the search proof and a random-strategy proof of each
+formula of the Löb corpus (`lob_corpus.lob_corpus()`, 400 GL theorems that
+are not K4 theorems).  A Löb search proof gets every check a sweep theorem
+gets.  A theorem the random prover does not prove within its tries is
+counted, not failed.
+
+Runs one process per core; prints one line per failure (formula, input,
 stage, reason) and per reference mismatch (formula, calculus), then the
-counts, the nodes of the CSGL proofs of search and of the eager search, the
-time and the peak RSS of this process and of its largest worker, and exits
-1 when anything fails or mismatches.  It takes about 50 seconds
-on 2 cores, so pytest does not collect it (the file name has no `test_`).
+counts, the failures per pass for each kind of input, the nodes of the CSGL
+proofs of search and of the eager search, the time and the peak RSS of this
+process and of its largest worker, and exits 1 when anything fails or
+mismatches.  It takes about 90 seconds on 2 cores, so pytest does not
+collect it (the file name has no `test_`).
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ import multiprocessing
 import resource
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -52,6 +65,8 @@ from glproof.sequents import GentzenSequent, LabeledSequent  # noqa: E402
 from glproof.transform import PIPELINE, run_pass, run_pipeline  # noqa: E402
 from linearize_reference import linearize as reference_linearize  # noqa: E402
 from lngl_to_glseq_reference import lngl_to_glseq as reference_to_glseq  # noqa: E402
+from lob_corpus import lob_corpus  # noqa: E402
+from random_proofs import csgl_proof as random_csgl_proof  # noqa: E402
 from search_reference import csgl_outcomes, eager_prove_csgl, glseq_outcomes  # noqa: E402
 from test_pipeline import STAGE_CHECKS, _without_goals  # noqa: E402
 
@@ -60,6 +75,9 @@ CONNECTIVES = 6
 # the stages that the pipeline run from to-csgl of stage 6 must reproduce;
 # its LNGL and normal stages may differ, since search did not make its input
 CYCLE_STAGES = ("glseq", "g3gl")
+# each stage's pass, for the failures per pass
+PASS_OF = dict(PIPELINE)
+KINDS = ("sweep search", "sweep random", "lob search", "lob random")
 
 
 def goals_disagree(stage: str, proof) -> bool:
@@ -118,6 +136,31 @@ def failure(f) -> str | None:
     return None
 
 
+def stage_failure(proof, f) -> str | None:
+    """Why `proof`, a CSGL proof of |- x: f, fails a pass or a stage check
+    of the pipeline, or None; the stage is the one the failing pass makes."""
+    stage = "csgl"
+    try:
+        if not STAGE_CHECKS["csgl"](proof):
+            return "csgl\trejected"
+        stages = run_pipeline(proof)
+        for stage, _ in PIPELINE:  # named before its pass runs, for the report
+            _, proof, _ = next(stages)
+            if not STAGE_CHECKS[stage](proof):
+                return f"{stage}\trejected"
+        if str(proof.conclusion) != f"|- x: {print_formula(f)}":
+            return f"{stage}\tconcludes {proof.conclusion}"
+    except Exception as e:  # every failure is reported, and the sweep goes on
+        return f"{stage}\t{type(e).__name__}: {e}"
+    return None
+
+
+def failed_pass(reason: str) -> str:
+    """The pass a failure reason names, or `other` (search, a reference, the
+    cycle)."""
+    return PASS_OF.get(reason.split("\t", 1)[0], "other")
+
+
 def mismatches(f) -> list[str]:
     """The calculi whose search on `f` differs from the reference."""
     s = LabeledSequent((), (), (("x", f),))
@@ -138,26 +181,45 @@ def nodes(f) -> tuple[int, int]:
     return n, (-1 if m and (not n or m < n) else m)
 
 
-def sweep_part(args: tuple[int, int]) -> tuple[int, list[str], list[str], int, int]:
-    """Every `parts`-th formula from `part` on: the theorem count, the
-    failure lines, the reference mismatch lines and the CSGL proof nodes of
-    search and of the eager search."""
+def sweep_part(args: tuple[int, int]) -> tuple[int, list[str], list[str], int, int, Counter]:
+    """Every `parts`-th formula from `part` on, of the enumeration and of the
+    Löb corpus: the theorem count, the failure lines, the reference mismatch
+    lines, the CSGL proof nodes of search and of the eager search, and the
+    inputs and failures per (kind of input, pass)."""
     part, parts = args
     theorems, lines, mismatched, total, eager_total = 0, [], [], 0, 0
+    counts = Counter()
+
+    def run(kind: str, f, reason: str | None) -> None:
+        counts[kind, "inputs"] += 1
+        if reason is not None:
+            counts[kind, failed_pass(reason)] += 1
+            lines.append(f"{print_formula(f)}\t{kind}\t{reason}")
+
+    def random_run(kind: str, f, i: int) -> None:
+        proof = random_csgl_proof(f, i)
+        if proof is None:
+            counts[kind, "unproved"] += 1
+        else:
+            run(kind, f, stage_failure(proof, f))
+
     for i, f in enumerate(enumerate_formulas(("p", "q"), CONNECTIVES)):
         if i % parts != part or not oracle_validity(f).valid:
             continue
         theorems += 1
-        reason = failure(f)
-        if reason is not None:
-            lines.append(f"{print_formula(f)}\t{reason}")
+        run("sweep search", f, failure(f))
+        random_run("sweep random", f, i)
         bad = mismatches(f)
         n, m = nodes(f)
         if m < 0:
             bad.append("csgl eager")
         total, eager_total = total + n, eager_total + max(m, 0)
         mismatched += [f"{print_formula(f)}\treference mismatch in {c}" for c in bad]
-    return theorems, lines, mismatched, total, eager_total
+    for i, f in enumerate(lob_corpus()):
+        if i % parts == part:
+            run("lob search", f, failure(f))
+            random_run("lob random", f, i)
+    return theorems, lines, mismatched, total, eager_total, counts
 
 
 def main() -> int:
@@ -170,6 +232,12 @@ def main() -> int:
     mismatched = sorted(line for r in results for line in r[2])
     for line in lines + mismatched:
         print(line)
+    counts = sum((r[5] for r in results), Counter())
+    passes = [name for _, name in PIPELINE] + ["other"]
+    for kind in KINDS:
+        per_pass = ", ".join(f"{name} {counts[kind, name]}" for name in passes)
+        unproved = f" ({counts[kind, 'unproved']} theorems without one)" if "random" in kind else ""
+        print(f"{kind}: {counts[kind, 'inputs']:,} proofs{unproved}, failures per pass: {per_pass}")
     # ru_maxrss is in KiB; the pool's workers have all been waited for here
     own, worker = (resource.getrusage(who).ru_maxrss / 1024
                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
